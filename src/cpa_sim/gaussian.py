@@ -6,14 +6,19 @@ quadratures (covariance = identity).  The beamsplitter is the orthogonal
 Hadamard block acting identically on both quadrature sectors; the absorber
 channel contracts the absorbed standing mode towards vacuum and can
 optionally keep the environment mode for light-absorber bookkeeping.
+
+States and functions work over optional leading batch axes: means have shape
+(..., 2M), covariances (..., 2M, 2M), and a single state has batch shape ().
+Batched arithmetic repeats, element by element, the Python scalar arithmetic a
+single state uses (same operation order, `math` functions, no fused
+multiply-add), so each element equals the single-state call on it bit for bit.
 """
 from __future__ import annotations
 
-import cmath
 import math
 import time
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -39,51 +44,92 @@ class SingularAngleError(ValueError):
     """Polar inverse map evaluated too close to a removable singularity."""
 
 
+def _per_element(fn: Callable, x) -> float | np.ndarray:
+    """Scalar `fn` per element of `x`: numpy's vectorised exp, cosh, sinh,
+    hypot and pow may round differently from libm in the last bit."""
+    if isinstance(x, float):
+        return fn(x)
+    return np.array([fn(v) for v in np.ravel(x).tolist()], dtype=float).reshape(np.shape(x))[()]
+
+
+def _complex(re, im) -> complex | np.ndarray:
+    """Complex number or array from real and imaginary parts, with no arithmetic."""
+    if isinstance(re, float) and isinstance(im, float):
+        return complex(re, im)
+    out = np.empty(np.broadcast(re, im).shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out[()]
+
+
+def _cmul(a, b) -> complex | np.ndarray:
+    """Complex product as scalars round it (numpy's vectorised one may fuse a multiply-add)."""
+    if isinstance(a, (complex, float)) and isinstance(b, (complex, float)):
+        return complex(a) * complex(b)
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    return _complex(a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real)
+
+
+def _abs2(z) -> float | np.ndarray:
+    """abs(z) ** 2 per element, with Python's hypot and pow."""
+    if isinstance(z, complex):
+        return abs(z) ** 2
+    return np.array([abs(v) ** 2 for v in np.ravel(z).tolist()]).reshape(np.shape(z))[()]
+
+
 @dataclass(frozen=True)
 class SqueezedSpec:
-    """Coherent amplitude alpha and squeezing xi*exp(i*phi), xi >= 0."""
+    """Coherent amplitude alpha and squeezing xi*exp(i*phi), xi >= 0.
 
-    alpha: complex = 0.0
-    xi: float = 0.0
-    phi: float = 0.0
+    Array-valued fields that broadcast against each other make a batch of specs.
+    """
+
+    alpha: complex | np.ndarray = 0.0
+    xi: float | np.ndarray = 0.0
+    phi: float | np.ndarray = 0.0
 
     def __post_init__(self) -> None:
-        if self.xi < 0:
-            object.__setattr__(self, "xi", -self.xi)
-            object.__setattr__(self, "phi", self.phi + math.pi)
-
-    @property
-    def mean_amplitude(self) -> complex:
-        """<a> = alpha cosh(xi) - conj(alpha) e^{i phi} sinh(xi)."""
-        return self.alpha * math.cosh(self.xi) - np.conj(self.alpha) * cmath.exp(
-            1j * self.phi
-        ) * math.sinh(self.xi)
+        negative = np.less(self.xi, 0)
+        if negative.any():
+            object.__setattr__(self, "xi", np.where(negative, -self.xi, self.xi)[()])
+            object.__setattr__(self, "phi", np.where(negative, self.phi + math.pi, self.phi)[()])
 
 
 @dataclass(frozen=True)
 class GaussianState:
-    """Mean vector (X1, X2 per mode) and symmetrized covariance matrix."""
+    """Mean vectors (X1, X2 per mode) and symmetrized covariance matrices.
+
+    `mean` has shape (..., 2M) and `cov` (..., 2M, 2M); the leading axes index
+    a batch of states over the same modes.  Construction validates the whole
+    batch at once.
+    """
 
     modes: tuple[ModeLabel, ...]
     mean: np.ndarray
     cov: np.ndarray
 
     def __post_init__(self) -> None:
-        n = 2 * len(self.modes)
-        if self.mean.shape != (n,):
-            raise ValueError(f"mean shape {self.mean.shape} != ({n},)")
-        if self.cov.shape != (n, n):
-            raise ValueError(f"cov shape {self.cov.shape} != ({n}, {n})")
+        m = len(self.modes)
+        batch = self.mean.shape[:-1]
+        if self.mean.shape[-1:] != (2 * m,):
+            raise ValueError(f"mean shape {self.mean.shape} != (..., {2 * m})")
+        if self.cov.shape != batch + (2 * m, 2 * m):
+            raise ValueError(f"cov shape {self.cov.shape} != {batch + (2 * m, 2 * m)}")
         check_mode_consistency(self.modes)
-        if not np.allclose(self.cov, self.cov.T, atol=1e-12):
+        cov_t = np.swapaxes(self.cov, -1, -2)  # np.allclose(atol=1e-12), minus its overhead
+        with np.errstate(invalid="ignore"):
+            close = np.abs(self.cov - cov_t) <= 1e-12 + 1e-5 * np.abs(cov_t)
+        if not (close & np.isfinite(cov_t) | (self.cov == cov_t)).all():
             raise ValueError("covariance matrix not symmetric")
-        for i in range(0, n, 2):
-            block_det = float(np.linalg.det(self.cov[i:i + 2, i:i + 2]))
-            if block_det < 1.0 - 1e-10:  # single-mode uncertainty bound
-                raise ValueError(
-                    f"mode {self.modes[i // 2]} violates the uncertainty relation "
-                    f"(block determinant {block_det!r})"
-                )
+        # single-mode uncertainty bound, for every mode of every state
+        dets = np.linalg.det(np.stack([self.mode_block(mode) for mode in self.modes], axis=-3))
+        bad = dets < 1.0 - 1e-10
+        if bad.any():
+            index = tuple(np.argwhere(bad)[0].tolist())
+            where = f" at batch index {index[:-1]}" if batch else ""
+            raise ValueError(
+                f"mode {self.modes[index[-1]]} violates the uncertainty relation "
+                f"(block determinant {float(dets[index])!r}){where}"
+            )
         self.mean.setflags(write=False)
         self.cov.setflags(write=False)
 
@@ -99,11 +145,11 @@ class GaussianState:
 
     def mode_block(self, mode: ModeLabel) -> np.ndarray:
         i = 2 * self.axis(mode)
-        return self.cov[i:i + 2, i:i + 2]
+        return self.cov[..., i:i + 2, i:i + 2]
 
     def mode_mean(self, mode: ModeLabel) -> np.ndarray:
         i = 2 * self.axis(mode)
-        return self.mean[i:i + 2]
+        return self.mean[..., i:i + 2]
 
 
 def vacuum_state(modes: Sequence[ModeLabel]) -> GaussianState:
@@ -113,60 +159,70 @@ def vacuum_state(modes: Sequence[ModeLabel]) -> GaussianState:
 
 
 def squeezed_coherent_state(spec: SqueezedSpec, mode: ModeLabel = K) -> GaussianState:
-    """Single squeezed coherent mode.
+    """Single squeezed coherent mode (a batch of them for array-valued specs).
 
     Mean follows from <a> = alpha cosh(xi) - conj(alpha) e^{i phi} sinh(xi);
     the covariance is the rotated squeezer R(phi/2) diag(e^{-2xi}, e^{2xi})
     R(phi/2)^T, whose diagonal is cosh(2 xi) -/+ cos(phi) sinh(2 xi).
     """
-    amp = spec.mean_amplitude
-    mean = np.array([2.0 * amp.real, 2.0 * amp.imag])
+    phase = _complex(_per_element(math.cos, spec.phi), _per_element(math.sin, spec.phi))
+    amp = _cmul(spec.alpha, _per_element(math.cosh, spec.xi)) - _cmul(
+        _cmul(np.conj(spec.alpha), phase), _per_element(math.sinh, spec.xi)
+    )
+    batch = np.shape(amp)  # alpha, xi and phi broadcast together
+    mean = np.empty(batch + (2,))
+    mean[..., 0], mean[..., 1] = 2.0 * amp.real, 2.0 * amp.imag
     half = spec.phi / 2.0
-    rot = np.array([[math.cos(half), -math.sin(half)], [math.sin(half), math.cos(half)]])
-    cov = rot @ np.diag([math.exp(-2 * spec.xi), math.exp(2 * spec.xi)]) @ rot.T
+    cos, sin = _per_element(math.cos, half), _per_element(math.sin, half)
+    rot = np.empty(batch + (2, 2))
+    rot[..., 0, 0], rot[..., 0, 1], rot[..., 1, 0], rot[..., 1, 1] = cos, -sin, sin, cos
+    squeezer = np.zeros(batch + (2, 2))
+    squeezer[..., 0, 0] = _per_element(math.exp, -2 * spec.xi)
+    squeezer[..., 1, 1] = _per_element(math.exp, 2 * spec.xi)
+    cov = rot @ squeezer @ np.swapaxes(rot, -1, -2)
     return GaussianState((mode,), mean, cov)
 
 
 def tensor(*states: GaussianState) -> GaussianState:
-    modes: tuple[ModeLabel, ...] = ()
-    for s in states:
-        modes = modes + s.modes
+    modes: tuple[ModeLabel, ...] = sum((s.modes for s in states), ())
+    batch = np.broadcast(*[s.mean[..., 0] for s in states]).shape
     n = 2 * len(modes)
-    mean = np.concatenate([s.mean for s in states])
-    cov = np.zeros((n, n))
+    mean = np.zeros(batch + (n,))
+    cov = np.zeros(batch + (n, n))
     offset = 0
     for s in states:
-        k = len(s.mean)
-        cov[offset:offset + k, offset:offset + k] = s.cov
-        offset += k
+        end = offset + s.mean.shape[-1]
+        mean[..., offset:end] = s.mean
+        cov[..., offset:end, offset:end] = s.cov
+        offset = end
     return GaussianState(modes, mean, cov)
 
 
 def relabel(state: GaussianState, mapping: Mapping[ModeLabel, ModeLabel]) -> GaussianState:
     modes = tuple(mapping.get(m, m) for m in state.modes)
-    return GaussianState(modes, state.mean.copy(), state.cov.copy())
+    return GaussianState(modes, state.mean, state.cov)  # arrays are read-only
 
 
-def _apply_linear(state: GaussianState, matrix: np.ndarray) -> GaussianState:
-    mean = matrix @ state.mean
+def _mix(state: GaussianState, a: ModeLabel, b: ModeLabel, c: float, s: float) -> GaussianState:
+    """Orthogonal two-mode mix on both quadratures (c^2 + s^2 = 1):
+    X_a -> c X_a + s X_b, X_b -> s X_a - c X_b."""
+    matrix = np.eye(2 * len(state.modes))
+    for q in (0, 1):
+        ia, ib = state.slot(a, q), state.slot(b, q)
+        matrix[ia, ia], matrix[ia, ib] = c, s
+        matrix[ib, ia], matrix[ib, ib] = s, -c
+    # stacked matmul runs the same BLAS kernel per element as a single state
+    mean = (matrix @ state.mean[..., None])[..., 0]
     cov = matrix @ state.cov @ matrix.T
-    cov = (cov + cov.T) / 2.0
-    return GaussianState(state.modes, mean, cov)
+    return GaussianState(state.modes, mean, (cov + np.swapaxes(cov, -1, -2)) / 2.0)
 
 
 def bs_transform(state: GaussianState, a: ModeLabel, b: ModeLabel) -> GaussianState:
     """Balanced beamsplitter: X_a -> (X_a + X_b)/sqrt(2), X_b -> (X_a - X_b)/sqrt(2)."""
     if a == b:
         raise ModeError("beamsplitter needs two distinct modes")
-    n = 2 * len(state.modes)
-    matrix = np.eye(n)
     inv = 1.0 / math.sqrt(2.0)
-    for q in (0, 1):
-        ia, ib = state.slot(a, q), state.slot(b, q)
-        matrix[ia, ia] = matrix[ia, ib] = inv
-        matrix[ib, ia] = inv
-        matrix[ib, ib] = -inv
-    return _apply_linear(state, matrix)
+    return _mix(state, a, b, inv, inv)
 
 
 def cpa_channel(
@@ -192,22 +248,15 @@ def cpa_channel(
         if env in result.modes:
             raise ModeError(f"environment mode {env} already attached")
         if keep_env:
-            result = tensor(result, vacuum_state([env]))
-            n = 2 * len(result.modes)
-            matrix = np.eye(n)
-            for q in (0, 1):
-                im, ie = result.slot(absorbed, q), result.slot(env, q)
-                matrix[im, im], matrix[im, ie] = tau, s
-                matrix[ie, im], matrix[ie, ie] = s, -tau
-            result = _apply_linear(result, matrix)
+            result = _mix(tensor(result, vacuum_state([env])), absorbed, env, tau, s)
         else:
             i = 2 * result.axis(absorbed)
             mean = result.mean.copy()
             cov = result.cov.copy()
-            mean[i:i + 2] *= tau
-            cov[i:i + 2, :] *= tau
-            cov[:, i:i + 2] *= tau
-            cov[i:i + 2, i:i + 2] += (1.0 - tau * tau) * np.eye(2)
+            mean[..., i:i + 2] *= tau
+            cov[..., i:i + 2, :] *= tau
+            cov[..., :, i:i + 2] *= tau
+            cov[..., i:i + 2, i:i + 2] += (1.0 - tau * tau) * np.eye(2)
             result = GaussianState(result.modes, mean, cov)
     return result
 
@@ -240,27 +289,29 @@ def full_pipeline(
 # observables
 
 
-def mean_amplitude(state: GaussianState, mode: ModeLabel) -> complex:
+def mean_amplitude(state: GaussianState, mode: ModeLabel) -> complex | np.ndarray:
     """<a> = (<X1> + i <X2>) / 2."""
-    m1, m2 = state.mode_mean(mode)
-    return complex(m1, m2) / 2.0
+    m = state.mode_mean(mode)
+    return _complex(m[..., 0] / 2.0, m[..., 1] / 2.0)
 
 
-def mode_intensity(state: GaussianState, mode: ModeLabel) -> float:
+def mode_intensity(state: GaussianState, mode: ModeLabel) -> float | np.ndarray:
     """<a^dag a> = |<a>|^2 + (trace of mode covariance - 2) / 4."""
     block = state.mode_block(mode)
-    return abs(mean_amplitude(state, mode)) ** 2 + (block[0, 0] + block[1, 1] - 2.0) / 4.0
+    return _abs2(mean_amplitude(state, mode)) + (block[..., 0, 0] + block[..., 1, 1] - 2.0) / 4.0
 
 
-def cross_correlation(state: GaussianState, a: ModeLabel, b: ModeLabel) -> complex:
+def cross_correlation(state: GaussianState, a: ModeLabel, b: ModeLabel) -> complex | np.ndarray:
     """<a_a^dag a_b> from means and covariance cross-blocks."""
     ia, ib = 2 * state.axis(a), 2 * state.axis(b)
-    cross = state.cov[ia:ia + 2, ib:ib + 2]
-    noise = complex(cross[0, 0] + cross[1, 1], cross[0, 1] - cross[1, 0]) / 4.0
-    return noise + np.conj(mean_amplitude(state, a)) * mean_amplitude(state, b)
+    cross = state.cov[..., ia:ia + 2, ib:ib + 2]
+    noise = _complex(
+        (cross[..., 0, 0] + cross[..., 1, 1]) / 4.0, (cross[..., 0, 1] - cross[..., 1, 0]) / 4.0
+    )
+    return noise + _cmul(np.conj(mean_amplitude(state, a)), mean_amplitude(state, b))
 
 
-def duan_inseparability(state: GaussianState, a: ModeLabel, b: ModeLabel) -> float:
+def duan_inseparability(state: GaussianState, a: ModeLabel, b: ModeLabel) -> float | np.ndarray:
     """Variance sum of relative position and total momentum of two modes.
 
     Equals 2 for a pair of coherent modes; values below 2 witness
@@ -271,29 +322,32 @@ def duan_inseparability(state: GaussianState, a: ModeLabel, b: ModeLabel) -> flo
     a1, a2 = state.slot(a, 0), state.slot(a, 1)
     b1, b2 = state.slot(b, 0), state.slot(b, 1)
     cov = state.cov
-    var_q = (cov[a1, a1] + cov[b1, b1] - 2.0 * cov[a1, b1]) / 2.0
-    var_p = (cov[a2, a2] + cov[b2, b2] + 2.0 * cov[a2, b2]) / 2.0
-    return float(var_q + var_p)
+    var_q = (cov[..., a1, a1] + cov[..., b1, b1] - 2.0 * cov[..., a1, b1]) / 2.0
+    var_p = (cov[..., a2, a2] + cov[..., b2, b2] + 2.0 * cov[..., a2, b2]) / 2.0
+    return var_q + var_p
+
+
+def _half_plus_ratio(num, den) -> np.ndarray:
+    """0.5 + num / den, NaN where the denominator vanishes (den <= 1e-12)."""
+    return 0.5 + np.divide(num, den, out=np.full(np.shape(den), np.nan), where=den > 1e-12)
 
 
 def absorption_coefficients(
     state: GaussianState, a: ModeLabel = K, b: ModeLabel = MINUS_K
-) -> tuple[float | None, float | None]:
+) -> tuple[float | None, float | None] | tuple[np.ndarray, np.ndarray]:
     """Intensity and coherence absorption coefficients of a travelling pair.
 
     A coefficient whose denominator (total intensity / total coherence)
-    vanishes is returned as None (undefined).
+    vanishes is undefined: None for a single state, NaN within a batch.
     """
-    intensity = mode_intensity(state, a) + mode_intensity(state, b)
     amp_a, amp_b = mean_amplitude(state, a), mean_amplitude(state, b)
-    coherence = abs(amp_a) ** 2 + abs(amp_b) ** 2
-    coeff_int: float | None = None
-    coeff_coh: float | None = None
-    if intensity > 1e-12:
-        coeff_int = float(0.5 + cross_correlation(state, a, b).real / intensity)
-    if coherence > 1e-12:
-        coeff_coh = float(0.5 + (np.conj(amp_a) * amp_b).real / coherence)
-    return coeff_int, coeff_coh
+    intensity = mode_intensity(state, a) + mode_intensity(state, b)
+    coherence = _abs2(amp_a) + _abs2(amp_b)
+    coeff_int = _half_plus_ratio(cross_correlation(state, a, b).real, intensity)
+    coeff_coh = _half_plus_ratio(_cmul(np.conj(amp_a), amp_b).real, coherence)
+    if state.mean.ndim > 1:  # a batch
+        return coeff_int, coeff_coh
+    return tuple(None if math.isnan(c) else float(c) for c in (coeff_int, coeff_coh))
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +379,7 @@ def epr_state(alpha_g: complex, alpha_h: complex, xi: float) -> GaussianState:
     quadrature variances (e^{2 xi} + e^{-2 xi})/2 and inseparability
     2 e^{-2 xi}.
     """
-    if xi < 0:
+    if np.less(xi, 0).any():
         raise ValueError("squeezing parameter must be >= 0")
     mode_g = squeezed_coherent_state(SqueezedSpec(alpha_g, xi, math.pi), K)
     mode_h = squeezed_coherent_state(SqueezedSpec(alpha_h, xi, 0.0), MINUS_K)
@@ -340,10 +394,12 @@ def epr_params_from_means(
 
     Cartesian inverse of the mean map; regular for every input.
     """
+    alpha_k = np.asarray(alpha_k, dtype=complex)
     prec_g = (alpha_k + alpha_mk) / math.sqrt(2.0)
     prec_h = (alpha_k - alpha_mk) / math.sqrt(2.0)
-    alpha_g = complex(math.exp(-xi) * prec_g.real, math.exp(xi) * prec_g.imag)
-    alpha_h = complex(math.exp(xi) * prec_h.real, math.exp(-xi) * prec_h.imag)
+    shrink, stretch = _per_element(math.exp, -xi), _per_element(math.exp, xi)
+    alpha_g = _complex(shrink * prec_g.real, stretch * prec_g.imag)
+    alpha_h = _complex(stretch * prec_h.real, shrink * prec_h.imag)
     return alpha_g, alpha_h
 
 
@@ -423,10 +479,9 @@ def _gaussian_result(
     from .results import ScenarioResult  # local import avoids a cycle at module load
 
     coeff_int, coeff_coh = absorption_coefficients(state, K, MINUS_K)
-    standing = bs_transform(state, K, MINUS_K)
-    standing = relabel(standing, {K: C, MINUS_K: S})
     inseparability_in = duan_inseparability(state, K, MINUS_K)
-    inseparability_standing = duan_inseparability(standing, C, S)
+    # after the beamsplitter the K and MINUS_K slots hold the standing modes C and S
+    inseparability_standing = duan_inseparability(bs_transform(state, K, MINUS_K), K, MINUS_K)
     output = full_pipeline(state, absorber)
     out_stats = {}
     for mode in (K, MINUS_K):
@@ -485,8 +540,7 @@ def run_epr(
     state = epr_state(alpha_g, alpha_h, xi)
     scenario = {"kind": "EPR", "alpha_g": alpha_g, "alpha_h": alpha_h, "xi": xi}
     result = _gaussian_result(scenario, absorber, state, start)
-    total_intensity = mode_intensity(state, K) + mode_intensity(state, MINUS_K)
-    if total_intensity > 1e-12:
+    if result.mean_intensity_absorption is not None:  # total intensity > 1e-12
         result.extras["closed_form_intensity_absorption"] = epr_intensity_absorption(
             alpha_g, alpha_h, xi
         )

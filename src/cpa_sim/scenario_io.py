@@ -44,28 +44,36 @@ class ScenarioFileError(ValueError):
         super().__init__(f"{path}: {message}")
 
 
+def _finite(value: int | float, path: str) -> float:
+    """The number as a float; NaN, +-Infinity and out-of-range integers are rejected."""
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ScenarioFileError(path, f"expected a finite number, got {value!r}")
+    return number
+
+
 def parse_angle(value: Any, path: str) -> float:
     """Float radians; strings may carry a 'pi' suffix (e.g. '0.5pi')."""
     if isinstance(value, bool):
         raise ScenarioFileError(path, "expected an angle, got a boolean")
     if isinstance(value, (int, float)):
-        return float(value)
+        return _finite(value, path)
     if isinstance(value, str):
         text = value.strip().lower().replace(" ", "")
+        scale = 1.0
         if text.endswith("pi"):
-            head = text[:-2]
-            if head in ("", "+"):
-                return math.pi
-            if head == "-":
-                return -math.pi
-            try:
-                return float(head) * math.pi
-            except ValueError:
-                raise ScenarioFileError(path, f"bad pi literal {value!r}") from None
+            text, scale = text[:-2], math.pi
+            if text in ("", "+", "-"):
+                text += "1"
         try:
-            return float(text)
+            number = float(text)
         except ValueError:
-            raise ScenarioFileError(path, f"bad angle {value!r}") from None
+            what = "angle" if scale == 1.0 else "pi literal"
+            raise ScenarioFileError(path, f"bad {what} {value!r}") from None
+        return _finite(number * scale, path)
     raise ScenarioFileError(path, f"expected an angle, got {type(value).__name__}")
 
 
@@ -74,11 +82,11 @@ def parse_complex(value: Any, path: str) -> complex:
     if isinstance(value, bool):
         raise ScenarioFileError(path, "expected a complex amplitude, got a boolean")
     if isinstance(value, (int, float)):
-        return complex(value)
+        return complex(_finite(value, path))
     if isinstance(value, list):
         if len(value) != 2 or not all(isinstance(v, (int, float)) for v in value):
             raise ScenarioFileError(path, "expected [re, im]")
-        return complex(value[0], value[1])
+        return complex(_finite(value[0], path), _finite(value[1], path))
     if isinstance(value, dict):
         extra = set(value) - {"mag", "phase"}
         if extra:
@@ -86,7 +94,8 @@ def parse_complex(value: Any, path: str) -> complex:
         mag = value.get("mag", 0.0)
         if not isinstance(mag, (int, float)):
             raise ScenarioFileError(f"{path}.mag", "expected a number")
-        return mag * cmath.exp(1j * parse_angle(value.get("phase", 0.0), f"{path}.phase"))
+        phase = parse_angle(value.get("phase", 0.0), f"{path}.phase")
+        return _finite(mag, f"{path}.mag") * cmath.exp(1j * phase)
     raise ScenarioFileError(path, f"bad complex amplitude {value!r}")
 
 
@@ -98,7 +107,7 @@ def _require_number(obj: dict, key: str, path: str, default: float | None = None
     value = obj[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioFileError(f"{path}.{key}", f"expected a number, got {value!r}")
-    return float(value)
+    return _finite(value, f"{path}.{key}")
 
 
 @dataclass

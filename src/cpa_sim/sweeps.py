@@ -2,43 +2,23 @@
 
 Presets emit CSV grids (comma separated, UTF-8, header row, 12 significant
 digits).  Undefined coefficients serialize as the literal token "undefined".
-Grid points evaluate independently; CPA_THREADS caps the worker count and
-assembly is order-preserving, so output is byte-identical regardless of the
-worker count.
+Each preset evaluates its whole grid as one batch on the Gaussian engine;
+custom sweeps run their scenario files one point after another.  Output is
+byte-identical for identical inputs.
 """
 from __future__ import annotations
 
 import copy
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import gaussian, scenario_io
-from .results import round_sig
+from .modes import K, MINUS_K
 
 DEFAULT_GRID = 101
 PRESETS = ("fig6", "fig8", "fig9a", "fig9b")
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("CPA_THREADS", "").strip()
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            raise ValueError(f"CPA_THREADS must be an integer, got {raw!r}") from None
-    return 1
-
-
-def _map_ordered(func: Callable, items: Sequence) -> list:
-    workers = _worker_count()
-    if workers == 1:
-        return [func(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(func, items))
 
 
 def format_cell(value: float | str | None) -> str:
@@ -46,112 +26,86 @@ def format_cell(value: float | str | None) -> str:
         return "undefined"
     if isinstance(value, str):
         return value
-    return f"{round_sig(float(value)):.12g}"
+    return f"{float(value):.12g}"
 
 
 def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(",".join(header) + "\n")
         for row in rows:
-            handle.write(",".join(format_cell(v) for v in row) + "\n")
+            handle.write(",".join(map(format_cell, row)) + "\n")
 
 
 # ---------------------------------------------------------------------------
 # figure-style presets (all on the Gaussian engine)
 
 
+def _outer(slow: np.ndarray, fast: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every (slow, fast) pair, flattened with `fast` varying fastest."""
+    return np.repeat(slow, len(fast)), np.tile(fast, len(slow))
+
+
+def _rows(*columns) -> list[list]:
+    """Rows from equal-length columns; NaN (undefined) in the last becomes None."""
+    *params, values = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    return [list(row) for row in zip(*params, [None if v != v else v for v in values])]
+
+
+def _epr_absorption(alpha_k: np.ndarray, alpha_mk, xi) -> tuple[np.ndarray, np.ndarray]:
+    """Absorption coefficients of the entangled pair with given travelling means."""
+    alpha_g, alpha_h = gaussian.epr_params_from_means(alpha_k, alpha_mk, xi)
+    return gaussian.absorption_coefficients(gaussian.epr_state(alpha_g, alpha_h, xi))
+
+
 def sweep_fig6(grid: int = DEFAULT_GRID) -> tuple[list[str], list[list]]:
     """Standing-pair inseparability over both squeezing angles at xi = 1."""
     xi = 1.0
     angles = np.linspace(0.0, 2.0 * math.pi, grid)
-
-    def point(args: tuple[float, float]) -> list:
-        phi_k, phi_mk = args
-        result = gaussian.run_squeezed_pair(
-            gaussian.SqueezedSpec(xi=xi, phi=phi_k),
-            gaussian.SqueezedSpec(xi=xi, phi=phi_mk),
-        )
-        return [phi_k, phi_mk, result.separability["duan_standing"]]
-
-    points = [(pk, pmk) for pk in angles for pmk in angles]
-    return ["phi_k", "phi_minus_k", "standing_inseparability"], _map_ordered(point, points)
-
-
-def _epr_intensity_point(theta_k: float, alpha_mag: float, xi: float) -> float | None:
-    alpha_k = alpha_mag * np.exp(1j * theta_k)
-    alpha_mk = complex(alpha_mag)
-    alpha_g, alpha_h = gaussian.epr_params_from_means(alpha_k, alpha_mk, xi)
-    state = gaussian.epr_state(alpha_g, alpha_h, xi)
-    coeff_int, _ = gaussian.absorption_coefficients(state)
-    return coeff_int
+    phi_k, phi_mk = _outer(angles, angles)
+    state = gaussian.tensor(
+        gaussian.squeezed_coherent_state(gaussian.SqueezedSpec(xi=xi, phi=phi_k), K),
+        gaussian.squeezed_coherent_state(gaussian.SqueezedSpec(xi=xi, phi=phi_mk), MINUS_K),
+    )
+    # after the beamsplitter the K and MINUS_K slots hold the standing modes
+    standing = gaussian.bs_transform(state, K, MINUS_K)
+    values = gaussian.duan_inseparability(standing, K, MINUS_K)
+    return ["phi_k", "phi_minus_k", "standing_inseparability"], _rows(phi_k, phi_mk, values)
 
 
 def sweep_fig8(grid: int = DEFAULT_GRID) -> tuple[list[str], list[list]]:
     """Intensity absorption of the entangled pair: three (theta, |alpha|)
     panels at fixed squeezing plus one (theta, xi) panel at |alpha| = 1."""
     thetas = np.linspace(0.0, 2.0 * math.pi, grid)
-    mags = np.linspace(0.0, 2.0, grid)
-    xis = np.linspace(0.01, 2.0, grid)
-    tasks: list[tuple[str, float, float, float]] = []
-    for panel, xi in (("a", 0.1), ("b", 0.5), ("c", 1.5)):
-        tasks.extend((panel, theta, mag, xi) for theta in thetas for mag in mags)
-    tasks.extend(("d", theta, 1.0, xi) for theta in thetas for xi in xis)
-
-    def point(task: tuple[str, float, float, float]) -> list:
-        panel, theta, mag, xi = task
-        return [panel, theta, mag, xi, _epr_intensity_point(theta, mag, xi)]
-
+    theta, mag = _outer(thetas, np.linspace(0.0, 2.0, grid))
+    theta_d, xi_d = _outer(thetas, np.linspace(0.01, 2.0, grid))
+    points = grid * grid
+    panel = [p for p in "abcd" for _ in range(points)]
+    theta = np.concatenate([theta, theta, theta, theta_d])
+    mag = np.concatenate([mag, mag, mag, np.ones(points)])
+    xi = np.concatenate([np.full(points, 0.1), np.full(points, 0.5), np.full(points, 1.5), xi_d])
+    coeff_int, _ = _epr_absorption(mag * np.exp(1j * theta), mag.astype(complex), xi)
     header = ["panel", "theta_k", "alpha_mag", "xi", "intensity_absorption"]
-    return header, _map_ordered(point, tasks)
+    return header, _rows(panel, theta, mag, xi, coeff_int)
 
 
 def sweep_fig9a(grid: int = DEFAULT_GRID) -> tuple[list[str], list[list]]:
     """Coherence absorption over (theta, |alpha|) for equal amplitudes."""
-    xi = 0.5
-    thetas = np.linspace(0.0, 2.0 * math.pi, grid)
-    mags = np.linspace(0.0, 2.0, grid)
-
-    def point(args: tuple[float, float]) -> list:
-        theta, mag = args
-        alpha_g, alpha_h = gaussian.epr_params_from_means(
-            mag * np.exp(1j * theta), complex(mag), xi
-        )
-        state = gaussian.epr_state(alpha_g, alpha_h, xi)
-        _, coeff_coh = gaussian.absorption_coefficients(state)
-        return [theta, mag, coeff_coh]
-
-    points = [(t, m) for t in thetas for m in mags]
-    return ["theta_k", "alpha_mag", "coherence_absorption"], _map_ordered(point, points)
+    theta, mag = _outer(np.linspace(0.0, 2.0 * math.pi, grid), np.linspace(0.0, 2.0, grid))
+    _, coeff_coh = _epr_absorption(mag * np.exp(1j * theta), mag.astype(complex), 0.5)
+    return ["theta_k", "alpha_mag", "coherence_absorption"], _rows(theta, mag, coeff_coh)
 
 
 def sweep_fig9b(grid: int = DEFAULT_GRID) -> tuple[list[str], list[list]]:
     """Coherence absorption over (theta, amplitude ratio) at |alpha_mk| = 1."""
-    xi = 0.5
-    thetas = np.linspace(0.0, 2.0 * math.pi, grid)
-    ratios = np.linspace(1.0, 10.0, grid)
-
-    def point(args: tuple[float, float]) -> list:
-        theta, ratio = args
-        alpha_g, alpha_h = gaussian.epr_params_from_means(
-            ratio * np.exp(1j * theta), 1.0 + 0.0j, xi
-        )
-        state = gaussian.epr_state(alpha_g, alpha_h, xi)
-        _, coeff_coh = gaussian.absorption_coefficients(state)
-        return [theta, ratio, coeff_coh]
-
-    points = [(t, r) for t in thetas for r in ratios]
-    return ["theta_k", "amplitude_ratio", "coherence_absorption"], _map_ordered(point, points)
+    theta, ratio = _outer(np.linspace(0.0, 2.0 * math.pi, grid), np.linspace(1.0, 10.0, grid))
+    _, coeff_coh = _epr_absorption(ratio * np.exp(1j * theta), 1.0 + 0.0j, 0.5)
+    return ["theta_k", "amplitude_ratio", "coherence_absorption"], _rows(theta, ratio, coeff_coh)
 
 
 def run_preset(name: str, grid: int = DEFAULT_GRID) -> tuple[list[str], list[list]]:
     if grid < 2:
         raise ValueError("grid must be >= 2")
-    table = {
-        "fig6": sweep_fig6,
-        "fig8": sweep_fig8,
-        "fig9a": sweep_fig9a,
-        "fig9b": sweep_fig9b,
-    }
+    table = {"fig6": sweep_fig6, "fig8": sweep_fig8, "fig9a": sweep_fig9a, "fig9b": sweep_fig9b}
     if name not in table:
         raise ValueError(f"unknown preset {name!r}; choose from {sorted(table)}")
     return table[name](grid)
@@ -182,19 +136,14 @@ def sweep_custom(spec: scenario_io.ScenarioFile) -> tuple[list[str], list[list]]
     if spec.sweep is None:
         raise scenario_io.ScenarioFileError("sweep", "missing sweep block")
     sweep = spec.sweep
-    values = np.linspace(sweep.start, sweep.stop, sweep.points)
-
-    def point(value: float) -> list:
+    rows = []
+    for value in np.linspace(sweep.start, sweep.stop, sweep.points):
         raw = copy.deepcopy(spec.raw)
         raw["sweep"] = None
         _set_by_path(raw, sweep.parameter, float(value))
         parsed = scenario_io.parse_scenario_dict(raw)
         result = scenario_io.run_scenario_file(parsed)
-        row = [
-            float(value),
-            result.mean_intensity_absorption,
-            result.coherence_absorption,
-        ]
+        row = [float(value), result.mean_intensity_absorption, result.coherence_absorption]
         if result.engine == "FOCK":
             dist = result.absorbed_distribution or {}
             row.append(sum(m * p for m, p in dist.items()))
@@ -202,22 +151,9 @@ def sweep_custom(spec: scenario_io.ScenarioFile) -> tuple[list[str], list[list]]
         else:
             row.append(result.separability.get("duan_travelling"))
             row.append(result.separability.get("duan_standing"))
-        return row
-
+        rows.append(row)
     if spec.engine == "FOCK":
-        header = [
-            sweep.parameter,
-            "intensity_absorption",
-            "coherence_absorption",
-            "mean_absorbed_photons",
-            "env_entanglement_entropy",
-        ]
+        extra = ["mean_absorbed_photons", "env_entanglement_entropy"]
     else:
-        header = [
-            sweep.parameter,
-            "intensity_absorption",
-            "coherence_absorption",
-            "duan_travelling",
-            "duan_standing",
-        ]
-    return header, _map_ordered(point, list(values))
+        extra = ["duan_travelling", "duan_standing"]
+    return [sweep.parameter, "intensity_absorption", "coherence_absorption", *extra], rows

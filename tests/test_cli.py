@@ -104,6 +104,24 @@ def test_run_gaussian_epr(tmp_path, capsys):
     assert result["coherence_absorption"] == "undefined"
 
 
+@pytest.mark.parametrize(
+    "scenario, field",
+    [
+        # exited 0 and printed NaN tokens, which are not JSON
+        ({"kind": "EPR", "alpha_g": math.nan, "alpha_h": 0.0, "xi": 0.5}, "scenario.alpha_g"),
+        # failed with "covariance matrix not symmetric"
+        ({"kind": "EPR", "alpha_g": 0.0, "alpha_h": 0.0, "xi": math.inf}, "scenario.xi"),
+    ],
+)
+def test_run_rejects_non_finite_numbers(tmp_path, capsys, scenario, field):
+    payload = {"schema": 1, "engine": "GAUSSIAN", "scenario": scenario}
+    path = write_json(tmp_path, "hostile.json", payload)
+    code, out, err = run_cli(capsys, "run", path)
+    assert code == 1
+    assert out == ""
+    assert f"{field}: expected a finite number" in err
+
+
 def test_run_malformed_field_reports_path(tmp_path, capsys):
     payload = {"schema": 1, "engine": "FOCK", "scenario": {"kind": "NOON", "n": "four"}}
     path = write_json(tmp_path, "bad.json", payload)
@@ -270,6 +288,9 @@ def test_angle_literals():
     assert scenario_io.parse_angle(1.25, "x") == 1.25
     with pytest.raises(scenario_io.ScenarioFileError):
         scenario_io.parse_angle("halfpi", "x")
+    for hostile in (math.nan, -math.inf, "inf", "nanpi", "1e308pi"):
+        with pytest.raises(scenario_io.ScenarioFileError, match="x: expected a finite"):
+            scenario_io.parse_angle(hostile, "x")
 
 
 def test_complex_literals():
@@ -279,3 +300,12 @@ def test_complex_literals():
     assert value == pytest.approx(2j)
     with pytest.raises(scenario_io.ScenarioFileError):
         scenario_io.parse_complex("nope", "x")
+    for hostile, path in (
+        (math.inf, "x"),
+        (10**400, "x"),
+        ([1.0, math.nan], "x"),
+        ({"mag": math.nan}, "x.mag"),
+        ({"mag": 1.0, "phase": math.inf}, "x.phase"),
+    ):
+        with pytest.raises(scenario_io.ScenarioFileError, match=f"{path}: expected a finite"):
+            scenario_io.parse_complex(hostile, "x")

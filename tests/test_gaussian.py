@@ -424,3 +424,72 @@ def test_scenario_runner_reports_light_absorber_separability():
     assert result.separability["duan_standing"] == pytest.approx(
         result.extras["closed_form_standing_inseparability"], abs=1e-10
     )
+
+
+# ---------------------------------------------------------------------------
+# batches
+
+
+absorbers = st.builds(
+    lambda tau, swap: AbsorberSpec(reflection=(tau - 1.0) / 2.0, swap_roles=swap),
+    st.floats(0.0, 1.0),
+    st.booleans(),
+)
+epr_inputs = st.tuples(
+    st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
+    st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
+    st.floats(0.0, 1.5),
+)
+
+
+def _same(batched, single) -> bool:
+    """Bitwise equality, with NaN in a batch standing for an undefined None."""
+    if single is None:
+        return bool(np.isnan(batched))
+    return np.array_equal(batched, single)
+
+
+@given(
+    pairs=st.lists(st.tuples(specs, specs), min_size=1, max_size=4),
+    eprs=st.lists(epr_inputs, min_size=1, max_size=4),
+    absorber=absorbers,
+    keep_env=st.booleans(),
+)
+@settings(max_examples=40, deadline=None)
+def test_batched_calls_match_single_states(pairs, eprs, absorber, keep_env):
+    """Element i of each batched call equals the single-state call on element i."""
+    def batch_spec(specs_):
+        return SqueezedSpec(*(np.array([getattr(s, f) for s in specs_]) for f in ("alpha", "xi", "phi")))
+
+    cases = [
+        (
+            two_mode_pair(*(batch_spec(col) for col in zip(*pairs))),
+            [two_mode_pair(k, mk) for k, mk in pairs],
+        ),
+        (
+            gaussian.epr_state(*(np.array(col) for col in zip(*eprs))),
+            [gaussian.epr_state(*e) for e in eprs],
+        ),
+    ]
+    for batch, singles in cases:
+        out = gaussian.full_pipeline(batch, absorber, keep_env=keep_env)
+        coeffs = gaussian.absorption_coefficients(batch)
+        duan = gaussian.duan_inseparability(batch, K, MINUS_K)
+        cross = gaussian.cross_correlation(batch, K, MINUS_K)
+        for i, single in enumerate(singles):
+            single_out = gaussian.full_pipeline(single, absorber, keep_env=keep_env)
+            assert out.modes == single_out.modes
+            assert np.array_equal(out.mean[i], single_out.mean)
+            assert np.array_equal(out.cov[i], single_out.cov)
+            single_coeffs = gaussian.absorption_coefficients(single)
+            assert all(_same(c[i], s) for c, s in zip(coeffs, single_coeffs))
+            assert duan[i] == gaussian.duan_inseparability(single, K, MINUS_K)
+            assert cross[i] == gaussian.cross_correlation(single, K, MINUS_K)
+
+
+def test_batch_with_one_unphysical_covariance_raises():
+    cov = np.stack([np.eye(4)] * 3)
+    cov[1, 2:, 2:] = 0.5 * np.eye(2)  # second state's MINUS_K mode below the bound
+    with pytest.raises(ValueError, match=r"mode .* uncertainty relation .* batch index \(1,\)"):
+        GaussianState((K, MINUS_K), np.zeros((3, 4)), cov)
+    GaussianState((K, MINUS_K), np.zeros((3, 4)), np.stack([np.eye(4)] * 3))
