@@ -15,11 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .modes import ModeKind
-
-HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -43,28 +39,13 @@ class AbsorberSpec:
         return self.transmission + self.reflection
 
     @property
-    def tau_s(self) -> float:
-        """Amplitude transmissivity of the untouched standing mode (t - r)."""
-        return self.transmission - self.reflection
-
-    @property
     def absorbed_kind(self) -> ModeKind:
         return ModeKind.S if self.swap_roles else ModeKind.C
 
-    def transmissivity_of(self, kind: ModeKind) -> float:
-        return self.tau_c if kind is self.absorbed_kind else 1.0
+    def echo(self) -> dict:
+        """The absorber as scenario results report it."""
+        return {"r": self.reflection, "swap_roles": self.swap_roles}
 
 
 CANONICAL = AbsorberSpec(reflection=-0.5)
 
-
-def classical_travelling_matrix(spec: AbsorberSpec) -> np.ndarray:
-    """2x2 map of classical travelling-wave amplitudes through the absorber.
-
-    Sandwich of the standing-basis diagonal between two balanced basis
-    changes; at the canonical point it equals (1/2)[[1, -1], [-1, 1]].
-    """
-    diag = np.diag(
-        [spec.transmissivity_of(ModeKind.C), spec.transmissivity_of(ModeKind.S)]
-    )
-    return HADAMARD @ diag @ HADAMARD

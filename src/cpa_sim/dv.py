@@ -18,7 +18,7 @@ from . import fock
 from .absorber import CANONICAL, AbsorberSpec
 from .fock import CutoffError, PureState
 from .modes import K, MINUS_K, ModeLabel
-from .results import ScenarioResult
+from .results import ScenarioResult, fock_result
 
 RAIL_A, RAIL_B = "A", "B"
 
@@ -152,15 +152,23 @@ def run_scenario(
     working_cutoff = scenario.total_photons
     state = build_input(scenario, working_cutoff)
     joint = fock.full_pipeline(state, absorber)
-    distribution = fock.absorbed_photon_distribution(joint)
-    env_modes = [m for m in joint.modes if m.is_env]
-    env_entropy = fock.entanglement_entropy(joint, env_modes)
-    conditionals = []
+    result = fock_result(
+        {"kind": scenario.kind.value, "n": scenario.n, "delta_theta": scenario.delta_theta},
+        absorber,
+        {"cutoff": cutoff, "working_cutoff": working_cutoff},
+        joint,
+        (None, None),
+        start,
+    )
+    distribution = result.absorbed_distribution
+    result.mean_intensity_absorption = mean_intensity_absorption(
+        distribution, scenario.total_photons
+    )
     for m, prob in sorted(distribution.items()):
         if prob <= report_threshold:
             continue
         rho = fock.conditional_output(joint, m)
-        conditionals.append(
+        result.conditional_outputs.append(
             {
                 "absorbed": m,
                 "probability": prob,
@@ -170,20 +178,4 @@ def run_scenario(
                 },
             }
         )
-    return ScenarioResult(
-        engine="FOCK",
-        scenario={
-            "kind": scenario.kind.value,
-            "n": scenario.n,
-            "delta_theta": scenario.delta_theta,
-        },
-        absorber={"r": absorber.reflection, "swap_roles": absorber.swap_roles},
-        numerics={"cutoff": cutoff, "working_cutoff": working_cutoff},
-        absorbed_distribution=distribution,
-        mean_intensity_absorption=mean_intensity_absorption(
-            distribution, scenario.total_photons
-        ),
-        conditional_outputs=conditionals,
-        separability={"env_entanglement_entropy": env_entropy},
-        diagnostics={"wall_clock_s": time.perf_counter() - start},
-    )
+    return result

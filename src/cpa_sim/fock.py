@@ -1,13 +1,12 @@
 """Truncated multi-mode Fock-space engine.
 
 States are dense complex tensors indexed by per-mode occupation number with a
-common cutoff.  The two fundamental maps are the balanced (Hadamard)
-beamsplitter between two modes and the absorber channel, which couples the
-absorbed standing mode to a fresh vacuum environment mode.  Everything is a
-pure function over immutable states, so parameter sweeps can fan out freely.
-
-Exact finite-photon identities hold to ~1e-15 because beamsplitter matrix
-elements are built from exact integer combinatorics.  States bridged from
+common cutoff.  Every map of the pipeline is one two-mode mix, as on the
+Gaussian engine: the balanced (Hadamard) beamsplitter, and the absorber, which
+mixes the absorbed standing mode with a fresh vacuum environment mode.  The
+mix acts per total-photon sector; its sector matrices come from a stable
+recurrence and match the exact integer expansion to ~5e-15 up to total 246.
+States are immutable and every map is a pure function.  States bridged from
 continuous families (coherent, squeezed, cat) are truncated; any map that
 would push more than TRUNCATION_TOL of probability past the cutoff fails
 loudly instead of silently corrupting moments.
@@ -16,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -29,11 +27,14 @@ from .modes import (
     K,
     MINUS_K,
     S,
+    STANDING_KINDS,
     STANDING_OF,
+    TRAVELLING_KINDS,
     TRAVELLING_OF,
     ModeError,
-    ModeKind,
     ModeLabel,
+    basis_change,
+    basis_rails,
     check_mode_consistency,
 )
 
@@ -227,11 +228,10 @@ def tensor(*states: PureState) -> PureState:
     cutoffs = {s.cutoff for s in states}
     if len(cutoffs) != 1:
         raise FockError(f"tensor factors disagree on cutoff: {sorted(cutoffs)}")
-    modes: tuple[ModeLabel, ...] = ()
-    amps = np.array(1.0, dtype=complex)
-    for s in states:
+    modes, amps = states[0].modes, states[0].amplitudes
+    for s in states[1:]:
         modes = modes + s.modes
-        amps = np.tensordot(amps, s.amplitudes, axes=0)
+        amps = np.multiply.outer(amps, s.amplitudes)
     return PureState(modes, states[0].cutoff, amps)
 
 
@@ -297,114 +297,130 @@ def squeezed_coherent_state(
 
 def relabel(state: PureState, mapping: Mapping[ModeLabel, ModeLabel]) -> PureState:
     modes = tuple(mapping.get(m, m) for m in state.modes)
-    return PureState(modes, state.cutoff, state.amplitudes.copy())
+    return PureState(modes, state.cutoff, state.amplitudes)  # the array is read-only
 
 
 # ---------------------------------------------------------------------------
-# beamsplitter
+# two-mode mix
 
 
-@lru_cache(maxsize=None)
+def _next_block(
+    block: np.ndarray, first: int, c: float, s: float, lo: int, hi: int
+) -> np.ndarray:
+    """Columns lo..hi of sector T+1 of the mix from columns first.. of sector T.
+
+    Column m of sector T is U|m, T-m> over the kets |p, T-p>.  The recurrence
+    of Miatto & Quesada (Quantum 4, 366 (2020)) in the two-sided form of
+    Risbo's Wigner-d recursion (J. Geodesy 70, 383 (1996)), with A, B the
+    output creation operators:  U|m, T+1-m> = (sqrt(m) (c A + s B) U|m-1, T+1-m>
+    + sqrt(T+1-m) (s A - c B) U|m, T-m>) / (T+1).  Both terms are the same unit
+    vector scaled by m/(T+1) and (T+1-m)/(T+1), so rounding errors average out.
+    """
+    n, k = block.shape  # n = T + 1
+    root = np.sqrt(np.arange(n + 1.0))
+    # A and B applied to every column, padded with one zero column on each side
+    raise_a = np.zeros((n + 1, k + 2))
+    raise_a[1:, 1:-1] = root[1:, None] * block  # (A x)[p] = sqrt(p) x[p-1]
+    raise_b = np.zeros((n + 1, k + 2))
+    raise_b[:-1, 1:-1] = root[:0:-1, None] * block  # (B x)[p] = sqrt(T+1-p) x[p]
+    m = np.arange(lo, hi + 1)
+    from_left = (c * raise_a + s * raise_b)[:, m - first]  # column m-1 of sector T
+    from_same = (s * raise_a - c * raise_b)[:, m - first + 1]  # column m of sector T
+    return (from_left * root[m] + from_same * root[n - m]) / n
+
+
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+_HADAMARD_BLOCKS = [np.ones((1, 1))]
+
+
 def hadamard_block(total: int) -> np.ndarray:
-    """Unitary on the total-photon sector of a balanced beamsplitter.
+    """Sector `total` of the balanced mix (c = s = 1/sqrt(2)), cached.
 
     Entry [p, m] is the amplitude of |p, total-p> in the image of
     |m, total-m> under a_1 -> (a_1 + a_2)/sqrt(2), a_2 -> (a_1 - a_2)/sqrt(2).
-    Built from exact integer expansion of (x+1)^m (x-1)^(total-m), so every
-    entry is correct to a few ulp regardless of the sector size.
+    The cache grows up to the largest total requested so far.
     """
-    fact = [math.factorial(i) for i in range(total + 1)]
-    scale = 2.0 ** (-total / 2.0)
-    block = np.zeros((total + 1, total + 1))
-    for m in range(total + 1):
-        n = total - m
-        coeffs = [math.comb(m, j) for j in range(m + 1)] + [0] * n
-        for _ in range(n):  # multiply by (x - 1), exact integers
-            for p in range(total, -1, -1):
-                coeffs[p] = (coeffs[p - 1] if p > 0 else 0) - coeffs[p]
-        for p, s in enumerate(coeffs):
-            if s:
-                ratio = (fact[p] * fact[total - p]) / (fact[m] * fact[n])
-                block[p, m] = s * math.sqrt(ratio) * scale
-    block.setflags(write=False)
-    return block
+    while len(_HADAMARD_BLOCKS) <= total:
+        n = len(_HADAMARD_BLOCKS)
+        block = _next_block(_HADAMARD_BLOCKS[-1], 0, _INV_SQRT2, _INV_SQRT2, 0, n)
+        block.setflags(write=False)
+        _HADAMARD_BLOCKS.append(block)
+    return _HADAMARD_BLOCKS[total]
 
 
-def bs_transform(state: PureState, a: ModeLabel, b: ModeLabel) -> PureState:
-    """Balanced beamsplitter between modes a and b (an involution).
+def _top_levels(amps: np.ndarray, ia: int, ib: int) -> list[int]:
+    """Highest occupations along axes ia and ib that carry any amplitude."""
+    occupied = np.any(amps, axis=tuple(i for i in range(amps.ndim) if i not in (ia, ib)))
+    if ia > ib:
+        occupied = occupied.T
+    levels = (np.flatnonzero(occupied.any(axis=1)), np.flatnonzero(occupied.any(axis=0)))
+    return [int(found[-1]) if found.size else 0 for found in levels]
 
-    Sectors whose total photon number exceeds the cutoff are transformed on
-    the representable sub-block; if that loses more than TRUNCATION_TOL of
-    probability the cutoff is declared too small.
+
+def _mix(state: PureState, a: ModeLabel, b: ModeLabel, c: float, s: float) -> PureState:
+    """Two-mode mix a^dag -> c a^dag + s b^dag, b^dag -> s a^dag - c b^dag
+    (c^2 + s^2 = 1, an involution), the convention of gaussian._mix.
+
+    Sector T of total photon number reads the input columns n_a = max(0,
+    T - top_b) .. min(T, top_a), top_* being each mode's highest occupied
+    level; these stay closed under the recurrence, and a vacuum partner costs
+    one column per sector.  Balanced blocks are cached by hadamard_block,
+    others rebuilt per call.  Sectors above the cutoff keep their
+    representable rows; losing more than TRUNCATION_TOL raises CutoffError.
     """
     if a == b:
-        raise ModeError("beamsplitter needs two distinct modes")
+        raise ModeError("a two-mode mix needs two distinct modes")
     ia, ib = state.axis(a), state.axis(b)
     cutoff = state.cutoff
-    arr = np.moveaxis(state.amplitudes, (ia, ib), (0, 1)).copy()
-    out = np.zeros_like(arr)
-    for total in range(2 * cutoff + 1):
-        lo, hi = max(0, total - cutoff), min(total, cutoff)
-        ms = np.arange(lo, hi + 1)
+    out = np.zeros(state.amplitudes.shape, dtype=complex)
+    # sector views with modes a, b first; `out` itself stays C-ordered
+    arr, out_ab = (np.moveaxis(x, (ia, ib), (0, 1)) for x in (state.amplitudes, out))
+    top_a, top_b = _top_levels(state.amplitudes, ia, ib)
+    balanced = c == s == _INV_SQRT2
+    block, first = np.ones((1, 1)), 0  # columns first.. of the current sector
+    for total in range(top_a + top_b + 1):
+        lo_m, hi_m = max(0, total - top_b), min(total, top_a)
+        if total and not balanced:
+            block, first = _next_block(block, first, c, s, lo_m, hi_m), lo_m
+        ms = np.arange(lo_m, hi_m + 1)
         sector = arr[ms, total - ms]
         if float(np.vdot(sector, sector).real) < SECTOR_MASS_FLOOR:
             continue
-        block = hadamard_block(total)[lo:hi + 1, lo:hi + 1]
-        out[ms, total - ms] = np.tensordot(block, sector, axes=(1, 0))
-    out = np.moveaxis(out, (0, 1), (ia, ib))
+        if balanced:  # only sectors with weight grow the cache
+            block = hadamard_block(total)[:, lo_m:hi_m + 1]
+        lo, hi = max(0, total - cutoff), min(total, cutoff)
+        ps = np.arange(lo, hi + 1)
+        image = block[lo:hi + 1] @ sector.reshape(len(ms), -1)
+        out_ab[ps, total - ps] = image.reshape((len(ps),) + sector.shape[1:])
     return PureState(state.modes, cutoff, _normalized(out))
+
+
+def bs_transform(state: PureState, a: ModeLabel, b: ModeLabel) -> PureState:
+    """Balanced beamsplitter between modes a and b (an involution)."""
+    return _mix(state, a, b, _INV_SQRT2, _INV_SQRT2)
 
 
 # ---------------------------------------------------------------------------
 # absorber channel and pipeline
 
 
-def _rails_with_kind(state: PureState, kind: ModeKind) -> list[str]:
-    return sorted({m.rail for m in state.modes if m.kind is kind})
-
-
-def _couple_to_environment(
-    state: PureState, mode: ModeLabel, env: ModeLabel, tau: float
-) -> PureState:
-    """Append a vacuum mode and split the target mode's photons onto it.
-
-    Output annihilation operators: a_mode -> tau*a_mode + s*a_env with
-    s = sqrt(1 - tau^2); since the environment starts in vacuum the n-photon
-    kernel is the positive binomial sqrt(C(n, p)) tau^p s^(n-p).
-    """
-    s = math.sqrt(max(0.0, 1.0 - tau * tau))
-    dim = state.dim
-    arr = np.moveaxis(state.amplitudes, state.axis(mode), -1)
-    kept, env_n = np.meshgrid(np.arange(dim), np.arange(dim), indexing="ij")
-    total = kept + env_n
-    valid = total <= state.cutoff
-    kernel = np.zeros((dim, dim))
-    binom = np.zeros((dim, dim))
-    binom[valid] = [math.comb(int(t), int(p)) for t, p in zip(total[valid], kept[valid])]
-    kernel[valid] = np.sqrt(binom[valid]) * tau ** kept[valid] * s ** env_n[valid]
-    out = arr[..., np.minimum(total, state.cutoff)] * kernel
-    out = np.moveaxis(out, -2, state.axis(mode))  # env axis stays last
-    return PureState(state.modes + (env,), state.cutoff, _normalized(out))
-
-
 def cpa_channel(state: PureState, absorber: AbsorberSpec) -> PureState:
     """Absorber acting in the standing basis.
 
-    The absorbed standing mode (cosine, or sine when roles are swapped)
-    couples to a fresh vacuum environment mode with amplitude transmissivity
-    tau_c; at tau_c = 0 this is a full state swap into the environment.  The
-    other standing mode is untouched.  The joint state stays pure.
+    The absorbed standing mode (cosine, or sine when roles are swapped) mixes
+    with a fresh vacuum environment mode at amplitude transmissivity tau_c; at
+    tau_c = 0 this is a full state swap into the environment.  The other
+    standing mode is untouched.  The joint state stays pure.
     """
-    rails = _rails_with_kind(state, ModeKind.C)
-    if not rails or rails != _rails_with_kind(state, ModeKind.S):
-        raise ModeError("channel requires the standing basis (C and S present)")
+    tau = absorber.tau_c
+    s = math.sqrt(max(0.0, 1.0 - tau * tau))
     result = state
-    for rail in rails:
+    for rail in basis_rails(state.modes, STANDING_KINDS):
         env = ENV_C.with_rail(rail)
-        if env in state.modes:
+        if env in result.modes:
             raise ModeError(f"environment mode {env} already attached")
         absorbed = ModeLabel(absorber.absorbed_kind, rail)
-        result = _couple_to_environment(result, absorbed, env, absorber.tau_c)
+        result = _mix(tensor(result, vacuum_state([env], state.cutoff)), absorbed, env, tau, s)
     return result
 
 
@@ -414,27 +430,15 @@ def full_pipeline(state: PureState, absorber: AbsorberSpec) -> PureState:
     Returns the joint pure state over the output travelling modes and the
     environment mode(s).
     """
-    rails = _rails_with_kind(state, ModeKind.K)
-    if not rails or rails != _rails_with_kind(state, ModeKind.MINUS_K):
-        raise ModeError("pipeline input must be in the travelling basis (K, MINUS_K)")
+    rails = basis_rails(state.modes, TRAVELLING_KINDS)
     result = state
     for rail in rails:
         result = bs_transform(result, K.with_rail(rail), MINUS_K.with_rail(rail))
-    to_standing = {
-        m: ModeLabel(STANDING_OF[m.kind], m.rail)
-        for m in result.modes
-        if m.kind in STANDING_OF
-    }
-    result = relabel(result, to_standing)
+    result = relabel(result, basis_change(result.modes, STANDING_OF))
     result = cpa_channel(result, absorber)
     for rail in rails:
         result = bs_transform(result, C.with_rail(rail), S.with_rail(rail))
-    to_travelling = {
-        m: ModeLabel(TRAVELLING_OF[m.kind], m.rail)
-        for m in result.modes
-        if m.kind in TRAVELLING_OF
-    }
-    return relabel(result, to_travelling)
+    return relabel(result, basis_change(result.modes, TRAVELLING_OF))
 
 
 # ---------------------------------------------------------------------------

@@ -29,11 +29,14 @@ from .modes import (
     K,
     MINUS_K,
     S,
+    STANDING_KINDS,
     STANDING_OF,
+    TRAVELLING_KINDS,
     TRAVELLING_OF,
     ModeError,
-    ModeKind,
     ModeLabel,
+    basis_change,
+    basis_rails,
     check_mode_consistency,
 )
 
@@ -235,14 +238,10 @@ def cpa_channel(
     is appended (at tau_c = 0 it carries the pre-channel marginal and all of
     its correlations).
     """
-    rails = sorted({m.rail for m in state.modes if m.kind is ModeKind.C})
-    rails_s = sorted({m.rail for m in state.modes if m.kind is ModeKind.S})
-    if not rails or rails != rails_s:
-        raise ModeError("channel requires the standing basis (C and S present)")
     tau = absorber.tau_c
     s = math.sqrt(max(0.0, 1.0 - tau * tau))
     result = state
-    for rail in rails:
+    for rail in basis_rails(state.modes, STANDING_KINDS):
         absorbed = ModeLabel(absorber.absorbed_kind, rail)
         env = ENV_C.with_rail(rail)
         if env in result.modes:
@@ -265,24 +264,15 @@ def full_pipeline(
     state: GaussianState, absorber: AbsorberSpec, keep_env: bool = False
 ) -> GaussianState:
     """Travelling -> standing -> absorber -> travelling, Gaussian version."""
-    rails = sorted({m.rail for m in state.modes if m.kind is ModeKind.K})
-    rails_mk = sorted({m.rail for m in state.modes if m.kind is ModeKind.MINUS_K})
-    if not rails or rails != rails_mk:
-        raise ModeError("pipeline input must be in the travelling basis (K, MINUS_K)")
+    rails = basis_rails(state.modes, TRAVELLING_KINDS)
     result = state
     for rail in rails:
         result = bs_transform(result, K.with_rail(rail), MINUS_K.with_rail(rail))
-    result = relabel(
-        result,
-        {m: ModeLabel(STANDING_OF[m.kind], m.rail) for m in result.modes if m.kind in STANDING_OF},
-    )
+    result = relabel(result, basis_change(result.modes, STANDING_OF))
     result = cpa_channel(result, absorber, keep_env=keep_env)
     for rail in rails:
         result = bs_transform(result, C.with_rail(rail), S.with_rail(rail))
-    return relabel(
-        result,
-        {m: ModeLabel(TRAVELLING_OF[m.kind], m.rail) for m in result.modes if m.kind in TRAVELLING_OF},
-    )
+    return relabel(result, basis_change(result.modes, TRAVELLING_OF))
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +486,7 @@ def _gaussian_result(
     return ScenarioResult(
         engine="GAUSSIAN",
         scenario=scenario,
-        absorber={"r": absorber.reflection, "swap_roles": absorber.swap_roles},
+        absorber=absorber.echo(),
         numerics={},
         mean_intensity_absorption=coeff_int,
         coherence_absorption=coeff_coh,

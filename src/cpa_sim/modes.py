@@ -76,5 +76,21 @@ def check_mode_consistency(modes) -> None:
             )
 
 
+def basis_rails(modes, kinds: tuple[ModeKind, ModeKind]) -> list[str]:
+    """Sorted rails of `modes`; some rail, and every rail holding one kind of
+    the basis pair `kinds`, must hold both (ModeError otherwise)."""
+    first, second = ({m.rail for m in modes if m.kind is kind} for kind in kinds)
+    if not first or first != second:
+        names = ", ".join(kind.value for kind in kinds)
+        raise ModeError(f"modes {tuple(modes)} are not in the ({names}) basis on every rail")
+    return sorted(first)
+
+
+def basis_change(modes, kinds: dict[ModeKind, ModeKind]) -> dict[ModeLabel, ModeLabel]:
+    """Relabel map sending each mode whose kind is in `kinds` to its partner
+    kind on the same rail (STANDING_OF or TRAVELLING_OF)."""
+    return {m: ModeLabel(kinds[m.kind], m.rail) for m in modes if m.kind in kinds}
+
+
 def sort_key(mode: ModeLabel) -> tuple[str, str]:
     return (mode.kind.value, mode.rail)

@@ -19,7 +19,7 @@ from . import fock
 from .absorber import CANONICAL, AbsorberSpec
 from .fock import CutoffError, PureState
 from .modes import K, MINUS_K
-from .results import ScenarioResult
+from .results import ScenarioResult, fock_result
 
 
 class CatParity(Enum):
@@ -90,33 +90,6 @@ def _survival_probabilities(joint: PureState) -> tuple[float, float]:
     return out_dist.get(0, 0.0), env_dist.get(0, 0.0)
 
 
-def _base_result(
-    kind: str,
-    scenario: dict,
-    absorber: AbsorberSpec,
-    cutoff: int,
-    joint: PureState,
-    input_state: PureState,
-    start: float,
-) -> ScenarioResult:
-    distribution = fock.absorbed_photon_distribution(joint)
-    coeff_int, coeff_coh = fock.absorption_coefficients(input_state, K, MINUS_K)
-    env_modes = [m for m in joint.modes if m.is_env]
-    return ScenarioResult(
-        engine="FOCK",
-        scenario={"kind": kind, **scenario},
-        absorber={"r": absorber.reflection, "swap_roles": absorber.swap_roles},
-        numerics={"cutoff": cutoff},
-        absorbed_distribution=distribution,
-        mean_intensity_absorption=coeff_int,
-        coherence_absorption=coeff_coh,
-        separability={
-            "env_entanglement_entropy": fock.entanglement_entropy(joint, env_modes)
-        },
-        diagnostics={"wall_clock_s": time.perf_counter() - start},
-    )
-
-
 def run_cat_cat(
     alpha: complex,
     absorber: AbsorberSpec = CANONICAL,
@@ -139,8 +112,13 @@ def run_cat_cat(
     cat_mk = build_cat(CatSpec(alpha, cutoff), MINUS_K)
     input_state = fock.tensor(cat_k, cat_mk)
     joint = fock.full_pipeline(input_state, absorber)
-    result = _base_result(
-        "CAT_CAT", {"alpha": alpha}, absorber, cutoff, joint, input_state, start
+    result = fock_result(
+        {"kind": "CAT_CAT", "alpha": alpha},
+        absorber,
+        {"cutoff": cutoff},
+        joint,
+        fock.absorption_coefficients(input_state, K, MINUS_K),
+        start,
     )
     p_all_absorbed, p_all_transmitted = _survival_probabilities(joint)
     zero_cond = fock.conditional_output(joint, 0)
@@ -187,7 +165,7 @@ def run_asymmetric(
         elif cutoff < needed:
             raise CutoffError(f"cutoff {cutoff} below required {needed}")
         partner = fock.squeezed_coherent_state(0.0, xi, 0.0, cutoff, MINUS_K)
-        scenario = {"alpha": alpha, "xi": xi}
+        scenario = {"kind": kind.value, "alpha": alpha, "xi": xi}
     else:
         cat_alpha = complex(partner_parameter)
         needed = poisson_tail_cutoff(abs(alpha) ** 2 + abs(cat_alpha) ** 2) + 2
@@ -196,12 +174,17 @@ def run_asymmetric(
         elif cutoff < needed:
             raise CutoffError(f"cutoff {cutoff} below required {needed}")
         partner = build_cat(CatSpec(cat_alpha, cutoff), MINUS_K)
-        scenario = {"alpha": alpha, "cat_alpha": cat_alpha}
+        scenario = {"kind": kind.value, "alpha": alpha, "cat_alpha": cat_alpha}
     input_state = fock.tensor(fock.coherent_state(alpha, cutoff, K), partner)
     standing = fock.bs_transform(input_state, K, MINUS_K)
     joint = fock.full_pipeline(input_state, absorber)
-    result = _base_result(
-        kind.value, scenario, absorber, cutoff, joint, input_state, start
+    result = fock_result(
+        scenario,
+        absorber,
+        {"cutoff": cutoff},
+        joint,
+        fock.absorption_coefficients(input_state, K, MINUS_K),
+        start,
     )
     standing_dist = fock.joint_occupation_distribution(standing, K, MINUS_K)
     cross_mass = sum(p for (na, nb), p in standing_dist.items() if na > 0 and nb > 0)

@@ -7,10 +7,14 @@ byte-identical output.
 """
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
+
+from . import fock
+from .absorber import AbsorberSpec
 
 
 def round_sig(value: float) -> float:
@@ -77,3 +81,28 @@ class ScenarioResult:
             {k: v for k, v in self.diagnostics.items() if k != "wall_clock_s"}
         )
         return out
+
+
+def fock_result(
+    scenario: dict,
+    absorber: AbsorberSpec,
+    numerics: dict,
+    joint: fock.PureState,
+    coefficients: tuple[float | None, float | None],
+    start: float,
+) -> ScenarioResult:
+    """Fock-engine result: absorbed-photon distribution and light-absorber
+    entanglement of the joint output `joint`, and the (intensity, coherence)
+    absorption `coefficients` of a run begun at perf_counter() == `start`."""
+    env_modes = [m for m in joint.modes if m.is_env]
+    return ScenarioResult(
+        engine="FOCK",
+        scenario=scenario,
+        absorber=absorber.echo(),
+        numerics=numerics,
+        absorbed_distribution=fock.absorbed_photon_distribution(joint),
+        mean_intensity_absorption=coefficients[0],
+        coherence_absorption=coefficients[1],
+        separability={"env_entanglement_entropy": fock.entanglement_entropy(joint, env_modes)},
+        diagnostics={"wall_clock_s": time.perf_counter() - start},
+    )

@@ -10,13 +10,14 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import time
 from dataclasses import dataclass, field
 from typing import Any
 
 from . import dv, fock, gaussian, nongaussian
 from .absorber import AbsorberSpec
 from .modes import K, MINUS_K
-from .results import ScenarioResult
+from .results import ScenarioResult, fock_result
 
 SCHEMA_VERSION = 1
 
@@ -305,7 +306,9 @@ def run_scenario_file(spec: ScenarioFile) -> ScenarioResult:
     if kind == "COHERENT_CAT":
         check_keys({"alpha", "cat_alpha"})
         alpha = parse_complex(scenario.get("alpha", 0.0), f"{path}.alpha")
-        cat_alpha = parse_complex(scenario.get("cat_alpha", alpha), f"{path}.cat_alpha")
+        cat_alpha = parse_complex(
+            scenario.get("cat_alpha", scenario.get("alpha", 0.0)), f"{path}.cat_alpha"
+        )
         return nongaussian.run_asymmetric(
             nongaussian.AsymmetricKind.COHERENT_CAT,
             alpha,
@@ -350,23 +353,12 @@ def run_bridged_fock(
     cutoff: int,
 ) -> ScenarioResult:
     """Run a continuous-variable input bridged onto the truncated Fock engine."""
-    import time
-
     start = time.perf_counter()
-    joint = fock.full_pipeline(state, absorber)
-    distribution = fock.absorbed_photon_distribution(joint)
-    coeff_int, coeff_coh = fock.absorption_coefficients(state, K, MINUS_K)
-    env_modes = [m for m in joint.modes if m.is_env]
-    return ScenarioResult(
-        engine="FOCK",
-        scenario=scenario_echo,
-        absorber={"r": absorber.reflection, "swap_roles": absorber.swap_roles},
-        numerics={"cutoff": cutoff, "truncation_tolerance": fock.TRUNCATION_TOL},
-        absorbed_distribution=distribution,
-        mean_intensity_absorption=coeff_int,
-        coherence_absorption=coeff_coh,
-        separability={
-            "env_entanglement_entropy": fock.entanglement_entropy(joint, env_modes)
-        },
-        diagnostics={"wall_clock_s": time.perf_counter() - start},
+    return fock_result(
+        scenario_echo,
+        absorber,
+        {"cutoff": cutoff, "truncation_tolerance": fock.TRUNCATION_TOL},
+        fock.full_pipeline(state, absorber),
+        fock.absorption_coefficients(state, K, MINUS_K),
+        start,
     )

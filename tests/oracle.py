@@ -126,3 +126,29 @@ def amplitude_map_to_array(amps, mode_names: list[str], cutoff: int):
             index[mode_names.index(mode)] = power
         arr[tuple(index)] = coeff
     return arr
+
+
+def exact_hadamard_block(total: int):
+    """Sector `total` of the balanced beamsplitter from exact integers.
+
+    Entry [p, m] is the amplitude of |p, total-p> in the image of
+    |m, total-m> under a_1 -> (a_1 + a_2)/sqrt(2), a_2 -> (a_1 - a_2)/sqrt(2):
+    the coefficient of x^p in (x+1)^m (x-1)^(total-m), expanded in Python
+    integers, so every entry is correct to a few ulp at any total.
+    """
+    import numpy as np
+
+    fact = [math.factorial(i) for i in range(total + 1)]
+    scale = 2.0 ** (-total / 2.0)
+    block = np.zeros((total + 1, total + 1))
+    for m in range(total + 1):
+        n = total - m
+        coeffs = [math.comb(m, j) for j in range(m + 1)] + [0] * n
+        for _ in range(n):  # multiply by (x - 1), exact integers
+            for p in range(total, -1, -1):
+                coeffs[p] = (coeffs[p - 1] if p > 0 else 0) - coeffs[p]
+        for p, s in enumerate(coeffs):
+            if s:
+                ratio = (fact[p] * fact[total - p]) / (fact[m] * fact[n])
+                block[p, m] = s * math.sqrt(ratio) * scale
+    return block

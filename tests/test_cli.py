@@ -122,6 +122,19 @@ def test_run_rejects_non_finite_numbers(tmp_path, capsys, scenario, field):
     assert f"{field}: expected a finite number" in err
 
 
+def test_run_coherent_cat_defaults_cat_alpha_to_alpha(tmp_path, capsys):
+    # exited 1 with "bad complex amplitude": the default was the parsed alpha
+    alpha = {"mag": 0.7, "phase": "0.25pi"}
+    scenario = {"kind": "COHERENT_CAT", "alpha": alpha}
+    payload = {"schema": 1, "engine": "FOCK", "scenario": scenario}
+    code, default, err = run_cli(capsys, "run", write_json(tmp_path, "a.json", payload))
+    assert code == 0, err
+    payload["scenario"] = dict(scenario, cat_alpha=alpha)
+    code, explicit, _ = run_cli(capsys, "run", write_json(tmp_path, "b.json", payload))
+    assert code == 0
+    assert default == explicit
+
+
 def test_run_malformed_field_reports_path(tmp_path, capsys):
     payload = {"schema": 1, "engine": "FOCK", "scenario": {"kind": "NOON", "n": "four"}}
     path = write_json(tmp_path, "bad.json", payload)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from cpa_sim import fock
+from cpa_sim import fock, gaussian
 from cpa_sim.absorber import CANONICAL, AbsorberSpec
 from cpa_sim.fock import CutoffError, FockError
 from cpa_sim.modes import C, ENV_C, K, MINUS_K, S, ModeError
@@ -101,6 +101,62 @@ def test_hadamard_blocks_are_unitary():
     for total in (1, 2, 5, 17, 40):
         block = fock.hadamard_block(total)
         assert np.max(np.abs(block @ block.T - np.eye(total + 1))) < 1e-13
+
+
+def test_hadamard_blocks_match_exact_integers():
+    for total in range(121):
+        exact = oracle.exact_hadamard_block(total)
+        assert np.max(np.abs(fock.hadamard_block(total) - exact)) < 1e-13, total
+
+
+angles = st.floats(-math.pi, math.pi, allow_nan=False)
+
+
+@given(
+    theta=angles,
+    alpha=st.complex_numbers(max_magnitude=0.8, allow_nan=False, allow_infinity=False),
+    beta=st.complex_numbers(max_magnitude=0.8, allow_nan=False, allow_infinity=False),
+    xi=st.floats(-0.3, 0.3),
+    phi=angles,
+)
+@settings(max_examples=30, deadline=None)
+def test_mix_convention_matches_gaussian_engine(theta, alpha, beta, xi, phi):
+    c, s = math.cos(theta), math.sin(theta)
+    cutoff = 40  # truncation shifts the moments by < 1e-12 on these ranges
+    fock_in = fock.tensor(
+        fock.squeezed_coherent_state(alpha, xi, phi, cutoff, K),
+        fock.squeezed_coherent_state(beta, -xi, 0.0, cutoff, MINUS_K),
+    )
+    gauss_in = gaussian.tensor(
+        gaussian.squeezed_coherent_state(gaussian.SqueezedSpec(alpha, xi, phi), K),
+        gaussian.squeezed_coherent_state(gaussian.SqueezedSpec(beta, -xi, 0.0), MINUS_K),
+    )
+    fock_out = fock._mix(fock_in, K, MINUS_K, c, s)
+    gauss_out = gaussian._mix(gauss_in, K, MINUS_K, c, s)
+    for mode in (K, MINUS_K):
+        mean, number = fock.mode_moments(fock_out, mode)
+        assert abs(mean - gaussian.mean_amplitude(gauss_out, mode)) < 1e-9
+        assert abs(number - gaussian.mode_intensity(gauss_out, mode)) < 1e-9
+
+
+@given(seed=st.integers(0, 2**32 - 1), theta=angles)
+@settings(max_examples=40, deadline=None)
+def test_mix_twice_is_identity(seed, theta):
+    state = random_two_mode_state(seed, cutoff=8)
+    c, s = math.cos(theta), math.sin(theta)
+    twice = fock._mix(fock._mix(state, K, MINUS_K, c, s), K, MINUS_K, c, s)
+    assert np.max(np.abs(twice.amplitudes - state.amplitudes)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [0, 1, 4, 13, 40])
+@pytest.mark.parametrize("theta", [0.3, 1.2, -2.5])
+def test_mix_with_vacuum_partner_is_binomial(n, theta):
+    c, s = math.cos(theta), math.sin(theta)
+    state = fock.basis_state({C: n, ENV_C: 0}, n)
+    out = fock._mix(state, C, ENV_C, c, s)
+    for p in range(n + 1):
+        expected = math.sqrt(math.comb(n, p)) * c**p * s ** (n - p)
+        assert out.amplitude({C: p, ENV_C: n - p}) == pytest.approx(expected, abs=1e-13)
 
 
 # ---------------------------------------------------------------------------
