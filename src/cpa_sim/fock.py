@@ -6,6 +6,7 @@ Gaussian engine: the balanced (Hadamard) beamsplitter, and the absorber, which
 mixes the absorbed standing mode with a fresh vacuum environment mode.  The
 mix acts per total-photon sector; its sector matrices come from a stable
 recurrence and match the exact integer expansion to ~5e-15 up to total 246.
+Reduced states are held as purifications, rho = A A^H, never as dense rho.
 States are immutable and every map is a pure function.  States bridged from
 continuous families (coherent, squeezed, cat) are truncated; any map that
 would push more than TRUNCATION_TOL of probability past the cutoff fails
@@ -108,43 +109,48 @@ class PureState:
 
 @dataclass(frozen=True)
 class DensityOperator:
-    """Reduced (generally mixed) state over labeled modes."""
+    """Reduced (generally mixed) state over labeled modes, held as a purification.
+
+    rho = factor @ factor^H, with factor of shape (dim^M, r): its rows are the
+    kept modes' occupations in C order and its columns a purifying system
+    (the traced-out modes).  The dense rho is formed only by `matrix`.
+    """
 
     modes: tuple[ModeLabel, ...]
     cutoff: int
-    matrix: np.ndarray
+    factor: np.ndarray
 
     def __post_init__(self) -> None:
         dim = (self.cutoff + 1) ** len(self.modes)
-        if self.matrix.shape != (dim, dim):
-            raise FockError(f"density matrix shape {self.matrix.shape} != {(dim, dim)}")
+        if self.factor.ndim != 2 or self.factor.shape[0] != dim:
+            raise FockError(f"purification shape {self.factor.shape} != ({dim}, r)")
         check_mode_consistency(self.modes)
-        if not np.allclose(self.matrix, self.matrix.conj().T, atol=1e-12):
-            raise FockError("density matrix not Hermitian")
-        if abs(np.trace(self.matrix).real - 1.0) > 1e-9:
-            raise FockError(f"density matrix trace {np.trace(self.matrix)!r} != 1")
-        self.matrix.setflags(write=False)
+        trace = float(np.vdot(self.factor, self.factor).real)
+        if abs(trace - 1.0) > 1e-9:
+            raise FockError(f"density matrix trace {trace!r} != 1")
+        self.factor.setflags(write=False)
 
     @property
     def dim(self) -> int:
         return self.cutoff + 1
 
-    def axis(self, mode: ModeLabel) -> int:
-        try:
-            return self.modes.index(mode)
-        except ValueError:
-            raise ModeError(f"mode {mode} not present in {self.modes}") from None
+    @property
+    def matrix(self) -> np.ndarray:
+        """Dense rho, built on request."""
+        return self.factor @ self.factor.conj().T
 
-    def as_tensor(self) -> np.ndarray:
-        """Matrix reshaped to (dim,)*M ket axes followed by (dim,)*M bra axes."""
-        m = len(self.modes)
-        return self.matrix.reshape((self.dim,) * (2 * m))
+    def _gram(self) -> np.ndarray:
+        """The smaller of A A^H and A^H A; both share rho's nonzero spectrum."""
+        a = self.factor
+        return a @ a.conj().T if a.shape[0] <= a.shape[1] else a.conj().T @ a
 
     def purity(self) -> float:
-        return float(np.vdot(self.matrix, self.matrix).real)
+        gram = self._gram()
+        return float(np.vdot(gram, gram).real)
 
     def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix)
+        """Spectrum of rho, less the zeros beyond the purification's rank."""
+        return np.linalg.eigvalsh(self._gram())
 
     def entropy(self) -> float:
         """Von Neumann entropy in bits."""
@@ -153,29 +159,35 @@ class DensityOperator:
         return max(0.0, float(-np.sum(lam * np.log2(lam))))
 
     def expectation_with_pure(self, state: PureState) -> float:
-        """<psi|rho|psi> for a pure state over the same modes."""
+        """<psi|rho|psi> = |psi^H A|^2 for a pure state over the same modes."""
         if state.cutoff != self.cutoff:
             raise FockError("cutoff mismatch")
-        vec = state.aligned_amplitudes(self.modes).ravel()
-        return float(np.real(np.vdot(vec, self.matrix @ vec)))
+        overlaps = state.aligned_amplitudes(self.modes).ravel().conj() @ self.factor
+        return float(np.vdot(overlaps, overlaps).real)
 
     def partial_trace(self, keep: Iterable[ModeLabel]) -> "DensityOperator":
-        keep = tuple(m for m in self.modes if m in set(keep))
-        if not keep:
-            raise ModeError("keep set must be a nonempty subset of modes")
-        m = len(self.modes)
-        keep_axes = [self.modes.index(mode) for mode in keep]
-        trace_axes = [i for i in range(m) if i not in keep_axes]
-        tensor = self.as_tensor()
-        for offset, axis in enumerate(trace_axes):
-            tensor = np.trace(tensor, axis1=axis - offset, axis2=axis - offset + m - offset)
-        d_keep = self.dim ** len(keep)
-        matrix = tensor.reshape(d_keep, d_keep)
-        return DensityOperator(keep, self.cutoff, matrix)
+        """Reduction to `keep`: the traced kept modes join the columns of A."""
+        shape = (self.dim,) * len(self.modes) + (-1,)
+        keep, factor = _split(self.factor.reshape(shape), self.modes, keep)
+        return DensityOperator(keep, self.cutoff, factor)
 
     def mode_occupation_distribution(self, mode: ModeLabel) -> np.ndarray:
-        reduced = self.partial_trace([mode])
-        return np.clip(np.diag(reduced.matrix).real, 0.0, None)
+        return np.sum(np.abs(self.partial_trace([mode]).factor) ** 2, axis=1)
+
+
+def _split(
+    arr: np.ndarray, modes: tuple[ModeLabel, ...], keep: Iterable[ModeLabel]
+) -> tuple[tuple[ModeLabel, ...], np.ndarray]:
+    """The kept modes in `modes` order, and the tensor whose leading axes are
+    `modes` as a (kept x everything else) matrix."""
+    wanted = set(keep)
+    keep = tuple(m for m in modes if m in wanted)
+    if not keep:
+        raise ModeError("keep set must be a nonempty subset of modes")
+    keep_axes = [modes.index(m) for m in keep]
+    rest_axes = [i for i in range(arr.ndim) if i not in keep_axes]
+    kept_dim = math.prod(arr.shape[i] for i in keep_axes)
+    return keep, np.transpose(arr, keep_axes + rest_axes).reshape(kept_dim, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -424,29 +436,33 @@ def cpa_channel(state: PureState, absorber: AbsorberSpec) -> PureState:
     return result
 
 
+def standing_basis(state: PureState) -> PureState:
+    """Travelling modes -> standing basis: the first half of full_pipeline."""
+    result = state
+    for rail in basis_rails(state.modes, TRAVELLING_KINDS):
+        result = bs_transform(result, K.with_rail(rail), MINUS_K.with_rail(rail))
+    return relabel(result, basis_change(result.modes, STANDING_OF))
+
+
+def absorb_from_standing(standing: PureState, absorber: AbsorberSpec) -> PureState:
+    """Absorber -> travelling modes: the second half of full_pipeline."""
+    result = cpa_channel(standing, absorber)
+    for rail in basis_rails(standing.modes, STANDING_KINDS):
+        result = bs_transform(result, C.with_rail(rail), S.with_rail(rail))
+    return relabel(result, basis_change(result.modes, TRAVELLING_OF))
+
+
 def full_pipeline(state: PureState, absorber: AbsorberSpec) -> PureState:
     """Travelling modes -> standing basis -> absorber -> travelling modes.
 
     Returns the joint pure state over the output travelling modes and the
     environment mode(s).
     """
-    rails = basis_rails(state.modes, TRAVELLING_KINDS)
-    result = state
-    for rail in rails:
-        result = bs_transform(result, K.with_rail(rail), MINUS_K.with_rail(rail))
-    result = relabel(result, basis_change(result.modes, STANDING_OF))
-    result = cpa_channel(result, absorber)
-    for rail in rails:
-        result = bs_transform(result, C.with_rail(rail), S.with_rail(rail))
-    return relabel(result, basis_change(result.modes, TRAVELLING_OF))
+    return absorb_from_standing(standing_basis(state), absorber)
 
 
 # ---------------------------------------------------------------------------
 # measurements and reductions
-
-
-def _env_axes(state: PureState) -> list[int]:
-    return [i for i, m in enumerate(state.modes) if m.is_env]
 
 
 def total_occupation_distribution(
@@ -472,35 +488,19 @@ def absorbed_photon_distribution(joint: PureState) -> dict[int, float]:
 
 def joint_occupation_distribution(
     state: PureState, a: ModeLabel, b: ModeLabel
-) -> dict[tuple[int, int], float]:
-    """Joint photon-number distribution of two modes."""
+) -> np.ndarray:
+    """Joint photon-number distribution of two modes: entry [na, nb]."""
     probs = state.probabilities()
     axes = (state.axis(a), state.axis(b))
     other = tuple(i for i in range(len(state.modes)) if i not in axes)
     marginal = probs.sum(axis=other) if other else probs
-    if state.axis(a) > state.axis(b):
-        marginal = marginal.T
-    return {
-        (na, nb): float(marginal[na, nb])
-        for na in range(state.dim)
-        for nb in range(state.dim)
-    }
+    return marginal.T if axes[0] > axes[1] else marginal
 
 
 def partial_trace(joint: PureState, keep: Iterable[ModeLabel]) -> DensityOperator:
     """Reduced density operator over the kept modes."""
-    keep = tuple(m for m in joint.modes if m in set(keep))
-    if not keep:
-        raise ModeError("keep set must be a nonempty subset of modes")
-    keep_axes = [joint.axis(m) for m in keep]
-    rest_axes = [i for i in range(len(joint.modes)) if i not in keep_axes]
-    arr = np.transpose(joint.amplitudes, keep_axes + rest_axes)
-    d_keep = joint.dim ** len(keep)
-    mat = arr.reshape(d_keep, -1)
-    rho = mat @ mat.conj().T
-    rho = (rho + rho.conj().T) / 2.0
-    rho /= np.trace(rho).real
-    return DensityOperator(keep, joint.cutoff, rho)
+    keep, factor = _split(joint.amplitudes, joint.modes, keep)
+    return DensityOperator(keep, joint.cutoff, factor / np.linalg.norm(factor))
 
 
 def entanglement_entropy(joint: PureState, partition: Iterable[ModeLabel]) -> float:
@@ -512,24 +512,19 @@ def conditional_output(joint: PureState, absorbed: int) -> DensityOperator:
     """Output-light state conditioned on the environment holding `absorbed` photons.
 
     Projects the environment mode(s) onto total occupation `absorbed`,
-    renormalizes, and traces the environment out.
+    renormalizes, and traces the environment out: the purification keeps the
+    environment columns of that total.
     """
-    env_axes = _env_axes(joint)
-    if not env_axes:
+    env = [m for m in joint.modes if m.is_env]
+    if not env:
         raise ModeError("state has no environment mode")
-    keep = tuple(m for i, m in enumerate(joint.modes) if i not in env_axes)
-    rest = [i for i in range(len(joint.modes)) if i not in env_axes]
-    arr = np.transpose(joint.amplitudes, rest + env_axes)
-    d_keep = joint.dim ** len(keep)
-    mat = arr.reshape(d_keep, -1)
-    env_totals = np.indices((joint.dim,) * len(env_axes)).sum(axis=0).ravel()
+    keep, mat = _split(joint.amplitudes, joint.modes, [m for m in joint.modes if not m.is_env])
+    env_totals = np.indices((joint.dim,) * len(env)).sum(axis=0).ravel()
     sel = mat[:, env_totals == absorbed]
     prob = float(np.vdot(sel, sel).real)
     if prob < 1e-12:
         raise FockError(f"conditioning on zero-probability absorbed count {absorbed}")
-    rho = sel @ sel.conj().T / prob
-    rho = (rho + rho.conj().T) / 2.0
-    return DensityOperator(keep, joint.cutoff, rho)
+    return DensityOperator(keep, joint.cutoff, sel / math.sqrt(prob))
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +551,8 @@ def _pure_moments(state: PureState, mode: ModeLabel) -> tuple[complex, complex, 
 
 
 def _dm_moments(rho: DensityOperator, mode: ModeLabel) -> tuple[complex, complex, float]:
-    reduced = rho.partial_trace([mode]).matrix
+    rows = rho.partial_trace([mode]).factor
+    reduced = rows @ rows.conj().T  # the single-mode d x d block
     n = np.arange(reduced.shape[0])
     mean = complex(np.sum(np.sqrt(n[1:]) * np.diagonal(reduced, offset=-1)))
     two = n[2:]

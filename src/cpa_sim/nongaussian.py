@@ -18,7 +18,7 @@ import numpy as np
 from . import fock
 from .absorber import CANONICAL, AbsorberSpec
 from .fock import CutoffError, PureState
-from .modes import K, MINUS_K
+from .modes import C, K, MINUS_K, S
 from .results import ScenarioResult, fock_result
 
 
@@ -82,12 +82,10 @@ class AsymmetricKind(Enum):
     COHERENT_CAT = "COHERENT_CAT"
 
 
-def _survival_probabilities(joint: PureState) -> tuple[float, float]:
-    """(P(no photons leave), P(no photons absorbed)) for a pipeline output."""
+def _p_all_absorbed(joint: PureState) -> float:
+    """P(no photons leave) for a pipeline output."""
     output_modes = [m for m in joint.modes if not m.is_env]
-    out_dist = fock.total_occupation_distribution(joint, output_modes)
-    env_dist = fock.absorbed_photon_distribution(joint)
-    return out_dist.get(0, 0.0), env_dist.get(0, 0.0)
+    return fock.total_occupation_distribution(joint, output_modes).get(0, 0.0)
 
 
 def run_cat_cat(
@@ -120,13 +118,12 @@ def run_cat_cat(
         fock.absorption_coefficients(input_state, K, MINUS_K),
         start,
     )
-    p_all_absorbed, p_all_transmitted = _survival_probabilities(joint)
     zero_cond = fock.conditional_output(joint, 0)
     # survivors exit as |alpha>|-alpha> + |-alpha>|alpha> (up to branch overlap)
     target = fock.superposition_of_coherent_pair(alpha, cutoff)
     result.extras = {
-        "p_all_absorbed": p_all_absorbed,
-        "p_all_transmitted": p_all_transmitted,
+        "p_all_absorbed": _p_all_absorbed(joint),
+        "p_all_transmitted": result.absorbed_distribution.get(0, 0.0),
         "zero_absorption_fidelity_with_opposite_pair": zero_cond.expectation_with_pure(
             target
         ),
@@ -176,8 +173,8 @@ def run_asymmetric(
         partner = build_cat(CatSpec(cat_alpha, cutoff), MINUS_K)
         scenario = {"kind": kind.value, "alpha": alpha, "cat_alpha": cat_alpha}
     input_state = fock.tensor(fock.coherent_state(alpha, cutoff, K), partner)
-    standing = fock.bs_transform(input_state, K, MINUS_K)
-    joint = fock.full_pipeline(input_state, absorber)
+    standing = fock.standing_basis(input_state)
+    joint = fock.absorb_from_standing(standing, absorber)
     result = fock_result(
         scenario,
         absorber,
@@ -186,15 +183,14 @@ def run_asymmetric(
         fock.absorption_coefficients(input_state, K, MINUS_K),
         start,
     )
-    standing_dist = fock.joint_occupation_distribution(standing, K, MINUS_K)
-    cross_mass = sum(p for (na, nb), p in standing_dist.items() if na > 0 and nb > 0)
-    p_all_absorbed, p_all_transmitted = _survival_probabilities(joint)
+    standing_dist = fock.joint_occupation_distribution(standing, C, S)
     result.extras = {
         "standing_joint_distribution": {
-            f"{na},{nb}": p for (na, nb), p in sorted(standing_dist.items()) if p > 1e-12
+            f"{na},{nb}": float(standing_dist[na, nb])
+            for na, nb in np.argwhere(standing_dist > 1e-12)
         },
-        "standing_cross_sector_mass": cross_mass,
-        "p_all_absorbed": p_all_absorbed,
-        "p_all_transmitted": p_all_transmitted,
+        "standing_cross_sector_mass": float(standing_dist[1:, 1:].sum()),
+        "p_all_absorbed": _p_all_absorbed(joint),
+        "p_all_transmitted": result.absorbed_distribution.get(0, 0.0),
     }
     return result

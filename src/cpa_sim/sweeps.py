@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import copy
 import math
+import sys
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import gaussian, scenario_io
 from .modes import K, MINUS_K
+from .results import round_sig
 
 DEFAULT_GRID = 101
 PRESETS = ("fig6", "fig8", "fig9a", "fig9b")
@@ -26,7 +28,12 @@ def format_cell(value: float | str | None) -> str:
         return "undefined"
     if isinstance(value, str):
         return value
-    return f"{float(value):.12g}"
+    value = float(value)
+    if 0.0 < abs(value) < sys.float_info.min:
+        # a subnormal holds fewer digits, so the float nearest its 12-digit
+        # rounding can print differently: round first, as results.clean does
+        value = round_sig(value)
+    return f"{value:.12g}"
 
 
 def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:

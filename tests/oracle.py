@@ -152,3 +152,57 @@ def exact_hadamard_block(total: int):
                 ratio = (fact[p] * fact[total - p]) / (fact[m] * fact[n])
                 block[p, m] = s * math.sqrt(ratio) * scale
     return block
+
+
+def dense_reduced(amplitudes, modes, keep, absorbed=None):
+    """Reduced rho over `keep` (taken in `modes` order) as an explicit dense
+    mat @ mat^H, with mat the amplitudes reshaped to (kept x rest).
+
+    With `absorbed`, the rest axes (the environment) are first projected on
+    total occupation `absorbed`.  Normalized to unit trace.
+    """
+    import numpy as np
+
+    modes = list(modes)
+    axes = [i for i, m in enumerate(modes) if m in keep]
+    rest = [i for i in range(len(modes)) if i not in axes]
+    dim = amplitudes.shape[0]
+    mat = np.transpose(amplitudes, axes + rest).reshape(dim ** len(axes), -1)
+    if absorbed is not None:
+        totals = np.indices((dim,) * len(rest)).sum(axis=0).ravel()
+        mat = mat[:, totals == absorbed]
+    rho = mat @ mat.conj().T
+    return rho / np.trace(rho).real
+
+
+def dense_trace_out(rho, modes, keep):
+    """Partial trace of a dense rho over `modes`, contracting each traced
+    mode's ket axis with its bra axis."""
+    import numpy as np
+
+    m = len(modes)
+    dim = round(rho.shape[0] ** (1.0 / m))
+    tensor = rho.reshape((dim,) * (2 * m))
+    traced = [i for i, mode in enumerate(modes) if mode not in keep]
+    for offset, axis in enumerate(traced):
+        tensor = np.trace(tensor, axis1=axis - offset, axis2=axis - offset + m - offset)
+    kept = dim ** (m - len(traced))
+    return tensor.reshape(kept, kept)
+
+
+def dense_entropy(rho) -> float:
+    """Von Neumann entropy in bits from the full spectrum of a dense rho."""
+    import numpy as np
+
+    lam = np.linalg.eigvalsh(rho)
+    lam = lam[lam > 1e-16]
+    return max(0.0, float(-np.sum(lam * np.log2(lam))))
+
+
+def dense_moments(rho) -> tuple[complex, float]:
+    """(<a>, <a^dag a>) of a dense single-mode rho."""
+    import numpy as np
+
+    n = np.arange(rho.shape[0])
+    mean = complex(np.sum(np.sqrt(n[1:]) * np.diagonal(rho, offset=-1)))
+    return mean, float(np.sum(n * np.diagonal(rho).real))

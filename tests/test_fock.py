@@ -1,4 +1,5 @@
 """Fock engine: beamsplitter, absorber channel, reductions, moments."""
+import itertools
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from cpa_sim import fock, gaussian
+from cpa_sim import dv, fock, gaussian
 from cpa_sim.absorber import CANONICAL, AbsorberSpec
 from cpa_sim.fock import CutoffError, FockError
 from cpa_sim.modes import C, ENV_C, K, MINUS_K, S, ModeError
@@ -376,6 +377,85 @@ def test_density_operator_partial_trace_matches_pure_route():
         direct = fock.partial_trace(state, keep).matrix
         via_dm = rho_full.partial_trace(keep).matrix
         assert np.max(np.abs(direct - via_dm)) < 1e-12
+
+
+def _check_against_dense(rho: fock.DensityOperator, ref: np.ndarray, seed: int) -> None:
+    """Every reduction of `rho` equals the dense oracle route within 1e-12."""
+    assert np.max(np.abs(rho.matrix - ref)) < 1e-12
+    assert abs(rho.purity() - float(np.vdot(ref, ref).real)) < 1e-12
+    assert abs(rho.entropy() - oracle.dense_entropy(ref)) < 1e-12
+    rng = np.random.default_rng(seed)
+    shape = (rho.dim,) * len(rho.modes)
+    ket = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    probe = fock.PureState(rho.modes, rho.cutoff, ket / np.linalg.norm(ket))
+    vec = probe.amplitudes.ravel()
+    expected = float(np.vdot(vec, ref @ vec).real)
+    assert abs(rho.expectation_with_pure(probe) - expected) < 1e-12
+    for mode in rho.modes:
+        mean, number = fock.mode_moments(rho, mode)
+        ref_mean, ref_number = oracle.dense_moments(
+            oracle.dense_trace_out(ref, rho.modes, [mode])
+        )
+        assert abs(mean - ref_mean) < 1e-12 and abs(number - ref_number) < 1e-12
+    for size in range(1, len(rho.modes)):
+        for sub in itertools.combinations(rho.modes, size):
+            reduced = rho.partial_trace(sub).matrix
+            assert np.max(np.abs(reduced - oracle.dense_trace_out(ref, rho.modes, sub))) < 1e-12
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    st.sampled_from(["two_mode", "three_mode", "bell"]),
+    st.integers(0, 2**32 - 1),
+    st.floats(-0.5, 0.0),
+    st.booleans(),
+)
+def test_purified_reductions_match_dense_reference(kind, seed, reflection, swap):
+    """partial_trace and conditional_output over every keep set and absorbed
+    count agree with explicit dense rho = mat @ mat^H."""
+    rng = np.random.default_rng(seed)
+    absorber = AbsorberSpec(reflection=reflection, swap_roles=swap)
+    if kind == "bell":
+        bell = rng.choice([k for k in dv.DvKind if k in dv.BELL_KINDS])
+        state = dv.build_input(dv.DvScenario(bell), 2)
+    elif kind == "two_mode":
+        state = random_two_mode_state(seed, cutoff=3)
+    else:
+        amps = rng.normal(size=(3, 3, 3)) + 1j * rng.normal(size=(3, 3, 3))
+        state = fock.PureState((K, MINUS_K, ENV_C), 2, amps / np.linalg.norm(amps))
+    subjects = [state] if kind == "three_mode" else [state, fock.full_pipeline(state, absorber)]
+    for subject in subjects:
+        for size in range(1, len(subject.modes) + 1):
+            for keep in itertools.combinations(subject.modes, size):
+                ref = oracle.dense_reduced(subject.amplitudes, subject.modes, keep)
+                _check_against_dense(fock.partial_trace(subject, keep), ref, seed)
+    joint = subjects[-1]
+    if not any(m.is_env for m in joint.modes):
+        return
+    light = [m for m in joint.modes if not m.is_env]
+    for absorbed, prob in fock.absorbed_photon_distribution(joint).items():
+        if prob > 1e-9:
+            ref = oracle.dense_reduced(joint.amplitudes, joint.modes, light, absorbed)
+            _check_against_dense(fock.conditional_output(joint, absorbed), ref, seed)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.integers(1, 8),
+    st.floats(0.0, 2.0 * math.pi),
+    st.floats(-0.5, 0.0),
+    st.booleans(),
+)
+def test_one_rail_conditional_outputs_are_pure(n, delta_theta, reflection, swap):
+    """One rail has one environment mode, so each conditional output keeps a
+    single purifying column: purity 1."""
+    state = dv.build_input(dv.DvScenario(dv.DvKind.NOON, n, delta_theta), n)
+    joint = fock.full_pipeline(state, AbsorberSpec(reflection=reflection, swap_roles=swap))
+    for absorbed, prob in fock.absorbed_photon_distribution(joint).items():
+        if prob > 1e-12:
+            assert fock.conditional_output(joint, absorbed).purity() == pytest.approx(
+                1.0, abs=1e-12
+            )
 
 
 def test_entropy_product_state_is_zero():

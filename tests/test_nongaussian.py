@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cpa_sim import fock, nongaussian as ng
-from cpa_sim.absorber import CANONICAL
+from cpa_sim.absorber import CANONICAL, AbsorberSpec
 from cpa_sim.fock import CutoffError
 from cpa_sim.modes import K, MINUS_K
 
@@ -88,6 +88,35 @@ def test_coherent_squeezed_standing_distribution_reported():
     )
     # anti-correlated, NOON-flavoured: most weight on (n, 0) and (0, n)
     assert concentrated > 0.5
+
+
+@pytest.mark.parametrize(
+    "kind, partner, absorber",
+    [
+        (ng.AsymmetricKind.COHERENT_SQUEEZED, 0.6, AbsorberSpec(reflection=-0.3)),
+        (ng.AsymmetricKind.COHERENT_CAT, 1.2j, AbsorberSpec(swap_roles=True)),
+    ],
+)
+def test_standing_distribution_is_the_basis_change_of_the_input(kind, partner, absorber):
+    alpha = 0.9 - 0.4j
+    result = ng.run_asymmetric(kind, alpha, partner, absorber)
+    cutoff = result.numerics["cutoff"]
+    if kind is ng.AsymmetricKind.COHERENT_SQUEEZED:
+        other = fock.squeezed_coherent_state(0.0, partner, 0.0, cutoff, MINUS_K)
+    else:
+        other = ng.build_cat(ng.CatSpec(partner, cutoff), MINUS_K)
+    state = fock.tensor(fock.coherent_state(alpha, cutoff, K), other)
+    probs = fock.bs_transform(state, K, MINUS_K).probabilities()
+    expected = {
+        f"{na},{nb}": float(probs[na, nb])
+        for na in range(cutoff + 1)
+        for nb in range(cutoff + 1)
+        if probs[na, nb] > 1e-12
+    }
+    assert result.extras["standing_joint_distribution"] == expected
+    assert result.extras["standing_cross_sector_mass"] == pytest.approx(
+        math.fsum(probs[1:, 1:].ravel()), abs=1e-15
+    )
 
 
 def test_coherent_cat_splits_exactly_between_standing_modes():

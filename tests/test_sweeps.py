@@ -39,6 +39,7 @@ def _near_rounding_boundary(digits: int, exponent: int, step: int) -> float:
 @example(1000000000000.5)  # exact binary ties at the 12th digit
 @example(1000000000001.5)
 @example(4.99966668556e-05)
+@example(1.000000000003e-312)  # a subnormal that .12g alone prints as 1e-312
 def test_format_cell_once_equals_round_then_format(value):
     assert sweeps.format_cell(value) == f"{round_sig(value):.12g}"
 
