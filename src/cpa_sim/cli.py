@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 validation failure, 2 numerical failure
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -31,6 +32,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_VALIDATION)
 
 
+@functools.cache  # one parser per process; parse_args keeps no state between calls
 def _build_parser() -> _Parser:
     parser = _Parser(prog="cpa", description=__doc__.strip().splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

@@ -6,20 +6,22 @@ Gaussian engine: the balanced (Hadamard) beamsplitter, and the absorber, which
 mixes the absorbed standing mode with a fresh vacuum environment mode.  The
 mix acts per total-photon sector; its sector matrices come from a stable
 recurrence and match the exact integer expansion to ~5e-15 up to total 246.
-Reduced states are held as purifications, rho = A A^H, never as dense rho.
-States are immutable and every map is a pure function.  States bridged from
-continuous families (coherent, squeezed, cat) are truncated; any map that
-would push more than TRUNCATION_TOL of probability past the cutoff fails
-loudly instead of silently corrupting moments.
+Reduced states are held as purifications, rho = A A^H, never as dense rho; the
+environment's state is the Gram matrix of a zero-copy (light x environment)
+view of the joint amplitudes.  States are immutable and every map is a pure
+function.  States bridged from continuous families (coherent, squeezed, cat)
+come from one exact amplitude recurrence, truncated at the cutoff; any
+constructor or map that would push more than TRUNCATION_TOL of probability
+past the cutoff fails loudly instead of silently corrupting moments.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from .absorber import AbsorberSpec
 from .modes import (
@@ -68,7 +70,7 @@ class PureState:
                 f"amplitude tensor shape {self.amplitudes.shape} != {expected}"
             )
         check_mode_consistency(self.modes)
-        norm = float(np.linalg.norm(self.amplitudes.ravel()))
+        norm = math.sqrt(float(np.vdot(self.amplitudes, self.amplitudes).real))
         if abs(norm - 1.0) > 1e-9:
             raise FockError(f"state not normalized: |psi| = {norm!r}")
         self.amplitudes.setflags(write=False)
@@ -140,23 +142,17 @@ class DensityOperator:
         return self.factor @ self.factor.conj().T
 
     def _gram(self) -> np.ndarray:
-        """The smaller of A A^H and A^H A; both share rho's nonzero spectrum."""
+        """The smaller of conj(A A^H) and A^H A; both share rho's nonzero spectrum."""
         a = self.factor
-        return a @ a.conj().T if a.shape[0] <= a.shape[1] else a.conj().T @ a
+        return _column_gram(a.T if a.shape[0] <= a.shape[1] else a)
 
     def purity(self) -> float:
         gram = self._gram()
         return float(np.vdot(gram, gram).real)
 
-    def eigenvalues(self) -> np.ndarray:
-        """Spectrum of rho, less the zeros beyond the purification's rank."""
-        return np.linalg.eigvalsh(self._gram())
-
     def entropy(self) -> float:
         """Von Neumann entropy in bits."""
-        lam = np.clip(self.eigenvalues(), 0.0, None)
-        lam = lam[lam > 1e-16]
-        return max(0.0, float(-np.sum(lam * np.log2(lam))))
+        return _gram_entropy(self._gram())
 
     def expectation_with_pure(self, state: PureState) -> float:
         """<psi|rho|psi> = |psi^H A|^2 for a pure state over the same modes."""
@@ -173,6 +169,22 @@ class DensityOperator:
 
     def mode_occupation_distribution(self, mode: ModeLabel) -> np.ndarray:
         return np.sum(np.abs(self.partial_trace([mode]).factor) ** 2, axis=1)
+
+
+def _column_gram(a: np.ndarray) -> np.ndarray:
+    """A^H A from F^T F, F the float view of A: numpy runs that as one BLAS
+    syrk, half the work of a complex `a.conj().T @ a`, and exactly Hermitian."""
+    f = np.ascontiguousarray(a).view(np.float64)  # columns re_0, im_0, re_1, ...
+    p = f.T @ f
+    return (p[0::2, 0::2] + p[1::2, 1::2]) + 1j * (p[0::2, 1::2] - p[1::2, 0::2])
+
+
+def _gram_entropy(gram: np.ndarray) -> float:
+    """Von Neumann entropy (bits) of the rho whose nonzero spectrum is that of
+    gram / tr gram, less rounding-level eigenvalues."""
+    lam = np.clip(np.linalg.eigvalsh(gram) / np.trace(gram).real, 0.0, None)
+    lam = lam[lam > 1e-16]
+    return max(0.0, float(-np.sum(lam * np.log2(lam))))
 
 
 def _split(
@@ -195,13 +207,15 @@ def _split(
 
 
 def _normalized(amps: np.ndarray, lossy_ok: bool = False) -> np.ndarray:
+    """`amps` divided in place by its norm; every caller owns the buffer."""
     norm2 = float(np.vdot(amps, amps).real)
     if norm2 <= 0.0:
         raise FockError("zero-amplitude state")
     norm = math.sqrt(norm2)
     if not lossy_ok and abs(norm - 1.0) > TRUNCATION_TOL:
         raise CutoffError(f"norm lost to cutoff: 1 - |psi| = {1 - norm:.3e}")
-    return amps / norm
+    amps /= norm
+    return amps
 
 
 def basis_state(occupations: Mapping[ModeLabel, int], cutoff: int) -> PureState:
@@ -251,13 +265,25 @@ def vacuum_state(modes: Sequence[ModeLabel], cutoff: int) -> PureState:
     return basis_state({m: 0 for m in modes}, cutoff)
 
 
+def displaced_squeezed_amplitudes(beta: complex, xi: float, phi: float, dim: int) -> np.ndarray:
+    """Exact <n|D(beta) S(xi e^{i phi})|0> for n < dim, not renormalized; xi = 0 is |beta>.
+
+    The single-mode Gaussian recurrence of Miatto & Quesada (Quantum 4, 366 (2020)),
+    with t = e^{i phi} tanh xi:  c_0 = exp(-|beta|^2/2 - conj(beta)^2 t/2) / sqrt(cosh xi),
+    c_{n+1} = ((beta + conj(beta) t) c_n - t sqrt(n) c_{n-1}) / sqrt(n+1).
+    """
+    beta, t = complex(beta), cmath.exp(1j * phi) * math.tanh(xi)
+    gain, amps = beta + beta.conjugate() * t, np.zeros(dim, dtype=complex)
+    amps[0] = cmath.exp(-abs(beta) ** 2 / 2.0 - beta.conjugate() ** 2 * t / 2.0)
+    amps[0] /= math.sqrt(math.cosh(xi))
+    for n in range(1, dim):  # at n = 1 the c_{n-2} term has weight sqrt(0)
+        amps[n] = (gain * amps[n - 1] - t * math.sqrt(n - 1) * amps[n - 2]) / math.sqrt(n)
+    return amps
+
+
 def coherent_state(alpha: complex, cutoff: int, mode: ModeLabel = K) -> PureState:
     """|alpha> truncated at the cutoff and renormalized."""
-    dim = cutoff + 1
-    amps = np.zeros(dim, dtype=complex)
-    amps[0] = math.exp(-abs(alpha) ** 2 / 2.0)
-    for n in range(1, dim):
-        amps[n] = amps[n - 1] * alpha / math.sqrt(n)
+    amps = displaced_squeezed_amplitudes(alpha, 0.0, 0.0, cutoff + 1)
     return PureState((mode,), cutoff, _normalized(amps))
 
 
@@ -269,42 +295,28 @@ def superposition_of_coherent_pair(alpha: complex, cutoff: int) -> PureState:
     return PureState((K, MINUS_K), cutoff, _normalized(amps, lossy_ok=True))
 
 
-def _single_mode_ops(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    lower = np.diag(np.sqrt(np.arange(1, dim, dtype=float)), 1).astype(complex)
-    return lower, lower.conj().T
-
-
 def squeezed_coherent_state(
     alpha: complex, xi: float, phi: float = 0.0, cutoff: int = DEFAULT_CUTOFF,
     mode: ModeLabel = K,
 ) -> PureState:
-    """Squeezed coherent state: squeeze applied after the displacement.
+    """Squeezed coherent state S(zeta) D(alpha)|0> = D(beta) S(zeta)|0>, zeta = xi e^{i phi}.
 
-    The mean amplitude is alpha*cosh(xi) - conj(alpha)*exp(i*phi)*sinh(xi) and
-    the quadrature variances are cosh(2 xi) -/+ cos(phi) sinh(2 xi), matching
-    the Gaussian engine's conventions exactly.
-
-    Built in a padded space (the truncated squeezer is unitary, so norm alone
-    cannot flag an insufficient cutoff); the mass found in the pad estimates
-    the true tail and fails the cutoff check if it exceeds the budget.
+    The mean amplitude beta = alpha cosh(xi) - conj(alpha) e^{i phi} sinh(xi) and the
+    quadrature variances cosh(2 xi) -/+ cos(phi) sinh(2 xi) match the Gaussian engine's
+    conventions exactly.  Built from exact amplitudes (no padded space, no matrix exponential),
+    it fails the cutoff check when half the weight beyond the cutoff exceeds TRUNCATION_TOL.
     """
     if xi < 0:
         xi, phi = -xi, phi + math.pi
-    pad = max(10, cutoff // 2)
-    work_dim = cutoff + 1 + pad
-    lower, raise_ = _single_mode_ops(work_dim)
-    vec = coherent_state(alpha, work_dim - 1).amplitudes
-    if xi > 0:
-        zeta = xi * np.exp(1j * phi)
-        squeezer = expm(0.5 * (np.conj(zeta) * (lower @ lower) - zeta * (raise_ @ raise_)))
-        vec = squeezer @ vec
-    tail = float(np.vdot(vec[cutoff + 1:], vec[cutoff + 1:]).real)
+    beta = alpha * math.cosh(xi) - np.conj(alpha) * cmath.exp(1j * phi) * math.sinh(xi)
+    amps = displaced_squeezed_amplitudes(beta, xi, phi, cutoff + 1)
+    tail = 1.0 - float(np.vdot(amps, amps).real)
     if tail / 2.0 > TRUNCATION_TOL:
         raise CutoffError(
             f"squeezed state (|alpha|={abs(alpha):.3f}, xi={xi:.3f}) keeps "
             f"{tail:.2e} of its weight beyond cutoff {cutoff}"
         )
-    return PureState((mode,), cutoff, _normalized(vec[:cutoff + 1], lossy_ok=True))
+    return PureState((mode,), cutoff, _normalized(amps, lossy_ok=True))
 
 
 def relabel(state: PureState, mapping: Mapping[ModeLabel, ModeLabel]) -> PureState:
@@ -465,36 +477,48 @@ def full_pipeline(state: PureState, absorber: AbsorberSpec) -> PureState:
 # measurements and reductions
 
 
-def total_occupation_distribution(
-    state: PureState, modes: Sequence[ModeLabel]
-) -> dict[int, float]:
+def total_occupation_distribution(state: PureState, modes: Sequence[ModeLabel]) -> dict[int, float]:
     """Distribution of the summed occupation of the given modes."""
-    axes = [state.axis(m) for m in modes]
-    probs = state.probabilities()
-    other = tuple(i for i in range(len(state.modes)) if i not in axes)
-    marginal = probs.sum(axis=other) if other else probs
+    marginal = joint_occupation_distribution(state, *modes)
     grid = np.indices(marginal.shape).sum(axis=0)
     weights = np.bincount(grid.ravel(), weights=marginal.ravel())
     return {m: float(w) for m, w in enumerate(weights)}
 
 
-def absorbed_photon_distribution(joint: PureState) -> dict[int, float]:
-    """Probability of finding m photons (total) in the environment mode(s)."""
+def light_environment_matrix(
+    joint: PureState,
+) -> tuple[tuple[ModeLabel, ...], np.ndarray, np.ndarray]:
+    """The light modes; the joint amplitudes as a (light x environment) matrix
+    A, a view when the environment modes come last (as cpa_channel leaves
+    them), whose row 0 is every light mode in vacuum; and each column's
+    environment total."""
     env = [m for m in joint.modes if m.is_env]
     if not env:
         raise ModeError("state has no environment mode")
-    return total_occupation_distribution(joint, env)
+    light, mat = _split(joint.amplitudes, joint.modes, [m for m in joint.modes if not m.is_env])
+    return light, mat, np.indices((joint.dim,) * len(env)).sum(axis=0).ravel()
 
 
-def joint_occupation_distribution(
-    state: PureState, a: ModeLabel, b: ModeLabel
-) -> np.ndarray:
-    """Joint photon-number distribution of two modes: entry [na, nb]."""
-    probs = state.probabilities()
-    axes = (state.axis(a), state.axis(b))
+def environment_reduction(joint: PureState) -> tuple[dict[int, float], float]:
+    """Absorbed-photon distribution and light-environment entropy (bits), both
+    from G = A^H A (the environment's rho, conjugated) of light_environment_matrix:
+    the diagonal binned by environment total, and the spectrum eigvalsh(G) / tr G."""
+    _, mat, env_totals = light_environment_matrix(joint)
+    gram = _column_gram(mat)
+    weights = np.bincount(env_totals, weights=np.diagonal(gram).real)
+    return {m: float(w) for m, w in enumerate(weights)}, _gram_entropy(gram)
+
+
+def absorbed_photon_distribution(joint: PureState) -> dict[int, float]:
+    """Probability of finding m photons (total) in the environment mode(s)."""
+    return environment_reduction(joint)[0]
+
+
+def joint_occupation_distribution(state: PureState, *modes: ModeLabel) -> np.ndarray:
+    """Joint photon-number distribution of the given modes: entry [n_1, n_2, ...]."""
+    axes = [state.axis(m) for m in modes]
     other = tuple(i for i in range(len(state.modes)) if i not in axes)
-    marginal = probs.sum(axis=other) if other else probs
-    return marginal.T if axes[0] > axes[1] else marginal
+    return np.transpose(state.probabilities().sum(axis=other), np.argsort(np.argsort(axes)))
 
 
 def partial_trace(joint: PureState, keep: Iterable[ModeLabel]) -> DensityOperator:
@@ -509,22 +533,14 @@ def entanglement_entropy(joint: PureState, partition: Iterable[ModeLabel]) -> fl
 
 
 def conditional_output(joint: PureState, absorbed: int) -> DensityOperator:
-    """Output-light state conditioned on the environment holding `absorbed` photons.
-
-    Projects the environment mode(s) onto total occupation `absorbed`,
-    renormalizes, and traces the environment out: the purification keeps the
-    environment columns of that total.
-    """
-    env = [m for m in joint.modes if m.is_env]
-    if not env:
-        raise ModeError("state has no environment mode")
-    keep, mat = _split(joint.amplitudes, joint.modes, [m for m in joint.modes if not m.is_env])
-    env_totals = np.indices((joint.dim,) * len(env)).sum(axis=0).ravel()
+    """Output-light state conditioned on the environment holding `absorbed` photons
+    in total: its purification is the environment columns of that total, renormalized."""
+    light, mat, env_totals = light_environment_matrix(joint)
     sel = mat[:, env_totals == absorbed]
     prob = float(np.vdot(sel, sel).real)
     if prob < 1e-12:
         raise FockError(f"conditioning on zero-probability absorbed count {absorbed}")
-    return DensityOperator(keep, joint.cutoff, sel / math.sqrt(prob))
+    return DensityOperator(light, joint.cutoff, sel / math.sqrt(prob))
 
 
 # ---------------------------------------------------------------------------
@@ -540,18 +556,15 @@ def _apply_lowering(arr: np.ndarray, axis: int) -> np.ndarray:
     return np.moveaxis(out, 0, axis)
 
 
-def _pure_moments(state: PureState, mode: ModeLabel) -> tuple[complex, complex, float]:
-    """(<a>, <a^2>, <a^dag a>) for one mode of a pure state."""
-    axis = state.axis(mode)
-    lowered = _apply_lowering(state.amplitudes, axis)
-    mean = complex(np.vdot(state.amplitudes, lowered))
-    mean_sq = complex(np.vdot(state.amplitudes, _apply_lowering(lowered, axis)))
-    number = float(np.vdot(lowered, lowered).real)
-    return mean, mean_sq, number
-
-
-def _dm_moments(rho: DensityOperator, mode: ModeLabel) -> tuple[complex, complex, float]:
-    rows = rho.partial_trace([mode]).factor
+def _moments(state: PureState | DensityOperator, mode: ModeLabel) -> tuple[complex, complex, float]:
+    """(<a>, <a^2>, <a^dag a>) for one mode of a pure or reduced state."""
+    if isinstance(state, PureState):
+        axis = state.axis(mode)
+        lowered = _apply_lowering(state.amplitudes, axis)
+        mean = complex(np.vdot(state.amplitudes, lowered))
+        mean_sq = complex(np.vdot(state.amplitudes, _apply_lowering(lowered, axis)))
+        return mean, mean_sq, float(np.vdot(lowered, lowered).real)
+    rows = state.partial_trace([mode]).factor
     reduced = rows @ rows.conj().T  # the single-mode d x d block
     n = np.arange(reduced.shape[0])
     mean = complex(np.sum(np.sqrt(n[1:]) * np.diagonal(reduced, offset=-1)))
@@ -561,14 +574,9 @@ def _dm_moments(rho: DensityOperator, mode: ModeLabel) -> tuple[complex, complex
     return mean, mean_sq, number
 
 
-def mode_moments(
-    state: PureState | DensityOperator, mode: ModeLabel
-) -> tuple[complex, float]:
+def mode_moments(state: PureState | DensityOperator, mode: ModeLabel) -> tuple[complex, float]:
     """Mean amplitude <a> and mean photon number <a^dag a> of one mode."""
-    if isinstance(state, PureState):
-        mean, _, number = _pure_moments(state, mode)
-    else:
-        mean, _, number = _dm_moments(state, mode)
+    mean, _, number = _moments(state, mode)
     return mean, number
 
 
@@ -590,10 +598,7 @@ class QuadratureStats:
 
 def quadrature_stats(state: PureState | DensityOperator, mode: ModeLabel) -> QuadratureStats:
     """Quadrature means and (co)variances in the X1 = a + a^dag convention."""
-    if isinstance(state, PureState):
-        mean, mean_sq, number = _pure_moments(state, mode)
-    else:
-        mean, mean_sq, number = _dm_moments(state, mode)
+    mean, mean_sq, number = _moments(state, mode)
     m1, m2 = 2.0 * mean.real, 2.0 * mean.imag
     var1 = 1.0 + 2.0 * number + 2.0 * mean_sq.real - m1 * m1
     var2 = 1.0 + 2.0 * number - 2.0 * mean_sq.real - m2 * m2

@@ -58,15 +58,10 @@ def squeezed_vacuum_cutoff(xi: float, tail: float = 1e-12) -> int:
 
 
 def build_cat(spec: CatSpec, mode=K) -> PureState:
-    """Normalized even cat state; only even occupations are populated."""
-    mag2 = abs(spec.alpha) ** 2
-    norm = 1.0 / math.sqrt(2.0 * (1.0 + math.exp(-2.0 * mag2)))
-    dim = spec.cutoff + 1
-    coh = np.zeros(dim, dtype=complex)
-    coh[0] = math.exp(-mag2 / 2.0)
-    for n in range(1, dim):
-        coh[n] = coh[n - 1] * spec.alpha / math.sqrt(n)
-    amps = np.zeros(dim, dtype=complex)
+    """Normalized even cat state: the even part of the coherent amplitudes."""
+    norm = 1.0 / math.sqrt(2.0 * (1.0 + math.exp(-2.0 * abs(spec.alpha) ** 2)))
+    coh = fock.displaced_squeezed_amplitudes(spec.alpha, 0.0, 0.0, spec.cutoff + 1)
+    amps = np.zeros_like(coh)
     amps[0::2] = 2.0 * norm * coh[0::2]
     truncated_norm = float(np.linalg.norm(amps))
     if 1.0 - truncated_norm > fock.TRUNCATION_TOL:
@@ -83,9 +78,9 @@ class AsymmetricKind(Enum):
 
 
 def _p_all_absorbed(joint: PureState) -> float:
-    """P(no photons leave) for a pipeline output."""
-    output_modes = [m for m in joint.modes if not m.is_env]
-    return fock.total_occupation_distribution(joint, output_modes).get(0, 0.0)
+    """P(no photons leave) for a pipeline output: |row 0|^2 of its
+    (light x environment) amplitude matrix."""
+    return float(np.sum(np.abs(fock.light_environment_matrix(joint)[1][0]) ** 2))
 
 
 def run_cat_cat(
@@ -124,9 +119,7 @@ def run_cat_cat(
     result.extras = {
         "p_all_absorbed": _p_all_absorbed(joint),
         "p_all_transmitted": result.absorbed_distribution.get(0, 0.0),
-        "zero_absorption_fidelity_with_opposite_pair": zero_cond.expectation_with_pure(
-            target
-        ),
+        "zero_absorption_fidelity_with_opposite_pair": zero_cond.expectation_with_pure(target),
     }
     result.conditional_outputs = [
         {

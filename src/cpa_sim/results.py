@@ -94,15 +94,15 @@ def fock_result(
     """Fock-engine result: absorbed-photon distribution and light-absorber
     entanglement of the joint output `joint`, and the (intensity, coherence)
     absorption `coefficients` of a run begun at perf_counter() == `start`."""
-    env_modes = [m for m in joint.modes if m.is_env]
+    distribution, entropy = fock.environment_reduction(joint)
     return ScenarioResult(
         engine="FOCK",
         scenario=scenario,
         absorber=absorber.echo(),
         numerics=numerics,
-        absorbed_distribution=fock.absorbed_photon_distribution(joint),
+        absorbed_distribution=distribution,
         mean_intensity_absorption=coefficients[0],
         coherence_absorption=coefficients[1],
-        separability={"env_entanglement_entropy": fock.entanglement_entropy(joint, env_modes)},
+        separability={"env_entanglement_entropy": entropy},
         diagnostics={"wall_clock_s": time.perf_counter() - start},
     )

@@ -206,3 +206,31 @@ def dense_moments(rho) -> tuple[complex, float]:
     n = np.arange(rho.shape[0])
     mean = complex(np.sum(np.sqrt(n[1:]) * np.diagonal(rho, offset=-1)))
     return mean, float(np.sum(n * np.diagonal(rho).real))
+
+
+def padded_squeezed_coherent(alpha: complex, xi: float, phi: float, work_dim: int):
+    """S(zeta) D(alpha)|0>, zeta = xi e^{i phi}, over levels 0..work_dim-1.
+
+    The coherent amplitudes come from the closed form e^{-|alpha|^2/2}
+    alpha^n / sqrt(n!), in log form; the squeezer exp(K), K = (conj(zeta) a^2
+    - zeta a^dag^2) / 2, is V exp(-i lam) V^H from eigh of the Hermitian
+    generator H = i K truncated to the padded space, where it stays exactly
+    unitary.  Truncating the generator disturbs only the levels near the top,
+    so work_dim should sit well above the cutoff of interest.
+    """
+    import numpy as np
+
+    alpha = complex(alpha)
+    coherent = np.zeros(work_dim, dtype=complex)
+    coherent[0] = math.exp(-abs(alpha) ** 2 / 2.0)
+    if alpha:
+        k = np.arange(1, work_dim)
+        log_mag = k * math.log(abs(alpha)) - abs(alpha) ** 2 / 2.0 - 0.5 * np.array(
+            [math.lgamma(j + 1.0) for j in k]
+        )
+        coherent[1:] = np.exp(log_mag + 1j * k * math.atan2(alpha.imag, alpha.real))
+    lower = np.diag(np.sqrt(np.arange(1.0, work_dim)), 1)
+    zeta = xi * complex(math.cos(phi), math.sin(phi))
+    generator = 0.5j * (zeta.conjugate() * (lower @ lower) - zeta * (lower.T @ lower.T))
+    lam, vec = np.linalg.eigh(generator)
+    return vec @ (np.exp(-1j * lam) * (vec.conj().T @ coherent))

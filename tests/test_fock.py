@@ -1,14 +1,17 @@
 """Fock engine: beamsplitter, absorber channel, reductions, moments."""
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracle
-from cpa_sim import dv, fock, gaussian
+from cpa_sim import dv, fock, gaussian, nongaussian
 from cpa_sim.absorber import CANONICAL, AbsorberSpec
 from cpa_sim.fock import CutoffError, FockError
 from cpa_sim.modes import C, ENV_C, K, MINUS_K, S, ModeError
@@ -458,6 +461,45 @@ def test_one_rail_conditional_outputs_are_pure(n, delta_theta, reflection, swap)
             )
 
 
+@settings(max_examples=15, deadline=None)
+@given(
+    st.sampled_from(["product", "random", "bell"]),
+    st.integers(0, 2**32 - 1),
+    st.floats(-0.5, 0.0),
+    st.booleans(),
+)
+def test_environment_reduction_matches_dense_reference(kind, seed, reflection, swap):
+    """The absorbed distribution, light-environment entropy and P(all absorbed)
+    read from the environment Gram match explicit dense rho on one rail (one
+    environment mode) and two (Bell inputs, two environment modes)."""
+    rng = np.random.default_rng(seed)
+    if kind == "bell":
+        bell = rng.choice([k for k in dv.DvKind if k in dv.BELL_KINDS])
+        state = dv.build_input(dv.DvScenario(bell), 2)
+    elif kind == "random":
+        state = random_two_mode_state(seed, cutoff=4)
+    else:
+        alpha, beta = (complex(*rng.uniform(-0.35, 0.35, size=2)) for _ in range(2))
+        xi, phi = rng.uniform(-0.2, 0.2), rng.uniform(0.0, 2.0 * math.pi)
+        state = fock.tensor(
+            fock.coherent_state(alpha, 20, K),
+            fock.squeezed_coherent_state(beta, xi, phi, 20, MINUS_K),
+        )
+    joint = fock.full_pipeline(state, AbsorberSpec(reflection=reflection, swap_roles=swap))
+    env = [m for m in joint.modes if m.is_env]
+    light = [m for m in joint.modes if not m.is_env]
+    rho_env = oracle.dense_reduced(joint.amplitudes, joint.modes, env)
+    totals = np.indices((joint.dim,) * len(env)).sum(axis=0).ravel()
+    expected = np.bincount(totals, weights=np.diagonal(rho_env).real)
+    distribution, entropy = fock.environment_reduction(joint)
+    assert list(distribution) == list(range(len(env) * joint.cutoff + 1))
+    assert max(abs(distribution[m] - expected[m]) for m in distribution) < 1e-12
+    assert fock.absorbed_photon_distribution(joint) == distribution
+    assert abs(entropy - oracle.dense_entropy(rho_env)) < 1e-12
+    p_all_absorbed = oracle.dense_reduced(joint.amplitudes, joint.modes, light)[0, 0].real
+    assert abs(nongaussian._p_all_absorbed(joint) - p_all_absorbed) < 1e-12
+
+
 def test_entropy_product_state_is_zero():
     state = fock.tensor(
         fock.coherent_state(1.1, 25, K), fock.coherent_state(0.4, 25, MINUS_K)
@@ -522,6 +564,65 @@ def test_coherent_quadrature_means():
     stats = fock.quadrature_stats(state, K)
     assert stats.mean_x1 == pytest.approx(2.0, abs=1e-10)
     assert stats.mean_x2 == pytest.approx(0.0, abs=1e-10)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.floats(0.0, 2.0),
+    st.floats(0.0, 2.0 * math.pi),
+    st.floats(-1.0, -1e-3),
+    st.integers(1, 123),
+)
+def test_squeezed_state_matches_padded_eigh_reference(mag, angle, xi, cutoff):
+    """Exact-recurrence amplitudes against an independent padded-space squeezer
+    (eigh of the generator), at xi < 0 with phi = pi.  The state is refused
+    exactly when half the reference's weight beyond the cutoff exceeds
+    TRUNCATION_TOL."""
+    alpha = mag * complex(math.cos(angle), math.sin(angle))
+    reference = oracle.padded_squeezed_coherent(alpha, xi, math.pi, 2 * cutoff + 80)
+    head = reference[: cutoff + 1]
+    half_tail = (1.0 - float(np.vdot(head, head).real)) / 2.0
+    assume(abs(half_tail / fock.TRUNCATION_TOL - 1.0) > 1e-3)  # not on the boundary itself
+    if half_tail > fock.TRUNCATION_TOL:
+        with pytest.raises(CutoffError):
+            fock.squeezed_coherent_state(alpha, xi, math.pi, cutoff)
+        return
+    state = fock.squeezed_coherent_state(alpha, xi, math.pi, cutoff)
+    assert np.max(np.abs(state.amplitudes - head / np.linalg.norm(head))) < 1e-12
+
+
+@pytest.mark.parametrize("alpha, xi", [(0.0, -0.8), (1.5 + 0.5j, -0.5), (2.0, -1.0), (0.5j, -0.3)])
+def test_squeezed_state_cutoff_boundary(alpha, xi):
+    """The smallest accepted cutoff is the first at which half the reference
+    weight beyond it is within TRUNCATION_TOL; one less raises CutoffError."""
+    reference = oracle.padded_squeezed_coherent(alpha, xi, math.pi, 300)
+    half_tails = (1.0 - np.cumsum(np.abs(reference) ** 2)) / 2.0
+    boundary = int(np.argmax(half_tails <= fock.TRUNCATION_TOL))
+    assert half_tails[boundary] < 0.99 * fock.TRUNCATION_TOL < half_tails[boundary - 1] / 1.01
+    with pytest.raises(CutoffError):
+        fock.squeezed_coherent_state(alpha, xi, math.pi, boundary - 1)
+    fock.squeezed_coherent_state(alpha, xi, math.pi, boundary)
+
+
+@pytest.mark.parametrize("alpha, cutoff", [(0.0, 5), (1.3 - 0.4j, 40), (3.0j, 60)])
+def test_coherent_and_cat_amplitudes_match_closed_form(alpha, cutoff):
+    """coherent_state is the xi = 0 case of the squeezed recurrence and
+    build_cat its even part: both against e^{-|alpha|^2/2} alpha^n / sqrt(n!)."""
+    closed = oracle.padded_squeezed_coherent(alpha, 0.0, 0.0, cutoff + 1)
+    coherent = fock.coherent_state(alpha, cutoff).amplitudes
+    assert np.max(np.abs(coherent - closed / np.linalg.norm(closed))) < 1e-13
+    even = np.where(np.arange(cutoff + 1) % 2 == 0, closed, 0.0)
+    cat = nongaussian.build_cat(nongaussian.CatSpec(alpha, cutoff)).amplitudes
+    assert np.max(np.abs(cat - even / np.linalg.norm(even))) < 1e-13
+
+
+def test_package_imports_without_scipy():
+    """The engines need only numpy: importing the CLI loads no scipy."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fock.__file__)))
+    code = "import sys, cpa_sim.cli; sys.exit('scipy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
+    assert run.returncode == 0
 
 
 def test_insufficient_cutoff_fails_loudly():
