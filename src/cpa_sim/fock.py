@@ -3,14 +3,18 @@
 States are dense complex tensors indexed by per-mode occupation number with a
 common cutoff.  Every map of the pipeline is one two-mode mix, as on the
 Gaussian engine: the balanced (Hadamard) beamsplitter, and the absorber, which
-mixes the absorbed standing mode with a fresh vacuum environment mode.  The
-mix acts per total-photon sector; its sector matrices come from a stable
-recurrence and match the exact integer expansion to ~5e-15 up to total 246.
-Reduced states are held as purifications, rho = A A^H, never as dense rho; the
-environment's state is the Gram matrix of a zero-copy (light x environment)
-view of the joint amplitudes.  States are immutable and every map is a pure
-function.  States bridged from continuous families (coherent, squeezed, cat)
-come from one exact amplitude recurrence, truncated at the cutoff; any
+mixes the absorbed standing mode with a fresh vacuum environment mode that the
+mix itself attaches (read as a one-level view, never copied in).  The mix acts
+per total-photon sector; its sector matrices come from a stable recurrence and
+match the exact integer expansion to ~5e-15 up to total 246.  Reduced states
+are held as purifications, rho = A A^H, never as dense rho; the environment's
+state is the Gram matrix of the occupied rows of a zero-copy (light x
+environment) view of the joint amplitudes.  Runners stop where their readout
+stops: the output basis change acts on light modes alone, so environment
+readouts take the standing-basis joint and skip it, and only what is read in
+the travelling basis is carried there.  States are immutable and every map is
+a pure function.  States bridged from continuous families (coherent, squeezed,
+cat) come from one exact amplitude recurrence, truncated at the cutoff; any
 constructor or map that would push more than TRUNCATION_TOL of probability
 past the cutoff fails loudly instead of silently corrupting moments.
 """
@@ -206,15 +210,19 @@ def _split(
 # constructors
 
 
-def _normalized(amps: np.ndarray, lossy_ok: bool = False) -> np.ndarray:
-    """`amps` divided in place by its norm; every caller owns the buffer."""
+def _normalized(amps: np.ndarray, lossy_ok: bool = False, weight: float = 1.0) -> np.ndarray:
+    """`amps` scaled in place to unit norm; every caller owns the buffer.  For a
+    `weight` share of a normalized state, the cutoff check bounds that state's
+    loss.  numpy's complex / real is this multiply by the reciprocal."""
     norm2 = float(np.vdot(amps, amps).real)
     if norm2 <= 0.0:
         raise FockError("zero-amplitude state")
     norm = math.sqrt(norm2)
-    if not lossy_ok and abs(norm - 1.0) > TRUNCATION_TOL:
-        raise CutoffError(f"norm lost to cutoff: 1 - |psi| = {1 - norm:.3e}")
-    amps /= norm
+    kept = norm if weight == 1.0 else math.sqrt(1.0 - weight * (1.0 - norm2))
+    if not lossy_ok and abs(kept - 1.0) > TRUNCATION_TOL:
+        raise CutoffError(f"norm lost to cutoff: 1 - |psi| = {1 - kept:.3e}")
+    scaled = amps.view(np.float64)
+    scaled *= 1.0 / norm
     return amps
 
 
@@ -381,25 +389,32 @@ def _top_levels(amps: np.ndarray, ia: int, ib: int) -> list[int]:
     return [int(found[-1]) if found.size else 0 for found in levels]
 
 
-def _mix(state: PureState, a: ModeLabel, b: ModeLabel, c: float, s: float) -> PureState:
+def _mix(
+    state: PureState, a: ModeLabel, b: ModeLabel, c: float, s: float, weight: float = 1.0
+) -> PureState:
     """Two-mode mix a^dag -> c a^dag + s b^dag, b^dag -> s a^dag - c b^dag
-    (c^2 + s^2 = 1, an involution), the convention of gaussian._mix.
+    (c^2 + s^2 = 1, an involution), the convention of gaussian._mix.  A mode b
+    not in the state is attached in vacuum as the last mode.
 
     Sector T of total photon number reads the input columns n_a = max(0,
     T - top_b) .. min(T, top_a), top_* being each mode's highest occupied
     level; these stay closed under the recurrence, and a vacuum partner costs
     one column per sector.  Balanced blocks are cached by hadamard_block,
     others rebuilt per call.  Sectors above the cutoff keep their
-    representable rows; losing more than TRUNCATION_TOL raises CutoffError.
+    representable rows; losing more than TRUNCATION_TOL raises CutoffError
+    (of a larger state, when the state is a `weight` share of it).
     """
     if a == b:
         raise ModeError("a two-mode mix needs two distinct modes")
-    ia, ib = state.axis(a), state.axis(b)
+    modes, amps = state.modes, state.amplitudes
+    if b not in modes:  # a one-level view: b in vacuum, no copy
+        modes, amps = modes + (b,), amps[..., None]
+    ia, ib = state.axis(a), modes.index(b)
     cutoff = state.cutoff
-    out = np.zeros(state.amplitudes.shape, dtype=complex)
+    out = np.zeros((cutoff + 1,) * len(modes), dtype=complex)
     # sector views with modes a, b first; `out` itself stays C-ordered
-    arr, out_ab = (np.moveaxis(x, (ia, ib), (0, 1)) for x in (state.amplitudes, out))
-    top_a, top_b = _top_levels(state.amplitudes, ia, ib)
+    arr, out_ab = (np.moveaxis(x, (ia, ib), (0, 1)) for x in (amps, out))
+    top_a, top_b = _top_levels(amps, ia, ib)
     balanced = c == s == _INV_SQRT2
     block, first = np.ones((1, 1)), 0  # columns first.. of the current sector
     for total in range(top_a + top_b + 1):
@@ -416,12 +431,12 @@ def _mix(state: PureState, a: ModeLabel, b: ModeLabel, c: float, s: float) -> Pu
         ps = np.arange(lo, hi + 1)
         image = block[lo:hi + 1] @ sector.reshape(len(ms), -1)
         out_ab[ps, total - ps] = image.reshape((len(ps),) + sector.shape[1:])
-    return PureState(state.modes, cutoff, _normalized(out))
+    return PureState(modes, cutoff, _normalized(out, weight=weight))
 
 
-def bs_transform(state: PureState, a: ModeLabel, b: ModeLabel) -> PureState:
+def bs_transform(state: PureState, a: ModeLabel, b: ModeLabel, weight: float = 1.0) -> PureState:
     """Balanced beamsplitter between modes a and b (an involution)."""
-    return _mix(state, a, b, _INV_SQRT2, _INV_SQRT2)
+    return _mix(state, a, b, _INV_SQRT2, _INV_SQRT2, weight)
 
 
 # ---------------------------------------------------------------------------
@@ -432,9 +447,9 @@ def cpa_channel(state: PureState, absorber: AbsorberSpec) -> PureState:
     """Absorber acting in the standing basis.
 
     The absorbed standing mode (cosine, or sine when roles are swapped) mixes
-    with a fresh vacuum environment mode at amplitude transmissivity tau_c; at
-    tau_c = 0 this is a full state swap into the environment.  The other
-    standing mode is untouched.  The joint state stays pure.
+    with a fresh vacuum environment mode (attached by _mix) at amplitude
+    transmissivity tau_c; at tau_c = 0 this is a full state swap into the
+    environment.  The other standing mode is untouched.  The joint stays pure.
     """
     tau = absorber.tau_c
     s = math.sqrt(max(0.0, 1.0 - tau * tau))
@@ -443,24 +458,25 @@ def cpa_channel(state: PureState, absorber: AbsorberSpec) -> PureState:
         env = ENV_C.with_rail(rail)
         if env in result.modes:
             raise ModeError(f"environment mode {env} already attached")
-        absorbed = ModeLabel(absorber.absorbed_kind, rail)
-        result = _mix(tensor(result, vacuum_state([env], state.cutoff)), absorbed, env, tau, s)
+        result = _mix(result, ModeLabel(absorber.absorbed_kind, rail), env, tau, s)
     return result
 
 
 def standing_basis(state: PureState) -> PureState:
-    """Travelling modes -> standing basis: the first half of full_pipeline."""
+    """Travelling modes -> standing basis: the first stage of full_pipeline."""
     result = state
     for rail in basis_rails(state.modes, TRAVELLING_KINDS):
         result = bs_transform(result, K.with_rail(rail), MINUS_K.with_rail(rail))
     return relabel(result, basis_change(result.modes, STANDING_OF))
 
 
-def absorb_from_standing(standing: PureState, absorber: AbsorberSpec) -> PureState:
-    """Absorber -> travelling modes: the second half of full_pipeline."""
-    result = cpa_channel(standing, absorber)
-    for rail in basis_rails(standing.modes, STANDING_KINDS):
-        result = bs_transform(result, C.with_rail(rail), S.with_rail(rail))
+def travelling_basis(state: PureState, weight: float = 1.0) -> PureState:
+    """Standing basis -> travelling modes: the last stage of full_pipeline.  It
+    acts on light modes alone and keeps light vacuum, so no environment readout
+    needs it.  `weight` is as in _mix, for a conditional state."""
+    result = state
+    for rail in basis_rails(state.modes, STANDING_KINDS):
+        result = bs_transform(result, C.with_rail(rail), S.with_rail(rail), weight)
     return relabel(result, basis_change(result.modes, TRAVELLING_OF))
 
 
@@ -470,7 +486,7 @@ def full_pipeline(state: PureState, absorber: AbsorberSpec) -> PureState:
     Returns the joint pure state over the output travelling modes and the
     environment mode(s).
     """
-    return absorb_from_standing(standing_basis(state), absorber)
+    return travelling_basis(cpa_channel(standing_basis(state), absorber))
 
 
 # ---------------------------------------------------------------------------
@@ -502,9 +518,12 @@ def light_environment_matrix(
 def environment_reduction(joint: PureState) -> tuple[dict[int, float], float]:
     """Absorbed-photon distribution and light-environment entropy (bits), both
     from G = A^H A (the environment's rho, conjugated) of light_environment_matrix:
-    the diagonal binned by environment total, and the spectrum eigvalsh(G) / tr G."""
+    the diagonal binned by environment total, and the spectrum eigvalsh(G) / tr G.
+    G is formed only from the rows of A that hold amplitude: in the standing
+    basis after full absorption, the levels of the unabsorbed mode."""
     _, mat, env_totals = light_environment_matrix(joint)
-    gram = _column_gram(mat)
+    occupied = np.any(mat, axis=1)
+    gram = _column_gram(mat if occupied.all() else mat[occupied])
     weights = np.bincount(env_totals, weights=np.diagonal(gram).real)
     return {m: float(w) for m, w in enumerate(weights)}, _gram_entropy(gram)
 

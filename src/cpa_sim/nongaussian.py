@@ -78,7 +78,8 @@ class AsymmetricKind(Enum):
 
 
 def _p_all_absorbed(joint: PureState) -> float:
-    """P(no photons leave) for a pipeline output: |row 0|^2 of its
+    """P(no photons leave) for a joint light-environment state, in either basis
+    (the output basis change maps light vacuum to itself): |row 0|^2 of its
     (light x environment) amplitude matrix."""
     return float(np.sum(np.abs(fock.light_environment_matrix(joint)[1][0]) ** 2))
 
@@ -104,7 +105,8 @@ def run_cat_cat(
     cat_k = build_cat(CatSpec(alpha, cutoff), K)
     cat_mk = build_cat(CatSpec(alpha, cutoff), MINUS_K)
     input_state = fock.tensor(cat_k, cat_mk)
-    joint = fock.full_pipeline(input_state, absorber)
+    # environment numbers need no output basis change
+    joint = fock.cpa_channel(fock.standing_basis(input_state), absorber)
     result = fock_result(
         {"kind": "CAT_CAT", "alpha": alpha},
         absorber,
@@ -113,20 +115,23 @@ def run_cat_cat(
         fock.absorption_coefficients(input_state, K, MINUS_K),
         start,
     )
+    p_zero = result.absorbed_distribution.get(0, 0.0)
     zero_cond = fock.conditional_output(joint, 0)
+    # one rail: one environment column, so the survivors' (C, S) state is pure;
+    # only it goes back to the travelling basis, with the joint's cutoff check
+    survivors = fock.travelling_basis(
+        PureState(zero_cond.modes, cutoff, zero_cond.factor.reshape(cutoff + 1, cutoff + 1)),
+        weight=p_zero,
+    )
     # survivors exit as |alpha>|-alpha> + |-alpha>|alpha> (up to branch overlap)
     target = fock.superposition_of_coherent_pair(alpha, cutoff)
     result.extras = {
         "p_all_absorbed": _p_all_absorbed(joint),
-        "p_all_transmitted": result.absorbed_distribution.get(0, 0.0),
-        "zero_absorption_fidelity_with_opposite_pair": zero_cond.expectation_with_pure(target),
+        "p_all_transmitted": p_zero,
+        "zero_absorption_fidelity_with_opposite_pair": survivors.fidelity(target),
     }
     result.conditional_outputs = [
-        {
-            "absorbed": 0,
-            "probability": result.absorbed_distribution.get(0, 0.0),
-            "purity": zero_cond.purity(),
-        }
+        {"absorbed": 0, "probability": p_zero, "purity": zero_cond.purity()}
     ]
     return result
 
@@ -167,7 +172,7 @@ def run_asymmetric(
         scenario = {"kind": kind.value, "alpha": alpha, "cat_alpha": cat_alpha}
     input_state = fock.tensor(fock.coherent_state(alpha, cutoff, K), partner)
     standing = fock.standing_basis(input_state)
-    joint = fock.absorb_from_standing(standing, absorber)
+    joint = fock.cpa_channel(standing, absorber)  # environment numbers need no output basis change
     result = fock_result(
         scenario,
         absorber,
@@ -177,10 +182,11 @@ def run_asymmetric(
         start,
     )
     standing_dist = fock.joint_occupation_distribution(standing, C, S)
+    reported = standing_dist > 1e-12
+    levels, probabilities = np.argwhere(reported).tolist(), standing_dist[reported].tolist()
     result.extras = {
         "standing_joint_distribution": {
-            f"{na},{nb}": float(standing_dist[na, nb])
-            for na, nb in np.argwhere(standing_dist > 1e-12)
+            f"{na},{nb}": p for (na, nb), p in zip(levels, probabilities)
         },
         "standing_cross_sector_mass": float(standing_dist[1:, 1:].sum()),
         "p_all_absorbed": _p_all_absorbed(joint),

@@ -32,6 +32,20 @@ def random_two_mode_state(seed: int, cutoff: int = 4) -> fock.PureState:
     return fock.PureState((K, MINUS_K), cutoff, amps)
 
 
+def random_rail_state(seed: int, rails: int, cutoff: int = 3) -> fock.PureState:
+    """Random travelling state on one or two rails (K, MINUS_K each), every
+    rail's total within the cutoff so no map of the pipeline truncates."""
+    rng = np.random.default_rng(seed)
+    dim = cutoff + 1
+    names = ["", "B"][:rails]
+    modes = tuple(m.with_rail(r) for r in names for m in (K, MINUS_K))
+    amps = rng.normal(size=(dim,) * len(modes)) + 1j * rng.normal(size=(dim,) * len(modes))
+    levels = np.indices(amps.shape)
+    for rail in range(rails):
+        amps[levels[2 * rail] + levels[2 * rail + 1] > cutoff] = 0.0
+    return fock.PureState(modes, cutoff, amps / np.linalg.norm(amps))
+
+
 # ---------------------------------------------------------------------------
 # beamsplitter
 
@@ -77,6 +91,42 @@ def test_bs_cutoff_error_when_content_leaks():
     state = fock.basis_state({K: 2, MINUS_K: 2}, 2)
     with pytest.raises(CutoffError):
         fock.bs_transform(state, K, MINUS_K)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 6),
+    st.sampled_from([0.5, 1.0 - 2**-40, 1.0, 1.5, 3.0e-7]),
+)
+def test_normalized_scales_like_division(seed, zeros, norm):
+    """Scaling the float view by 1 / norm gives amps / norm, entry for entry
+    (an exact zero may change sign only), in the caller's buffer."""
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=(7, 5)) + 1j * rng.normal(size=(7, 5))
+    amps.ravel()[rng.choice(amps.size, size=zeros, replace=False)] = 0.0
+    amps.real.flat[rng.integers(amps.size)] = 0.0  # a zero real part, nonzero imaginary
+    amps *= norm / np.linalg.norm(amps)
+    expected = amps / math.sqrt(float(np.vdot(amps, amps).real))
+    got = fock._normalized(amps, lossy_ok=True)
+    assert got is amps
+    floats = got.view(np.float64)
+    assert np.array_equal(floats, expected.view(np.float64))
+    nonzero = floats != 0.0
+    assert floats[nonzero].tobytes() == expected.view(np.float64)[nonzero].tobytes()
+
+
+def test_normalized_cutoff_check_and_conditional_weight():
+    with pytest.raises(CutoffError, match=r"norm lost to cutoff: 1 - \|psi\| = 2\.500e-01"):
+        fock._normalized(np.array([0.75 + 0.0j, 0.0]))
+    # |psi|^2 = 1 - 3e-10 loses 1.5e-10 of the norm alone, but as half of a
+    # normalized joint state the joint loses only 7.5e-11
+    short = np.array([math.sqrt(1.0 - 3e-10) + 0.0j])
+    with pytest.raises(CutoffError):
+        fock._normalized(short.copy())
+    assert abs(fock._normalized(short.copy(), weight=0.5)[0] - 1.0) < 1e-15
+    with pytest.raises(CutoffError):
+        fock._normalized(short * math.sqrt(1.0 - 3e-10), weight=0.5)
 
 
 @given(seed=st.integers(0, 2**32 - 1))
@@ -222,6 +272,33 @@ def test_channel_photon_bookkeeping(seed, reflection):
     assert fock.mode_moments(out, S)[0] == pytest.approx(
         fock.mode_moments(state, S)[0], abs=1e-12
     )
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 2),
+    st.floats(-0.5, 0.0),
+    st.booleans(),
+)
+def test_mix_attaches_vacuum_mode_like_tensor(seed, rails, reflection, swap):
+    """_mix with a mode not in the state reads it as vacuum, bit for bit as
+    the mix of the state tensored with that vacuum mode, rail after rail."""
+    absorber = AbsorberSpec(reflection=reflection, swap_roles=swap)
+    tau = absorber.tau_c
+    s = math.sqrt(max(0.0, 1.0 - tau * tau))
+    state = fock.standing_basis(random_rail_state(seed, rails))
+    attached = state
+    for rail in sorted({m.rail for m in state.modes}):
+        env = ENV_C.with_rail(rail)
+        absorbed = fock.ModeLabel(absorber.absorbed_kind, rail)
+        tensored = fock._mix(
+            fock.tensor(attached, fock.vacuum_state([env], state.cutoff)), absorbed, env, tau, s
+        )
+        attached = fock._mix(attached, absorbed, env, tau, s)
+        assert attached.modes == tensored.modes
+        assert attached.amplitudes.tobytes() == tensored.amplitudes.tobytes()
+    assert fock.cpa_channel(state, absorber).amplitudes.tobytes() == attached.amplitudes.tobytes()
 
 
 def test_channel_requires_standing_basis():
@@ -498,6 +575,58 @@ def test_environment_reduction_matches_dense_reference(kind, seed, reflection, s
     assert abs(entropy - oracle.dense_entropy(rho_env)) < 1e-12
     p_all_absorbed = oracle.dense_reduced(joint.amplitudes, joint.modes, light)[0, 0].real
     assert abs(nongaussian._p_all_absorbed(joint) - p_all_absorbed) < 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 2),
+    st.floats(-0.5, 0.0),
+    st.booleans(),
+)
+def test_environment_readouts_need_no_output_basis_change(seed, rails, reflection, swap):
+    """The output basis change acts on light modes alone and maps light vacuum
+    to itself: environment_reduction and P(all absorbed) of the standing joint
+    match full_pipeline's; the Gram from occupied rows matches the full one."""
+    absorber = AbsorberSpec(reflection=reflection, swap_roles=swap)
+    state = random_rail_state(seed, rails)
+    standing = fock.cpa_channel(fock.standing_basis(state), absorber)
+    joint = fock.full_pipeline(state, absorber)
+    assert joint.amplitudes.tobytes() == fock.travelling_basis(standing).amplitudes.tobytes()
+    dist_s, entropy_s = fock.environment_reduction(standing)
+    dist_t, entropy_t = fock.environment_reduction(joint)
+    assert list(dist_s) == list(dist_t)
+    assert max(abs(dist_s[m] - dist_t[m]) for m in dist_s) < 1e-12
+    assert abs(entropy_s - entropy_t) < 1e-12
+    assert abs(nongaussian._p_all_absorbed(standing) - nongaussian._p_all_absorbed(joint)) < 1e-12
+    light, mat, _ = fock.light_environment_matrix(standing)
+    occupied = np.any(mat, axis=1)
+    gram = fock._column_gram(mat)
+    assert np.max(np.abs(fock._column_gram(mat[occupied]) - gram)) < 1e-14
+    if reflection == -0.5:  # each absorbed mode is left in vacuum
+        assert occupied.sum() <= standing.dim ** (len(light) - rails)
+
+
+def test_travelling_basis_undoes_standing_basis():
+    state = random_rail_state(5, 2)
+    standing = fock.standing_basis(state)
+    assert {m.kind for m in standing.modes} == {C.kind, S.kind}
+    back = fock.travelling_basis(standing)
+    assert back.modes == state.modes
+    assert np.max(np.abs(back.amplitudes - state.amplitudes)) < 1e-14
+
+
+def test_travelling_basis_checks_the_loss_of_the_whole_joint():
+    """A conditional state carried alone is held to the norm its joint would
+    lose: 1.5e-10 of its own norm fails, but as half of the joint it passes."""
+    kept = fock.hadamard_block(4)[2, 2] ** 2  # |2,2> keeps this much at cutoff 2
+    weight = 3e-10 / (1.0 - kept)
+    state = fock.superposition(
+        [(math.sqrt(1.0 - weight), {C: 0, S: 0}), (math.sqrt(weight), {C: 2, S: 2})], (C, S), 2
+    )
+    with pytest.raises(CutoffError):
+        fock.travelling_basis(state)
+    assert fock.travelling_basis(state, weight=0.5).modes == (K, MINUS_K)
 
 
 def test_entropy_product_state_is_zero():

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cpa_sim import fock, nongaussian as ng
 from cpa_sim.absorber import CANONICAL, AbsorberSpec
@@ -54,6 +56,34 @@ def test_cat_cat_parity_conservation():
     totals = fock.total_occupation_distribution(joint, joint.modes)
     odd_mass = sum(p for n, p in totals.items() if n % 2 == 1)
     assert odd_mass < 1e-12
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    st.floats(0.3, 1.8),
+    st.floats(0.0, 2.0 * math.pi),
+    st.floats(-0.5, 0.0),
+    st.booleans(),
+)
+def test_cat_cat_readouts_match_full_pipeline(magnitude, phase, reflection, swap):
+    """run_cat_cat reads the environment from the standing joint and carries
+    only the zero-absorption state back to the travelling basis; every number
+    matches the same readouts of full_pipeline's joint."""
+    alpha = magnitude * complex(math.cos(phase), math.sin(phase))
+    absorber = AbsorberSpec(reflection=reflection, swap_roles=swap)
+    cutoff = ng.cat_cutoff(alpha) + 8
+    result = ng.run_cat_cat(alpha, absorber, cutoff)
+    cats = (ng.build_cat(ng.CatSpec(alpha, cutoff), mode) for mode in (K, MINUS_K))
+    joint = fock.full_pipeline(fock.tensor(*cats), absorber)
+    distribution, entropy = fock.environment_reduction(joint)
+    assert max(abs(result.absorbed_distribution[m] - p) for m, p in distribution.items()) < 1e-12
+    assert abs(result.separability["env_entanglement_entropy"] - entropy) < 1e-12
+    assert abs(result.extras["p_all_absorbed"] - ng._p_all_absorbed(joint)) < 1e-12
+    zero = fock.conditional_output(joint, 0)
+    target = fock.superposition_of_coherent_pair(alpha, cutoff)
+    fidelity = result.extras["zero_absorption_fidelity_with_opposite_pair"]
+    assert abs(fidelity - zero.expectation_with_pure(target)) < 1e-12
+    assert abs(result.conditional_outputs[0]["purity"] - zero.purity()) < 1e-12
 
 
 def test_cat_cat_all_absorbed_tends_to_half():
