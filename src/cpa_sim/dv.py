@@ -151,12 +151,12 @@ def run_scenario(
     start = time.perf_counter()
     working_cutoff = scenario.total_photons
     state = build_input(scenario, working_cutoff)
-    joint = fock.full_pipeline(state, absorber)
+    joint = fock.full_pipeline(state, absorber)  # for the conditional outputs
     result = fock_result(
         {"kind": scenario.kind.value, "n": scenario.n, "delta_theta": scenario.delta_theta},
         absorber,
         {"cutoff": cutoff, "working_cutoff": working_cutoff},
-        joint,
+        fock.absorber_environment(fock.standing_basis(state), absorber),
         (None, None),
         start,
     )

@@ -4,26 +4,25 @@ States are dense complex tensors indexed by per-mode occupation number with a
 common cutoff.  Every map of the pipeline is one two-mode mix, as on the
 Gaussian engine: the balanced (Hadamard) beamsplitter, and the absorber, which
 mixes the absorbed standing mode with a fresh vacuum environment mode that the
-mix itself attaches (read as a one-level view, never copied in).  The mix acts
-per total-photon sector; its sector matrices come from a stable recurrence and
-match the exact integer expansion to ~5e-15 up to total 246.  Reduced states
-are held as purifications, rho = A A^H, never as dense rho; the environment's
-state is the Gram matrix of the occupied rows of a zero-copy (light x
-environment) view of the joint amplitudes.  Runners stop where their readout
-stops: the output basis change acts on light modes alone, so environment
-readouts take the standing-basis joint and skip it, and only what is read in
-the travelling basis is carried there.  States are immutable and every map is
-a pure function.  States bridged from continuous families (coherent, squeezed,
-cat) come from one exact amplitude recurrence, truncated at the cutoff; any
-constructor or map that would push more than TRUNCATION_TOL of probability
-past the cutoff fails loudly instead of silently corrupting moments.
+mix itself attaches.  The mix acts per total-photon sector; its sector matrices
+come from a stable recurrence and match the exact integer expansion to ~5e-15
+up to total 246.  Reduced states are held as purifications, rho = A A^H.  The
+environment meets only the absorbed modes, so runs read it from their reduced
+state in the standing basis, through the pure-loss channel's vacuum-partner
+amplitudes (absorber_environment), and never build the light x environment
+joint; only what is read in the travelling basis is carried there.  States are
+immutable and every map is a pure function.  States bridged from continuous
+families (coherent, squeezed, cat) come from one exact amplitude recurrence,
+truncated at the cutoff; any constructor or map that would push more than
+TRUNCATION_TOL of probability past the cutoff fails loudly instead of silently
+corrupting moments.
 """
 from __future__ import annotations
 
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -170,9 +169,6 @@ class DensityOperator:
         shape = (self.dim,) * len(self.modes) + (-1,)
         keep, factor = _split(self.factor.reshape(shape), self.modes, keep)
         return DensityOperator(keep, self.cutoff, factor)
-
-    def mode_occupation_distribution(self, mode: ModeLabel) -> np.ndarray:
-        return np.sum(np.abs(self.partial_trace([mode]).factor) ** 2, axis=1)
 
 
 def _column_gram(a: np.ndarray) -> np.ndarray:
@@ -462,6 +458,65 @@ def cpa_channel(state: PureState, absorber: AbsorberSpec) -> PureState:
     return result
 
 
+def loss_amplitudes(c: float, s: float, dim: int) -> np.ndarray:
+    """b[n, p] (n, p < dim): amplitude of |p, n-p> in _mix of |n, 0>, i.e. _next_block's
+    vacuum-partner column b[n] = (c A + s B) b[n-1] / sqrt(n); dividing last makes
+    b[n, 0] = 1 at s = 1 and b[n, n] = 1 at c = 1 exact."""
+    root = np.sqrt(np.arange(dim + 0.0))
+    b = np.eye(dim)  # b[0, 0] = 1; rows n >= 1 are written below
+    for n in range(1, dim):
+        b[n, 1:n + 1] = c * (root[1:n + 1] * b[n - 1, :n])
+        b[n, :n] += s * (root[n:0:-1] * b[n - 1, :n])
+        b[n, :n + 1] /= root[n]
+    return b
+
+
+class EnvironmentReadout(NamedTuple):
+    """Absorbed-photon distribution, light-environment entropy (bits), P(no photon leaves)."""
+    distribution: dict[int, float]
+    entropy: float
+    p_all_absorbed: float
+
+
+def absorber_environment(standing: PureState, absorber: AbsorberSpec) -> EnvironmentReadout:
+    """The environment readouts of cpa_channel(standing, absorber), without its joint.
+
+    The environment starts in vacuum and meets only the absorbed modes, so its
+    state is the complementary output of a pure-loss channel (Kraus form: Ivan,
+    Sabapathy & Simon, PRA 84, 042311 (2011)) on their reduced state R = Psi Psi^H,
+    Psi the (absorbed x rest) amplitudes: per rail, rho[e, e'] <- sum_p w_p[e]
+    w_p[e'] rho[p + e, p + e'], w_p[e] = b[p + e, p] (at tau_c = 0, rho = R).  No
+    photon leaves with probability sum_n |Psi[n, 0]|^2 prod_r b[n_r, 0]^2.  Each
+    rail's levels below SECTOR_MASS_FLOOR are empty, as in the channel's mixes.
+    """
+    tau, dim, rails = absorber.tau_c, standing.dim, basis_rails(standing.modes, STANDING_KINDS)
+    if any(m.is_env for m in standing.modes):
+        raise ModeError(f"environment already attached in {standing.modes}")
+    psi = _split(standing.amplitudes, standing.modes, [
+        ModeLabel(absorber.absorbed_kind, rail) for rail in rails])[1]
+    grid, count = np.indices((dim,) * len(rails)), len(rails)  # absorbed levels of psi's rows
+    mass = np.sum(np.abs(psi) ** 2, axis=1).reshape(grid.shape[1:])
+    for r in range(count):
+        level = mass.sum(axis=tuple(i for i in range(count) if i != r)) >= SECTOR_MASS_FLOOR
+        psi = psi * level[grid[r]].reshape(-1, 1)
+    b = loss_amplitudes(tau, math.sqrt(max(0.0, 1.0 - tau * tau)), dim)
+    rho = (psi @ psi.conj().T).reshape((dim,) * (2 * count))
+    for r in range(count):  # rail r: ket axis r, bra axis count + r
+        ket_bra, out = np.moveaxis(rho, (r, count + r), (0, 1)), np.zeros_like(rho)
+        for p in range(dim if tau else 1):
+            weight = np.multiply.outer(b[p:, p], b[p:, p])[(...,) + (None,) * (rho.ndim - 2)]
+            out[:dim - p, :dim - p] += weight * ket_bra[p:, p:]
+        rho = np.moveaxis(out, (0, 1), (r, count + r))
+    rho = rho.reshape(dim ** count, -1)
+    if abs(float(np.trace(rho).real) - 1.0) > 1e-9:
+        raise FockError(f"environment density matrix trace {np.trace(rho).real!r} != 1")
+    weights = np.bincount(grid.sum(axis=0).ravel(), weights=np.diagonal(rho).real)
+    p_all = float(np.sum(np.abs(psi[:, 0]) ** 2 * np.prod(b[grid, 0] ** 2, axis=0).ravel()))
+    return EnvironmentReadout(
+        {m: float(w) for m, w in enumerate(weights)}, _gram_entropy(rho), p_all
+    )
+
+
 def standing_basis(state: PureState) -> PureState:
     """Travelling modes -> standing basis: the first stage of full_pipeline."""
     result = state
@@ -501,36 +556,12 @@ def total_occupation_distribution(state: PureState, modes: Sequence[ModeLabel]) 
     return {m: float(w) for m, w in enumerate(weights)}
 
 
-def light_environment_matrix(
-    joint: PureState,
-) -> tuple[tuple[ModeLabel, ...], np.ndarray, np.ndarray]:
-    """The light modes; the joint amplitudes as a (light x environment) matrix
-    A, a view when the environment modes come last (as cpa_channel leaves
-    them), whose row 0 is every light mode in vacuum; and each column's
-    environment total."""
+def absorbed_photon_distribution(joint: PureState) -> dict[int, float]:
+    """Probability of finding m photons (total) in the environment mode(s)."""
     env = [m for m in joint.modes if m.is_env]
     if not env:
         raise ModeError("state has no environment mode")
-    light, mat = _split(joint.amplitudes, joint.modes, [m for m in joint.modes if not m.is_env])
-    return light, mat, np.indices((joint.dim,) * len(env)).sum(axis=0).ravel()
-
-
-def environment_reduction(joint: PureState) -> tuple[dict[int, float], float]:
-    """Absorbed-photon distribution and light-environment entropy (bits), both
-    from G = A^H A (the environment's rho, conjugated) of light_environment_matrix:
-    the diagonal binned by environment total, and the spectrum eigvalsh(G) / tr G.
-    G is formed only from the rows of A that hold amplitude: in the standing
-    basis after full absorption, the levels of the unabsorbed mode."""
-    _, mat, env_totals = light_environment_matrix(joint)
-    occupied = np.any(mat, axis=1)
-    gram = _column_gram(mat if occupied.all() else mat[occupied])
-    weights = np.bincount(env_totals, weights=np.diagonal(gram).real)
-    return {m: float(w) for m, w in enumerate(weights)}, _gram_entropy(gram)
-
-
-def absorbed_photon_distribution(joint: PureState) -> dict[int, float]:
-    """Probability of finding m photons (total) in the environment mode(s)."""
-    return environment_reduction(joint)[0]
+    return total_occupation_distribution(joint, env)
 
 
 def joint_occupation_distribution(state: PureState, *modes: ModeLabel) -> np.ndarray:
@@ -554,8 +585,9 @@ def entanglement_entropy(joint: PureState, partition: Iterable[ModeLabel]) -> fl
 def conditional_output(joint: PureState, absorbed: int) -> DensityOperator:
     """Output-light state conditioned on the environment holding `absorbed` photons
     in total: its purification is the environment columns of that total, renormalized."""
-    light, mat, env_totals = light_environment_matrix(joint)
-    sel = mat[:, env_totals == absorbed]
+    light, mat = _split(joint.amplitudes, joint.modes, [m for m in joint.modes if not m.is_env])
+    env_totals = np.indices((joint.dim,) * (len(joint.modes) - len(light))).sum(axis=0)
+    sel = mat[:, env_totals.ravel() == absorbed]
     prob = float(np.vdot(sel, sel).real)
     if prob < 1e-12:
         raise FockError(f"conditioning on zero-probability absorbed count {absorbed}")

@@ -90,7 +90,3 @@ def basis_change(modes, kinds: dict[ModeKind, ModeKind]) -> dict[ModeLabel, Mode
     """Relabel map sending each mode whose kind is in `kinds` to its partner
     kind on the same rail (STANDING_OF or TRAVELLING_OF)."""
     return {m: ModeLabel(kinds[m.kind], m.rail) for m in modes if m.kind in kinds}
-
-
-def sort_key(mode: ModeLabel) -> tuple[str, str]:
-    return (mode.kind.value, mode.rail)

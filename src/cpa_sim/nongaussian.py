@@ -18,7 +18,7 @@ import numpy as np
 from . import fock
 from .absorber import CANONICAL, AbsorberSpec
 from .fock import CutoffError, PureState
-from .modes import C, K, MINUS_K, S
+from .modes import C, K, MINUS_K, S, ModeLabel
 from .results import ScenarioResult, fock_result
 
 
@@ -77,13 +77,6 @@ class AsymmetricKind(Enum):
     COHERENT_CAT = "COHERENT_CAT"
 
 
-def _p_all_absorbed(joint: PureState) -> float:
-    """P(no photons leave) for a joint light-environment state, in either basis
-    (the output basis change maps light vacuum to itself): |row 0|^2 of its
-    (light x environment) amplitude matrix."""
-    return float(np.sum(np.abs(fock.light_environment_matrix(joint)[1][0]) ** 2))
-
-
 def run_cat_cat(
     alpha: complex,
     absorber: AbsorberSpec = CANONICAL,
@@ -105,34 +98,31 @@ def run_cat_cat(
     cat_k = build_cat(CatSpec(alpha, cutoff), K)
     cat_mk = build_cat(CatSpec(alpha, cutoff), MINUS_K)
     input_state = fock.tensor(cat_k, cat_mk)
-    # environment numbers need no output basis change
-    joint = fock.cpa_channel(fock.standing_basis(input_state), absorber)
+    standing = fock.standing_basis(input_state)
+    environment = fock.absorber_environment(standing, absorber)
     result = fock_result(
         {"kind": "CAT_CAT", "alpha": alpha},
         absorber,
         {"cutoff": cutoff},
-        joint,
+        environment,
         fock.absorption_coefficients(input_state, K, MINUS_K),
         start,
     )
-    p_zero = result.absorbed_distribution.get(0, 0.0)
-    zero_cond = fock.conditional_output(joint, 0)
-    # one rail: one environment column, so the survivors' (C, S) state is pure;
-    # only it goes back to the travelling basis, with the joint's cutoff check
-    survivors = fock.travelling_basis(
-        PureState(zero_cond.modes, cutoff, zero_cond.factor.reshape(cutoff + 1, cutoff + 1)),
-        weight=p_zero,
-    )
+    p_zero = environment.distribution[0]
+    # no photon absorbed: level n keeps b[n, n] = tau_c^n and the (C, S) state is
+    # pure (one rail); only it goes back to the travelling basis, checked as the joint
+    scale = absorber.tau_c ** np.arange(cutoff + 1.0) / math.sqrt(p_zero)
+    absorbed_axis = standing.axis(ModeLabel(absorber.absorbed_kind))
+    kept = standing.amplitudes * np.expand_dims(scale, 1 - absorbed_axis)
+    survivors = fock.travelling_basis(PureState(standing.modes, cutoff, kept), weight=p_zero)
     # survivors exit as |alpha>|-alpha> + |-alpha>|alpha> (up to branch overlap)
     target = fock.superposition_of_coherent_pair(alpha, cutoff)
     result.extras = {
-        "p_all_absorbed": _p_all_absorbed(joint),
+        "p_all_absorbed": environment.p_all_absorbed,
         "p_all_transmitted": p_zero,
         "zero_absorption_fidelity_with_opposite_pair": survivors.fidelity(target),
     }
-    result.conditional_outputs = [
-        {"absorbed": 0, "probability": p_zero, "purity": zero_cond.purity()}
-    ]
+    result.conditional_outputs = [{"absorbed": 0, "probability": p_zero, "purity": 1.0}]
     return result
 
 
@@ -172,12 +162,12 @@ def run_asymmetric(
         scenario = {"kind": kind.value, "alpha": alpha, "cat_alpha": cat_alpha}
     input_state = fock.tensor(fock.coherent_state(alpha, cutoff, K), partner)
     standing = fock.standing_basis(input_state)
-    joint = fock.cpa_channel(standing, absorber)  # environment numbers need no output basis change
+    environment = fock.absorber_environment(standing, absorber)
     result = fock_result(
         scenario,
         absorber,
         {"cutoff": cutoff},
-        joint,
+        environment,
         fock.absorption_coefficients(input_state, K, MINUS_K),
         start,
     )
@@ -189,7 +179,7 @@ def run_asymmetric(
             f"{na},{nb}": p for (na, nb), p in zip(levels, probabilities)
         },
         "standing_cross_sector_mass": float(standing_dist[1:, 1:].sum()),
-        "p_all_absorbed": _p_all_absorbed(joint),
-        "p_all_transmitted": result.absorbed_distribution.get(0, 0.0),
+        "p_all_absorbed": environment.p_all_absorbed,
+        "p_all_transmitted": environment.distribution[0],
     }
     return result

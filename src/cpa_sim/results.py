@@ -87,22 +87,20 @@ def fock_result(
     scenario: dict,
     absorber: AbsorberSpec,
     numerics: dict,
-    joint: fock.PureState,
+    environment: fock.EnvironmentReadout,
     coefficients: tuple[float | None, float | None],
     start: float,
 ) -> ScenarioResult:
-    """Fock-engine result: absorbed-photon distribution and light-absorber
-    entanglement of the joint output `joint`, and the (intensity, coherence)
-    absorption `coefficients` of a run begun at perf_counter() == `start`."""
-    distribution, entropy = fock.environment_reduction(joint)
+    """Fock-engine result: the `environment` readouts and the (intensity,
+    coherence) absorption `coefficients` of a run begun at perf_counter() == `start`."""
     return ScenarioResult(
         engine="FOCK",
         scenario=scenario,
         absorber=absorber.echo(),
         numerics=numerics,
-        absorbed_distribution=distribution,
+        absorbed_distribution=environment.distribution,
         mean_intensity_absorption=coefficients[0],
         coherence_absorption=coefficients[1],
-        separability={"env_entanglement_entropy": entropy},
+        separability={"env_entanglement_entropy": environment.entropy},
         diagnostics={"wall_clock_s": time.perf_counter() - start},
     )

@@ -354,11 +354,11 @@ def run_bridged_fock(
 ) -> ScenarioResult:
     """Run a continuous-variable input bridged onto the truncated Fock engine."""
     start = time.perf_counter()
-    return fock_result(  # environment numbers need no output basis change
+    return fock_result(
         scenario_echo,
         absorber,
         {"cutoff": cutoff, "truncation_tolerance": fock.TRUNCATION_TOL},
-        fock.cpa_channel(fock.standing_basis(state), absorber),
+        fock.absorber_environment(fock.standing_basis(state), absorber),
         fock.absorption_coefficients(state, K, MINUS_K),
         start,
     )

@@ -175,6 +175,29 @@ def dense_reduced(amplitudes, modes, keep, absorbed=None):
     return rho / np.trace(rho).real
 
 
+def joint_environment(amplitudes, modes, env):
+    """Environment readouts of a joint (light + environment) pure state, read
+    from the joint itself.  A is the amplitudes as a (light x environment)
+    matrix, light modes in `modes` order, and G = A^H A is formed from the rows
+    of A that hold amplitude (the environment's rho, conjugated).  Returns G,
+    the absorbed distribution (G's diagonal binned by environment total), the
+    entropy (bits) of G / tr G, and P(all light in vacuum) = |row 0 of A|^2."""
+    import numpy as np
+
+    modes = list(modes)
+    light = [i for i, m in enumerate(modes) if m not in env]
+    rest = [i for i, m in enumerate(modes) if m in env]
+    dim = amplitudes.shape[0]
+    mat = np.transpose(amplitudes, light + rest).reshape(dim ** len(light), -1)
+    occupied = mat[np.any(mat, axis=1)]
+    gram = occupied.conj().T @ occupied
+    totals = np.indices((dim,) * len(rest)).sum(axis=0).ravel()
+    weights = np.bincount(totals, weights=np.diagonal(gram).real)
+    distribution = {m: float(w) for m, w in enumerate(weights)}
+    entropy = dense_entropy(gram / np.trace(gram).real)
+    return gram, distribution, entropy, float(np.sum(np.abs(mat[0]) ** 2))
+
+
 def dense_trace_out(rho, modes, keep):
     """Partial trace of a dense rho over `modes`, contracting each traced
     mode's ket axis with its bra axis."""

@@ -1,10 +1,14 @@
 """Command-line interface: exit codes, determinism, presets, scenario files."""
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
 from cpa_sim import cli, scenario_io
+from test_golden import assert_matches
 
 
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
@@ -279,6 +283,28 @@ def test_sweep_custom_requires_sweep_block(tmp_path, capsys):
 def test_missing_file_is_validation_error(capsys):
     code, _, err = run_cli(capsys, "run", "/nonexistent/file.json")
     assert code == 1
+
+
+def test_module_entry_point_runs_a_file(tmp_path):
+    """`python -m cpa_sim.cli run FILE` prints the run's JSON; a missing file
+    exits 1 with a message on stderr."""
+    golden = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    command = [sys.executable, "-m", "cpa_sim.cli", "run"]
+    run = subprocess.run(
+        command + [os.path.join(golden, "noon_3_canonical.in.json")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    with open(os.path.join(golden, "noon_3_canonical.out.json"), encoding="utf-8") as handle:
+        assert_matches(json.loads(run.stdout), json.load(handle))
+    missing = subprocess.run(
+        command + [str(tmp_path / "missing.json")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert missing.returncode == 1
+    assert missing.stdout == "" and "missing.json" in missing.stderr
 
 
 def test_preset_requires_out(capsys):

@@ -7,7 +7,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -202,15 +202,21 @@ def test_mix_twice_is_identity(seed, theta):
     assert np.max(np.abs(twice.amplitudes - state.amplitudes)) < 1e-12
 
 
-@pytest.mark.parametrize("n", [0, 1, 4, 13, 40])
-@pytest.mark.parametrize("theta", [0.3, 1.2, -2.5])
+@pytest.mark.parametrize("n", [0, 1, 4, 13, 40, 246])
+@pytest.mark.parametrize("theta", [0.3, 1.2, -2.5, 0.0, math.pi / 2])
 def test_mix_with_vacuum_partner_is_binomial(n, theta):
+    """_mix's vacuum-partner column is binomial, and row n of loss_amplitudes
+    (the environment readout's b) reproduces it."""
     c, s = math.cos(theta), math.sin(theta)
     state = fock.basis_state({C: n, ENV_C: 0}, n)
     out = fock._mix(state, C, ENV_C, c, s)
+    loss = fock.loss_amplitudes(c, s, n + 1)
     for p in range(n + 1):
         expected = math.sqrt(math.comb(n, p)) * c**p * s ** (n - p)
-        assert out.amplitude({C: p, ENV_C: n - p}) == pytest.approx(expected, abs=1e-13)
+        column = out.amplitude({C: p, ENV_C: n - p})
+        assert column == pytest.approx(expected, abs=1e-13)
+        assert abs(loss[n, p] - column) < 1e-14
+    assert np.all(np.triu(loss, 1) == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +244,7 @@ def test_channel_swap_preserves_mode_content():
     after = fock.partial_trace(out, [ENV_C]).matrix
     assert np.max(np.abs(after - before)) < 1e-12
     # the cosine mode ends in vacuum
-    c_dist = fock.partial_trace(out, [C]).mode_occupation_distribution(C)
+    c_dist = fock.joint_occupation_distribution(out, C)
     assert c_dist[0] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -538,6 +544,16 @@ def test_one_rail_conditional_outputs_are_pure(n, delta_theta, reflection, swap)
             )
 
 
+def _environment_matches(readout, reference, tol=1e-12):
+    """`readout` (absorber_environment) against oracle.joint_environment's
+    distribution, entropy and P(all absorbed)."""
+    _, distribution, entropy, p_all_absorbed = reference
+    assert list(readout.distribution) == list(distribution)
+    assert max(abs(readout.distribution[m] - p) for m, p in distribution.items()) < tol
+    assert abs(readout.entropy - entropy) < tol
+    assert abs(readout.p_all_absorbed - p_all_absorbed) < tol
+
+
 @settings(max_examples=15, deadline=None)
 @given(
     st.sampled_from(["product", "random", "bell"]),
@@ -545,10 +561,15 @@ def test_one_rail_conditional_outputs_are_pure(n, delta_theta, reflection, swap)
     st.floats(-0.5, 0.0),
     st.booleans(),
 )
+@example("random", 7, -0.5, False)
+@example("random", 7, 0.0, True)
+@example("bell", 7, -0.5, True)
+@example("bell", 7, 0.0, False)
 def test_environment_reduction_matches_dense_reference(kind, seed, reflection, swap):
-    """The absorbed distribution, light-environment entropy and P(all absorbed)
-    read from the environment Gram match explicit dense rho on one rail (one
-    environment mode) and two (Bell inputs, two environment modes)."""
+    """absorber_environment of the standing state gives the absorbed
+    distribution, light-environment entropy and P(all absorbed) of explicit
+    dense rho of full_pipeline's joint, on one rail (one environment mode) and
+    two (Bell inputs, two environment modes)."""
     rng = np.random.default_rng(seed)
     if kind == "bell":
         bell = rng.choice([k for k in dv.DvKind if k in dv.BELL_KINDS])
@@ -562,19 +583,22 @@ def test_environment_reduction_matches_dense_reference(kind, seed, reflection, s
             fock.coherent_state(alpha, 20, K),
             fock.squeezed_coherent_state(beta, xi, phi, 20, MINUS_K),
         )
-    joint = fock.full_pipeline(state, AbsorberSpec(reflection=reflection, swap_roles=swap))
+    absorber = AbsorberSpec(reflection=reflection, swap_roles=swap)
+    joint = fock.full_pipeline(state, absorber)
     env = [m for m in joint.modes if m.is_env]
     light = [m for m in joint.modes if not m.is_env]
     rho_env = oracle.dense_reduced(joint.amplitudes, joint.modes, env)
     totals = np.indices((joint.dim,) * len(env)).sum(axis=0).ravel()
     expected = np.bincount(totals, weights=np.diagonal(rho_env).real)
-    distribution, entropy = fock.environment_reduction(joint)
-    assert list(distribution) == list(range(len(env) * joint.cutoff + 1))
-    assert max(abs(distribution[m] - expected[m]) for m in distribution) < 1e-12
-    assert fock.absorbed_photon_distribution(joint) == distribution
-    assert abs(entropy - oracle.dense_entropy(rho_env)) < 1e-12
+    readout = fock.absorber_environment(fock.standing_basis(state), absorber)
+    assert list(readout.distribution) == list(range(len(env) * joint.cutoff + 1))
+    assert max(abs(readout.distribution[m] - expected[m]) for m in readout.distribution) < 1e-12
+    absorbed = fock.absorbed_photon_distribution(joint)
+    assert max(abs(absorbed[m] - expected[m]) for m in readout.distribution) < 1e-12
+    assert abs(readout.entropy - oracle.dense_entropy(rho_env)) < 1e-12
     p_all_absorbed = oracle.dense_reduced(joint.amplitudes, joint.modes, light)[0, 0].real
-    assert abs(nongaussian._p_all_absorbed(joint) - p_all_absorbed) < 1e-12
+    assert abs(readout.p_all_absorbed - p_all_absorbed) < 1e-12
+    _environment_matches(readout, oracle.joint_environment(joint.amplitudes, joint.modes, env))
 
 
 @settings(max_examples=25, deadline=None)
@@ -584,27 +608,43 @@ def test_environment_reduction_matches_dense_reference(kind, seed, reflection, s
     st.floats(-0.5, 0.0),
     st.booleans(),
 )
+@example(3, 1, -0.5, False)
+@example(3, 1, 0.0, True)
+@example(3, 2, -0.5, True)
+@example(3, 2, 0.0, False)
 def test_environment_readouts_need_no_output_basis_change(seed, rails, reflection, swap):
     """The output basis change acts on light modes alone and maps light vacuum
-    to itself: environment_reduction and P(all absorbed) of the standing joint
-    match full_pipeline's; the Gram from occupied rows matches the full one."""
+    to itself, and the environment meets only the absorbed modes:
+    absorber_environment of the standing state matches the joint readouts of
+    both cpa_channel's standing joint and full_pipeline's; the oracle's Gram
+    from occupied rows matches the full one."""
     absorber = AbsorberSpec(reflection=reflection, swap_roles=swap)
     state = random_rail_state(seed, rails)
-    standing = fock.cpa_channel(fock.standing_basis(state), absorber)
+    standing = fock.standing_basis(state)
+    channel = fock.cpa_channel(standing, absorber)
     joint = fock.full_pipeline(state, absorber)
-    assert joint.amplitudes.tobytes() == fock.travelling_basis(standing).amplitudes.tobytes()
-    dist_s, entropy_s = fock.environment_reduction(standing)
-    dist_t, entropy_t = fock.environment_reduction(joint)
-    assert list(dist_s) == list(dist_t)
-    assert max(abs(dist_s[m] - dist_t[m]) for m in dist_s) < 1e-12
-    assert abs(entropy_s - entropy_t) < 1e-12
-    assert abs(nongaussian._p_all_absorbed(standing) - nongaussian._p_all_absorbed(joint)) < 1e-12
-    light, mat, _ = fock.light_environment_matrix(standing)
-    occupied = np.any(mat, axis=1)
-    gram = fock._column_gram(mat)
-    assert np.max(np.abs(fock._column_gram(mat[occupied]) - gram)) < 1e-14
+    assert joint.amplitudes.tobytes() == fock.travelling_basis(channel).amplitudes.tobytes()
+    readout = fock.absorber_environment(standing, absorber)
+    for subject in (channel, joint):
+        env = [m for m in subject.modes if m.is_env]
+        _environment_matches(readout, oracle.joint_environment(subject.amplitudes, subject.modes, env))
+    env = [m for m in channel.modes if m.is_env]
+    light = [m for m in channel.modes if not m.is_env]
+    gram = oracle.joint_environment(channel.amplitudes, channel.modes, env)[0]
+    mat = np.transpose(
+        channel.amplitudes, [channel.axis(m) for m in light + env]
+    ).reshape(channel.dim ** len(light), -1)
+    assert np.max(np.abs(mat.conj().T @ mat - gram)) < 1e-14
     if reflection == -0.5:  # each absorbed mode is left in vacuum
-        assert occupied.sum() <= standing.dim ** (len(light) - rails)
+        assert np.any(mat, axis=1).sum() <= channel.dim ** (len(light) - rails)
+
+
+def test_absorber_environment_needs_a_fresh_environment():
+    state = fock.basis_state({C: 1, S: 0, ENV_C: 0}, 2)
+    with pytest.raises(ModeError):
+        fock.absorber_environment(state, CANONICAL)
+    with pytest.raises(ModeError):
+        fock.absorber_environment(fock.basis_state({K: 1, MINUS_K: 0}, 2), CANONICAL)
 
 
 def test_travelling_basis_undoes_standing_basis():

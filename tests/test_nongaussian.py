@@ -3,9 +3,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracle
 from cpa_sim import fock, nongaussian as ng
 from cpa_sim.absorber import CANONICAL, AbsorberSpec
 from cpa_sim.fock import CutoffError
@@ -65,8 +66,10 @@ def test_cat_cat_parity_conservation():
     st.floats(-0.5, 0.0),
     st.booleans(),
 )
+@example(1.2, 0.4, -0.5, False)
+@example(1.2, 0.4, 0.0, True)
 def test_cat_cat_readouts_match_full_pipeline(magnitude, phase, reflection, swap):
-    """run_cat_cat reads the environment from the standing joint and carries
+    """run_cat_cat reads the environment from the standing state and carries
     only the zero-absorption state back to the travelling basis; every number
     matches the same readouts of full_pipeline's joint."""
     alpha = magnitude * complex(math.cos(phase), math.sin(phase))
@@ -75,10 +78,16 @@ def test_cat_cat_readouts_match_full_pipeline(magnitude, phase, reflection, swap
     result = ng.run_cat_cat(alpha, absorber, cutoff)
     cats = (ng.build_cat(ng.CatSpec(alpha, cutoff), mode) for mode in (K, MINUS_K))
     joint = fock.full_pipeline(fock.tensor(*cats), absorber)
-    distribution, entropy = fock.environment_reduction(joint)
+    env = [m for m in joint.modes if m.is_env]
+    _, distribution, entropy, p_all_absorbed = oracle.joint_environment(
+        joint.amplitudes, joint.modes, env
+    )
     assert max(abs(result.absorbed_distribution[m] - p) for m, p in distribution.items()) < 1e-12
     assert abs(result.separability["env_entanglement_entropy"] - entropy) < 1e-12
-    assert abs(result.extras["p_all_absorbed"] - ng._p_all_absorbed(joint)) < 1e-12
+    assert abs(result.extras["p_all_absorbed"] - p_all_absorbed) < 1e-12
+    rho_env = oracle.dense_reduced(joint.amplitudes, joint.modes, env)
+    assert abs(result.absorbed_distribution[0] - rho_env[0, 0].real) < 1e-12
+    assert abs(result.separability["env_entanglement_entropy"] - oracle.dense_entropy(rho_env)) < 1e-12
     zero = fock.conditional_output(joint, 0)
     target = fock.superposition_of_coherent_pair(alpha, cutoff)
     fidelity = result.extras["zero_absorption_fidelity_with_opposite_pair"]
