@@ -149,7 +149,8 @@ def run_scenario(
             f"cutoff {cutoff} below photon content {scenario.total_photons}"
         )
     start = time.perf_counter()
-    working_cutoff = scenario.total_photons
+    joint_modes = 6 if scenario.kind in BELL_KINDS else 3  # a pair and an environment per rail
+    working_cutoff = fock.budget_cutoff(scenario.total_photons, joint_modes)
     state = build_input(scenario, working_cutoff)
     joint = fock.full_pipeline(state, absorber)  # for the conditional outputs
     result = fock_result(

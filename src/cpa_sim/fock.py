@@ -4,9 +4,12 @@ States are dense complex tensors indexed by per-mode occupation number with a
 common cutoff.  Every map of the pipeline is one two-mode mix, as on the
 Gaussian engine: the balanced (Hadamard) beamsplitter, and the absorber, which
 mixes the absorbed standing mode with a fresh vacuum environment mode that the
-mix itself attaches.  The mix acts per total-photon sector; its sector matrices
-come from a stable recurrence and match the exact integer expansion to ~5e-15
-up to total 246.  Reduced states are held as purifications, rho = A A^H.  The
+mix itself attaches.  The mix acts per total-photon sector, in a layout with the
+two mixed modes leading, where each sector is a strided row slice: its real
+sector matrix multiplies the float view of those rows (one BLAS call, no
+complex cast, no per-sector gather or scatter).  The sector matrices come from
+a stable recurrence and match the exact integer expansion to ~5e-15 up to
+total 246.  Reduced states are held as purifications, rho = A A^H.  The
 environment meets only the absorbed modes, so runs read it from their reduced
 state in the standing basis, through the pure-loss channel's vacuum-partner
 amplitudes (absorber_environment), and never build the light x environment
@@ -47,6 +50,7 @@ from .modes import (
 TRUNCATION_TOL = 1e-10  # norm a constructor/map may lose to the cutoff
 SECTOR_MASS_FLOOR = 1e-26  # total-photon sectors below this weight are dropped
 DEFAULT_CUTOFF = 30
+MEMORY_BUDGET = 1 << 30  # bytes a run may commit to its cutoff: see budget_cutoff
 
 
 class FockError(ValueError):
@@ -222,6 +226,28 @@ def _normalized(amps: np.ndarray, lossy_ok: bool = False, weight: float = 1.0) -
     return amps
 
 
+def budget_bytes(cutoff: float, modes: int) -> float:
+    """16 (cutoff + 1)^modes: the bytes of one dense complex128 state over
+    `modes` modes; inf when a float overflows."""
+    try:
+        return 16.0 * (float(cutoff) + 1.0) ** modes
+    except OverflowError:
+        return math.inf
+
+
+def budget_cutoff(cutoff: float, modes: int) -> int:
+    """`cutoff` rounded up, when a dense state at it fits MEMORY_BUDGET
+    (budget_bytes); CutoffError otherwise, raised before anything is allocated."""
+    need = budget_bytes(cutoff, modes)
+    if not need <= MEMORY_BUDGET:
+        shown = f"{cutoff:.6g}" if isinstance(cutoff, float) else cutoff
+        raise CutoffError(
+            f"cutoff {shown} over {modes} modes needs {need / 2**30:.5g} GiB, "
+            f"above the {MEMORY_BUDGET >> 30} GiB memory budget"
+        )
+    return math.ceil(cutoff)
+
+
 def basis_state(occupations: Mapping[ModeLabel, int], cutoff: int) -> PureState:
     modes = tuple(occupations)
     dim = cutoff + 1
@@ -312,6 +338,11 @@ def squeezed_coherent_state(
     """
     if xi < 0:
         xi, phi = -xi, phi + math.pi
+    if math.tanh(xi) == 1.0:  # xi > 18.7; cosh itself overflows past xi = 710
+        raise CutoffError(
+            f"squeezed state (xi={xi:.3f}) has mean photon number sinh^2 xi > 1e15, "
+            f"beyond cutoff {cutoff}"
+        )
     beta = alpha * math.cosh(xi) - np.conj(alpha) * cmath.exp(1j * phi) * math.sinh(xi)
     amps = displaced_squeezed_amplitudes(beta, xi, phi, cutoff + 1)
     tail = 1.0 - float(np.vdot(amps, amps).real)
@@ -376,6 +407,17 @@ def hadamard_block(total: int) -> np.ndarray:
     return _HADAMARD_BLOCKS[total]
 
 
+def _check_block_budget(total: int, cutoff: int) -> None:
+    """CutoffError when hadamard_block's cache up to `total`, 8 (T+1)^2 bytes a
+    block, would exceed MEMORY_BUDGET; checked before the cache grows."""
+    need = 8 * (total + 1) * (total + 2) * (2 * total + 3) // 6
+    if need > MEMORY_BUDGET:
+        raise CutoffError(
+            f"cutoff {cutoff}: balanced sectors up to total {total} need {need / 2**30:.5g} GiB "
+            f"of cached blocks, above the {MEMORY_BUDGET >> 30} GiB memory budget"
+        )
+
+
 def _top_levels(amps: np.ndarray, ia: int, ib: int) -> list[int]:
     """Highest occupations along axes ia and ib that carry any amplitude."""
     occupied = np.any(amps, axis=tuple(i for i in range(amps.ndim) if i not in (ia, ib)))
@@ -383,6 +425,12 @@ def _top_levels(amps: np.ndarray, ia: int, ib: int) -> list[int]:
         occupied = occupied.T
     levels = (np.flatnonzero(occupied.any(axis=1)), np.flatnonzero(occupied.any(axis=0)))
     return [int(found[-1]) if found.size else 0 for found in levels]
+
+
+def _sector_rows(total: int, lo: int, hi: int, cols: int) -> slice:
+    """Rows of a C-ordered (a, b) plane flattened to (rows * cols, rest) that hold
+    |m, total - m> for m = lo..hi: row m cols + total - m, a stride of cols - 1."""
+    return slice(total + lo * (cols - 1), total + hi * (cols - 1) + 1, max(cols - 1, 1))
 
 
 def _mix(
@@ -395,10 +443,16 @@ def _mix(
     Sector T of total photon number reads the input columns n_a = max(0,
     T - top_b) .. min(T, top_a), top_* being each mode's highest occupied
     level; these stay closed under the recurrence, and a vacuum partner costs
-    one column per sector.  Balanced blocks are cached by hadamard_block,
-    others rebuilt per call.  Sectors above the cutoff keep their
-    representable rows; losing more than TRUNCATION_TOL raises CutoffError
-    (of a larger state, when the state is a `weight` share of it).
+    one column per sector.  The amplitudes are laid out once with a and b as
+    the leading axes (no copy when they already lead, or when b is the attached
+    vacuum and a leads), so every sector is a strided row slice (_sector_rows)
+    of one float view; its real block multiplies that slice straight into the
+    output's slice, and one transpose puts the output back in mode order.  One
+    bincount weighs every sector.  Balanced blocks are cached by hadamard_block,
+    whose growth is checked against MEMORY_BUDGET first, others rebuilt per
+    call.  Sectors above the cutoff keep their representable rows; losing more
+    than TRUNCATION_TOL raises CutoffError (of a larger state, when the state
+    is a `weight` share of it).
     """
     if a == b:
         raise ModeError("a two-mode mix needs two distinct modes")
@@ -406,27 +460,32 @@ def _mix(
     if b not in modes:  # a one-level view: b in vacuum, no copy
         modes, amps = modes + (b,), amps[..., None]
     ia, ib = state.axis(a), modes.index(b)
-    cutoff = state.cutoff
-    out = np.zeros((cutoff + 1,) * len(modes), dtype=complex)
-    # sector views with modes a, b first; `out` itself stays C-ordered
-    arr, out_ab = (np.moveaxis(x, (ia, ib), (0, 1)) for x in (amps, out))
+    cutoff, dim = state.cutoff, state.cutoff + 1
     top_a, top_b = _top_levels(amps, ia, ib)
+    source = np.ascontiguousarray(np.moveaxis(amps, (ia, ib), (0, 1)))
+    cols = source.shape[1]
+    flat = source.reshape(len(source) * cols, -1).view(np.float64)  # re, im per rest entry
+    # every sector's weight; the row-sized temporaries are freed before `image` exists
+    masses = np.bincount(np.add.outer(np.arange(len(source)), np.arange(cols)).ravel(),
+                         weights=np.einsum("ij,ij->i", flat, flat))[:top_a + top_b + 1]
     balanced = c == s == _INV_SQRT2
+    if balanced:  # the cache will hold every block up to the top weighted sector
+        _check_block_budget(int(np.flatnonzero(masses >= SECTOR_MASS_FLOOR)[-1]), cutoff)
+    image = np.zeros((dim, dim) + source.shape[2:], dtype=complex)
+    flat_out = image.reshape(dim * dim, -1).view(np.float64)
     block, first = np.ones((1, 1)), 0  # columns first.. of the current sector
-    for total in range(top_a + top_b + 1):
+    for total, mass in enumerate(masses.tolist()):
         lo_m, hi_m = max(0, total - top_b), min(total, top_a)
         if total and not balanced:
             block, first = _next_block(block, first, c, s, lo_m, hi_m), lo_m
-        ms = np.arange(lo_m, hi_m + 1)
-        sector = arr[ms, total - ms]
-        if float(np.vdot(sector, sector).real) < SECTOR_MASS_FLOOR:
+        if mass < SECTOR_MASS_FLOOR:
             continue
         if balanced:  # only sectors with weight grow the cache
             block = hadamard_block(total)[:, lo_m:hi_m + 1]
         lo, hi = max(0, total - cutoff), min(total, cutoff)
-        ps = np.arange(lo, hi + 1)
-        image = block[lo:hi + 1] @ sector.reshape(len(ms), -1)
-        out_ab[ps, total - ps] = image.reshape((len(ps),) + sector.shape[1:])
+        np.matmul(block[lo:hi + 1], flat[_sector_rows(total, lo_m, hi_m, cols)],
+                  out=flat_out[_sector_rows(total, lo, hi, dim)])
+    out = image if (ia, ib) == (0, 1) else np.moveaxis(image, (0, 1), (ia, ib)).copy()
     return PureState(modes, cutoff, _normalized(out, weight=weight))
 
 

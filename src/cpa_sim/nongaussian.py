@@ -34,14 +34,17 @@ class CatSpec:
 
 
 def cat_cutoff(alpha: complex) -> int:
-    """Cutoff keeping the sqrt(2)-amplified standing branch representable."""
+    """Cutoff keeping the sqrt(2)-amplified standing branch representable,
+    within the two-mode memory budget (fock.budget_cutoff)."""
     mag = abs(alpha)
-    return math.ceil(2.0 * mag * mag + 8.0 * math.sqrt(2.0) * mag)
+    return fock.budget_cutoff(2.0 * mag * mag + 8.0 * math.sqrt(2.0) * mag, 2)
 
 
 def poisson_tail_cutoff(mean_photons: float) -> int:
-    """Occupation above which a Poissonian tail is numerically negligible."""
-    return math.ceil(mean_photons + 8.0 * math.sqrt(2.0 * max(mean_photons, 1.0)) + 2.0)
+    """Occupation above which a Poissonian tail is numerically negligible, within
+    the two-mode memory budget (fock.budget_cutoff)."""
+    spread = 8.0 * math.sqrt(2.0 * max(mean_photons, 1.0))
+    return fock.budget_cutoff(mean_photons + spread + 2.0, 2)
 
 
 def squeezed_vacuum_cutoff(xi: float, tail: float = 1e-12) -> int:
@@ -49,6 +52,8 @@ def squeezed_vacuum_cutoff(xi: float, tail: float = 1e-12) -> int:
     ratio = math.tanh(abs(xi)) ** 2
     if ratio == 0.0:
         return 2
+    if ratio == 1.0:  # tanh saturates past |xi| ~ 19: the loop below would reach its cap
+        return 2 * (500 + 1)
     term = 1.0 / math.cosh(xi)  # weight of the vacuum component
     m = 0
     while term * ratio / (1.0 - ratio) > tail and m < 500:
@@ -95,6 +100,7 @@ def run_cat_cat(
         cutoff = needed + 2
     elif cutoff < needed:
         raise CutoffError(f"cutoff {cutoff} below required {needed} for |alpha|={abs(alpha)}")
+    cutoff = fock.budget_cutoff(cutoff, 2)
     cat_k = build_cat(CatSpec(alpha, cutoff), K)
     cat_mk = build_cat(CatSpec(alpha, cutoff), MINUS_K)
     input_state = fock.tensor(cat_k, cat_mk)
@@ -142,22 +148,22 @@ def run_asymmetric(
     coherent-squeezed case).
     """
     start = time.perf_counter()
+    intensity = abs(alpha) * abs(alpha)  # inf, not OverflowError, past 1e154
     if kind is AsymmetricKind.COHERENT_SQUEEZED:
         xi = float(np.real(partner_parameter))
-        needed = poisson_tail_cutoff(abs(alpha) ** 2) + squeezed_vacuum_cutoff(xi)
-        if cutoff is None:
-            cutoff = needed
-        elif cutoff < needed:
-            raise CutoffError(f"cutoff {cutoff} below required {needed}")
+        needed = poisson_tail_cutoff(intensity) + squeezed_vacuum_cutoff(xi)
+    else:
+        cat_alpha = complex(partner_parameter)
+        needed = poisson_tail_cutoff(intensity + abs(cat_alpha) * abs(cat_alpha)) + 2
+    if cutoff is None:
+        cutoff = needed
+    elif cutoff < needed:
+        raise CutoffError(f"cutoff {cutoff} below required {needed}")
+    cutoff = fock.budget_cutoff(cutoff, 2)
+    if kind is AsymmetricKind.COHERENT_SQUEEZED:
         partner = fock.squeezed_coherent_state(0.0, xi, 0.0, cutoff, MINUS_K)
         scenario = {"kind": kind.value, "alpha": alpha, "xi": xi}
     else:
-        cat_alpha = complex(partner_parameter)
-        needed = poisson_tail_cutoff(abs(alpha) ** 2 + abs(cat_alpha) ** 2) + 2
-        if cutoff is None:
-            cutoff = needed
-        elif cutoff < needed:
-            raise CutoffError(f"cutoff {cutoff} below required {needed}")
         partner = build_cat(CatSpec(cat_alpha, cutoff), MINUS_K)
         scenario = {"kind": kind.value, "alpha": alpha, "cat_alpha": cat_alpha}
     input_state = fock.tensor(fock.coherent_state(alpha, cutoff, K), partner)

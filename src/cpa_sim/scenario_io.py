@@ -85,18 +85,16 @@ def parse_complex(value: Any, path: str) -> complex:
     if isinstance(value, (int, float)):
         return complex(_finite(value, path))
     if isinstance(value, list):
-        if len(value) != 2 or not all(isinstance(v, (int, float)) for v in value):
+        numeric = (isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
+        if len(value) != 2 or not all(numeric):
             raise ScenarioFileError(path, "expected [re, im]")
         return complex(_finite(value[0], path), _finite(value[1], path))
     if isinstance(value, dict):
         extra = set(value) - {"mag", "phase"}
         if extra:
             raise ScenarioFileError(path, f"unknown keys {sorted(extra)}")
-        mag = value.get("mag", 0.0)
-        if not isinstance(mag, (int, float)):
-            raise ScenarioFileError(f"{path}.mag", "expected a number")
-        phase = parse_angle(value.get("phase", 0.0), f"{path}.phase")
-        return _finite(mag, f"{path}.mag") * cmath.exp(1j * phase)
+        mag = _require_number(value, "mag", path, default=0.0)
+        return mag * cmath.exp(1j * parse_angle(value.get("phase", 0.0), f"{path}.phase"))
     raise ScenarioFileError(path, f"bad complex amplitude {value!r}")
 
 
@@ -316,6 +314,7 @@ def run_scenario_file(spec: ScenarioFile) -> ScenarioResult:
             spec.absorber,
             spec.cutoff,
         )
+    cutoff = fock.budget_cutoff(cutoff, 2)  # the bridged kinds below
     if kind == "SQUEEZED_PAIR":
         check_keys({"k", "minus_k"})
         spec_k = _squeezed_spec(scenario.get("k"), f"{path}.k")

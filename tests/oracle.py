@@ -154,6 +154,45 @@ def exact_hadamard_block(total: int):
     return block
 
 
+def sector_loop_mix(state, a, b, c: float, s: float, weight: float = 1.0):
+    """fock._mix as one loop over total-photon sectors: per sector a fancy-index
+    gather of its columns, a vdot for the mass floor, a complex matmul with the
+    real block and a fancy-index scatter.  The same blocks, windows, floor and
+    row clipping as the engine, without its strided layout."""
+    import numpy as np
+
+    from cpa_sim import fock
+    from cpa_sim.modes import ModeError
+
+    if a == b:
+        raise ModeError("a two-mode mix needs two distinct modes")
+    modes, amps = state.modes, state.amplitudes
+    if b not in modes:
+        modes, amps = modes + (b,), amps[..., None]
+    ia, ib = state.axis(a), modes.index(b)
+    cutoff = state.cutoff
+    out = np.zeros((cutoff + 1,) * len(modes), dtype=complex)
+    arr, out_ab = (np.moveaxis(x, (ia, ib), (0, 1)) for x in (amps, out))
+    top_a, top_b = fock._top_levels(amps, ia, ib)
+    balanced = c == s == fock._INV_SQRT2
+    block, first = np.ones((1, 1)), 0
+    for total in range(top_a + top_b + 1):
+        lo_m, hi_m = max(0, total - top_b), min(total, top_a)
+        if total and not balanced:
+            block, first = fock._next_block(block, first, c, s, lo_m, hi_m), lo_m
+        ms = np.arange(lo_m, hi_m + 1)
+        sector = arr[ms, total - ms]
+        if float(np.vdot(sector, sector).real) < fock.SECTOR_MASS_FLOOR:
+            continue
+        if balanced:
+            block = fock.hadamard_block(total)[:, lo_m:hi_m + 1]
+        lo, hi = max(0, total - cutoff), min(total, cutoff)
+        ps = np.arange(lo, hi + 1)
+        image = block[lo:hi + 1] @ sector.reshape(len(ms), -1)
+        out_ab[ps, total - ps] = image.reshape((len(ps),) + sector.shape[1:])
+    return fock.PureState(modes, cutoff, fock._normalized(out, weight=weight))
+
+
 def dense_reduced(amplitudes, modes, keep, absorbed=None):
     """Reduced rho over `keep` (taken in `modes` order) as an explicit dense
     mat @ mat^H, with mat the amplitudes reshaped to (kept x rest).

@@ -348,3 +348,56 @@ def test_complex_literals():
     ):
         with pytest.raises(scenario_io.ScenarioFileError, match=f"{path}: expected a finite"):
             scenario_io.parse_complex(hostile, "x")
+
+
+@pytest.mark.parametrize(
+    "alpha, field",
+    [([True, False], "scenario.alpha"), ([1.0, True], "scenario.alpha"),
+     ({"mag": True}, "scenario.alpha.mag"), ({"mag": False, "phase": 0.0}, "scenario.alpha.mag")],
+)
+def test_run_rejects_booleans_in_complex_amplitudes(tmp_path, capsys, alpha, field):
+    payload = {"schema": 1, "engine": "FOCK", "scenario": {"kind": "CAT_CAT", "alpha": alpha}}
+    code, out, err = run_cli(capsys, "run", write_json(tmp_path, "bool.json", payload))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {field}: expected ")
+
+
+# Each input asks for TiB of amplitudes, or overflows a float, without the
+# memory budget, so a missing check fails at once instead of allocating.
+@pytest.mark.parametrize(
+    "scenario, numerics, cutoff",
+    [
+        ({"kind": "CAT_CAT", "alpha": 1e308}, {}, "inf"),
+        ({"kind": "CAT_CAT", "alpha": 1e6}, {}, "2.00001e+12"),
+        ({"kind": "CAT_CAT", "alpha": 1.0}, {"cutoff": 10**12}, "1000000000000"),
+        ({"kind": "COHERENT_SQUEEZED", "alpha": 1e5, "xi": 0.5}, {}, "1.00011e+10"),
+        ({"kind": "COHERENT_CAT", "alpha": 1e308}, {}, "inf"),
+        ({"kind": "NOON", "n": 10**6}, {"cutoff": 10**6}, "1000000"),
+        ({"kind": "EPR", "xi": 0.3}, {"cutoff": 10**12}, "1000000000000"),
+    ],
+)
+def test_run_over_the_memory_budget_exits_2(tmp_path, capsys, scenario, numerics, cutoff):
+    payload = {"schema": 1, "engine": "FOCK", "scenario": scenario, "numerics": numerics}
+    code, out, err = run_cli(capsys, "run", write_json(tmp_path, "huge.json", payload))
+    assert code == 2
+    assert out == ""
+    assert f"numerical failure: cutoff {cutoff} over " in err
+    assert "GiB memory budget" in err
+
+
+@pytest.mark.parametrize(
+    "scenario, cutoff",
+    [
+        ({"kind": "COHERENT_SQUEEZED", "alpha": 1.0, "xi": 1e3}, 1017),
+        ({"kind": "EPR", "xi": 1e3}, 30),
+        ({"kind": "SQUEEZED_PAIR", "k": {"xi": 1e3}, "minus_k": {"xi": 0.0}}, 30),
+    ],
+)
+def test_run_squeezing_past_any_cutoff_exits_2(tmp_path, capsys, scenario, cutoff):
+    """cosh overflows past xi = 710; such squeezing fails before any state is built."""
+    payload = {"schema": 1, "engine": "FOCK", "scenario": scenario}
+    code, out, err = run_cli(capsys, "run", write_json(tmp_path, "xi.json", payload))
+    assert code == 2
+    assert out == ""
+    assert f"mean photon number sinh^2 xi > 1e15, beyond cutoff {cutoff}" in err

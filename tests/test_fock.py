@@ -151,6 +151,41 @@ def test_bs_conserves_photon_number(seed):
         assert after.get(n, 0.0) == pytest.approx(before.get(n, 0.0), abs=1e-12)
 
 
+def test_memory_budget_estimate():
+    """budget_bytes is one dense complex128 state; the budget stands far above
+    every benchmark and test input and admits its largest cutoff exactly."""
+    assert fock.budget_bytes(3, 2) == 16 * 4**2
+    assert fock.budget_bytes(1e308, 2) == math.inf
+    assert fock.budget_bytes(10**400, 3) == math.inf
+    assert fock.budget_bytes(123, 2) < fock.MEMORY_BUDGET / 1000  # COHERENT_SQUEEZED files
+    assert fock.budget_bytes(28, 3) < fock.MEMORY_BUDGET / 1000  # NOON n = 28
+    for modes, largest in ((2, 8191), (3, 405), (6, 19)):
+        assert fock.budget_cutoff(largest, modes) == largest
+        assert fock.budget_cutoff(largest - 0.5, modes) == largest
+        with pytest.raises(CutoffError, match=f"cutoff {largest + 1} over {modes} modes"):
+            fock.budget_cutoff(largest + 1, modes)
+    for hostile in (math.inf, math.nan, 10**400):
+        with pytest.raises(CutoffError, match="memory budget"):
+            fock.budget_cutoff(hostile, 2)
+
+
+def test_block_cache_budget_is_checked_before_the_cache_grows():
+    """The balanced blocks up to total T take 8 sum (t+1)^2 bytes; the largest
+    total within the budget passes, the next fails without growing the cache,
+    and blocks up to total 246, the most a cutoff-123 run can weigh, use 4% of it."""
+    def size(total):
+        return 8 * sum((t + 1) ** 2 for t in range(total + 1))
+
+    largest = 736
+    assert size(largest) <= fock.MEMORY_BUDGET < size(largest + 1)
+    assert size(246) < fock.MEMORY_BUDGET / 25
+    fock._check_block_budget(largest, 400)
+    cached = len(fock._HADAMARD_BLOCKS)
+    with pytest.raises(CutoffError, match=r"cutoff 400: balanced sectors up to total 737 "):
+        fock._check_block_budget(largest + 1, 400)
+    assert len(fock._HADAMARD_BLOCKS) == cached
+
+
 def test_hadamard_blocks_are_unitary():
     for total in (1, 2, 5, 17, 40):
         block = fock.hadamard_block(total)
@@ -200,6 +235,81 @@ def test_mix_twice_is_identity(seed, theta):
     c, s = math.cos(theta), math.sin(theta)
     twice = fock._mix(fock._mix(state, K, MINUS_K, c, s), K, MINUS_K, c, s)
     assert np.max(np.abs(twice.amplitudes - state.amplitudes)) < 1e-12
+
+
+def _mix_or_error(mix, *args, **kwargs):
+    try:
+        return mix(*args, **kwargs)
+    except CutoffError as exc:
+        return str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rails=st.integers(1, 2),
+    theta=st.sampled_from([math.pi / 4, 0.0, math.pi / 2]) | angles,
+    attach=st.booleans(),
+    overflow=st.sampled_from([0.0, 1e-7, 1e-4]),
+    weight=st.sampled_from([1.0, 0.3]),
+)
+@example(seed=1, rails=1, theta=math.pi / 4, attach=False, overflow=1e-7, weight=1.0)
+@example(seed=2, rails=2, theta=0.4, attach=True, overflow=0.0, weight=0.3)
+def test_mix_matches_the_sector_loop(seed, rails, theta, attach, overflow, weight):
+    """_mix agrees with the per-sector loop in tests/oracle.py within 1e-14 on one
+    or two rails, balanced or not, with a vacuum partner attached or present,
+    on states whose top sectors lose rows above the cutoff (weight `overflow`
+    there), and for a conditional share `weight`; both raise the same
+    CutoffError when the loss is too large."""
+    rng = np.random.default_rng(seed)
+    state = fock.standing_basis(random_rail_state(seed, rails))
+    rail = sorted({m.rail for m in state.modes})[-1]
+    a = C.with_rail(rail) if seed % 2 else S.with_rail(rail)
+    b = ENV_C.with_rail(rail) if attach else (S if a.kind is C.kind else C).with_rail(rail)
+    if overflow and not attach:  # fill the (a, b) sectors above the cutoff
+        amps = np.array(state.amplitudes)
+        levels = np.indices(amps.shape)
+        high = levels[state.axis(a)] + levels[state.axis(b)] > state.cutoff
+        noise = rng.normal(size=amps.shape) + 1j * rng.normal(size=amps.shape)
+        amps[high] = overflow * noise[high]
+        state = fock.PureState(state.modes, state.cutoff, amps / np.linalg.norm(amps))
+    c, s = math.cos(theta), math.sin(theta)
+    if theta == math.pi / 4:
+        c = s = INV  # the cached balanced blocks
+    mixed = _mix_or_error(fock._mix, state, a, b, c, s, weight=weight)
+    expected = _mix_or_error(oracle.sector_loop_mix, state, a, b, c, s, weight=weight)
+    if isinstance(expected, str):
+        assert mixed == expected
+        return
+    assert mixed.modes == expected.modes
+    assert np.max(np.abs(mixed.amplitudes - expected.amplitudes)) <= 1e-14
+
+
+def test_sector_rows_visit_the_plane_once_in_total_order():
+    """Concatenated over totals, the sector rows of every rows x cols plane are a
+    permutation of its flat indices whose totals never decrease."""
+    for rows, cols in [(1, 1), (1, 5), (5, 1), (3, 3), (4, 7), (7, 4), (9, 9)]:
+        order = []
+        for total in range(rows + cols - 1):
+            lo, hi = max(0, total - cols + 1), min(total, rows - 1)
+            order.extend(range(rows * cols)[fock._sector_rows(total, lo, hi, cols)])
+        assert sorted(order) == list(range(rows * cols)), (rows, cols)
+        a, b = np.divmod(np.array(order), cols)
+        assert np.all(np.diff(a + b) >= 0) and np.all(np.diff(a)[np.diff(a + b) == 0] > 0)
+
+
+def test_mix_drops_sectors_below_the_mass_floor():
+    """A sector whose weight is below SECTOR_MASS_FLOOR is dropped, so its image
+    is exactly zero, while a sector just above the floor is mixed."""
+    amps = np.zeros((8, 8), dtype=complex)
+    amps[1, 0] = 1.0
+    amps[3, 3] = 0.5e-13  # total 6: mass 2.5e-27
+    amps[7, 0] = 2e-13  # total 7: mass 4e-26
+    state = fock.PureState((K, MINUS_K), 7, amps / np.linalg.norm(amps))
+    out = fock.bs_transform(state, K, MINUS_K)
+    totals = np.add.outer(np.arange(8), np.arange(8))
+    assert np.all(out.amplitudes[totals == 6] == 0.0)
+    assert np.count_nonzero(out.amplitudes[totals == 7]) == 8
 
 
 @pytest.mark.parametrize("n", [0, 1, 4, 13, 40, 246])
