@@ -12,12 +12,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
-from . import scenario_io, sweeps, table1
+from . import results, scenario_io, sweeps, table1
 from .fock import FockError
-from .results import clean
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -55,7 +53,7 @@ def _build_parser() -> _Parser:
 
 
 def _emit_json(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2)
+    text = results.clean(payload)  # FockError before anything is written
     if out is None:
         print(text)
     else:
@@ -66,7 +64,7 @@ def _emit_json(payload: dict, out: str | None) -> None:
 def _cmd_table1(args: argparse.Namespace) -> int:
     rows = table1.run_table1(cutoff=args.cutoff)
     if args.json:
-        print(json.dumps(clean(table1.rows_to_dict(rows)), indent=2))
+        _emit_json(table1.rows_to_dict(rows), None)
     else:
         print(table1.format_report(rows))
     return EXIT_OK if all(r.passed for r in rows) else EXIT_REGRESSION

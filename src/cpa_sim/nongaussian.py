@@ -48,15 +48,18 @@ def poisson_tail_cutoff(mean_photons: float) -> int:
 
 
 def squeezed_vacuum_cutoff(xi: float, tail: float = 1e-12) -> int:
-    """Even occupation beyond which a squeezed vacuum carries < tail weight."""
+    """Even occupation beyond which a squeezed vacuum carries < tail weight, or the
+    first even cutoff past the two-mode memory budget (fock.budget_cutoff)."""
     ratio = math.tanh(abs(xi)) ** 2
     if ratio == 0.0:
         return 2
-    if ratio == 1.0:  # tanh saturates past |xi| ~ 19: the loop below would reach its cap
-        return 2 * (500 + 1)
+    if ratio == 1.0:  # |xi| past ~19: the squeezer rejects sinh^2 xi > 1e15 at any cutoff
+        return 1002
     term = 1.0 / math.cosh(xi)  # weight of the vacuum component
     m = 0
-    while term * ratio / (1.0 - ratio) > tail and m < 500:
+    while term * ratio / (1.0 - ratio) > tail and (
+        fock.budget_bytes(2 * (m + 1), 2) <= fock.MEMORY_BUDGET
+    ):
         m += 1
         term *= ratio * (2 * m - 1) / (2 * m)
     return 2 * (m + 1)

@@ -1,14 +1,23 @@
-"""Result container shared by scenario runners and the CLI.
+"""Result container shared by scenario runners and the CLI, and its JSON writer.
 
 Coefficients that are mathematically undefined (vanishing denominators) are
 held as None and serialize as the literal string "undefined".  Floats are
 rounded to 12 significant digits on serialization so identical inputs give
 byte-identical output.
+
+`clean` writes that JSON in one pass, laid out as json.dumps(indent=2) would.
+A float's token is repr(round_sig(v)).  At most 12 significant digits
+round-trip through a normal double, so where f"{v:.12g}" has a fraction and no
+exponent, or a two-digit negative exponent, it already is that token; any other
+text (integral, e+12 and up, subnormal, signed zero) is re-read and printed by
+repr.  NaN and infinities have no JSON token: FockError names their path.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _string
 from typing import Any
 
 import numpy as np
@@ -22,23 +31,70 @@ def round_sig(value: float) -> float:
     return float(f"{value:.12g}")
 
 
-def clean(obj: Any) -> Any:
-    """Recursively round floats and map None to the 'undefined' token."""
+def _number(value: float) -> str:
+    """JSON token of round_sig(value); FockError when it is not finite."""
+    text = f"{value:.12g}"
+    if text[-4:-2] == "e-" or ("e" not in text and "." in text):
+        return text
+    if not math.isfinite(value):
+        raise fock.FockError("non-finite value")
+    return repr(float(text))
+
+
+def _text(obj: Any, newline: str) -> str:
+    """JSON text of `obj`; `newline` begins each of its continuation lines."""
     if obj is None:
-        return "undefined"
+        return '"undefined"'
     if isinstance(obj, np.generic):
         obj = obj.item()
     if isinstance(obj, bool):
-        return obj
+        return "true" if obj else "false"
     if isinstance(obj, float):
-        return round_sig(obj)
+        return _number(obj)
+    if isinstance(obj, str):
+        return _string(obj)
+    if isinstance(obj, int):
+        return int.__repr__(obj)
     if isinstance(obj, complex):
-        return [round_sig(obj.real), round_sig(obj.imag)]
+        obj = [obj.real, obj.imag]
+    inner = newline + "  "  # floats, most of the leaves, are tokenized in place
     if isinstance(obj, dict):
-        return {str(k): clean(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [clean(v) for v in obj]
-    return obj
+        ends, items = "{}", [
+            f"{_string(str(key))}: {_number(v) if type(v) is float else _text(v, inner)}"
+            for key, v in obj.items()
+        ]
+    elif isinstance(obj, (list, tuple)):
+        ends, items = "[]", [_number(v) if type(v) is float else _text(v, inner) for v in obj]
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    return f"{ends[0]}{inner}{(',' + inner).join(items)}{newline}{ends[1]}" if items else ends
+
+
+def _nonfinite_path(obj: Any, path: str = "$") -> str | None:
+    """Path ($.a.b[2]) of the first NaN or infinity in `obj`; None if there is none."""
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, float):
+        return None if math.isfinite(obj) else path
+    if isinstance(obj, complex):
+        obj = [obj.real, obj.imag]
+    if isinstance(obj, dict):
+        pairs = [(f"{path}.{key}", value) for key, value in obj.items()]
+    elif isinstance(obj, (list, tuple)):
+        pairs = [(f"{path}[{i}]", value) for i, value in enumerate(obj)]
+    else:
+        return None
+    return next(filter(None, (_nonfinite_path(value, key) for key, value in pairs)), None)
+
+
+def clean(obj: Any) -> str:
+    """JSON text of `obj` (json.dumps(indent=2) layout) with floats rounded to 12
+    significant digits, None written as "undefined" and dict keys as str(key)."""
+    try:
+        return _text(obj, "\n")
+    except fock.FockError:
+        path = _nonfinite_path(obj).removeprefix("$.")
+        raise fock.FockError(f"non-finite value at {path}") from None
 
 
 @dataclass
@@ -58,28 +114,22 @@ class ScenarioResult:
     diagnostics: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        out: dict[str, Any] = {
-            "engine": self.engine,
-            "scenario": clean(self.scenario),
-            "absorber": clean(self.absorber),
-            "numerics": clean(self.numerics),
-        }
-        if self.absorbed_distribution is not None:
-            out["absorbed_distribution"] = {
-                str(m): round_sig(p) for m, p in sorted(self.absorbed_distribution.items())
-            }
-        out["mean_intensity_absorption"] = clean(self.mean_intensity_absorption)
-        out["coherence_absorption"] = clean(self.coherence_absorption)
+        """The unrounded payload that `clean` writes as `cpa run` JSON."""
+        out: dict[str, Any] = {"engine": self.engine, "scenario": self.scenario,
+                               "absorber": self.absorber, "numerics": self.numerics}
+        dist = self.absorbed_distribution
+        if dist is not None:
+            out["absorbed_distribution"] = {str(m): p for m, p in sorted(dist.items())}
+        out["mean_intensity_absorption"] = self.mean_intensity_absorption
+        out["coherence_absorption"] = self.coherence_absorption
         if self.conditional_outputs:
-            out["conditional_outputs"] = clean(self.conditional_outputs)
-        out["separability"] = clean(self.separability)
+            out["conditional_outputs"] = self.conditional_outputs
+        out["separability"] = self.separability
         if self.extras:
-            out["extras"] = clean(self.extras)
+            out["extras"] = self.extras
         # wall clock stays available in memory but would break byte-identical
         # output of identical runs, so it is not serialized
-        out["diagnostics"] = clean(
-            {k: v for k, v in self.diagnostics.items() if k != "wall_clock_s"}
-        )
+        out["diagnostics"] = {k: v for k, v in self.diagnostics.items() if k != "wall_clock_s"}
         return out
 
 

@@ -299,9 +299,9 @@ def rows_to_dict(rows: list[RowResult]) -> dict:
                     {
                         "label": c.label,
                         "mode": c.mode,
-                        "expected": round_sig(c.expected),
-                        "computed": round_sig(c.computed),
-                        "tolerance": round_sig(c.tolerance),
+                        "expected": c.expected,
+                        "computed": c.computed,
+                        "tolerance": c.tolerance,
                         "passed": c.passed,
                     }
                     for c in row.checks

@@ -296,3 +296,33 @@ def padded_squeezed_coherent(alpha: complex, xi: float, phi: float, work_dim: in
     generator = 0.5j * (zeta.conjugate() * (lower @ lower) - zeta * (lower.T @ lower.T))
     lam, vec = np.linalg.eigh(generator)
     return vec @ (np.exp(-1j * lam) * (vec.conj().T @ coherent))
+
+
+def _rounded(obj):
+    """The payload json.dumps is given: floats at 12 significant digits, None as
+    "undefined", numpy scalars as Python ones, dict keys as str(key)."""
+    import numpy as np
+
+    if obj is None:
+        return "undefined"
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, bool):
+        return obj
+    if isinstance(obj, float):
+        return float(f"{obj:.12g}")
+    if isinstance(obj, complex):
+        return [float(f"{obj.real:.12g}"), float(f"{obj.imag:.12g}")]
+    if isinstance(obj, dict):
+        return {str(k): _rounded(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_rounded(v) for v in obj]
+    return obj
+
+
+def json_reference(payload) -> str:
+    """The text `results.clean` must write: the payload rounded, then laid out
+    by json.dumps(indent=2) (the pure-Python encoder)."""
+    import json
+
+    return json.dumps(_rounded(payload), indent=2)

@@ -401,3 +401,14 @@ def test_run_squeezing_past_any_cutoff_exits_2(tmp_path, capsys, scenario, cutof
     assert code == 2
     assert out == ""
     assert f"mean photon number sinh^2 xi > 1e15, beyond cutoff {cutoff}" in err
+
+
+def test_run_names_the_cutoff_strong_squeezing_needs(tmp_path, capsys):
+    """At xi = 2.5 the squeezed vacuum needs cutoff 1890 (1905 with the coherent
+    tail); the run exits 2 naming it, at the hadamard_block cache check."""
+    payload = {"schema": 1, "engine": "FOCK",
+               "scenario": {"kind": "COHERENT_SQUEEZED", "alpha": 1.0, "xi": 2.5}}
+    code, out, err = run_cli(capsys, "run", write_json(tmp_path, "xi.json", payload))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("numerical failure: cutoff 1905: balanced sectors up to total ")

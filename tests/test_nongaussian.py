@@ -185,3 +185,37 @@ def test_vacuum_asymmetric_run_is_trivial():
 def test_asymmetric_rejects_small_cutoff():
     with pytest.raises(CutoffError):
         ng.run_asymmetric(ng.AsymmetricKind.COHERENT_CAT, 1.5, 1.5, CANONICAL, cutoff=5)
+
+
+def _squeezed_vacuum_tail(xi: float, cutoff: int) -> float:
+    """Weight of a squeezed vacuum above `cutoff`: P(2k) = (2k)! tanh^2k xi /
+    (4^k k!^2 cosh xi), summed in log form until the terms vanish."""
+    log_t, log_c = math.log(math.tanh(abs(xi))), math.log(math.cosh(xi))
+    total, k = 0.0, cutoff // 2 + 1
+    while True:
+        term = math.exp(math.lgamma(2 * k + 1) - 2 * math.lgamma(k + 1)
+                        + 2 * k * (log_t - math.log(2.0)) - log_c)
+        total += term
+        if term < 1e-30 * max(total, 1e-300):
+            return total
+        k += 1
+
+
+@pytest.mark.parametrize(
+    "xi, cutoff",
+    [(1.0, 94), (1.7, 382), (2.0, 696), (2.1, 850), (-2.0, 696), (2.2, 1038), (2.5, 1890)],
+)
+def test_squeezed_vacuum_cutoff_holds_the_tail(xi, cutoff):
+    """The first even cutoff whose tail bound meets 1e-12; past xi ~ 2.2 this is
+    above the 1002 at which the search used to stop."""
+    assert ng.squeezed_vacuum_cutoff(xi) == cutoff
+    assert _squeezed_vacuum_tail(xi, cutoff - 2) <= 1e-12 < _squeezed_vacuum_tail(xi, cutoff - 8)
+
+
+def test_squeezed_vacuum_cutoff_stops_past_the_memory_budget():
+    """The search ends at the first even cutoff over budget; nothing is allocated."""
+    assert ng.squeezed_vacuum_cutoff(3.0) == 5134
+    for xi in (4.0, 10.0, -10.0):
+        assert ng.squeezed_vacuum_cutoff(xi) == 8192
+    with pytest.raises(CutoffError, match="cutoff 8192 over 2 modes"):
+        fock.budget_cutoff(ng.squeezed_vacuum_cutoff(4.0), 2)

@@ -1,0 +1,40 @@
+"""scripts/output_contract.py: records of the same code compare equal, and a
+changed or missing line is reported."""
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+
+from test_golden import GOLDEN_DIR
+
+SCRIPT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "scripts",
+                      "output_contract.py")
+_spec = importlib.util.spec_from_file_location("output_contract", SCRIPT)
+contract = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(contract)
+
+
+def _compare(tmp_path, a, b) -> tuple[int, str]:
+    paths = []
+    for name, lines in (("a.jsonl", a), ("b.jsonl", b)):
+        paths.append(tmp_path / name)
+        paths[-1].write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+    done = subprocess.run([sys.executable, SCRIPT, "--compare", *map(str, paths)],
+                          capture_output=True, text=True, check=False)
+    return done.returncode, done.stdout
+
+
+def test_two_records_compare_equal_and_a_doctored_line_is_reported(tmp_path):
+    argvs = contract.commands([GOLDEN_DIR], grid=3)
+    assert len(argvs) == 16 + 2 + 4
+    assert all(not argv[-1].endswith(".out.json") for argv in argvs)
+    first, second = contract.record(argvs), contract.record(argvs)
+    assert all(line["exit"] == 0 and line["stderr"] == "" for line in first)
+    assert {len(line) for line in first} == {4, 5}  # presets add the CSV hash
+    assert _compare(tmp_path, first, second) == (0, "")
+
+    doctored = [dict(line) for line in second]
+    doctored[3]["stdout_sha256"] = "0" * 64
+    assert _compare(tmp_path, first, doctored) == (1, " ".join(argvs[3]) + "\n")
+    assert contract.differing(first, second[:-1]) == [argvs[-1]]
