@@ -1,13 +1,19 @@
 #!/usr/bin/env python3
 """Record the output contract of `cpa` in-process, or compare two records.
 
-    PYTHONPATH=src python scripts/output_contract.py [--grid N] [--out FILE] PATH...
+    PYTHONPATH=src python scripts/output_contract.py [--grid N] [--out FILE]
+        [--workload NAME]... [--seed N]... PATH...
     python scripts/output_contract.py --compare A B
 
 The first form calls `cpa_sim.cli.main` on `run FILE` for every scenario file
 given, then on `table1`, `table1 --json` and the four sweep presets at
 `--grid` (default 101).  A directory stands for its `*.json` files, sorted,
-other than expected outputs named `*.out.json`.  It writes one JSON line per
+other than expected outputs named `*.out.json`.  Each `--workload` (fock_large
+or scenario_mix) at each `--seed` (default 1) adds the `run` files the
+benchmark generates for it, in op order: `cpabench/workloads.py` writes them to
+a temporary directory, which the record names `<NAME-seedN>`, so no benchmark
+run is needed first and two records of the same inputs compare equal.  It
+writes one JSON line per
 command: argv, exit code, the sha256 of stdout (and of the CSV a preset
 writes) and stderr.  Whichever `cpa_sim` is importable is
 recorded, so pointing PYTHONPATH at another checkout's `src` records that one.
@@ -15,31 +21,55 @@ recorded, so pointing PYTHONPATH at another checkout's `src` records that one.
 `--compare A B` prints the argv of every command whose lines differ, or that
 only one record has, and exits 1 when there is any.
 
-Good inputs are `tests/golden` and the files the benchmark generates: `cpabench`
-writes a workload's inputs under `.cpabench_work/<workload>-seed<N>/inputs/`.
+Good inputs are `tests/golden` and the benchmark's workloads, e.g.
+`--workload fock_large --workload scenario_mix --seed 1 tests/golden`.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import pathlib
+import re
 import sys
 import tempfile
 
 CSV = "<csv>"  # stands for the preset's output path, which differs per run
+WORKLOAD = re.compile(r"<(\w+)-seed(\d+)>/")  # stands for a workload's input directory
+WORKLOADS = ("fock_large", "scenario_mix")  # gauss_sweep runs only the presets
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-def commands(paths: list[str], grid: int) -> list[list[str]]:
-    """argv of every command in the contract; CSV marks a preset's --out."""
+def _generate(workload: str, seed: int, work: str) -> list[str]:
+    """Write the benchmark's input files of `workload` at `seed` under `work`;
+    the files its `run` ops read, in op order."""
+    workloads = sys.modules.get("cpabench_workloads")
+    if workloads is None:  # registered first: its dataclasses look their module up
+        spec = importlib.util.spec_from_file_location(
+            "cpabench_workloads", ROOT / "cpabench" / "workloads.py")
+        workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+    cycles = workloads.generate(workload, seed, work)
+    return [op.argv[1] for cycle in cycles for op in cycle if op.argv[0] == "run"]
+
+
+def commands(paths: list[str], grid: int,
+             workloads: list[tuple[str, int]] = ()) -> list[list[str]]:
+    """argv of every command in the contract; CSV marks a preset's --out and
+    `<NAME-seedN>/` the directory a workload's inputs are written to."""
     files: list[str] = []
     for path in map(pathlib.Path, paths):
         if path.is_dir():
             files += [str(f) for f in sorted(path.glob("*.json")) if not f.name.endswith(".out.json")]
         else:
             files.append(str(path))
+    for workload, seed in workloads:
+        with tempfile.TemporaryDirectory() as tmp:
+            files += [f"<{workload}-seed{seed}>/{pathlib.Path(f).name}"
+                      for f in _generate(workload, seed, tmp)]
     presets = [["sweep", "--preset", p, "--grid", str(grid), "--out", CSV]
                for p in ("fig6", "fig8", "fig9a", "fig9b")]
     return [["run", f] for f in files] + [["table1"], ["table1", "--json"]] + presets
@@ -56,10 +86,23 @@ def record(argvs: list[list[str]]) -> list[dict]:
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
         csv_path = pathlib.Path(tmp, "out.csv")
+        work: dict[str, pathlib.Path] = {}  # a workload's stand-in -> its input directory
+        for stand_in in sorted({m.group(0) for argv in argvs for a in argv
+                                if (m := WORKLOAD.match(a))}):
+            name, seed = WORKLOAD.match(stand_in).groups()
+            work[stand_in] = pathlib.Path(tmp, f"{name}-seed{seed}")
+            _generate(name, int(seed), str(work[stand_in]))
+
+        def resolve(arg: str) -> str:
+            if arg == CSV:
+                return str(csv_path)
+            match = WORKLOAD.match(arg)
+            return str(work[match.group(0)] / "inputs" / arg[match.end():]) if match else arg
+
         for argv in argvs:
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = cli.main([str(csv_path) if a == CSV else a for a in argv])
+                code = cli.main([resolve(a) for a in argv])
             line = {"argv": argv, "exit": code, "stdout_sha256": _sha256(out.getvalue())}
             if CSV in argv:
                 text = csv_path.read_text(encoding="utf-8") if csv_path.exists() else ""
@@ -87,6 +130,10 @@ def main() -> int:
     parser.add_argument("paths", nargs="*", help="scenario files or directories")
     parser.add_argument("--grid", type=int, default=101)
     parser.add_argument("--out", default=None, help="write the record here, not to stdout")
+    parser.add_argument("--workload", action="append", default=[], choices=WORKLOADS,
+                        help="add the run files the benchmark generates for this workload")
+    parser.add_argument("--seed", action="append", type=int, default=[],
+                        help="workload seed (repeatable; default 1)")
     parser.add_argument("--compare", nargs=2, metavar=("A", "B"))
     args = parser.parse_args()
 
@@ -96,7 +143,9 @@ def main() -> int:
             print(" ".join(argv))
         print(f"{len(diff)} command(s) differ", file=sys.stderr)
         return 1 if diff else 0
-    text = "".join(json.dumps(line) + "\n" for line in record(commands(args.paths, args.grid)))
+    workloads = [(name, seed) for name in args.workload for seed in args.seed or [1]]
+    argvs = commands(args.paths, args.grid, workloads)
+    text = "".join(json.dumps(line) + "\n" for line in record(argvs))
     if args.out is None:
         sys.stdout.write(text)
     else:

@@ -143,6 +143,10 @@ def run_scenario(
 
     Photon number is conserved, so the tensors are held at the exact photon
     content of the scenario regardless of the (validated) requested cutoff.
+    The environment numbers come from absorber_environment; the conditional
+    output of every reported count comes from one pass over |joint|^2
+    (fock.conditional_outputs), with each count's probability as reported in
+    the absorbed distribution.
     """
     if cutoff < scenario.total_photons:
         raise CutoffError(
@@ -165,17 +169,15 @@ def run_scenario(
     result.mean_intensity_absorption = mean_intensity_absorption(
         distribution, scenario.total_photons
     )
-    for m, prob in sorted(distribution.items()):
-        if prob <= report_threshold:
-            continue
-        rho = fock.conditional_output(joint, m)
+    counts = [m for m, prob in sorted(distribution.items()) if prob > report_threshold]
+    for output in fock.conditional_outputs(joint, counts):
         result.conditional_outputs.append(
             {
-                "absorbed": m,
-                "probability": prob,
-                "purity": rho.purity(),
+                "absorbed": output.absorbed,
+                "probability": distribution[output.absorbed],
+                "purity": output.purity,
                 "mean_output_photons": {
-                    str(mode): fock.mode_moments(rho, mode)[1] for mode in rho.modes
+                    str(mode): number for mode, number in output.mean_photons.items()
                 },
             }
         )

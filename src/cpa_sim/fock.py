@@ -13,12 +13,14 @@ total 246.  Reduced states are held as purifications, rho = A A^H.  The
 environment meets only the absorbed modes, so runs read it from their reduced
 state in the standing basis, through the pure-loss channel's vacuum-partner
 amplitudes (absorber_environment), and never build the light x environment
-joint; only what is read in the travelling basis is carried there.  States are
-immutable and every map is a pure function.  States bridged from continuous
-families (coherent, squeezed, cat) come from one exact amplitude recurrence,
-truncated at the cutoff; any constructor or map that would push more than
-TRUNCATION_TOL of probability past the cutoff fails loudly instead of silently
-corrupting moments.
+joint; only what is read in the travelling basis is carried there.  DV runs,
+which do carry the joint there, read every conditional output from one pass
+over |joint|^2 (conditional_outputs), not one reduction per count and mode.
+States are immutable and every map is a pure function.  States bridged from
+continuous families (coherent, squeezed, cat) come from one exact amplitude
+recurrence, truncated at the cutoff; any constructor or map that would push
+more than TRUNCATION_TOL of probability past the cutoff fails loudly instead of
+silently corrupting moments.
 """
 from __future__ import annotations
 
@@ -149,9 +151,7 @@ class DensityOperator:
         return self.factor @ self.factor.conj().T
 
     def _gram(self) -> np.ndarray:
-        """The smaller of conj(A A^H) and A^H A; both share rho's nonzero spectrum."""
-        a = self.factor
-        return _column_gram(a.T if a.shape[0] <= a.shape[1] else a)
+        return _smaller_gram(self.factor)
 
     def purity(self) -> float:
         gram = self._gram()
@@ -181,6 +181,11 @@ def _column_gram(a: np.ndarray) -> np.ndarray:
     f = np.ascontiguousarray(a).view(np.float64)  # columns re_0, im_0, re_1, ...
     p = f.T @ f
     return (p[0::2, 0::2] + p[1::2, 1::2]) + 1j * (p[0::2, 1::2] - p[1::2, 0::2])
+
+
+def _smaller_gram(a: np.ndarray) -> np.ndarray:
+    """The smaller of conj(A A^H) and A^H A; both share A A^H's nonzero spectrum."""
+    return _column_gram(a.T if a.shape[0] <= a.shape[1] else a)
 
 
 def _gram_entropy(gram: np.ndarray) -> float:
@@ -544,8 +549,10 @@ def absorber_environment(standing: PureState, absorber: AbsorberSpec) -> Environ
     state is the complementary output of a pure-loss channel (Kraus form: Ivan,
     Sabapathy & Simon, PRA 84, 042311 (2011)) on their reduced state R = Psi Psi^H,
     Psi the (absorbed x rest) amplitudes: per rail, rho[e, e'] <- sum_p w_p[e]
-    w_p[e'] rho[p + e, p + e'], w_p[e] = b[p + e, p] (at tau_c = 0, rho = R).  No
-    photon leaves with probability sum_n |Psi[n, 0]|^2 prod_r b[n_r, 0]^2.  Each
+    w_p[e'] rho[p + e, p + e'], w_p[e] = b[p + e, p].  No photon leaves with
+    probability sum_n |Psi[n, 0]|^2 prod_r b[n_r, 0]^2.  At tau_c = 0, b is the
+    unit first column (loss_amplitudes(0, 1, dim), exactly), so rho = R and that
+    sum is sum_n |Psi[n, 0]|^2: neither b nor the loop over p is formed.  Each
     rail's levels below SECTOR_MASS_FLOOR are empty, as in the channel's mixes.
     """
     tau, dim, rails = absorber.tau_c, standing.dim, basis_rails(standing.modes, STANDING_KINDS)
@@ -558,19 +565,22 @@ def absorber_environment(standing: PureState, absorber: AbsorberSpec) -> Environ
     for r in range(count):
         level = mass.sum(axis=tuple(i for i in range(count) if i != r)) >= SECTOR_MASS_FLOOR
         psi = psi * level[grid[r]].reshape(-1, 1)
-    b = loss_amplitudes(tau, math.sqrt(max(0.0, 1.0 - tau * tau)), dim)
-    rho = (psi @ psi.conj().T).reshape((dim,) * (2 * count))
-    for r in range(count):  # rail r: ket axis r, bra axis count + r
-        ket_bra, out = np.moveaxis(rho, (r, count + r), (0, 1)), np.zeros_like(rho)
-        for p in range(dim if tau else 1):
-            weight = np.multiply.outer(b[p:, p], b[p:, p])[(...,) + (None,) * (rho.ndim - 2)]
-            out[:dim - p, :dim - p] += weight * ket_bra[p:, p:]
-        rho = np.moveaxis(out, (0, 1), (r, count + r))
-    rho = rho.reshape(dim ** count, -1)
+    rho = psi @ psi.conj().T
+    if tau:
+        b = loss_amplitudes(tau, math.sqrt(max(0.0, 1.0 - tau * tau)), dim)
+        rho = rho.reshape((dim,) * (2 * count))
+        for r in range(count):  # rail r: ket axis r, bra axis count + r
+            ket_bra, out = np.moveaxis(rho, (r, count + r), (0, 1)), np.zeros_like(rho)
+            for p in range(dim):
+                weight = np.multiply.outer(b[p:, p], b[p:, p])[(...,) + (None,) * (rho.ndim - 2)]
+                out[:dim - p, :dim - p] += weight * ket_bra[p:, p:]
+            rho = np.moveaxis(out, (0, 1), (r, count + r))
+        rho = rho.reshape(dim ** count, -1)
     if abs(float(np.trace(rho).real) - 1.0) > 1e-9:
         raise FockError(f"environment density matrix trace {np.trace(rho).real!r} != 1")
     weights = np.bincount(grid.sum(axis=0).ravel(), weights=np.diagonal(rho).real)
-    p_all = float(np.sum(np.abs(psi[:, 0]) ** 2 * np.prod(b[grid, 0] ** 2, axis=0).ravel()))
+    no_loss = np.abs(psi[:, 0]) ** 2  # at tau_c = 0 every b[n, 0] is 1
+    p_all = float(np.sum(no_loss * np.prod(b[grid, 0] ** 2, axis=0).ravel() if tau else no_loss))
     return EnvironmentReadout(
         {m: float(w) for m, w in enumerate(weights)}, _gram_entropy(rho), p_all
     )
@@ -651,6 +661,47 @@ def conditional_output(joint: PureState, absorbed: int) -> DensityOperator:
     if prob < 1e-12:
         raise FockError(f"conditioning on zero-probability absorbed count {absorbed}")
     return DensityOperator(light, joint.cutoff, sel / math.sqrt(prob))
+
+
+class ConditionalOutput(NamedTuple):
+    """The output light given `absorbed` photons in the environment."""
+    absorbed: int
+    probability: float  # of the environment columns of that total
+    purity: float
+    mean_photons: dict[ModeLabel, float]  # <a^dag a> per light mode
+
+
+def conditional_outputs(joint: PureState, counts: Iterable[int]) -> list[ConditionalOutput]:
+    """conditional_output's probability and purity, and mode_moments' <n>, for
+    each absorbed count, from one pass over the joint.  A is the (light x
+    environment) amplitudes and P = |A|^2.  One occupation-weighted reduction of
+    P per light mode gives each column's <n> weight; binned by environment total
+    m, those and the column weights give p_m and <n> p_m for every count at once.
+    The purity is that of the purification A[:, columns of total m] / sqrt(p_m):
+    one column on one rail, so pure; several on two, so possibly mixed."""
+    light, mat = _split(joint.amplitudes, joint.modes, [m for m in joint.modes if not m.is_env])
+    dim, count = joint.dim, len(light)
+    env_totals = np.indices((dim,) * (len(joint.modes) - count)).sum(axis=0).ravel()
+    weight = mat.real ** 2  # P, within one real copy of the joint
+    weight += mat.imag ** 2
+    weight = weight.reshape((dim,) * count + (-1,))
+    levels = np.arange(dim + 0.0)
+    numbers = []
+    for axis in range(count):
+        marginal = weight.sum(axis=tuple(i for i in range(count) if i != axis))  # (dim, env)
+        numbers.append(np.bincount(env_totals, weights=levels @ marginal))
+    probs = np.bincount(env_totals, weights=marginal.sum(axis=0))  # any marginal sums to P's columns
+    outputs = []
+    for m in counts:
+        prob = float(probs[m]) if 0 <= m < len(probs) else 0.0
+        if prob < 1e-12:
+            raise FockError(f"conditioning on zero-probability absorbed count {m}")
+        gram = _smaller_gram(mat[:, env_totals == m] / math.sqrt(prob))
+        outputs.append(ConditionalOutput(
+            m, prob, float(np.vdot(gram, gram).real),
+            {mode: float(number[m]) / prob for mode, number in zip(light, numbers)},
+        ))
+    return outputs
 
 
 # ---------------------------------------------------------------------------

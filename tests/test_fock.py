@@ -654,6 +654,85 @@ def test_one_rail_conditional_outputs_are_pure(n, delta_theta, reflection, swap)
             )
 
 
+DV_CASES = (
+    [(dv.DvKind.SINGLE_PHOTON, 1)]
+    + [(kind, 1) for kind in dv.DvKind if kind in dv.BELL_KINDS]
+    + [(dv.DvKind.NOON, n) for n in range(1, 13)]
+)
+
+
+def _absorber(choice: str, tau_c: float) -> AbsorberSpec:
+    """The absorber of a benchmark-style choice: canonical, tau_c, swap or tau_c+swap."""
+    tau_c = tau_c if "tau_c" in choice else 0.0
+    return AbsorberSpec(reflection=(tau_c - 1.0) / 2.0, swap_roles="swap" in choice)
+
+
+def _check_conditional_outputs(joint):
+    """conditional_outputs, one pass over the joint, against conditional_output
+    + DensityOperator.purity + mode_moments for every reported count."""
+    distribution = fock.absorbed_photon_distribution(joint)
+    counts = [m for m, p in distribution.items() if p > 1e-9]
+    outputs = fock.conditional_outputs(joint, counts)
+    assert [output.absorbed for output in outputs] == counts
+    for output in outputs:
+        rho = fock.conditional_output(joint, output.absorbed)
+        assert abs(output.probability - distribution[output.absorbed]) < 1e-13
+        assert abs(output.purity - rho.purity()) < 1e-13
+        assert list(output.mean_photons) == list(rho.modes)
+        for mode, number in output.mean_photons.items():
+            assert abs(number - fock.mode_moments(rho, mode)[1]) < 1e-13
+    return outputs
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(DV_CASES),
+    st.floats(0.0, 2.0 * math.pi),
+    st.sampled_from(["canonical", "tau_c", "swap", "tau_c+swap"]),
+    st.floats(0.05, 0.95),
+)
+@example((dv.DvKind.SINGLE_PHOTON, 1), 0.4, "canonical", 0.5)
+@example((dv.DvKind.BELL_PSI_PLUS, 1), 0.0, "tau_c+swap", 0.3)
+@example((dv.DvKind.BELL_PHI_MINUS, 1), 1.0, "swap", 0.5)
+@example((dv.DvKind.BELL_PSI_MINUS, 1), 2.0, "tau_c", 0.7)
+@example((dv.DvKind.NOON, 12), 1.3, "tau_c", 0.6)
+@example((dv.DvKind.NOON, 7), 0.0, "tau_c+swap", 0.2)
+def test_conditional_outputs_match_the_per_count_reference(case, delta_theta, choice, tau_c):
+    kind, n = case
+    scenario = dv.DvScenario(kind, n, delta_theta)
+    state = dv.build_input(scenario, scenario.total_photons)
+    _check_conditional_outputs(fock.full_pipeline(state, _absorber(choice, tau_c)))
+
+
+@pytest.mark.parametrize("rails", [1, 2])
+@pytest.mark.parametrize("choice", ["tau_c", "tau_c+swap"])
+def test_conditional_outputs_tell_the_light_modes_apart(rails, choice):
+    """DV outputs give every light mode the same <n>; a random input at a
+    partial absorber does not."""
+    joint = fock.full_pipeline(random_rail_state(5, rails), _absorber(choice, 0.4))
+    spreads = [max(o.mean_photons.values()) - min(o.mean_photons.values())
+               for o in _check_conditional_outputs(joint)]
+    assert max(spreads) > 0.1
+
+
+def test_two_rail_conditional_output_can_be_mixed():
+    """BELL_PSI_PLUS at tau_c = 0.3, roles swapped: one absorbed photon leaves
+    the two rails' environments in an even mixture, so the light has purity 1/2."""
+    state = dv.build_input(dv.DvScenario(dv.DvKind.BELL_PSI_PLUS), 2)
+    joint = fock.full_pipeline(state, _absorber("tau_c+swap", 0.3))
+    (output,) = fock.conditional_outputs(joint, [1])
+    assert output.purity == pytest.approx(0.5, abs=1e-13)
+
+
+def test_conditional_outputs_zero_probability_raises():
+    state = fock.basis_state({K: 1, MINUS_K: 1}, 2)
+    joint = fock.full_pipeline(state, CANONICAL)
+    assert [o.absorbed for o in fock.conditional_outputs(joint, [0, 2])] == [0, 2]
+    for absorbed in (1, 3, 99):
+        with pytest.raises(FockError, match="zero-probability absorbed count"):
+            fock.conditional_outputs(joint, [0, absorbed])
+
+
 def _environment_matches(readout, reference, tol=1e-12):
     """`readout` (absorber_environment) against oracle.joint_environment's
     distribution, entropy and P(all absorbed)."""
@@ -718,9 +797,11 @@ def test_environment_reduction_matches_dense_reference(kind, seed, reflection, s
     st.floats(-0.5, 0.0),
     st.booleans(),
 )
-@example(3, 1, -0.5, False)
-@example(3, 1, 0.0, True)
+@example(3, 1, -0.5, False)  # tau_c = 0 (no loss amplitudes) on one and two rails, both roles
+@example(3, 1, -0.5, True)
+@example(3, 2, -0.5, False)
 @example(3, 2, -0.5, True)
+@example(3, 1, 0.0, True)
 @example(3, 2, 0.0, False)
 def test_environment_readouts_need_no_output_basis_change(seed, rails, reflection, swap):
     """The output basis change acts on light modes alone and maps light vacuum
@@ -747,6 +828,16 @@ def test_environment_readouts_need_no_output_basis_change(seed, rails, reflectio
     assert np.max(np.abs(mat.conj().T @ mat - gram)) < 1e-14
     if reflection == -0.5:  # each absorbed mode is left in vacuum
         assert np.any(mat, axis=1).sum() <= channel.dim ** (len(light) - rails)
+
+
+def test_loss_amplitudes_at_full_absorption_are_the_unit_column():
+    """At c = 0, s = 1 each step of the recurrence divides sqrt(n) by sqrt(n):
+    b is exactly the unit first column, which absorber_environment's tau_c = 0
+    path assumes when it skips b."""
+    for dim in (1, 2, 247):
+        expected = np.zeros((dim, dim))
+        expected[:, 0] = 1.0
+        assert np.array_equal(fock.loss_amplitudes(0.0, 1.0, dim), expected)
 
 
 def test_absorber_environment_needs_a_fresh_environment():

@@ -38,3 +38,18 @@ def test_two_records_compare_equal_and_a_doctored_line_is_reported(tmp_path):
     doctored[3]["stdout_sha256"] = "0" * 64
     assert _compare(tmp_path, first, doctored) == (1, " ".join(argvs[3]) + "\n")
     assert contract.differing(first, second[:-1]) == [argvs[-1]]
+
+
+def test_workload_commands_stand_in_for_the_generated_inputs():
+    """--workload adds the benchmark's run files under a stand-in for the
+    directory they are written to; listing them records nothing, and record
+    writes the inputs again and runs them."""
+    argvs = contract.commands([], grid=101, workloads=[("scenario_mix", 3)])
+    runs, fixed = argvs[:300], argvs[300:]
+    assert len(fixed) == 6 and fixed[:2] == [["table1"], ["table1", "--json"]]
+    assert all(argv[0] == "run" and argv[1].startswith("<scenario_mix-seed3>/") for argv in runs)
+    assert len({argv[1] for argv in runs}) == 300
+    assert argvs == contract.commands([], grid=101, workloads=[("scenario_mix", 3)])
+    single = next(argv for argv in runs if argv[1].endswith("_SINGLE_PHOTON.json"))
+    (line,) = contract.record([single])
+    assert line["argv"] == single and line["exit"] == 0 and line["stderr"] == ""
