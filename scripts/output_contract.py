@@ -15,11 +15,16 @@ a temporary directory, which the record names `<NAME-seedN>`, so no benchmark
 run is needed first and two records of the same inputs compare equal.  It
 writes one JSON line per
 command: argv, exit code, the sha256 of stdout (and of the CSV a preset
-writes) and stderr.  Whichever `cpa_sim` is importable is
-recorded, so pointing PYTHONPATH at another checkout's `src` records that one.
+writes), stderr, and for `run` the stdout itself.  Whichever `cpa_sim` is
+importable is recorded, so pointing PYTHONPATH at another checkout's `src`
+records that one.
 
 `--compare A B` prints the argv of every command whose lines differ, or that
-only one record has, and exits 1 when there is any.
+only one record has, and exits 1 when there is any.  Under each argv it names
+what moved, one `  PATH: OLD -> NEW` line each: `exit`, `stderr`, and every
+value of the `run` JSON whose token differs, by its path
+(`separability.env_entanglement_entropy`, `conditional_outputs[1].purity`;
+`<absent>` where a key exists on one side).
 
 Good inputs are `tests/golden` and the benchmark's workloads, e.g.
 `--workload fock_large --workload scenario_mix --seed 1 tests/golden`.
@@ -109,6 +114,8 @@ def record(argvs: list[list[str]]) -> list[dict]:
                 line["csv_sha256"] = _sha256(text)
                 csv_path.unlink(missing_ok=True)
             line["stderr"] = err.getvalue()
+            if argv[0] == "run":
+                line["stdout"] = out.getvalue()
             lines.append(line)
     return lines
 
@@ -118,6 +125,40 @@ def differing(a: list[dict], b: list[dict]) -> list[list[str]]:
     by_argv = [{json.dumps(line["argv"]): line for line in lines} for lines in (a, b)]
     keys = list(by_argv[0]) + [k for k in by_argv[1] if k not in by_argv[0]]
     return [json.loads(k) for k in keys if by_argv[0].get(k) != by_argv[1].get(k)]
+
+
+ABSENT = "<absent>"
+
+
+def _leaves(obj, path: str = "") -> dict[str, str]:
+    """Every scalar of a parsed JSON document by its path, as its JSON token."""
+    if isinstance(obj, dict):
+        pairs = [(f"{path}.{key}" if path else key, value) for key, value in obj.items()]
+    elif isinstance(obj, list):
+        pairs = [(f"{path}[{i}]", value) for i, value in enumerate(obj)]
+    else:
+        return {path: json.dumps(obj)}
+    return {p: token for key, value in pairs for p, token in _leaves(value, key).items()}
+
+
+def moved(a: dict | None, b: dict | None) -> list[tuple[str, str, str]]:
+    """(path, old, new) of what differs between two lines of one command: exit,
+    stderr and each value of a `run`'s JSON stdout; `stdout` itself when the
+    texts differ in nothing else."""
+    a, b = a or {}, b or {}
+    out = [(key, json.dumps(a.get(key)) if key in a else ABSENT,
+            json.dumps(b.get(key)) if key in b else ABSENT)
+           for key in ("exit", "stderr") if a.get(key) != b.get(key)]
+    if a.get("stdout") == b.get("stdout"):
+        return out
+    text = [("stdout", "<text>", "<text>")]
+    try:
+        old, new = (_leaves(json.loads(line.get("stdout", "{}"))) for line in (a, b))
+    except json.JSONDecodeError:
+        return out + text
+    paths = list(old) + [p for p in new if p not in old]
+    values = [(p, old.get(p, ABSENT), new.get(p, ABSENT)) for p in paths if old.get(p) != new.get(p)]
+    return out + (values or text)
 
 
 def _read(path: str) -> list[dict]:
@@ -138,9 +179,14 @@ def main() -> int:
     args = parser.parse_args()
 
     if args.compare:
-        diff = differing(*map(_read, args.compare))
+        records = [_read(path) for path in args.compare]
+        by_argv = [{json.dumps(line["argv"]): line for line in lines} for lines in records]
+        diff = differing(*records)
         for argv in diff:
             print(" ".join(argv))
+            key = json.dumps(argv)
+            for path, old, new in moved(by_argv[0].get(key), by_argv[1].get(key)):
+                print(f"  {path}: {old} -> {new}")
         print(f"{len(diff)} command(s) differ", file=sys.stderr)
         return 1 if diff else 0
     workloads = [(name, seed) for name in args.workload for seed in args.seed or [1]]

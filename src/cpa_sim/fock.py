@@ -11,11 +11,14 @@ complex cast, no per-sector gather or scatter).  The sector matrices come from
 a stable recurrence and match the exact integer expansion to ~5e-15 up to
 total 246.  Reduced states are held as purifications, rho = A A^H.  The
 environment meets only the absorbed modes, so runs read it from their reduced
-state in the standing basis, through the pure-loss channel's vacuum-partner
-amplitudes (absorber_environment), and never build the light x environment
-joint; only what is read in the travelling basis is carried there.  DV runs,
-which do carry the joint there, read every conditional output from one pass
-over |joint|^2 (conditional_outputs), not one reduction per count and mode.
+state in the standing basis, through the pure-loss channel's complementary map
+in closed form: real Toeplitz matmuls per rail on the diagonal-major layout of
+that state (absorber_environment); they never build the light x environment
+joint, and only what is read in the travelling basis is carried there.  The
+absorber's own mix, with a vacuum partner, reads each sector's single column
+from one table of loss amplitudes.  DV runs, which do carry the joint there,
+read every conditional output from one pass over |joint|^2
+(conditional_outputs), not one reduction per count and mode.
 States are immutable and every map is a pure function.  States bridged from
 continuous families (coherent, squeezed, cat) come from one exact amplitude
 recurrence, truncated at the cutoff; any constructor or map that would push
@@ -188,10 +191,11 @@ def _smaller_gram(a: np.ndarray) -> np.ndarray:
     return _column_gram(a.T if a.shape[0] <= a.shape[1] else a)
 
 
-def _gram_entropy(gram: np.ndarray) -> float:
+def _gram_entropy(gram: np.ndarray, triangle: str = "L") -> float:
     """Von Neumann entropy (bits) of the rho whose nonzero spectrum is that of
-    gram / tr gram, less rounding-level eigenvalues."""
-    lam = np.clip(np.linalg.eigvalsh(gram) / np.trace(gram).real, 0.0, None)
+    gram / tr gram, less rounding-level eigenvalues; eigvalsh reads only the
+    given triangle ("L" or "U") of gram."""
+    lam = np.clip(np.linalg.eigvalsh(gram, UPLO=triangle) / np.trace(gram).real, 0.0, None)
     lam = lam[lam > 1e-16]
     return max(0.0, float(-np.sum(lam * np.log2(lam))))
 
@@ -454,10 +458,12 @@ def _mix(
     of one float view; its real block multiplies that slice straight into the
     output's slice, and one transpose puts the output back in mode order.  One
     bincount weighs every sector.  Balanced blocks are cached by hadamard_block,
-    whose growth is checked against MEMORY_BUDGET first, others rebuilt per
-    call.  Sectors above the cutoff keep their representable rows; losing more
-    than TRUNCATION_TOL raises CutoffError (of a larger state, when the state
-    is a `weight` share of it).
+    whose growth is checked against MEMORY_BUDGET first.  With a vacuum partner
+    (top_b = 0, as in the absorber) sector T is the one column b[T] of a single
+    loss_amplitudes table, exactly the unit vector at c = 0; other blocks are
+    rebuilt per call by _next_block.  Sectors above the cutoff keep their
+    representable rows; losing more than TRUNCATION_TOL raises CutoffError (of
+    a larger state, when the state is a `weight` share of it).
     """
     if a == b:
         raise ModeError("a two-mode mix needs two distinct modes")
@@ -478,15 +484,18 @@ def _mix(
         _check_block_budget(int(np.flatnonzero(masses >= SECTOR_MASS_FLOOR)[-1]), cutoff)
     image = np.zeros((dim, dim) + source.shape[2:], dtype=complex)
     flat_out = image.reshape(dim * dim, -1).view(np.float64)
+    loss = loss_amplitudes(c, s, top_a + 1) if top_b == 0 and not balanced else None
     block, first = np.ones((1, 1)), 0  # columns first.. of the current sector
     for total, mass in enumerate(masses.tolist()):
         lo_m, hi_m = max(0, total - top_b), min(total, top_a)
-        if total and not balanced:
+        if total and not balanced and loss is None:
             block, first = _next_block(block, first, c, s, lo_m, hi_m), lo_m
         if mass < SECTOR_MASS_FLOOR:
             continue
         if balanced:  # only sectors with weight grow the cache
             block = hadamard_block(total)[:, lo_m:hi_m + 1]
+        elif loss is not None:
+            block = loss[total, :total + 1, None]
         lo, hi = max(0, total - cutoff), min(total, cutoff)
         np.matmul(block[lo:hi + 1], flat[_sector_rows(total, lo_m, hi_m, cols)],
                   out=flat_out[_sector_rows(total, lo, hi, dim)])
@@ -524,8 +533,9 @@ def cpa_channel(state: PureState, absorber: AbsorberSpec) -> PureState:
 
 def loss_amplitudes(c: float, s: float, dim: int) -> np.ndarray:
     """b[n, p] (n, p < dim): amplitude of |p, n-p> in _mix of |n, 0>, i.e. _next_block's
-    vacuum-partner column b[n] = (c A + s B) b[n-1] / sqrt(n); dividing last makes
-    b[n, 0] = 1 at s = 1 and b[n, n] = 1 at c = 1 exact."""
+    vacuum-partner column b[n] = (c A + s B) b[n-1] / sqrt(n), which _mix reads
+    for a vacuum partner; dividing last makes b[n, 0] = 1 at s = 1 and b[n, n] = 1
+    at c = 1 exact."""
     root = np.sqrt(np.arange(dim + 0.0))
     b = np.eye(dim)  # b[0, 0] = 1; rows n >= 1 are written below
     for n in range(1, dim):
@@ -533,6 +543,50 @@ def loss_amplitudes(c: float, s: float, dim: int) -> np.ndarray:
         b[n, :n] += s * (root[n:0:-1] * b[n - 1, :n])
         b[n, :n + 1] /= root[n]
     return b
+
+
+def _loss_map(x: np.ndarray, tau: float) -> np.ndarray:
+    """The pure-loss channel's complementary map on axes 0 (ket) and 1 (bra) of
+    x, a (levels, levels, ...) block whose further axes are batch columns:
+    y[e, e'] = sum_p b[p+e, p] b[p+e', p] x[p+e, p+e'], with b[n, p] =
+    sqrt(C(n, p)) tau^p s^(n-p) (loss_amplitudes(tau, s) in closed form).
+
+    With g_n = sqrt(n!) / lam^n, K_p = (lam tau)^(2p) / p! and h_e = (lam s)^e /
+    sqrt(e!), y[e, e'] = h_e h_e' sum_p K_p g_(p+e) g_(p+e') x[p+e, p+e'], so every
+    diagonal d = e' - e meets the same upper-triangular Toeplitz kernel.  In the
+    diagonal-major layout S[n, d] = g_(n+d) x[n, n+d], a strided view of one
+    buffer, real matmuls by T[e, n] = h_e K_(n-e) g_n map all diagonals d >= 0
+    at once.  lam^2 = levels / e keeps every factor below e^(levels / e),
+    inside double range well past the 737 levels a standing state can reach; a
+    factor that underflows belongs to a negligible term.  Only the ket <= bra
+    triangle is mapped; the rest of y is zero.
+    """
+    levels, batch = len(x), x.shape[2:]
+    lam, s = math.sqrt(levels / math.e), math.sqrt(max(0.0, 1.0 - tau * tau))
+    k = np.arange(1.0, levels)
+    g, kern, h = (np.concatenate(([1.0], np.cumprod(factor)))
+                  for factor in (np.sqrt(k) / lam, (lam * tau) ** 2 / k, lam * s / np.sqrt(k)))
+    strided, columns = np.lib.stride_tricks.as_strided, (1,) * len(batch)
+    padded = np.concatenate((np.zeros(levels - 1), kern))[levels - 1:]  # zeros before K_0
+    kernel = h[:, None] * strided(padded, (levels, levels), (-padded.itemsize, padded.itemsize))
+    kernel *= g
+    # x g's upper triangle, zero below and in a spare last row: the skewed view
+    # stays inside the buffer and past a diagonal's end reads only those zeros
+    buf = np.zeros((levels + 1, levels) + batch, dtype=complex)
+    upper = np.tri(levels, dtype=bool).T.reshape((levels, levels) + columns)
+    np.multiply(x, g.reshape((1, levels) + columns), out=buf[:levels], where=upper)
+    skew = strided(buf, (levels, levels * math.prod(batch)),
+                   (buf.strides[0] + buf.strides[1], buf.itemsize)).view(np.float64)
+    # R = T S, zero again past each diagonal's end.  Diagonals d >= half are
+    # nonzero in rows n < levels - half only, so they take a quarter-size product
+    # (and the products' temporaries stay within half the buffer).
+    half = (levels + 1) // 2
+    split, top = half * (skew.shape[1] // levels), levels - half
+    skew[:, :split] = kernel @ skew[:, :split]
+    skew[:top, split:] = kernel[:top, :top] @ skew[:top, split:]
+    out = buf[:levels]
+    out *= h.reshape((1, levels) + columns)
+    return out
 
 
 class EnvironmentReadout(NamedTuple):
@@ -548,12 +602,15 @@ def absorber_environment(standing: PureState, absorber: AbsorberSpec) -> Environ
     The environment starts in vacuum and meets only the absorbed modes, so its
     state is the complementary output of a pure-loss channel (Kraus form: Ivan,
     Sabapathy & Simon, PRA 84, 042311 (2011)) on their reduced state R = Psi Psi^H,
-    Psi the (absorbed x rest) amplitudes: per rail, rho[e, e'] <- sum_p w_p[e]
-    w_p[e'] rho[p + e, p + e'], w_p[e] = b[p + e, p].  No photon leaves with
-    probability sum_n |Psi[n, 0]|^2 prod_r b[n_r, 0]^2.  At tau_c = 0, b is the
-    unit first column (loss_amplitudes(0, 1, dim), exactly), so rho = R and that
-    sum is sum_n |Psi[n, 0]|^2: neither b nor the loop over p is formed.  Each
-    rail's levels below SECTOR_MASS_FLOOR are empty, as in the channel's mixes.
+    Psi the (absorbed x rest) amplitudes.  _loss_map applies it in closed form,
+    rail by rail, the other rails' (ket, bra) axes being batch columns.  Rail 0
+    goes last and only its ket <= bra half is mapped, which holds rho's upper
+    triangle, the half the eigenvalue step reads; each earlier rail's other half
+    is its Hermitian mirror.  The map and R keep each rail's levels up to the
+    highest that carries weight; levels below SECTOR_MASS_FLOOR are empty, as in
+    the channel's mixes.  No photon leaves with probability sum_n |Psi[n, 0]|^2
+    s^(2 sum_r n_r).  At tau_c = 0 the map is the identity, so rho = R over all
+    levels and that sum is sum_n |Psi[n, 0]|^2.
     """
     tau, dim, rails = absorber.tau_c, standing.dim, basis_rails(standing.modes, STANDING_KINDS)
     if any(m.is_env for m in standing.modes):
@@ -562,27 +619,32 @@ def absorber_environment(standing: PureState, absorber: AbsorberSpec) -> Environ
         ModeLabel(absorber.absorbed_kind, rail) for rail in rails])[1]
     grid, count = np.indices((dim,) * len(rails)), len(rails)  # absorbed levels of psi's rows
     mass = np.sum(np.abs(psi) ** 2, axis=1).reshape(grid.shape[1:])
+    levels = 0
     for r in range(count):
         level = mass.sum(axis=tuple(i for i in range(count) if i != r)) >= SECTOR_MASS_FLOOR
         psi = psi * level[grid[r]].reshape(-1, 1)
-    rho = psi @ psi.conj().T
+        levels = max(levels, int(np.flatnonzero(level)[-1]) + 1)
+    if tau:  # the map works on the weighted levels only
+        psi = psi.reshape((dim,) * count + (-1,))[(slice(levels),) * count]
+        grid, psi = np.indices(psi.shape[:-1]), psi.reshape(levels ** count, -1)
+    totals, no_loss, rho = grid.sum(axis=0).ravel(), np.abs(psi[:, 0]) ** 2, psi @ psi.conj().T
     if tau:
-        b = loss_amplitudes(tau, math.sqrt(max(0.0, 1.0 - tau * tau)), dim)
-        rho = rho.reshape((dim,) * (2 * count))
-        for r in range(count):  # rail r: ket axis r, bra axis count + r
-            ket_bra, out = np.moveaxis(rho, (r, count + r), (0, 1)), np.zeros_like(rho)
-            for p in range(dim):
-                weight = np.multiply.outer(b[p:, p], b[p:, p])[(...,) + (None,) * (rho.ndim - 2)]
-                out[:dim - p, :dim - p] += weight * ket_bra[p:, p:]
-            rho = np.moveaxis(out, (0, 1), (r, count + r))
-        rho = rho.reshape(dim ** count, -1)
+        no_loss *= max(0.0, 1.0 - tau * tau) ** totals  # b[n, 0]^2 = s^(2n)
+        rho = rho.reshape((levels,) * (2 * count))
+        for r in reversed(range(count)):  # rail r: ket axis r, bra axis count + r
+            rho = np.moveaxis(_loss_map(np.moveaxis(rho, (r, count + r), (0, 1)), tau),
+                              (0, 1), (r, count + r))
+            if r:
+                flat = rho.reshape(levels ** count, -1)
+                mirror = np.greater.outer(grid[r].ravel(), grid[r].ravel())  # rail r's ket > bra
+                rho = np.where(mirror, flat.conj().T, flat).reshape(rho.shape)
+        rho = rho.reshape(levels ** count, -1)
     if abs(float(np.trace(rho).real) - 1.0) > 1e-9:
         raise FockError(f"environment density matrix trace {np.trace(rho).real!r} != 1")
-    weights = np.bincount(grid.sum(axis=0).ravel(), weights=np.diagonal(rho).real)
-    no_loss = np.abs(psi[:, 0]) ** 2  # at tau_c = 0 every b[n, 0] is 1
-    p_all = float(np.sum(no_loss * np.prod(b[grid, 0] ** 2, axis=0).ravel() if tau else no_loss))
+    weights = np.bincount(totals, weights=np.diagonal(rho).real, minlength=count * (dim - 1) + 1)
     return EnvironmentReadout(
-        {m: float(w) for m, w in enumerate(weights)}, _gram_entropy(rho), p_all
+        {m: float(w) for m, w in enumerate(weights)},
+        _gram_entropy(rho, "U" if tau else "L"), float(np.sum(no_loss)),
     )
 
 
@@ -775,15 +837,19 @@ def absorption_coefficients(
     Intensity: 1/2 + Re<a_a^dag a_b> / (I_a + I_b); coherence: same with the
     correlation replaced by the product of mean amplitudes and intensities by
     |<a>|^2.  A coefficient with a vanishing denominator is None (undefined).
+    Each mode is lowered once; the vdots are mode_moments' and cross_moment's.
     """
-    mean_a, intensity_a = mode_moments(state, a)
-    mean_b, intensity_b = mode_moments(state, b)
+    amps = state.amplitudes
+    lowered_a, lowered_b = (_apply_lowering(amps, state.axis(m)) for m in (a, b))
+    mean_a, mean_b = complex(np.vdot(amps, lowered_a)), complex(np.vdot(amps, lowered_b))
+    intensity_a = float(np.vdot(lowered_a, lowered_a).real)
+    intensity_b = float(np.vdot(lowered_b, lowered_b).real)
     total_intensity = intensity_a + intensity_b
     total_coherence = abs(mean_a) ** 2 + abs(mean_b) ** 2
     coeff_int: float | None = None
     coeff_coh: float | None = None
     if total_intensity > 1e-12:
-        corr = cross_moment(state, a, b)
+        corr = complex(np.vdot(lowered_a, lowered_b))
         coeff_int = float(0.5 + corr.real / total_intensity)
     if total_coherence > 1e-12:
         coeff_coh = float(0.5 + (np.conj(mean_a) * mean_b).real / total_coherence)

@@ -237,6 +237,46 @@ def joint_environment(amplitudes, modes, env):
     return gram, distribution, entropy, float(np.sum(np.abs(mat[0]) ** 2))
 
 
+def loss_map_loop(rho, b, rails: int):
+    """The pure-loss channel's complementary map as a loop over levels: per rail
+    (ket axis r, bra axis rails + r of rho reshaped to (dim,) * 2 rails),
+    rho[e, e'] <- sum_p b[p + e, p] b[p + e', p] rho[p + e, p + e'], one
+    (dim - p)^2 update per p, with b the loss amplitudes b[n, p] (amplitude of
+    p photons kept of n).  Returns the full (dim^rails, dim^rails) matrix."""
+    import numpy as np
+
+    dim = len(b)
+    rho = rho.reshape((dim,) * (2 * rails))
+    for r in range(rails):
+        ket_bra, out = np.moveaxis(rho, (r, rails + r), (0, 1)), np.zeros_like(rho)
+        for p in range(dim):
+            weight = np.multiply.outer(b[p:, p], b[p:, p])[(...,) + (None,) * (rho.ndim - 2)]
+            out[:dim - p, :dim - p] += weight * ket_bra[p:, p:]
+        rho = np.moveaxis(out, (0, 1), (r, rails + r))
+    return rho.reshape(dim ** rails, -1)
+
+
+def loop_environment(amplitudes, modes, absorbed, b):
+    """Environment readouts of a standing state through loss_map_loop: R of the
+    `absorbed` modes (in `modes` order) as a dense psi psi^H, its image rho
+    under the loop, the distribution of rho's diagonal binned by environment
+    total, the entropy (bits) of rho, and P(no photon leaves) = sum_n
+    |psi[n, 0]|^2 prod_r b[n_r, 0]^2.  Returned in joint_environment's order."""
+    import numpy as np
+
+    modes = list(modes)
+    axes = [i for i, m in enumerate(modes) if m in absorbed]
+    rest = [i for i in range(len(modes)) if i not in axes]
+    dim = amplitudes.shape[0]
+    psi = np.transpose(amplitudes, axes + rest).reshape(dim ** len(axes), -1)
+    rho = loss_map_loop(psi @ psi.conj().T, b, len(axes))
+    levels = np.indices((dim,) * len(axes))
+    weights = np.bincount(levels.sum(axis=0).ravel(), weights=np.diagonal(rho).real)
+    distribution = {m: float(w) for m, w in enumerate(weights)}
+    no_loss = np.abs(psi[:, 0]) ** 2 * np.prod(b[levels, 0] ** 2, axis=0).ravel()
+    return rho, distribution, dense_entropy(rho), float(np.sum(no_loss))
+
+
 def dense_trace_out(rho, modes, keep):
     """Partial trace of a dense rho over `modes`, contracting each traced
     mode's ket axis with its bra axis."""

@@ -358,6 +358,64 @@ def test_channel_swap_preserves_mode_content():
     assert c_dist[0] == pytest.approx(1.0, abs=1e-12)
 
 
+def _absorbed_rails(state, absorber):
+    return [(m, ENV_C.with_rail(m.rail)) for m in state.modes if m.kind is absorber.absorbed_kind]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rails=st.integers(1, 2),
+    tau=st.floats(1e-3, 0.999),
+    swap=st.booleans(),
+)
+@example(seed=4, rails=2, tau=0.3, swap=True)
+def test_cpa_channel_matches_the_sector_loop(seed, rails, tau, swap):
+    """cpa_channel, whose vacuum-partner mixes read loss_amplitudes, agrees
+    within 1e-14 with the per-sector loop in tests/oracle.py, which builds every
+    sector with _next_block, on one and two rails."""
+    absorber = AbsorberSpec(reflection=(tau - 1.0) / 2.0, swap_roles=swap)
+    standing = fock.standing_basis(random_rail_state(seed, rails))
+    channel = fock.cpa_channel(standing, absorber)
+    tau_c = absorber.tau_c
+    expected = standing
+    for absorbed, env in _absorbed_rails(standing, absorber):
+        expected = oracle.sector_loop_mix(expected, absorbed, env, tau_c, math.sqrt(1.0 - tau_c**2))
+    assert channel.modes == expected.modes
+    assert np.max(np.abs(channel.amplitudes - expected.amplitudes)) <= 1e-14
+
+
+@pytest.mark.parametrize("rails", [1, 2])
+@pytest.mark.parametrize("swap", [False, True])
+def test_cpa_channel_at_full_absorption_is_exactly_the_swap(rails, swap):
+    """At tau_c = 0 every sector's column is the unit vector, so the channel
+    moves the absorbed amplitudes onto the environment bit for bit; each rail's
+    state is renormalized as _mix does."""
+    absorber = AbsorberSpec(reflection=-0.5, swap_roles=swap)
+    standing = fock.standing_basis(random_rail_state(7, rails))
+    expected = standing.amplitudes
+    for absorbed, _ in _absorbed_rails(standing, absorber):
+        axis = standing.axis(absorbed)
+        moved = np.expand_dims(np.moveaxis(expected, axis, -1), axis)  # absorbed -> env
+        vacuum = np.zeros(moved.shape[:axis] + (standing.dim - 1,) + moved.shape[axis + 1:])
+        expected = fock._normalized(np.concatenate([moved, vacuum], axis=axis))
+    assert np.array_equal(fock.cpa_channel(standing, absorber).amplitudes, expected)
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.4])
+def test_cpa_channel_builds_no_sector_by_recurrence(monkeypatch, tau):
+    """Every sector of the absorber's mix comes from the loss_amplitudes table:
+    cpa_channel runs with _next_block disabled."""
+    standing = fock.standing_basis(random_rail_state(3, 2))
+
+    def refuse(*args):
+        raise AssertionError("_next_block called")
+
+    monkeypatch.setattr(fock, "_next_block", refuse)
+    channel = fock.cpa_channel(standing, AbsorberSpec(reflection=(tau - 1.0) / 2.0))
+    assert sum(m.is_env for m in channel.modes) == 2
+
+
 def test_channel_lossless_limit_is_identity():
     rng = np.random.default_rng(3)
     amps = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
@@ -840,6 +898,77 @@ def test_loss_amplitudes_at_full_absorption_are_the_unit_column():
         assert np.array_equal(fock.loss_amplitudes(0.0, 1.0, dim), expected)
 
 
+def _random_standing(levels):
+    """A random one-rail standing state at cutoff levels - 1 whose absorbed
+    mode C holds every level and S the lowest min(3, levels)."""
+    rng = np.random.default_rng(levels)
+    amps = np.zeros((levels, levels), dtype=complex)
+    shape = (levels, min(3, levels))
+    amps[:, :shape[1]] = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return fock.PureState((C, S), levels - 1, amps / np.linalg.norm(amps))
+
+
+def _loop_reference(standing, absorber):
+    """oracle.loop_environment of the standing state at the absorber's tau_c."""
+    tau = absorber.tau_c
+    b = fock.loss_amplitudes(tau, math.sqrt(max(0.0, 1.0 - tau * tau)), standing.dim)
+    absorbed = [m for m in standing.modes if m.kind is absorber.absorbed_kind]
+    return oracle.loop_environment(standing.amplitudes, standing.modes, absorbed, b)
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rails=st.integers(1, 2),
+    tau=st.floats(1e-3, 1.0),
+    swap=st.booleans(),
+    pad=st.integers(0, 2),
+)
+@example(seed=1, rails=2, tau=0.5, swap=False, pad=2)
+@example(seed=2, rails=2, tau=1.0, swap=True, pad=0)
+@example(seed=3, rails=1, tau=0.999, swap=True, pad=1)
+def test_absorber_environment_matches_the_joint_and_the_loop(seed, rails, tau, swap, pad):
+    """At tau_c != 0 the closed-form map gives the distribution, entropy and
+    P(all absorbed) of cpa_channel's joint (oracle.joint_environment) and of
+    the per-level loop (oracle.loop_environment) within 1e-12, on one and two
+    rails, either role; `pad` empty levels above the state exercise the map's
+    truncation to the weighted levels with the distribution's keys kept."""
+    absorber = AbsorberSpec(reflection=(tau - 1.0) / 2.0, swap_roles=swap)
+    state = random_rail_state(seed, rails)
+    if pad:
+        amps = np.zeros((state.dim + pad,) * len(state.modes), dtype=complex)
+        amps[(slice(state.dim),) * len(state.modes)] = state.amplitudes
+        state = fock.PureState(state.modes, state.cutoff + pad, amps)
+    standing = fock.standing_basis(state)
+    readout = fock.absorber_environment(standing, absorber)
+    joint = fock.cpa_channel(standing, absorber)
+    env = [m for m in joint.modes if m.is_env]
+    assert list(readout.distribution) == list(range(rails * standing.cutoff + 1))
+    _environment_matches(readout, oracle.joint_environment(joint.amplitudes, joint.modes, env))
+    _environment_matches(readout, _loop_reference(standing, absorber))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("levels", [1, 2, 124, 400, 737])
+@pytest.mark.parametrize("tau", [1e-3, 0.05, 0.5, 0.93, 0.999, 1.0])
+def test_loss_map_matches_the_loop_over_the_level_range(levels, tau):
+    """The closed form stays in double range and agrees with the loop from one
+    level to the 737 a standing state can reach under the block budget, with
+    any overflow or invalid-value warning raised as an error: the map's
+    ket <= bra triangle within 1e-14 up to 124 levels and 1e-13 above (the
+    rest is zero), and the readouts within 1e-12."""
+    absorber = AbsorberSpec(reflection=(tau - 1.0) / 2.0)
+    standing = _random_standing(levels)
+    rho, *reference = _loop_reference(standing, absorber)
+    _environment_matches(fock.absorber_environment(standing, absorber), (rho, *reference))
+    psi = standing.amplitudes  # C, the absorbed mode, leads
+    mapped = fock._loss_map(psi @ psi.conj().T, absorber.tau_c)
+    upper = np.triu(np.ones((levels, levels), dtype=bool))
+    assert np.max(np.abs(mapped[upper] - rho[upper])) <= (1e-14 if levels <= 124 else 1e-13)
+    assert np.all(mapped[~upper] == 0.0)
+
+
 def test_absorber_environment_needs_a_fresh_environment():
     state = fock.basis_state({C: 1, S: 0, ENV_C: 0}, 2)
     with pytest.raises(ModeError):
@@ -1015,6 +1144,32 @@ def test_absorption_coefficients_undefined_for_vacuum():
     coeff_int, coeff_coh = fock.absorption_coefficients(state)
     assert coeff_int is None
     assert coeff_coh is None
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.booleans())
+@example(0, 3, True)
+def test_absorption_coefficients_lower_each_mode_once_bit_for_bit(seed, cutoff, coherent):
+    """absorption_coefficients equals the mode_moments + cross_moment route bit
+    for bit on random one-rail states (random amplitudes, or a displaced pair
+    so that both coefficients are defined)."""
+    if coherent:
+        rng = np.random.default_rng(seed)
+        alpha, beta = (complex(*rng.uniform(-0.5, 0.5, size=2)) for _ in range(2))
+        state = fock.tensor(fock.coherent_state(alpha, 12, K), fock.coherent_state(beta, 12, MINUS_K))
+    else:
+        state = random_two_mode_state(seed, cutoff)
+    mean_a, intensity_a = fock.mode_moments(state, K)
+    mean_b, intensity_b = fock.mode_moments(state, MINUS_K)
+    total_intensity = intensity_a + intensity_b
+    total_coherence = abs(mean_a) ** 2 + abs(mean_b) ** 2
+    expected = (
+        float(0.5 + fock.cross_moment(state, K, MINUS_K).real / total_intensity)
+        if total_intensity > 1e-12 else None,
+        float(0.5 + (np.conj(mean_a) * mean_b).real / total_coherence)
+        if total_coherence > 1e-12 else None,
+    )
+    assert fock.absorption_coefficients(state) == expected
 
 
 def test_fidelity_aligns_mode_order():

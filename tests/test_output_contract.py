@@ -53,3 +53,30 @@ def test_workload_commands_stand_in_for_the_generated_inputs():
     single = next(argv for argv in runs if argv[1].endswith("_SINGLE_PHOTON.json"))
     (line,) = contract.record([single])
     assert line["argv"] == single and line["exit"] == 0 and line["stderr"] == ""
+
+
+def test_compare_names_each_moved_value(tmp_path):
+    """Under each differing command, --compare prints what moved: exit and
+    stderr, and every value of a run's JSON by its path with the old and the
+    new token; a key on one side only shows as <absent>."""
+    def line(name, payload, code=0, stderr=""):
+        stdout = json.dumps(payload, indent=2) if payload is not None else ""
+        return {"argv": ["run", name], "exit": code, "stdout_sha256": contract._sha256(stdout),
+                "stderr": stderr, "stdout": stdout}
+
+    before = {"absorbed_distribution": {"0": 0.5, "1": 0.5},
+              "conditional_outputs": [{"purity": 1.0}], "extras": {}}
+    after = {"absorbed_distribution": {"0": 0.5, "1": 0.500000000001},
+             "conditional_outputs": [{"purity": 0.9}], "extras": {"x": 1}}
+    old = [line("a.json", before), line("b.json", before), line("c.json", before)]
+    new = [line("a.json", after), line("b.json", None, 2, "boom\n"), line("c.json", before)]
+    assert _compare(tmp_path, old, new) == (1, "\n".join([
+        "run a.json",
+        "  absorbed_distribution.1: 0.5 -> 0.500000000001",
+        "  conditional_outputs[0].purity: 1.0 -> 0.9",
+        "  extras.x: <absent> -> 1",
+        "run b.json",
+        "  exit: 0 -> 2",
+        '  stderr: "" -> "boom\\n"',
+        "  stdout: <text> -> <text>",
+    ]) + "\n")
