@@ -6,7 +6,7 @@
     cpa sweep --custom <file> [--out path]
 
 Exit codes: 0 success, 1 validation failure, 2 numerical failure
-(cutoff/norm), 3 regression mismatch in table1.
+(cutoff/norm, or a float out of range), 3 regression mismatch in table1.
 """
 from __future__ import annotations
 
@@ -113,7 +113,7 @@ def main(argv: list[str] | None = None) -> int:
     except scenario_io.ScenarioFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except FockError as exc:
+    except (FockError, OverflowError) as exc:  # cutoff, norm, or a float out of range
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, OSError) as exc:

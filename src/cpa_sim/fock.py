@@ -1,24 +1,25 @@
 """Truncated multi-mode Fock-space engine.
 
 States are dense complex tensors indexed by per-mode occupation number with a
-common cutoff.  Every map of the pipeline is one two-mode mix, as on the
-Gaussian engine: the balanced (Hadamard) beamsplitter, and the absorber, which
-mixes the absorbed standing mode with a fresh vacuum environment mode that the
-mix itself attaches.  The mix acts per total-photon sector, in a layout with the
-two mixed modes leading, where each sector is a strided row slice: its real
-sector matrix multiplies the float view of those rows (one BLAS call, no
-complex cast, no per-sector gather or scatter).  The sector matrices come from
-a stable recurrence and match the exact integer expansion to ~5e-15 up to
-total 246.  Reduced states are held as purifications, rho = A A^H.  The
-environment meets only the absorbed modes, so runs read it from their reduced
-state in the standing basis, through the pure-loss channel's complementary map
-in closed form: real Toeplitz matmuls per rail on the diagonal-major layout of
-that state (absorber_environment); they never build the light x environment
-joint, and only what is read in the travelling basis is carried there.  The
-absorber's own mix, with a vacuum partner, reads each sector's single column
-from one table of loss amplitudes.  DV runs, which do carry the joint there,
-read every conditional output from one pass over |joint|^2
-(conditional_outputs), not one reduction per count and mode.
+common cutoff.  Every map of the pipeline is one two-mode mix, run by the
+stages of absorber.py as on the Gaussian engine: the balanced (Hadamard)
+beamsplitter, and the absorber, which mixes the absorbed standing mode with a
+fresh vacuum environment mode that the mix itself attaches.  The mix acts per
+total-photon sector, in a layout with the two mixed modes leading, where each
+sector is a strided row slice: its real sector matrix multiplies the float
+view of those rows (one BLAS call, no complex cast, no per-sector gather or
+scatter).  The sector matrices come from a stable recurrence and match the
+exact integer expansion to ~5e-15 up to total 246.  Reduced states are held as
+purifications, rho = A A^H.  The environment meets only the absorbed modes, so
+runs read it from their reduced state in the standing basis, through the
+pure-loss channel's complementary map in closed form: real Toeplitz matmuls
+per rail on the diagonal-major layout of that state (absorber_environment);
+they never build the light x environment joint, and only what is read in the
+travelling basis is carried there.  The absorber's own mix, with a vacuum
+partner, reads each sector's single column from one table of loss amplitudes.
+DV runs, which do carry the joint there, read every conditional output from
+one pass over |joint|^2 (conditional_outputs), not one reduction per count and
+mode.
 States are immutable and every map is a pure function.  States bridged from
 continuous families (coherent, squeezed, cat) come from one exact amplitude
 recurrence, truncated at the cutoff; any constructor or map that would push
@@ -34,23 +35,9 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .absorber import AbsorberSpec
-from .modes import (
-    C,
-    ENV_C,
-    K,
-    MINUS_K,
-    S,
-    STANDING_KINDS,
-    STANDING_OF,
-    TRAVELLING_KINDS,
-    TRAVELLING_OF,
-    ModeError,
-    ModeLabel,
-    basis_change,
-    basis_rails,
-    check_mode_consistency,
-)
+from .absorber import AbsorberSpec, absorb, change_basis
+from .modes import (K, MINUS_K, STANDING_KINDS, STANDING_OF, TRAVELLING_OF, ModeError, ModeLabel,
+                    basis_rails, check_mode_consistency)
 
 TRUNCATION_TOL = 1e-10  # norm a constructor/map may lose to the cutoff
 SECTOR_MASS_FLOOR = 1e-26  # total-photon sectors below this weight are dropped
@@ -513,22 +500,9 @@ def bs_transform(state: PureState, a: ModeLabel, b: ModeLabel, weight: float = 1
 
 
 def cpa_channel(state: PureState, absorber: AbsorberSpec) -> PureState:
-    """Absorber acting in the standing basis.
-
-    The absorbed standing mode (cosine, or sine when roles are swapped) mixes
-    with a fresh vacuum environment mode (attached by _mix) at amplitude
-    transmissivity tau_c; at tau_c = 0 this is a full state swap into the
-    environment.  The other standing mode is untouched.  The joint stays pure.
-    """
-    tau = absorber.tau_c
-    s = math.sqrt(max(0.0, 1.0 - tau * tau))
-    result = state
-    for rail in basis_rails(state.modes, STANDING_KINDS):
-        env = ENV_C.with_rail(rail)
-        if env in result.modes:
-            raise ModeError(f"environment mode {env} already attached")
-        result = _mix(result, ModeLabel(absorber.absorbed_kind, rail), env, tau, s)
-    return result
+    """Absorber in the standing basis: absorber.absorb with _mix, which attaches
+    each environment mode in vacuum.  The joint stays pure."""
+    return absorb(state, absorber, _mix)
 
 
 def loss_amplitudes(c: float, s: float, dim: int) -> np.ndarray:
@@ -650,20 +624,14 @@ def absorber_environment(standing: PureState, absorber: AbsorberSpec) -> Environ
 
 def standing_basis(state: PureState) -> PureState:
     """Travelling modes -> standing basis: the first stage of full_pipeline."""
-    result = state
-    for rail in basis_rails(state.modes, TRAVELLING_KINDS):
-        result = bs_transform(result, K.with_rail(rail), MINUS_K.with_rail(rail))
-    return relabel(result, basis_change(result.modes, STANDING_OF))
+    return change_basis(state, STANDING_OF, bs_transform, relabel)
 
 
 def travelling_basis(state: PureState, weight: float = 1.0) -> PureState:
     """Standing basis -> travelling modes: the last stage of full_pipeline.  It
     acts on light modes alone and keeps light vacuum, so no environment readout
     needs it.  `weight` is as in _mix, for a conditional state."""
-    result = state
-    for rail in basis_rails(state.modes, STANDING_KINDS):
-        result = bs_transform(result, C.with_rail(rail), S.with_rail(rail), weight)
-    return relabel(result, basis_change(result.modes, TRAVELLING_OF))
+    return change_basis(state, TRAVELLING_OF, bs_transform, relabel, weight)
 
 
 def full_pipeline(state: PureState, absorber: AbsorberSpec) -> PureState:

@@ -3,9 +3,10 @@
 Quadratures follow the X1 = a + a^dag, X2 = -i(a - a^dag) convention with
 [X1, X2] = 2i, so vacuum and coherent states have unit variance in both
 quadratures (covariance = identity).  The beamsplitter is the orthogonal
-Hadamard block acting identically on both quadrature sectors; the absorber
-channel contracts the absorbed standing mode towards vacuum and can
-optionally keep the environment mode for light-absorber bookkeeping.
+Hadamard block acting identically on both quadrature sectors.  The pipeline
+runs absorber.py's stages, as on the Fock engine: the absorber is the same
+two-mode mix of the absorbed standing mode with an environment mode that the
+mix attaches in vacuum, so full_pipeline returns the environment modes too.
 
 States and functions work over optional leading batch axes: means have shape
 (..., 2M), covariances (..., 2M, 2M), and a single state has batch shape ().
@@ -22,23 +23,9 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .absorber import CANONICAL, AbsorberSpec
-from .modes import (
-    C,
-    ENV_C,
-    K,
-    MINUS_K,
-    S,
-    STANDING_KINDS,
-    STANDING_OF,
-    TRAVELLING_KINDS,
-    TRAVELLING_OF,
-    ModeError,
-    ModeLabel,
-    basis_change,
-    basis_rails,
-    check_mode_consistency,
-)
+from .absorber import CANONICAL, AbsorberSpec, absorb, change_basis
+from .modes import (C, K, MINUS_K, S, STANDING_OF, TRAVELLING_OF, ModeError, ModeLabel,
+                    check_mode_consistency)
 
 SHOT_NOISE = 2.0  # Duan inseparability of two coherent modes
 
@@ -208,71 +195,54 @@ def relabel(state: GaussianState, mapping: Mapping[ModeLabel, ModeLabel]) -> Gau
 
 def _mix(state: GaussianState, a: ModeLabel, b: ModeLabel, c: float, s: float) -> GaussianState:
     """Orthogonal two-mode mix on both quadratures (c^2 + s^2 = 1):
-    X_a -> c X_a + s X_b, X_b -> s X_a - c X_b."""
-    matrix = np.eye(2 * len(state.modes))
+    X_a -> c X_a + s X_b, X_b -> s X_a - c X_b.  A mode b not in the state is
+    attached in vacuum (zero mean, identity covariance) as the last mode, as
+    fock._mix does."""
+    if a == b:
+        raise ModeError("a two-mode mix needs two distinct modes")
+    modes, mean, cov = state.modes, state.mean, state.cov
+    ia, n = 2 * state.axis(a), mean.shape[-1]
+    if b not in modes:
+        modes = modes + (b,)
+        mean = np.concatenate((mean, np.zeros(mean.shape[:-1] + (2,))), axis=-1)
+        cov = np.zeros(cov.shape[:-2] + (n + 2, n + 2))
+        cov[..., :n, :n], cov[..., n:, n:] = state.cov, np.eye(2)
+    ib = 2 * modes.index(b)
+    matrix = np.eye(2 * len(modes))
     for q in (0, 1):
-        ia, ib = state.slot(a, q), state.slot(b, q)
-        matrix[ia, ia], matrix[ia, ib] = c, s
-        matrix[ib, ia], matrix[ib, ib] = s, -c
+        matrix[ia + q, ia + q], matrix[ia + q, ib + q] = c, s
+        matrix[ib + q, ia + q], matrix[ib + q, ib + q] = s, -c
     # stacked matmul runs the same BLAS kernel per element as a single state
-    mean = (matrix @ state.mean[..., None])[..., 0]
-    cov = matrix @ state.cov @ matrix.T
-    return GaussianState(state.modes, mean, (cov + np.swapaxes(cov, -1, -2)) / 2.0)
+    mean = (matrix @ mean[..., None])[..., 0]
+    cov = matrix @ cov @ matrix.T
+    return GaussianState(modes, mean, (cov + np.swapaxes(cov, -1, -2)) / 2.0)
 
 
 def bs_transform(state: GaussianState, a: ModeLabel, b: ModeLabel) -> GaussianState:
     """Balanced beamsplitter: X_a -> (X_a + X_b)/sqrt(2), X_b -> (X_a - X_b)/sqrt(2)."""
-    if a == b:
-        raise ModeError("beamsplitter needs two distinct modes")
     inv = 1.0 / math.sqrt(2.0)
     return _mix(state, a, b, inv, inv)
 
 
-def cpa_channel(
-    state: GaussianState, absorber: AbsorberSpec, keep_env: bool = False
-) -> GaussianState:
-    """Absorber in the standing basis on the Gaussian engine.
-
-    The absorbed standing mode's mean is scaled by tau_c and its covariance
-    contracted towards vacuum; with ``keep_env`` an explicit environment mode
-    is appended (at tau_c = 0 it carries the pre-channel marginal and all of
-    its correlations).
-    """
-    tau = absorber.tau_c
-    s = math.sqrt(max(0.0, 1.0 - tau * tau))
-    result = state
-    for rail in basis_rails(state.modes, STANDING_KINDS):
-        absorbed = ModeLabel(absorber.absorbed_kind, rail)
-        env = ENV_C.with_rail(rail)
-        if env in result.modes:
-            raise ModeError(f"environment mode {env} already attached")
-        if keep_env:
-            result = _mix(tensor(result, vacuum_state([env])), absorbed, env, tau, s)
-        else:
-            i = 2 * result.axis(absorbed)
-            mean = result.mean.copy()
-            cov = result.cov.copy()
-            mean[..., i:i + 2] *= tau
-            cov[..., i:i + 2, :] *= tau
-            cov[..., :, i:i + 2] *= tau
-            cov[..., i:i + 2, i:i + 2] += (1.0 - tau * tau) * np.eye(2)
-            result = GaussianState(result.modes, mean, cov)
-    return result
+def standing_basis(state: GaussianState) -> GaussianState:
+    """Travelling modes -> standing basis: the first stage of full_pipeline."""
+    return change_basis(state, STANDING_OF, bs_transform, relabel)
 
 
-def full_pipeline(
-    state: GaussianState, absorber: AbsorberSpec, keep_env: bool = False
-) -> GaussianState:
-    """Travelling -> standing -> absorber -> travelling, Gaussian version."""
-    rails = basis_rails(state.modes, TRAVELLING_KINDS)
-    result = state
-    for rail in rails:
-        result = bs_transform(result, K.with_rail(rail), MINUS_K.with_rail(rail))
-    result = relabel(result, basis_change(result.modes, STANDING_OF))
-    result = cpa_channel(result, absorber, keep_env=keep_env)
-    for rail in rails:
-        result = bs_transform(result, C.with_rail(rail), S.with_rail(rail))
-    return relabel(result, basis_change(result.modes, TRAVELLING_OF))
+def cpa_channel(state: GaussianState, absorber: AbsorberSpec) -> GaussianState:
+    """Absorber in the standing basis: absorber.absorb with _mix, which attaches
+    each environment mode in vacuum."""
+    return absorb(state, absorber, _mix)
+
+
+def travelling_basis(state: GaussianState) -> GaussianState:
+    """Standing basis -> travelling modes: the last stage of full_pipeline."""
+    return change_basis(state, TRAVELLING_OF, bs_transform, relabel)
+
+
+def full_pipeline(state: GaussianState, absorber: AbsorberSpec) -> GaussianState:
+    """Travelling -> standing -> absorber -> travelling, with the environment modes."""
+    return travelling_basis(cpa_channel(standing_basis(state), absorber))
 
 
 # ---------------------------------------------------------------------------
@@ -369,8 +339,6 @@ def epr_state(alpha_g: complex, alpha_h: complex, xi: float) -> GaussianState:
     quadrature variances (e^{2 xi} + e^{-2 xi})/2 and inseparability
     2 e^{-2 xi}.
     """
-    if np.less(xi, 0).any():
-        raise ValueError("squeezing parameter must be >= 0")
     mode_g = squeezed_coherent_state(SqueezedSpec(alpha_g, xi, math.pi), K)
     mode_h = squeezed_coherent_state(SqueezedSpec(alpha_h, xi, 0.0), MINUS_K)
     state = tensor(mode_g, mode_h)
@@ -470,8 +438,7 @@ def _gaussian_result(
 
     coeff_int, coeff_coh = absorption_coefficients(state, K, MINUS_K)
     inseparability_in = duan_inseparability(state, K, MINUS_K)
-    # after the beamsplitter the K and MINUS_K slots hold the standing modes C and S
-    inseparability_standing = duan_inseparability(bs_transform(state, K, MINUS_K), K, MINUS_K)
+    inseparability_standing = duan_inseparability(standing_basis(state), C, S)
     output = full_pipeline(state, absorber)
     out_stats = {}
     for mode in (K, MINUS_K):

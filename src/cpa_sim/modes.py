@@ -84,9 +84,3 @@ def basis_rails(modes, kinds: tuple[ModeKind, ModeKind]) -> list[str]:
         names = ", ".join(kind.value for kind in kinds)
         raise ModeError(f"modes {tuple(modes)} are not in the ({names}) basis on every rail")
     return sorted(first)
-
-
-def basis_change(modes, kinds: dict[ModeKind, ModeKind]) -> dict[ModeLabel, ModeLabel]:
-    """Relabel map sending each mode whose kind is in `kinds` to its partner
-    kind on the same rail (STANDING_OF or TRAVELLING_OF)."""
-    return {m: ModeLabel(kinds[m.kind], m.rail) for m in modes if m.kind in kinds}

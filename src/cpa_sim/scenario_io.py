@@ -244,6 +244,16 @@ def _squeezed_spec(obj: Any, path: str) -> gaussian.SqueezedSpec:
     )
 
 
+def _epr_params(scenario: dict) -> tuple[complex, complex, float]:
+    """alpha_g, alpha_h and xi (>= 0) of an EPR scenario, on either engine."""
+    alpha_g = parse_complex(scenario.get("alpha_g", 0.0), "scenario.alpha_g")
+    alpha_h = parse_complex(scenario.get("alpha_h", 0.0), "scenario.alpha_h")
+    xi = _require_number(scenario, "xi", "scenario")
+    if xi < 0:
+        raise ScenarioFileError("scenario.xi", f"must be >= 0, got {xi!r}")
+    return alpha_g, alpha_h, xi
+
+
 def run_scenario_file(spec: ScenarioFile) -> ScenarioResult:
     """Dispatch a validated scenario to the right engine."""
     scenario = spec.scenario
@@ -264,12 +274,7 @@ def run_scenario_file(spec: ScenarioFile) -> ScenarioResult:
                 spec.absorber,
             )
         check_keys({"alpha_g", "alpha_h", "xi"})
-        return gaussian.run_epr(
-            parse_complex(scenario.get("alpha_g", 0.0), f"{path}.alpha_g"),
-            parse_complex(scenario.get("alpha_h", 0.0), f"{path}.alpha_h"),
-            _require_number(scenario, "xi", path),
-            spec.absorber,
-        )
+        return gaussian.run_epr(*_epr_params(scenario), spec.absorber)
 
     cutoff = spec.cutoff if spec.cutoff is not None else fock.DEFAULT_CUTOFF
     if kind in ("SINGLE_PHOTON", "NOON") or kind.startswith("BELL_"):
@@ -333,9 +338,7 @@ def run_scenario_file(spec: ScenarioFile) -> ScenarioResult:
         return run_bridged_fock(echo, state, spec.absorber, cutoff)
     # EPR bridged onto the Fock engine via the preceding modes
     check_keys({"alpha_g", "alpha_h", "xi"})
-    alpha_g = parse_complex(scenario.get("alpha_g", 0.0), f"{path}.alpha_g")
-    alpha_h = parse_complex(scenario.get("alpha_h", 0.0), f"{path}.alpha_h")
-    xi = _require_number(scenario, "xi", path)
+    alpha_g, alpha_h, xi = _epr_params(scenario)
     preceding = fock.tensor(
         fock.squeezed_coherent_state(alpha_g, xi, math.pi, cutoff, K),
         fock.squeezed_coherent_state(alpha_h, xi, 0.0, cutoff, MINUS_K),

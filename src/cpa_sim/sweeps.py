@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import gaussian, scenario_io
-from .modes import K, MINUS_K
+from .modes import C, K, MINUS_K, S
 from .results import round_sig
 
 DEFAULT_GRID = 101
@@ -73,9 +73,7 @@ def sweep_fig6(grid: int = DEFAULT_GRID) -> tuple[list[str], list[list]]:
         gaussian.squeezed_coherent_state(gaussian.SqueezedSpec(xi=xi, phi=phi_k), K),
         gaussian.squeezed_coherent_state(gaussian.SqueezedSpec(xi=xi, phi=phi_mk), MINUS_K),
     )
-    # after the beamsplitter the K and MINUS_K slots hold the standing modes
-    standing = gaussian.bs_transform(state, K, MINUS_K)
-    values = gaussian.duan_inseparability(standing, K, MINUS_K)
+    values = gaussian.duan_inseparability(gaussian.standing_basis(state), C, S)
     return ["phi_k", "phi_minus_k", "standing_inseparability"], _rows(phi_k, phi_mk, values)
 
 

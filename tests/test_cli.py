@@ -126,6 +126,35 @@ def test_run_rejects_non_finite_numbers(tmp_path, capsys, scenario, field):
     assert f"{field}: expected a finite number" in err
 
 
+@pytest.mark.parametrize("engine", ["FOCK", "GAUSSIAN"])
+def test_run_rejects_negative_epr_squeezing(tmp_path, capsys, engine):
+    # FOCK ran it; GAUSSIAN exited 1 without naming the field
+    scenario = {"kind": "EPR", "alpha_g": 0.0, "alpha_h": 0.0, "xi": -0.3}
+    payload = {"schema": 1, "engine": engine, "scenario": scenario}
+    code, out, err = run_cli(capsys, "run", write_json(tmp_path, "hostile.json", payload))
+    assert code == 1
+    assert out == ""
+    assert "scenario.xi: must be >= 0" in err
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        # each ended in an OverflowError traceback
+        {"kind": "SQUEEZED_PAIR", "k": {"xi": 800}, "minus_k": {}},
+        {"kind": "EPR", "alpha_g": 0.0, "alpha_h": 0.0, "xi": 400},
+        {"kind": "EPR", "alpha_g": 1e200, "alpha_h": 0.0, "xi": 0.5},
+        {"kind": "SQUEEZED_PAIR", "k": {"alpha": 1e160}, "minus_k": {}},
+    ],
+)
+def test_run_reports_gaussian_overflow_as_numerical_failure(tmp_path, capsys, scenario):
+    payload = {"schema": 1, "engine": "GAUSSIAN", "scenario": scenario}
+    code, out, err = run_cli(capsys, "run", write_json(tmp_path, "hostile.json", payload))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("numerical failure:")
+
+
 def test_run_coherent_cat_defaults_cat_alpha_to_alpha(tmp_path, capsys):
     # exited 1 with "bad complex amplitude": the default was the parsed alpha
     alpha = {"mag": 0.7, "phase": "0.25pi"}

@@ -207,10 +207,15 @@ angles = st.floats(-math.pi, math.pi, allow_nan=False)
     beta=st.complex_numbers(max_magnitude=0.8, allow_nan=False, allow_infinity=False),
     xi=st.floats(-0.3, 0.3),
     phi=angles,
+    tau=st.floats(0.0, 1.0),
+    swap=st.booleans(),
 )
 @settings(max_examples=30, deadline=None)
-def test_mix_convention_matches_gaussian_engine(theta, alpha, beta, xi, phi):
+def test_mix_convention_matches_gaussian_engine(theta, alpha, beta, xi, phi, tau, swap):
+    """One mix, and the whole pipeline, give the same moments on both engines,
+    on every output mode, the environment's included."""
     c, s = math.cos(theta), math.sin(theta)
+    absorber = AbsorberSpec(reflection=(tau - 1.0) / 2.0, swap_roles=swap)
     cutoff = 40  # truncation shifts the moments by < 1e-12 on these ranges
     fock_in = fock.tensor(
         fock.squeezed_coherent_state(alpha, xi, phi, cutoff, K),
@@ -220,12 +225,17 @@ def test_mix_convention_matches_gaussian_engine(theta, alpha, beta, xi, phi):
         gaussian.squeezed_coherent_state(gaussian.SqueezedSpec(alpha, xi, phi), K),
         gaussian.squeezed_coherent_state(gaussian.SqueezedSpec(beta, -xi, 0.0), MINUS_K),
     )
-    fock_out = fock._mix(fock_in, K, MINUS_K, c, s)
-    gauss_out = gaussian._mix(gauss_in, K, MINUS_K, c, s)
-    for mode in (K, MINUS_K):
-        mean, number = fock.mode_moments(fock_out, mode)
-        assert abs(mean - gaussian.mean_amplitude(gauss_out, mode)) < 1e-9
-        assert abs(number - gaussian.mode_intensity(gauss_out, mode)) < 1e-9
+    outputs = [
+        (fock._mix(fock_in, K, MINUS_K, c, s), gaussian._mix(gauss_in, K, MINUS_K, c, s)),
+        (fock.full_pipeline(fock_in, absorber), gaussian.full_pipeline(gauss_in, absorber)),
+    ]
+    for fock_out, gauss_out in outputs:
+        assert fock_out.modes == gauss_out.modes
+        for mode in fock_out.modes:
+            mean, number = fock.mode_moments(fock_out, mode)
+            assert abs(mean - gaussian.mean_amplitude(gauss_out, mode)) < 1e-9
+            assert abs(number - gaussian.mode_intensity(gauss_out, mode)) < 1e-9
+    assert outputs[1][0].modes == (K, MINUS_K, ENV_C)
 
 
 @given(seed=st.integers(0, 2**32 - 1), theta=angles)
@@ -967,6 +977,57 @@ def test_loss_map_matches_the_loop_over_the_level_range(levels, tau):
     upper = np.triu(np.ones((levels, levels), dtype=bool))
     assert np.max(np.abs(mapped[upper] - rho[upper])) <= (1e-14 if levels <= 124 else 1e-13)
     assert np.all(mapped[~upper] == 0.0)
+
+
+def _gaussian_environment(v: np.ndarray, mu: np.ndarray) -> tuple[float, float, float]:
+    """P(no photon), mean photon number and entropy (bits) of a single-mode
+    Gaussian state with covariance v and mean mu (vacuum: v = I)."""
+    p_zero = 2.0 / math.sqrt(np.linalg.det(v + np.eye(2))) * math.exp(
+        -0.5 * mu @ np.linalg.solve(v + np.eye(2), mu))
+    x = max(0.0, (math.sqrt(np.linalg.det(v)) - 1.0) / 2.0)  # symplectic eigenvalue
+    entropy = (x + 1.0) * math.log2(x + 1.0) - (x * math.log2(x) if x > 0 else 0.0)
+    return p_zero, (np.trace(v) + mu @ mu - 2.0) / 4.0, entropy
+
+
+amplitudes = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    kind=st.sampled_from(["EPR", "SQUEEZED_PAIR"]),
+    alphas=st.tuples(amplitudes, amplitudes),
+    xis=st.tuples(st.floats(0.0, 0.3), st.floats(-0.3, 0.3)),
+    phi=angles,
+    tau=st.floats(0.0, 1.0),
+    swap=st.booleans(),
+)
+def test_bridged_environment_matches_the_gaussian_engine(kind, alphas, xis, phi, tau, swap):
+    """The environment readouts of a bridged Gaussian input agree with the
+    Gaussian engine's ENV_C block (V, mu), through the single-mode closed forms
+    P(0) = 2 / sqrt(det(V + I)) exp(-mu^T (V + I)^-1 mu / 2), <n> = (tr V +
+    |mu|^2 - 2) / 4 and entropy g((sqrt(det V) - 1) / 2).  The Gaussian engine
+    shares no code with the Fock readout."""
+    cutoff, absorber = 45, AbsorberSpec(reflection=(tau - 1.0) / 2.0, swap_roles=swap)
+    if kind == "EPR":
+        xi = xis[0]
+        state = fock.bs_transform(fock.tensor(
+            fock.squeezed_coherent_state(alphas[0], xi, math.pi, cutoff, K),
+            fock.squeezed_coherent_state(alphas[1], xi, 0.0, cutoff, MINUS_K)), K, MINUS_K)
+        reference = gaussian.epr_state(alphas[0], alphas[1], xi)
+    else:
+        specs = [gaussian.SqueezedSpec(a, x, p) for a, x, p in zip(alphas, xis, (phi, 0.0))]
+        state = fock.tensor(*(fock.squeezed_coherent_state(sp.alpha, sp.xi, sp.phi, cutoff, m)
+                              for sp, m in zip(specs, (K, MINUS_K))))
+        reference = gaussian.tensor(*(gaussian.squeezed_coherent_state(sp, m)
+                                      for sp, m in zip(specs, (K, MINUS_K))))
+    readout = fock.absorber_environment(fock.standing_basis(state), absorber)
+    env = gaussian.full_pipeline(reference, absorber)
+    p_zero, mean, entropy = _gaussian_environment(env.mode_block(ENV_C), env.mode_mean(ENV_C))
+    # at the corners of these ranges truncation at cutoff 45 moves <n> by 1.3e-12;
+    # the entropy's eigenvalue floor alone leaves ~2e-13
+    assert abs(readout.distribution[0] - p_zero) < 1e-11
+    assert abs(sum(m * p for m, p in readout.distribution.items()) - mean) < 1e-11
+    assert abs(readout.entropy - entropy) < 1e-11
 
 
 def test_absorber_environment_needs_a_fresh_environment():

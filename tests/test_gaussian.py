@@ -124,14 +124,18 @@ def test_channel_lossless_limit_is_identity():
     spec = SqueezedSpec(alpha=0.5, xi=0.3, phi=2.0)
     state = gaussian.relabel(two_mode_pair(spec, spec), {K: C, MINUS_K: S})
     out = gaussian.cpa_channel(state, AbsorberSpec(reflection=0.0))
-    assert np.allclose(out.cov, state.cov, atol=1e-14)
-    assert np.allclose(out.mean, state.mean, atol=1e-14)
+    assert out.modes == (C, S, ENV_C)
+    assert np.allclose(out.cov[:4, :4], state.cov, atol=1e-14)
+    assert np.allclose(out.mean[:4], state.mean, atol=1e-14)
+    # the environment stays in vacuum, uncorrelated with the light
+    assert np.allclose(out.cov[4:], np.eye(6)[4:], atol=1e-14)
+    assert np.allclose(out.mean[4:], 0.0, atol=1e-14)
 
 
 def test_channel_keep_env_carries_the_absorbed_marginal():
     spec = SqueezedSpec(alpha=0.7 - 0.2j, xi=0.5, phi=0.9)
     state = gaussian.relabel(two_mode_pair(spec, SqueezedSpec()), {K: C, MINUS_K: S})
-    out = gaussian.cpa_channel(state, CANONICAL, keep_env=True)
+    out = gaussian.cpa_channel(state, CANONICAL)
     assert np.allclose(out.mode_block(ENV_C), state.mode_block(C), atol=1e-14)
     assert np.allclose(out.mode_mean(ENV_C), state.mode_mean(C), atol=1e-14)
 
@@ -453,10 +457,9 @@ def _same(batched, single) -> bool:
     pairs=st.lists(st.tuples(specs, specs), min_size=1, max_size=4),
     eprs=st.lists(epr_inputs, min_size=1, max_size=4),
     absorber=absorbers,
-    keep_env=st.booleans(),
 )
 @settings(max_examples=40, deadline=None)
-def test_batched_calls_match_single_states(pairs, eprs, absorber, keep_env):
+def test_batched_calls_match_single_states(pairs, eprs, absorber):
     """Element i of each batched call equals the single-state call on element i."""
     def batch_spec(specs_):
         return SqueezedSpec(*(np.array([getattr(s, f) for s in specs_]) for f in ("alpha", "xi", "phi")))
@@ -472,12 +475,12 @@ def test_batched_calls_match_single_states(pairs, eprs, absorber, keep_env):
         ),
     ]
     for batch, singles in cases:
-        out = gaussian.full_pipeline(batch, absorber, keep_env=keep_env)
+        out = gaussian.full_pipeline(batch, absorber)
         coeffs = gaussian.absorption_coefficients(batch)
         duan = gaussian.duan_inseparability(batch, K, MINUS_K)
         cross = gaussian.cross_correlation(batch, K, MINUS_K)
         for i, single in enumerate(singles):
-            single_out = gaussian.full_pipeline(single, absorber, keep_env=keep_env)
+            single_out = gaussian.full_pipeline(single, absorber)
             assert out.modes == single_out.modes
             assert np.array_equal(out.mean[i], single_out.mean)
             assert np.array_equal(out.cov[i], single_out.cov)
