@@ -26,8 +26,9 @@ value of the `run` JSON whose token differs, by its path
 (`separability.env_entanglement_entropy`, `conditional_outputs[1].purity`;
 `<absent>` where a key exists on one side).
 
-Good inputs are `tests/golden` and the benchmark's workloads, e.g.
-`--workload fock_large --workload scenario_mix --seed 1 tests/golden`.
+Good inputs are `tests/golden`, `tests/hostile` (whose exit codes and stderr
+the record pins) and the benchmark's workloads, e.g.
+`--workload fock_large --workload scenario_mix --seed 1 tests/golden tests/hostile`.
 """
 from __future__ import annotations
 

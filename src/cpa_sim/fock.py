@@ -20,7 +20,10 @@ partner, reads each sector's single column from one table of loss amplitudes.
 DV runs, which do carry the joint there, read every conditional output from
 one pass over |joint|^2 (conditional_outputs), not one reduction per count and
 mode.
-States are immutable and every map is a pure function.  States bridged from
+States are immutable and every map is a pure function.  Outside data is
+checked in full by PureState(...); a map skips only the checks its construction
+guarantees (_built): relabel keeps the array, and _mix returns what _normalized
+has just scaled to unit norm.  States bridged from
 continuous families (coherent, squeezed, cat) come from one exact amplitude
 recurrence, truncated at the cutoff; any constructor or map that would push
 more than TRUNCATION_TOL of probability past the cutoff fails loudly instead of
@@ -244,6 +247,16 @@ def budget_cutoff(cutoff: float, modes: int) -> int:
     return math.ceil(cutoff)
 
 
+def _built(modes: tuple[ModeLabel, ...], cutoff: int, amps: np.ndarray) -> PureState:
+    """A PureState from a (dim,) * len(modes) array that a map has normalized
+    or taken from a validated state: only the mode labels are checked."""
+    check_mode_consistency(modes)
+    amps.setflags(write=False)
+    state = object.__new__(PureState)  # PureState(...) would run every check
+    vars(state).update(modes=modes, cutoff=cutoff, amplitudes=amps)
+    return state
+
+
 def basis_state(occupations: Mapping[ModeLabel, int], cutoff: int) -> PureState:
     modes = tuple(occupations)
     dim = cutoff + 1
@@ -352,7 +365,7 @@ def squeezed_coherent_state(
 
 def relabel(state: PureState, mapping: Mapping[ModeLabel, ModeLabel]) -> PureState:
     modes = tuple(mapping.get(m, m) for m in state.modes)
-    return PureState(modes, state.cutoff, state.amplitudes)  # the array is read-only
+    return _built(modes, state.cutoff, state.amplitudes)
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +500,7 @@ def _mix(
         np.matmul(block[lo:hi + 1], flat[_sector_rows(total, lo_m, hi_m, cols)],
                   out=flat_out[_sector_rows(total, lo, hi, dim)])
     out = image if (ia, ib) == (0, 1) else np.moveaxis(image, (0, 1), (ia, ib)).copy()
-    return PureState(modes, cutoff, _normalized(out, weight=weight))
+    return _built(modes, cutoff, _normalized(out, weight=weight))
 
 
 def bs_transform(state: PureState, a: ModeLabel, b: ModeLabel, weight: float = 1.0) -> PureState:

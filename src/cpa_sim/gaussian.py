@@ -13,6 +13,9 @@ States and functions work over optional leading batch axes: means have shape
 Batched arithmetic repeats, element by element, the Python scalar arithmetic a
 single state uses (same operation order, `math` functions, no fused
 multiply-add), so each element equals the single-state call on it bit for bit.
+Outside data is checked in full by GaussianState(...); a map skips only the
+checks its construction guarantees (_built): relabel keeps the arrays, tensor
+copies validated blocks onto a block diagonal.  _mix is checked in full.
 """
 from __future__ import annotations
 
@@ -106,10 +109,11 @@ class GaussianState:
             raise ValueError(f"cov shape {self.cov.shape} != {batch + (2 * m, 2 * m)}")
         check_mode_consistency(self.modes)
         cov_t = np.swapaxes(self.cov, -1, -2)  # np.allclose(atol=1e-12), minus its overhead
-        with np.errstate(invalid="ignore"):
-            close = np.abs(self.cov - cov_t) <= 1e-12 + 1e-5 * np.abs(cov_t)
-        if not (close & np.isfinite(cov_t) | (self.cov == cov_t)).all():
-            raise ValueError("covariance matrix not symmetric")
+        if not (self.cov == cov_t).all():  # _mix's (C + C^T) / 2 is exactly symmetric
+            with np.errstate(invalid="ignore"):
+                close = np.abs(self.cov - cov_t) <= 1e-12 + 1e-5 * np.abs(cov_t)
+            if not (close & np.isfinite(cov_t) | (self.cov == cov_t)).all():
+                raise ValueError("covariance matrix not symmetric")
         # single-mode uncertainty bound, for every mode of every state
         dets = np.linalg.det(np.stack([self.mode_block(mode) for mode in self.modes], axis=-3))
         bad = dets < 1.0 - 1e-10
@@ -140,6 +144,17 @@ class GaussianState:
     def mode_mean(self, mode: ModeLabel) -> np.ndarray:
         i = 2 * self.axis(mode)
         return self.mean[..., i:i + 2]
+
+
+def _built(modes: tuple[ModeLabel, ...], mean: np.ndarray, cov: np.ndarray) -> GaussianState:
+    """A GaussianState from arrays whose shapes, symmetry and mode blocks a map
+    took from validated states: only the mode labels are checked."""
+    check_mode_consistency(modes)
+    for array in (mean, cov):
+        array.setflags(write=False)
+    state = object.__new__(GaussianState)  # GaussianState(...) would run every check
+    vars(state).update(modes=modes, mean=mean, cov=cov)
+    return state
 
 
 def vacuum_state(modes: Sequence[ModeLabel]) -> GaussianState:
@@ -185,12 +200,12 @@ def tensor(*states: GaussianState) -> GaussianState:
         mean[..., offset:end] = s.mean
         cov[..., offset:end, offset:end] = s.cov
         offset = end
-    return GaussianState(modes, mean, cov)
+    return _built(modes, mean, cov)
 
 
 def relabel(state: GaussianState, mapping: Mapping[ModeLabel, ModeLabel]) -> GaussianState:
     modes = tuple(mapping.get(m, m) for m in state.modes)
-    return GaussianState(modes, state.mean, state.cov)  # arrays are read-only
+    return _built(modes, state.mean, state.cov)
 
 
 def _mix(state: GaussianState, a: ModeLabel, b: ModeLabel, c: float, s: float) -> GaussianState:
@@ -298,16 +313,22 @@ def absorption_coefficients(
     """Intensity and coherence absorption coefficients of a travelling pair.
 
     A coefficient whose denominator (total intensity / total coherence)
-    vanishes is undefined: None for a single state, NaN within a batch.
+    vanishes is undefined: None for a single state, NaN within a batch.  For a
+    single state whose total left double range it is inf, which results.clean
+    refuses by name.
     """
     amp_a, amp_b = mean_amplitude(state, a), mean_amplitude(state, b)
-    intensity = mode_intensity(state, a) + mode_intensity(state, b)
+    try:
+        intensity = mode_intensity(state, a) + mode_intensity(state, b)
+    except OverflowError:  # Python's float power raised where numpy would give inf
+        raise OverflowError("total intensity overflows a double") from None
     coherence = _abs2(amp_a) + _abs2(amp_b)
     coeff_int = _half_plus_ratio(cross_correlation(state, a, b).real, intensity)
     coeff_coh = _half_plus_ratio(_cmul(np.conj(amp_a), amp_b).real, coherence)
     if state.mean.ndim > 1:  # a batch
         return coeff_int, coeff_coh
-    return tuple(None if math.isnan(c) else float(c) for c in (coeff_int, coeff_coh))
+    return tuple(math.inf if not math.isfinite(total) else None if math.isnan(c) else float(c)
+                 for c, total in ((coeff_int, intensity), (coeff_coh, coherence)))
 
 
 # ---------------------------------------------------------------------------
@@ -438,8 +459,9 @@ def _gaussian_result(
 
     coeff_int, coeff_coh = absorption_coefficients(state, K, MINUS_K)
     inseparability_in = duan_inseparability(state, K, MINUS_K)
-    inseparability_standing = duan_inseparability(standing_basis(state), C, S)
-    output = full_pipeline(state, absorber)
+    standing = standing_basis(state)
+    inseparability_standing = duan_inseparability(standing, C, S)
+    output = travelling_basis(cpa_channel(standing, absorber))
     out_stats = {}
     for mode in (K, MINUS_K):
         block = output.mode_block(mode)
@@ -469,6 +491,7 @@ def _gaussian_result(
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # out-of-range values fail by name, unwarned
 def run_squeezed_pair(
     spec_k: SqueezedSpec, spec_mk: SqueezedSpec, absorber: AbsorberSpec = CANONICAL
 ) -> "ScenarioResult":
@@ -489,6 +512,7 @@ def run_squeezed_pair(
     return result
 
 
+@np.errstate(over="ignore", invalid="ignore")  # out-of-range values fail by name, unwarned
 def run_epr(
     alpha_g: complex, alpha_h: complex, xi: float, absorber: AbsorberSpec = CANONICAL
 ) -> "ScenarioResult":

@@ -21,15 +21,18 @@ from .results import round_sig
 
 DEFAULT_GRID = 101
 PRESETS = ("fig6", "fig8", "fig9a", "fig9b")
+_SMALLEST_NORMAL = sys.float_info.min  # nonzero floats below it are subnormal
 
 
 def format_cell(value: float | str | None) -> str:
+    if type(value) is float and not 0.0 < abs(value) < _SMALLEST_NORMAL:
+        return f"{value:.12g}"  # the common cell, tested first
     if value is None:
         return "undefined"
     if isinstance(value, str):
         return value
     value = float(value)
-    if 0.0 < abs(value) < sys.float_info.min:
+    if 0.0 < abs(value) < _SMALLEST_NORMAL:
         # a subnormal holds fewer digits, so the float nearest its 12-digit
         # rounding can print differently: round first, as results.clean does
         value = round_sig(value)

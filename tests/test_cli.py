@@ -155,6 +155,67 @@ def test_run_reports_gaussian_overflow_as_numerical_failure(tmp_path, capsys, sc
     assert err.startswith("numerical failure:")
 
 
+def test_run_epr_past_double_precision_squeezing_exits_nonzero(tmp_path, capsys):
+    """At xi = 20 the standing basis cancels e^40-sized covariances into a
+    negative mode determinant: its check must run, however the maps skip theirs."""
+    payload = {"schema": 1, "engine": "GAUSSIAN",
+               "scenario": {"kind": "EPR", "alpha_g": 0.0, "alpha_h": 0.0, "xi": 20}}
+    code, out, err = run_cli(capsys, "run", write_json(tmp_path, "epr.json", payload))
+    assert code != 0
+    assert out == ""
+    assert "violates the uncertainty relation" in err
+
+
+# tests/hostile: GAUSSIAN files at xi in {0.5, 20, 355, 400} and |alpha| in {0,
+# 1e154, 1e300} (the minus_k / alpha_h partner at phase 2), each kind, the
+# absorber cycling canonical, tau_c 0.3 and swap_roles.  Each file's exit code
+# and first stderr line; stdout is empty unless the code is 0.
+HOSTILE_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "hostile")
+INTENSITY = "numerical failure: total intensity overflows a double"
+RANGE = "numerical failure: math range error"  # exp or cosh of the squeezing
+UNCERTAIN = "error: mode K violates the uncertainty relation (block determinant -218.509361691524)"
+HOSTILE = {
+    "epr_xi0.5_alpha0_canonical.json": (0, ""),
+    "epr_xi0.5_alpha1e154_tau.json": (2, INTENSITY),
+    "epr_xi0.5_alpha1e300_swap.json": (2, INTENSITY),
+    "epr_xi20_alpha0_tau.json": (1, UNCERTAIN),
+    "epr_xi20_alpha1e154_swap.json": (2, INTENSITY),
+    "epr_xi20_alpha1e300_canonical.json": (1, UNCERTAIN),  # NaN means; leaked a warning
+    "epr_xi355_alpha0_swap.json": (2, RANGE),
+    "epr_xi355_alpha1e154_canonical.json": (2, RANGE),
+    "epr_xi355_alpha1e300_tau.json": (2, RANGE),
+    "epr_xi400_alpha0_canonical.json": (2, RANGE),
+    "epr_xi400_alpha1e154_tau.json": (2, RANGE),
+    "epr_xi400_alpha1e300_swap.json": (2, RANGE),
+    "squeezed_pair_xi0.5_alpha0_canonical.json": (0, ""),
+    # exited 0 with both coefficients 0.5 over an overflowed total intensity
+    "squeezed_pair_xi0.5_alpha1e154_tau.json":
+        (2, "numerical failure: non-finite value at mean_intensity_absorption"),
+    "squeezed_pair_xi0.5_alpha1e300_swap.json": (2, INTENSITY),
+    "squeezed_pair_xi20_alpha0_tau.json": (0, ""),
+    "squeezed_pair_xi20_alpha1e154_swap.json": (2, INTENSITY),
+    "squeezed_pair_xi20_alpha1e300_canonical.json": (2, INTENSITY),
+    "squeezed_pair_xi355_alpha0_swap.json": (2, RANGE),
+    "squeezed_pair_xi355_alpha1e154_canonical.json": (2, RANGE),
+    "squeezed_pair_xi355_alpha1e300_tau.json": (2, RANGE),
+    "squeezed_pair_xi400_alpha0_canonical.json": (2, RANGE),
+    "squeezed_pair_xi400_alpha1e154_tau.json": (2, RANGE),
+    "squeezed_pair_xi400_alpha1e300_swap.json": (2, RANGE),
+}
+
+
+def test_hostile_corpus_is_pinned_file_by_file():
+    assert sorted(os.listdir(HOSTILE_DIR)) == sorted(HOSTILE)
+
+
+@pytest.mark.filterwarnings("error")  # a numpy warning would print to stderr
+@pytest.mark.parametrize("name", sorted(HOSTILE))
+def test_hostile_gaussian_file_exit_code_and_message(capsys, name):
+    code, out, err = run_cli(capsys, "run", os.path.join(HOSTILE_DIR, name))
+    assert (code, err.partition("\n")[0]) == HOSTILE[name]
+    assert (out == "") == (code != 0)
+
+
 def test_run_coherent_cat_defaults_cat_alpha_to_alpha(tmp_path, capsys):
     # exited 1 with "bad complex amplitude": the default was the parsed alpha
     alpha = {"mag": 0.7, "phase": "0.25pi"}

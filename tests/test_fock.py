@@ -15,6 +15,7 @@ from cpa_sim import dv, fock, gaussian, nongaussian
 from cpa_sim.absorber import CANONICAL, AbsorberSpec
 from cpa_sim.fock import CutoffError, FockError
 from cpa_sim.modes import C, ENV_C, K, MINUS_K, S, ModeError
+from test_gaussian import recording
 
 INV = 1.0 / math.sqrt(2.0)
 
@@ -1255,3 +1256,22 @@ def test_mode_moments_on_density_operator():
     mean, number = fock.mode_moments(rho, K)
     assert mean == pytest.approx(0.6, abs=1e-10)
     assert number == pytest.approx(0.36, abs=1e-10)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rails=st.integers(1, 2),
+    tau=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+    swap=st.booleans(),
+)
+def test_maps_build_states_that_pass_the_checks_they_skip(seed, rails, tau, swap):
+    """_mix and relabel check only mode labels: every state they return over a
+    whole pipeline, on one or two rails at any absorber, passes PureState(...)
+    when rebuilt from a copy of its amplitudes."""
+    absorber = AbsorberSpec(reflection=(tau - 1.0) / 2.0, swap_roles=swap)
+    with recording(fock, "_mix", "relabel") as outputs:
+        fock.full_pipeline(random_rail_state(seed, rails), absorber)
+    assert [len(outputs["_mix"]), len(outputs["relabel"])] == [3 * rails, 2]
+    for built in outputs["_mix"] + outputs["relabel"]:
+        fock.PureState(built.modes, built.cutoff, built.amplitudes.copy())

@@ -1,5 +1,7 @@
 """Gaussian engine: preparation, transformations, inseparability, absorption."""
+import contextlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -446,6 +448,11 @@ epr_inputs = st.tuples(
 )
 
 
+def batch_spec(specs_) -> SqueezedSpec:
+    """One SqueezedSpec whose fields are arrays over the given specs."""
+    return SqueezedSpec(*(np.array([getattr(s, f) for s in specs_]) for f in ("alpha", "xi", "phi")))
+
+
 def _same(batched, single) -> bool:
     """Bitwise equality, with NaN in a batch standing for an undefined None."""
     if single is None:
@@ -461,9 +468,6 @@ def _same(batched, single) -> bool:
 @settings(max_examples=40, deadline=None)
 def test_batched_calls_match_single_states(pairs, eprs, absorber):
     """Element i of each batched call equals the single-state call on element i."""
-    def batch_spec(specs_):
-        return SqueezedSpec(*(np.array([getattr(s, f) for s in specs_]) for f in ("alpha", "xi", "phi")))
-
     cases = [
         (
             two_mode_pair(*(batch_spec(col) for col in zip(*pairs))),
@@ -496,3 +500,55 @@ def test_batch_with_one_unphysical_covariance_raises():
     with pytest.raises(ValueError, match=r"mode .* uncertainty relation .* batch index \(1,\)"):
         GaussianState((K, MINUS_K), np.zeros((3, 4)), cov)
     GaussianState((K, MINUS_K), np.zeros((3, 4)), np.stack([np.eye(4)] * 3))
+
+
+# ---------------------------------------------------------------------------
+# checks a map skips
+
+
+@contextlib.contextmanager
+def recording(module, *names):
+    """Inside, module.<name> records each return value in outputs[name]; the
+    module's own calls (bs_transform -> _mix) look the name up, so they record too."""
+    outputs = {name: [] for name in names}
+
+    def recorder(name, fn):
+        def call(*args, **kwargs):
+            outputs[name].append(fn(*args, **kwargs))
+            return outputs[name][-1]
+        return call
+
+    with mock.patch.multiple(module, **{n: recorder(n, getattr(module, n)) for n in names}):
+        yield outputs
+
+
+@given(
+    pairs=st.lists(st.tuples(specs, specs), min_size=1, max_size=3),
+    batched=st.booleans(),
+    epr=st.booleans(),
+    absorber=st.just(CANONICAL) | absorbers,
+)
+@settings(max_examples=40, deadline=None)
+def test_maps_build_states_that_pass_the_checks_they_skip(pairs, batched, epr, absorber):
+    """tensor and relabel check only mode labels, and _mix's symmetry check
+    takes its exact branch: every output of tensor, relabel, standing_basis,
+    cpa_channel and travelling_basis passes GaussianState(...) when rebuilt
+    from copies, and every _mix output is exactly symmetric; for one state and
+    a batch, squeezed pairs and EPR inputs, at any absorber."""
+    if batched:
+        pairs = [tuple(batch_spec(col) for col in zip(*pairs))]
+    spec_k, spec_mk = pairs[0]
+    with recording(gaussian, "tensor", "relabel", "_mix") as outputs:
+        if epr:  # the squeezed inputs' amplitudes and the first xi
+            state = gaussian.epr_state(spec_k.alpha, spec_mk.alpha, spec_k.xi)
+        else:
+            state = two_mode_pair(spec_k, spec_mk)
+        standing = gaussian.standing_basis(state)
+        joint = gaussian.cpa_channel(standing, absorber)
+        out = gaussian.travelling_basis(joint)
+    assert len(outputs["tensor"]) == 1 and len(outputs["relabel"]) == 2
+    for built in outputs["tensor"] + outputs["relabel"] + [standing, joint, out]:
+        GaussianState(built.modes, built.mean.copy(), built.cov.copy())
+    assert len(outputs["_mix"]) == 3 + epr
+    for mixed in outputs["_mix"]:
+        assert np.array_equal(mixed.cov, np.swapaxes(mixed.cov, -1, -2))
