@@ -1,21 +1,22 @@
 #!/usr/bin/env python3
 """Record the output contract of `cpa` in-process, or compare two records.
 
-    PYTHONPATH=src python scripts/output_contract.py [--grid N] [--out FILE]
+    PYTHONPATH=src python scripts/output_contract.py [--grid N...] [--out FILE]
         [--workload NAME]... [--seed N]... PATH...
     python scripts/output_contract.py --compare A B
 
 The first form calls `cpa_sim.cli.main` on `run FILE` for every scenario file
-given, then on `table1`, `table1 --json` and the four sweep presets at
-`--grid` (default 101).  A directory stands for its `*.json` files, sorted,
-other than expected outputs named `*.out.json`.  Each `--workload` (fock_large
-or scenario_mix) at each `--seed` (default 1) adds the `run` files the
-benchmark generates for it, in op order: `cpabench/workloads.py` writes them to
-a temporary directory, which the record names `<NAME-seedN>`, so no benchmark
-run is needed first and two records of the same inputs compare equal.  It
-writes one JSON line per
-command: argv, exit code, the sha256 of stdout (and of the CSV a preset
-writes), stderr, and for `run` the stdout itself.  Whichever `cpa_sim` is
+given, then on `table1`, `table1 --json` and the four sweep presets at each
+`--grid` value (default 101; `--grid 9 11 18 101` covers the benchmark's grids
+and the figures'), each line's argv naming its grid.  A directory stands for
+its `*.json` files, sorted, other than expected outputs named `*.out.json`.
+Each `--workload` (fock_large or scenario_mix) at each `--seed` (default 1)
+adds the `run` files the benchmark generates for it, in op order:
+`cpabench/workloads.py` writes them to a temporary directory, which the record
+names `<NAME-seedN>`, so no benchmark run is needed first and two records of
+the same inputs compare equal.  It writes one JSON line per command: argv,
+exit code, the sha256 of stdout (and of the CSV a preset writes), stderr, and
+for `run` the stdout itself.  Whichever `cpa_sim` is
 importable is recorded, so pointing PYTHONPATH at another checkout's `src`
 records that one.
 
@@ -42,6 +43,7 @@ import pathlib
 import re
 import sys
 import tempfile
+from typing import Sequence
 
 CSV = "<csv>"  # stands for the preset's output path, which differs per run
 WORKLOAD = re.compile(r"<(\w+)-seed(\d+)>/")  # stands for a workload's input directory
@@ -62,10 +64,11 @@ def _generate(workload: str, seed: int, work: str) -> list[str]:
     return [op.argv[1] for cycle in cycles for op in cycle if op.argv[0] == "run"]
 
 
-def commands(paths: list[str], grid: int,
+def commands(paths: list[str], grid: int | Sequence[int],
              workloads: list[tuple[str, int]] = ()) -> list[list[str]]:
-    """argv of every command in the contract; CSV marks a preset's --out and
-    `<NAME-seedN>/` the directory a workload's inputs are written to."""
+    """argv of every command in the contract, the presets at each grid; CSV
+    marks a preset's --out and `<NAME-seedN>/` the directory a workload's
+    inputs are written to."""
     files: list[str] = []
     for path in map(pathlib.Path, paths):
         if path.is_dir():
@@ -76,7 +79,8 @@ def commands(paths: list[str], grid: int,
         with tempfile.TemporaryDirectory() as tmp:
             files += [f"<{workload}-seed{seed}>/{pathlib.Path(f).name}"
                       for f in _generate(workload, seed, tmp)]
-    presets = [["sweep", "--preset", p, "--grid", str(grid), "--out", CSV]
+    presets = [["sweep", "--preset", p, "--grid", str(g), "--out", CSV]
+               for g in ([grid] if isinstance(grid, int) else grid)
                for p in ("fig6", "fig8", "fig9a", "fig9b")]
     return [["run", f] for f in files] + [["table1"], ["table1", "--json"]] + presets
 
@@ -170,7 +174,8 @@ def _read(path: str) -> list[dict]:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("paths", nargs="*", help="scenario files or directories")
-    parser.add_argument("--grid", type=int, default=101)
+    parser.add_argument("--grid", type=int, nargs="+", default=[101],
+                        help="preset grids (one or more; default 101)")
     parser.add_argument("--out", default=None, help="write the record here, not to stdout")
     parser.add_argument("--workload", action="append", default=[], choices=WORKLOADS,
                         help="add the run files the benchmark generates for this workload")

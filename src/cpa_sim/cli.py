@@ -6,7 +6,7 @@
     cpa sweep --custom <file> [--out path]
 
 Exit codes: 0 success, 1 validation failure, 2 numerical failure
-(cutoff/norm, or a float out of range), 3 regression mismatch in table1.
+(cutoff/norm, a float out of range, or rounding), 3 regression mismatch in table1.
 """
 from __future__ import annotations
 
@@ -90,9 +90,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         spec = scenario_io.load_scenario_file(args.custom)
         header, rows = sweeps.sweep_custom(spec)
     if args.out is None:
-        print(",".join(header))
-        for row in rows:
-            print(",".join(sweeps.format_cell(v) for v in row))
+        sys.stdout.write(sweeps.csv_text(header, rows))
     else:
         sweeps.write_csv(args.out, header, rows)
     return EXIT_OK
@@ -113,7 +111,7 @@ def main(argv: list[str] | None = None) -> int:
     except scenario_io.ScenarioFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (FockError, OverflowError) as exc:  # cutoff, norm, or a float out of range
+    except (FockError, OverflowError, FloatingPointError) as exc:  # cutoff, norm, range, rounding
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, OSError) as exc:

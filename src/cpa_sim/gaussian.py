@@ -11,8 +11,12 @@ mix attaches in vacuum, so full_pipeline returns the environment modes too.
 States and functions work over optional leading batch axes: means have shape
 (..., 2M), covariances (..., 2M, 2M), and a single state has batch shape ().
 Batched arithmetic repeats, element by element, the Python scalar arithmetic a
-single state uses (same operation order, `math` functions, no fused
-multiply-add), so each element equals the single-state call on it bit for bit.
+single state uses (same operation order, no fused multiply-add), so each element
+equals the single-state call on it bit for bit: libm is called per element
+through C-level maps (_per_element, _abs2); a quantity that depends only on some
+parameters is computed over their own broadcast shape (the squeezed covariance
+over xi and phi, not alpha); and a matrix shared by the batch is applied as one
+BLAS product (_mix), which a test pins against single states.
 Outside data is checked in full by GaussianState(...); a map skips only the
 checks its construction guarantees (_built): relabel keeps the arrays, tensor
 copies validated blocks onto a block diagonal.  _mix is checked in full.
@@ -31,6 +35,7 @@ from .modes import (C, K, MINUS_K, S, STANDING_OF, TRAVELLING_OF, ModeError, Mod
                     check_mode_consistency)
 
 SHOT_NOISE = 2.0  # Duan inseparability of two coherent modes
+DET_FLOOR = 1.0 - 1e-10  # least mode-block determinant a state may have
 
 
 class SingularAngleError(ValueError):
@@ -38,11 +43,11 @@ class SingularAngleError(ValueError):
 
 
 def _per_element(fn: Callable, x) -> float | np.ndarray:
-    """Scalar `fn` per element of `x`: numpy's vectorised exp, cosh, sinh,
-    hypot and pow may round differently from libm in the last bit."""
+    """Scalar `fn` per element of `x`, mapped at C level: numpy's vectorised exp,
+    cosh, sinh, hypot and pow may round differently from libm in the last bit."""
     if isinstance(x, float):
         return fn(x)
-    return np.array([fn(v) for v in np.ravel(x).tolist()], dtype=float).reshape(np.shape(x))[()]
+    return np.fromiter(map(fn, np.ravel(x).tolist()), float, np.size(x)).reshape(np.shape(x))[()]
 
 
 def _complex(re, im) -> complex | np.ndarray:
@@ -66,7 +71,8 @@ def _abs2(z) -> float | np.ndarray:
     """abs(z) ** 2 per element, with Python's hypot and pow."""
     if isinstance(z, complex):
         return abs(z) ** 2
-    return np.array([abs(v) ** 2 for v in np.ravel(z).tolist()]).reshape(np.shape(z))[()]
+    values = map((2.0).__rpow__, map(abs, np.ravel(z).tolist()))  # x ** 2 computes x ** 2.0
+    return np.fromiter(values, float, np.size(z)).reshape(np.shape(z))[()]
 
 
 @dataclass(frozen=True)
@@ -114,16 +120,7 @@ class GaussianState:
                 close = np.abs(self.cov - cov_t) <= 1e-12 + 1e-5 * np.abs(cov_t)
             if not (close & np.isfinite(cov_t) | (self.cov == cov_t)).all():
                 raise ValueError("covariance matrix not symmetric")
-        # single-mode uncertainty bound, for every mode of every state
-        dets = np.linalg.det(np.stack([self.mode_block(mode) for mode in self.modes], axis=-3))
-        bad = dets < 1.0 - 1e-10
-        if bad.any():
-            index = tuple(np.argwhere(bad)[0].tolist())
-            where = f" at batch index {index[:-1]}" if batch else ""
-            raise ValueError(
-                f"mode {self.modes[index[-1]]} violates the uncertainty relation "
-                f"(block determinant {float(dets[index])!r}){where}"
-            )
+        _check_uncertainty(self.modes, self.cov)
         self.mean.setflags(write=False)
         self.cov.setflags(write=False)
 
@@ -144,6 +141,40 @@ class GaussianState:
     def mode_mean(self, mode: ModeLabel) -> np.ndarray:
         i = 2 * self.axis(mode)
         return self.mean[..., i:i + 2]
+
+
+def _check_uncertainty(modes: tuple[ModeLabel, ...], cov: np.ndarray) -> None:
+    """np.linalg.det >= DET_FLOOR for every mode block [[a, b], [c, d]] of every
+    state, run only where ad - bc cannot vouch for it.  A failure raises
+    ValueError, or FloatingPointError where rounding could account for it."""
+    diag = cov.diagonal(0, -2, -1)
+    a, d = diag[..., 0::2], diag[..., 1::2]
+    b, c = cov.diagonal(1, -2, -1)[..., 0::2], cov.diagonal(-1, -2, -1)[..., 0::2]
+    with np.errstate(over="ignore", invalid="ignore"):
+        ad, bc = a * d, b * c
+        # With u = 2^-53 and S = |ad| + |bc|, ad - bc is within 2u S of the exact
+        # determinant; LAPACK's pivoted p * u22 = p (r - (q / p) s) is within 4u S,
+        # and np.linalg.det returns it as sign * exp(ln|p| + ln|u22|), off by a
+        # factor under 1 + 3u (|ln p| + |ln u22|) + 2u < 1 + 1e-12.  The bound is 7x
+        # the 6u S and 2x the 1e-12: a block past it passes np.linalg.det too.
+        bound = 1e-14 * (np.abs(ad) + np.abs(bc)) + 2e-12 * np.abs(ad - bc)
+        unsure = ~(ad - bc - DET_FLOOR > bound)  # NaN and inf blocks included
+    if not unsure.any():
+        return
+    blocks = np.stack((a, b, c, d), axis=-1)[unsure]
+    dets = np.linalg.det(blocks.reshape(-1, 2, 2))
+    bad = np.flatnonzero(dets < DET_FLOOR)
+    if bad.size:
+        index, value = tuple(np.argwhere(unsure)[bad[0]].tolist()), float(dets[bad[0]])
+        where = f" at batch index {index[:-1]}" if len(index) > 1 else ""
+        # ValueError only where bound and half-ulp entry errors (4u scale^2) provably miss
+        scale = float(np.abs(blocks[bad[0]]).max())
+        if float(bound[index]) + 2.0 ** -51 * scale * scale <= DET_FLOOR - value:
+            raise ValueError(f"mode {modes[index[-1]]} violates the uncertainty relation "
+                             f"(block determinant {value!r}){where}")
+        raise FloatingPointError(
+            f"mode {modes[index[-1]]}: whether it violates the uncertainty relation is lost"
+            f" to rounding (block determinant {value!r} from entries up to {scale:.3g}){where}")
 
 
 def _built(modes: tuple[ModeLabel, ...], mean: np.ndarray, cov: np.ndarray) -> GaussianState:
@@ -170,6 +201,10 @@ def squeezed_coherent_state(spec: SqueezedSpec, mode: ModeLabel = K) -> Gaussian
     the covariance is the rotated squeezer R(phi/2) diag(e^{-2xi}, e^{2xi})
     R(phi/2)^T, whose diagonal is cosh(2 xi) -/+ cos(phi) sinh(2 xi).
     """
+    try:  # before cosh(xi) and sinh(xi), which overflow only at about twice that xi
+        stretch = _per_element(math.exp, 2 * spec.xi)
+    except OverflowError:
+        raise OverflowError("e^(2 xi) overflows a double") from None
     phase = _complex(_per_element(math.cos, spec.phi), _per_element(math.sin, spec.phi))
     amp = _cmul(spec.alpha, _per_element(math.cosh, spec.xi)) - _cmul(
         _cmul(np.conj(spec.alpha), phase), _per_element(math.sinh, spec.xi)
@@ -177,14 +212,16 @@ def squeezed_coherent_state(spec: SqueezedSpec, mode: ModeLabel = K) -> Gaussian
     batch = np.shape(amp)  # alpha, xi and phi broadcast together
     mean = np.empty(batch + (2,))
     mean[..., 0], mean[..., 1] = 2.0 * amp.real, 2.0 * amp.imag
+    shape = np.broadcast(spec.xi, spec.phi).shape  # the covariance does not depend on alpha
     half = spec.phi / 2.0
     cos, sin = _per_element(math.cos, half), _per_element(math.sin, half)
-    rot = np.empty(batch + (2, 2))
+    rot = np.empty(shape + (2, 2))
     rot[..., 0, 0], rot[..., 0, 1], rot[..., 1, 0], rot[..., 1, 1] = cos, -sin, sin, cos
-    squeezer = np.zeros(batch + (2, 2))
+    squeezer = np.zeros(shape + (2, 2))
     squeezer[..., 0, 0] = _per_element(math.exp, -2 * spec.xi)
-    squeezer[..., 1, 1] = _per_element(math.exp, 2 * spec.xi)
-    cov = rot @ squeezer @ np.swapaxes(rot, -1, -2)
+    squeezer[..., 1, 1] = stretch
+    cov = np.empty(batch + (2, 2))
+    cov[...] = rot @ squeezer @ np.swapaxes(rot, -1, -2)
     return GaussianState((mode,), mean, cov)
 
 
@@ -227,9 +264,12 @@ def _mix(state: GaussianState, a: ModeLabel, b: ModeLabel, c: float, s: float) -
     for q in (0, 1):
         matrix[ia + q, ia + q], matrix[ia + q, ib + q] = c, s
         matrix[ib + q, ia + q], matrix[ib + q, ib + q] = s, -c
-    # stacked matmul runs the same BLAS kernel per element as a single state
-    mean = (matrix @ mean[..., None])[..., 0]
-    cov = matrix @ cov @ matrix.T
+    mean = (matrix @ mean[..., None])[..., 0]  # per state: V @ M^T would round differently
+    # one gemm M [C_1 ... C_N], then one of those products stacked by rows times M^T
+    size = len(matrix)
+    left = matrix @ cov.reshape(-1, size, size).transpose(1, 0, 2).reshape(size, -1)
+    left = left.reshape(size, -1, size).transpose(1, 0, 2).reshape(-1, size)
+    cov = (left @ matrix.T).reshape(cov.shape)
     return GaussianState(modes, mean, (cov + np.swapaxes(cov, -1, -2)) / 2.0)
 
 
@@ -270,10 +310,15 @@ def mean_amplitude(state: GaussianState, mode: ModeLabel) -> complex | np.ndarra
     return _complex(m[..., 0] / 2.0, m[..., 1] / 2.0)
 
 
+def _noise_intensity(state: GaussianState, mode: ModeLabel) -> float | np.ndarray:
+    """(trace of mode covariance - 2) / 4: the fluctuation part of <a^dag a>."""
+    block = state.mode_block(mode)
+    return (block[..., 0, 0] + block[..., 1, 1] - 2.0) / 4.0
+
+
 def mode_intensity(state: GaussianState, mode: ModeLabel) -> float | np.ndarray:
     """<a^dag a> = |<a>|^2 + (trace of mode covariance - 2) / 4."""
-    block = state.mode_block(mode)
-    return _abs2(mean_amplitude(state, mode)) + (block[..., 0, 0] + block[..., 1, 1] - 2.0) / 4.0
+    return _abs2(mean_amplitude(state, mode)) + _noise_intensity(state, mode)
 
 
 def cross_correlation(state: GaussianState, a: ModeLabel, b: ModeLabel) -> complex | np.ndarray:
@@ -319,10 +364,12 @@ def absorption_coefficients(
     """
     amp_a, amp_b = mean_amplitude(state, a), mean_amplitude(state, b)
     try:
-        intensity = mode_intensity(state, a) + mode_intensity(state, b)
+        coherent_a, coherent_b = _abs2(amp_a), _abs2(amp_b)
     except OverflowError:  # Python's float power raised where numpy would give inf
         raise OverflowError("total intensity overflows a double") from None
-    coherence = _abs2(amp_a) + _abs2(amp_b)
+    # mode_intensity(a) + mode_intensity(b), with each |<a>|^2 computed once
+    intensity = (coherent_a + _noise_intensity(state, a)) + (coherent_b + _noise_intensity(state, b))
+    coherence = coherent_a + coherent_b
     coeff_int = _half_plus_ratio(cross_correlation(state, a, b).real, intensity)
     coeff_coh = _half_plus_ratio(_cmul(np.conj(amp_a), amp_b).real, coherence)
     if state.mean.ndim > 1:  # a batch
@@ -491,15 +538,22 @@ def _gaussian_result(
     )
 
 
+def _named(path: str, build: Callable, *args):
+    """build(*args), whose OverflowError names the scenario field at `path`."""
+    try:
+        return build(*args)
+    except OverflowError as exc:
+        raise OverflowError(f"{path}: {exc}") from None
+
+
 @np.errstate(over="ignore", invalid="ignore")  # out-of-range values fail by name, unwarned
 def run_squeezed_pair(
     spec_k: SqueezedSpec, spec_mk: SqueezedSpec, absorber: AbsorberSpec = CANONICAL
 ) -> "ScenarioResult":
     """Two squeezed-coherent travelling inputs through the absorber."""
     start = time.perf_counter()
-    state = tensor(
-        squeezed_coherent_state(spec_k, K), squeezed_coherent_state(spec_mk, MINUS_K)
-    )
+    state = tensor(_named("scenario.k.xi", squeezed_coherent_state, spec_k, K),
+                   _named("scenario.minus_k.xi", squeezed_coherent_state, spec_mk, MINUS_K))
     scenario = {
         "kind": "SQUEEZED_PAIR",
         "k": {"alpha": spec_k.alpha, "xi": spec_k.xi, "phi": spec_k.phi},
@@ -518,7 +572,7 @@ def run_epr(
 ) -> "ScenarioResult":
     """Entangled-pair input built from orthogonally squeezed preceding modes."""
     start = time.perf_counter()
-    state = epr_state(alpha_g, alpha_h, xi)
+    state = _named("scenario.xi", epr_state, alpha_g, alpha_h, xi)
     scenario = {"kind": "EPR", "alpha_g": alpha_g, "alpha_h": alpha_h, "xi": xi}
     result = _gaussian_result(scenario, absorber, state, start)
     if result.mean_intensity_absorption is not None:  # total intensity > 1e-12

@@ -3,7 +3,8 @@
 Presets emit CSV grids (comma separated, UTF-8, header row, 12 significant
 digits).  Undefined coefficients serialize as the literal token "undefined".
 Each preset evaluates its whole grid as one batch on the Gaussian engine;
-custom sweeps run their scenario files one point after another.  Output is
+custom sweeps run their scenario files one point after another.  The CSV text
+is built once, by csv_text, for a file or for stdout alike.  Output is
 byte-identical for identical inputs.
 """
 from __future__ import annotations
@@ -39,11 +40,15 @@ def format_cell(value: float | str | None) -> str:
     return f"{value:.12g}"
 
 
+def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """The whole CSV: the header line, then one line of format_cell cells per row."""
+    return "\n".join([",".join(header)] + [",".join(map(format_cell, row)) for row in rows]) + "\n"
+
+
 def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    text = csv_text(header, rows)  # built before the file is opened, written at once
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(",".join(header) + "\n")
-        for row in rows:
-            handle.write(",".join(map(format_cell, row)) + "\n")
+        handle.write(text)
 
 
 # ---------------------------------------------------------------------------

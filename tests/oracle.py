@@ -366,3 +366,38 @@ def json_reference(payload) -> str:
     import json
 
     return json.dumps(_rounded(payload), indent=2)
+
+
+def per_element_loop(fn, x):
+    """gaussian._per_element as a list comprehension of Python-level calls."""
+    import numpy as np
+
+    if isinstance(x, float):
+        return fn(x)
+    return np.array([fn(v) for v in np.ravel(x).tolist()], dtype=float).reshape(np.shape(x))[()]
+
+
+def abs2_loop(z):
+    """gaussian._abs2 as a list comprehension of abs(v) ** 2."""
+    import numpy as np
+
+    if isinstance(z, complex):
+        return abs(z) ** 2
+    return np.array([abs(v) ** 2 for v in np.ravel(z).tolist()]).reshape(np.shape(z))[()]
+
+
+def stacked_det_check(modes, cov):
+    """The uncertainty check as np.linalg.det over every stacked mode block:
+    None when all pass, else the first failing index (batch..., mode) and the
+    ValueError message GaussianState raises for it."""
+    import numpy as np
+
+    blocks = [cov[..., i:i + 2, i:i + 2] for i in range(0, 2 * len(modes), 2)]
+    dets = np.linalg.det(np.stack(blocks, axis=-3))
+    bad = dets < 1.0 - 1e-10
+    if not bad.any():
+        return None
+    index = tuple(np.argwhere(bad)[0].tolist())
+    where = f" at batch index {index[:-1]}" if cov.ndim > 2 else ""
+    return index, (f"mode {modes[index[-1]]} violates the uncertainty relation "
+                   f"(block determinant {float(dets[index])!r}){where}")

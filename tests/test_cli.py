@@ -155,13 +155,32 @@ def test_run_reports_gaussian_overflow_as_numerical_failure(tmp_path, capsys, sc
     assert err.startswith("numerical failure:")
 
 
+@pytest.mark.parametrize(
+    "scenario, message",
+    [
+        ({"kind": "SQUEEZED_PAIR", "k": {}, "minus_k": {"xi": 400}},
+         "scenario.minus_k.xi: e^(2 xi) overflows a double"),
+        ({"kind": "SQUEEZED_PAIR", "k": {"xi": 800}, "minus_k": {"xi": 400}},
+         "scenario.k.xi: e^(2 xi) overflows a double"),
+        ({"kind": "EPR", "alpha_g": 0.0, "alpha_h": 0.0, "xi": 800},
+         "scenario.xi: e^(2 xi) overflows a double"),
+    ],
+)
+def test_run_names_the_squeezing_that_overflows(tmp_path, capsys, scenario, message):
+    # each exited 2 with "math range error", naming neither field nor quantity
+    payload = {"schema": 1, "engine": "GAUSSIAN", "scenario": scenario}
+    code, out, err = run_cli(capsys, "run", write_json(tmp_path, "hostile.json", payload))
+    assert (code, out, err) == (2, "", f"numerical failure: {message}\n")
+
+
 def test_run_epr_past_double_precision_squeezing_exits_nonzero(tmp_path, capsys):
     """At xi = 20 the standing basis cancels e^40-sized covariances into a
-    negative mode determinant: its check must run, however the maps skip theirs."""
+    negative mode determinant: its check must run, however the maps skip theirs,
+    and report the rounding as a numerical failure."""
     payload = {"schema": 1, "engine": "GAUSSIAN",
                "scenario": {"kind": "EPR", "alpha_g": 0.0, "alpha_h": 0.0, "xi": 20}}
     code, out, err = run_cli(capsys, "run", write_json(tmp_path, "epr.json", payload))
-    assert code != 0
+    assert code == 2
     assert out == ""
     assert "violates the uncertainty relation" in err
 
@@ -172,21 +191,24 @@ def test_run_epr_past_double_precision_squeezing_exits_nonzero(tmp_path, capsys)
 # and first stderr line; stdout is empty unless the code is 0.
 HOSTILE_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "hostile")
 INTENSITY = "numerical failure: total intensity overflows a double"
-RANGE = "numerical failure: math range error"  # exp or cosh of the squeezing
-UNCERTAIN = "error: mode K violates the uncertainty relation (block determinant -218.509361691524)"
+EXP = "numerical failure: {}: e^(2 xi) overflows a double"  # exited 2 as "math range error"
+# exited 1 as "error: mode K violates the uncertainty relation (block determinant
+# -218.509361691524)": the standing basis cancels e^40-sized entries into that noise
+UNCERTAIN = ("numerical failure: mode K: whether it violates the uncertainty relation is "
+             "lost to rounding (block determinant -218.509361691524 from entries up to 2.35e+17)")
 HOSTILE = {
     "epr_xi0.5_alpha0_canonical.json": (0, ""),
     "epr_xi0.5_alpha1e154_tau.json": (2, INTENSITY),
     "epr_xi0.5_alpha1e300_swap.json": (2, INTENSITY),
-    "epr_xi20_alpha0_tau.json": (1, UNCERTAIN),
+    "epr_xi20_alpha0_tau.json": (2, UNCERTAIN),
     "epr_xi20_alpha1e154_swap.json": (2, INTENSITY),
-    "epr_xi20_alpha1e300_canonical.json": (1, UNCERTAIN),  # NaN means; leaked a warning
-    "epr_xi355_alpha0_swap.json": (2, RANGE),
-    "epr_xi355_alpha1e154_canonical.json": (2, RANGE),
-    "epr_xi355_alpha1e300_tau.json": (2, RANGE),
-    "epr_xi400_alpha0_canonical.json": (2, RANGE),
-    "epr_xi400_alpha1e154_tau.json": (2, RANGE),
-    "epr_xi400_alpha1e300_swap.json": (2, RANGE),
+    "epr_xi20_alpha1e300_canonical.json": (2, UNCERTAIN),  # NaN means; leaked a warning
+    "epr_xi355_alpha0_swap.json": (2, EXP.format("scenario.xi")),
+    "epr_xi355_alpha1e154_canonical.json": (2, EXP.format("scenario.xi")),
+    "epr_xi355_alpha1e300_tau.json": (2, EXP.format("scenario.xi")),
+    "epr_xi400_alpha0_canonical.json": (2, EXP.format("scenario.xi")),
+    "epr_xi400_alpha1e154_tau.json": (2, EXP.format("scenario.xi")),
+    "epr_xi400_alpha1e300_swap.json": (2, EXP.format("scenario.xi")),
     "squeezed_pair_xi0.5_alpha0_canonical.json": (0, ""),
     # exited 0 with both coefficients 0.5 over an overflowed total intensity
     "squeezed_pair_xi0.5_alpha1e154_tau.json":
@@ -195,12 +217,12 @@ HOSTILE = {
     "squeezed_pair_xi20_alpha0_tau.json": (0, ""),
     "squeezed_pair_xi20_alpha1e154_swap.json": (2, INTENSITY),
     "squeezed_pair_xi20_alpha1e300_canonical.json": (2, INTENSITY),
-    "squeezed_pair_xi355_alpha0_swap.json": (2, RANGE),
-    "squeezed_pair_xi355_alpha1e154_canonical.json": (2, RANGE),
-    "squeezed_pair_xi355_alpha1e300_tau.json": (2, RANGE),
-    "squeezed_pair_xi400_alpha0_canonical.json": (2, RANGE),
-    "squeezed_pair_xi400_alpha1e154_tau.json": (2, RANGE),
-    "squeezed_pair_xi400_alpha1e300_swap.json": (2, RANGE),
+    "squeezed_pair_xi355_alpha0_swap.json": (2, EXP.format("scenario.k.xi")),
+    "squeezed_pair_xi355_alpha1e154_canonical.json": (2, EXP.format("scenario.k.xi")),
+    "squeezed_pair_xi355_alpha1e300_tau.json": (2, EXP.format("scenario.k.xi")),
+    "squeezed_pair_xi400_alpha0_canonical.json": (2, EXP.format("scenario.k.xi")),
+    "squeezed_pair_xi400_alpha1e154_tau.json": (2, EXP.format("scenario.k.xi")),
+    "squeezed_pair_xi400_alpha1e300_swap.json": (2, EXP.format("scenario.k.xi")),
 }
 
 
@@ -354,6 +376,8 @@ def test_sweep_custom_single_photon(tmp_path, capsys):
     out_path = str(tmp_path / "sweep.csv")
     code, _, _ = run_cli(capsys, "sweep", "--custom", path, "--out", out_path)
     assert code == 0
+    code, printed, _ = run_cli(capsys, "sweep", "--custom", path)  # the same text on stdout
+    assert (code, printed) == (0, open(out_path, encoding="utf-8").read())
     lines = open(out_path).read().strip().splitlines()
     assert lines[0].startswith("scenario.delta_theta,")
     for line in lines[1:]:

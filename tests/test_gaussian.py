@@ -13,6 +13,8 @@ from cpa_sim.absorber import CANONICAL, AbsorberSpec
 from cpa_sim.gaussian import GaussianState, SingularAngleError, SqueezedSpec
 from cpa_sim.modes import C, ENV_C, K, MINUS_K, S
 
+import oracle
+
 specs = st.builds(
     SqueezedSpec,
     alpha=st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
@@ -500,6 +502,157 @@ def test_batch_with_one_unphysical_covariance_raises():
     with pytest.raises(ValueError, match=r"mode .* uncertainty relation .* batch index \(1,\)"):
         GaussianState((K, MINUS_K), np.zeros((3, 4)), cov)
     GaussianState((K, MINUS_K), np.zeros((3, 4)), np.stack([np.eye(4)] * 3))
+
+
+@pytest.mark.parametrize("size", [1, 37, 324, 1000])
+@pytest.mark.parametrize("preset", ["fig9", "fig8", "fig6"])
+def test_batched_calls_match_single_states_at_preset_shapes(preset, size):
+    """Batches the size of the presets' and larger, where _mix's covariance
+    products are one BLAS call over the whole stack, in the presets' parameter
+    shapes: scalar xi and phi with array alpha (fig9), array xi (fig8) and array
+    phi (fig6).  Every element equals the single-state call bit for bit."""
+    rng = np.random.default_rng(size)
+    alpha_g, alpha_h = (rng.normal(size=size) + 1j * rng.normal(size=size) for _ in "gh")
+    if preset == "fig6":
+        phi_k, phi_mk = rng.uniform(0.0, 2.0 * math.pi, (2, size))
+        batch = two_mode_pair(SqueezedSpec(xi=1.0, phi=phi_k), SqueezedSpec(xi=1.0, phi=phi_mk))
+        singles = [two_mode_pair(SqueezedSpec(xi=1.0, phi=k), SqueezedSpec(xi=1.0, phi=mk))
+                   for k, mk in zip(phi_k.tolist(), phi_mk.tolist())]
+    else:
+        xi = rng.uniform(0.01, 2.0, size) if preset == "fig8" else 0.5
+        batch = gaussian.epr_state(alpha_g, alpha_h, xi)
+        singles = [gaussian.epr_state(g, h, x) for g, h, x in
+                   zip(alpha_g.tolist(), alpha_h.tolist(), np.broadcast_to(xi, size).tolist())]
+    absorber = AbsorberSpec(reflection=-0.35, swap_roles=size % 2 == 0)
+    out = gaussian.full_pipeline(batch, absorber)
+    coeffs = gaussian.absorption_coefficients(batch)
+    duan = gaussian.duan_inseparability(batch, K, MINUS_K)
+    for i, single in enumerate(singles):
+        single_out = gaussian.full_pipeline(single, absorber)
+        assert np.array_equal(out.mean[i], single_out.mean)
+        assert np.array_equal(out.cov[i], single_out.cov)
+        assert all(_same(c[i], s) for c, s in zip(coeffs, gaussian.absorption_coefficients(single)))
+        assert duan[i] == gaussian.duan_inseparability(single, K, MINUS_K)
+
+
+def _outcome(fn, *args):
+    """Type, shape and bytes of a result, or type and text of its exception."""
+    try:
+        result = fn(*args)
+    except (OverflowError, ValueError) as exc:
+        return type(exc), str(exc)
+    return type(result), np.shape(result), np.asarray(result).tobytes()
+
+
+def _shaped(values: list, shape: str):
+    """The values as a Python scalar (the first), a 0-d, 1-d or 2-d array."""
+    if shape == "scalar":
+        return values[0]
+    if shape == "0-d":
+        return np.array(values[0])
+    return np.array(values).reshape((-1,) if shape == "1-d" else (1, -1))
+
+
+@given(
+    values=st.lists(st.floats(-800.0, 800.0) | st.sampled_from([math.nan, math.inf]),
+                    min_size=1, max_size=6),
+    complexes=st.lists(st.complex_numbers(max_magnitude=1e200), min_size=1, max_size=6),
+    fn=st.sampled_from([math.exp, math.cosh, math.sinh, math.cos, math.sin]),
+    shape=st.sampled_from(["scalar", "0-d", "1-d", "2-d"]),
+)
+@settings(max_examples=200, deadline=None)
+def test_per_element_maps_equal_the_python_loops(values, complexes, fn, shape):
+    """_per_element and _abs2 give the list comprehensions' values bit for bit,
+    or raise the same exception with the same text (OverflowError past double
+    range, ValueError for cos(inf))."""
+    x = _shaped(values, shape)
+    assert _outcome(gaussian._per_element, fn, x) == _outcome(oracle.per_element_loop, fn, x)
+    for z in (_shaped(complexes, shape), _shaped([abs(v) for v in complexes], shape)):
+        assert _outcome(gaussian._abs2, z) == _outcome(oracle.abs2_loop, z)
+
+
+def _near_floor(a: float, b: float, c: float, ulps: int) -> float:
+    """d with ad - bc within a few ulps of d of gaussian.DET_FLOOR."""
+    d = (gaussian.DET_FLOOR + b * c) / a
+    for _ in range(abs(ulps)):
+        d = math.nextafter(d, math.copysign(math.inf, ulps))
+    return d
+
+
+magnitudes = st.builds(lambda m, e: m * 10.0 ** e, st.floats(-10.0, 10.0), st.integers(-17, 16))
+entries = magnitudes | st.sampled_from([math.nan, math.inf, -math.inf])
+near_floor_blocks = st.builds(
+    lambda a, b, c, ulps: [a, b, c, _near_floor(a, b, c, ulps)],
+    magnitudes.filter(lambda a: abs(a) > 1e-17), magnitudes, magnitudes, st.integers(-4, 4),
+)
+squeezed_blocks = st.builds(
+    lambda r, t: [math.cosh(2 * r) - math.cos(t) * math.sinh(2 * r), math.sin(t) * math.sinh(2 * r),
+                  math.sin(t) * math.sinh(2 * r), math.cosh(2 * r) + math.cos(t) * math.sinh(2 * r)],
+    st.floats(0.0, 20.0), st.floats(-math.pi, math.pi),
+)
+
+
+@given(
+    blocks=st.lists(st.lists(entries, min_size=4, max_size=4) | near_floor_blocks
+                    | squeezed_blocks, min_size=1, max_size=12),
+    modes=st.integers(1, 3),
+    batched=st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_screened_determinants_decide_as_lapack_does(blocks, modes, batched):
+    """The closed-form screen passes exactly the blocks np.linalg.det passes, and
+    fails first at the same (batch index, mode) with the same message; the one
+    exception, a failure that rounding could account for, raises
+    FloatingPointError naming the same block and determinant.  Entries up to
+    1e17, determinants within ulps of the floor, negative ones, NaN and inf."""
+    states = max(1, len(blocks) // modes) if batched else 1
+    cov = np.zeros((states, 2 * modes, 2 * modes))
+    for n, (a, b, c, d) in enumerate((blocks * (states * modes))[:states * modes]):
+        i = 2 * (n % modes)
+        cov[n // modes, i:i + 2, i:i + 2] = [[a, b], [c, d]]
+    cov = cov if batched else cov[0]
+    labels = (K, MINUS_K, C)[:modes]
+    with np.errstate(all="ignore"):
+        expected = oracle.stacked_det_check(labels, cov)
+        if expected is None:
+            gaussian._check_uncertainty(labels, cov)
+            return
+        with pytest.raises((ValueError, FloatingPointError)) as info:
+            gaussian._check_uncertainty(labels, cov)
+    index, message = expected
+    if info.type is ValueError:
+        assert str(info.value) == message
+    else:
+        determinant = message.partition("(block determinant ")[2].partition(")")[0]
+        where = f") at batch index {index[:-1]}" if batched else ")"
+        assert str(info.value).startswith(f"mode {labels[index[-1]]}: whether it violates")
+        assert f"(block determinant {determinant} from entries up to " in str(info.value)
+        assert str(info.value).endswith(where)
+        i = 2 * index[-1]  # rounding reaches the floor only from entries this large, or inf
+        scale = float(np.abs(cov[index[:-1] + np.s_[i:i + 2, i:i + 2]]).max())
+        assert not (math.isfinite(scale)
+                    and 1e-11 * scale * scale <= gaussian.DET_FLOOR - float(determinant))
+
+
+def test_determinant_lost_to_rounding_is_a_numerical_failure():
+    """At xi = 20 the standing basis cancels e^40-sized entries: the mode block's
+    determinant of -218.5 is rounding noise, so it raises FloatingPointError, as
+    does a block whose products overflow, where a well-conditioned failure
+    (0.5 I) raises ValueError."""
+    state = gaussian.epr_state(0.0, 0.0, 20.0)
+    with pytest.raises(FloatingPointError, match=r"^mode K: whether it violates the uncertainty "
+                       r"relation is lost to rounding \(block determinant -218.509361691524 "
+                       r"from entries up to 2.35e\+17\)$"):
+        gaussian.standing_basis(state)
+    block = np.array([[2.35e17, -14.4], [-14.4, -1e-17]])
+    with pytest.raises(FloatingPointError, match=r"block determinant -209\.7"):
+        gaussian._check_uncertainty((K,), block)
+    # ad and bc overflow, so no bound can be formed: cos(pi / 2) = 6e-17 leaves
+    # e^600-sized rounding in the squeezed block, which exited 1 as "determinant 0.0"
+    with pytest.raises(FloatingPointError, match=r"determinant 0\.0 from entries up to 3\.77e\+260"):
+        gaussian.squeezed_coherent_state(SqueezedSpec(xi=300.0, phi=math.pi))
+    with pytest.raises(ValueError, match=r"^mode K violates .* \(block determinant 0\.25\)$"):
+        gaussian._check_uncertainty((K,), 0.5 * np.eye(2))
 
 
 # ---------------------------------------------------------------------------

@@ -80,3 +80,13 @@ def test_compare_names_each_moved_value(tmp_path):
         '  stderr: "" -> "boom\\n"',
         "  stdout: <text> -> <text>",
     ]) + "\n")
+
+
+def test_presets_are_recorded_at_each_grid_given():
+    """--grid takes several values: the four presets run at each, and each
+    preset command's argv names its grid."""
+    argvs = contract.commands([], grid=[9, 11, 101])
+    presets = [argv for argv in argvs if argv[0] == "sweep"]
+    assert [(argv[2], argv[4]) for argv in presets] == [
+        (p, g) for g in ("9", "11", "101") for p in ("fig6", "fig8", "fig9a", "fig9b")]
+    assert contract.commands([], grid=101) == contract.commands([], grid=[101])
