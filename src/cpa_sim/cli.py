@@ -1,6 +1,6 @@
 """Command-line front end.
 
-    cpa table1 [--cutoff N] [--json]
+    cpa table1 [--json]
     cpa run <file> [--out path]
     cpa sweep --preset fig6|fig8|fig9a|fig9b [--grid N] --out path
     cpa sweep --custom <file> [--out path]
@@ -36,7 +36,6 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_table = sub.add_parser("table1", help="run every headline scenario and report pass/fail")
-    p_table.add_argument("--cutoff", type=int, default=30)
     p_table.add_argument("--json", action="store_true", help="emit the report as JSON")
 
     p_run = sub.add_parser("run", help="run one scenario file, emit JSON")
@@ -62,7 +61,7 @@ def _emit_json(payload: dict, out: str | None) -> None:
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
-    rows = table1.run_table1(cutoff=args.cutoff)
+    rows = table1.run_table1()
     if args.json:
         _emit_json(table1.rows_to_dict(rows), None)
     else:

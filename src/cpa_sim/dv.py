@@ -8,7 +8,6 @@ runs are exact: the working cutoff is the total photon number.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from enum import Enum
 
@@ -152,7 +151,6 @@ def run_scenario(
         raise CutoffError(
             f"cutoff {cutoff} below photon content {scenario.total_photons}"
         )
-    start = time.perf_counter()
     joint_modes = 6 if scenario.kind in BELL_KINDS else 3  # a pair and an environment per rail
     working_cutoff = fock.budget_cutoff(scenario.total_photons, joint_modes)
     state = build_input(scenario, working_cutoff)
@@ -163,7 +161,6 @@ def run_scenario(
         {"cutoff": cutoff, "working_cutoff": working_cutoff},
         fock.absorber_environment(fock.standing_basis(state), absorber),
         (None, None),
-        start,
     )
     distribution = result.absorbed_distribution
     result.mean_intensity_absorption = mean_intensity_absorption(

@@ -9,8 +9,6 @@ asymptotic statement, so runners report the exact truncated values.
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -20,17 +18,6 @@ from .absorber import CANONICAL, AbsorberSpec
 from .fock import CutoffError, PureState
 from .modes import C, K, MINUS_K, S, ModeLabel
 from .results import ScenarioResult, fock_result
-
-
-class CatParity(Enum):
-    EVEN = "EVEN"
-
-
-@dataclass(frozen=True)
-class CatSpec:
-    alpha: complex
-    cutoff: int
-    parity: CatParity = CatParity.EVEN
 
 
 def cat_cutoff(alpha: complex) -> int:
@@ -65,19 +52,41 @@ def squeezed_vacuum_cutoff(xi: float, tail: float = 1e-12) -> int:
     return 2 * (m + 1)
 
 
-def build_cat(spec: CatSpec, mode=K) -> PureState:
+def settle_cutoff(requested: int | None, needed: int, automatic: float) -> int:
+    """The cutoff of a two-mode run: `requested`, refused below `needed`, or
+    `automatic` when none is given, within the memory budget (fock.budget_cutoff)."""
+    if requested is None:
+        requested = automatic
+    elif requested < needed:
+        raise CutoffError(f"cutoff {requested} below required {needed}")
+    return fock.budget_cutoff(requested, 2)
+
+
+def run_pair(
+    scenario: dict, absorber: AbsorberSpec, numerics: dict, state: PureState
+) -> tuple[ScenarioResult, PureState, fock.EnvironmentReadout]:
+    """The result of a (K, MINUS_K) input `state`, with the standing-basis state
+    and the environment readout it was read from."""
+    standing = fock.standing_basis(state)
+    environment = fock.absorber_environment(standing, absorber)
+    coefficients = fock.absorption_coefficients(state, K, MINUS_K)
+    result = fock_result(scenario, absorber, numerics, environment, coefficients)
+    return result, standing, environment
+
+
+def build_cat(alpha: complex, cutoff: int, mode=K) -> PureState:
     """Normalized even cat state: the even part of the coherent amplitudes."""
-    norm = 1.0 / math.sqrt(2.0 * (1.0 + math.exp(-2.0 * abs(spec.alpha) ** 2)))
-    coh = fock.displaced_squeezed_amplitudes(spec.alpha, 0.0, 0.0, spec.cutoff + 1)
+    norm = 1.0 / math.sqrt(2.0 * (1.0 + math.exp(-2.0 * abs(alpha) ** 2)))
+    coh = fock.displaced_squeezed_amplitudes(alpha, 0.0, 0.0, cutoff + 1)
     amps = np.zeros_like(coh)
     amps[0::2] = 2.0 * norm * coh[0::2]
     truncated_norm = float(np.linalg.norm(amps))
     if 1.0 - truncated_norm > fock.TRUNCATION_TOL:
         raise CutoffError(
-            f"cat state at |alpha|={abs(spec.alpha):.3f} loses {1 - truncated_norm:.2e} "
-            f"of its norm at cutoff {spec.cutoff}"
+            f"cat state at |alpha|={abs(alpha):.3f} loses {1 - truncated_norm:.2e} "
+            f"of its norm at cutoff {cutoff}"
         )
-    return PureState((mode,), spec.cutoff, amps / truncated_norm)
+    return PureState((mode,), cutoff, amps / truncated_norm)
 
 
 class AsymmetricKind(Enum):
@@ -95,27 +104,13 @@ def run_cat_cat(
     Reports the all-absorbed / all-transmitted probabilities, the
     zero-absorption conditional output, and the light-absorber entanglement.
     """
-    start = time.perf_counter()
     needed = cat_cutoff(alpha)
-    if cutoff is None:
-        # +2 keeps the even-cat parity doubling of the photon-number tail
-        # inside the truncation budget of the basis change
-        cutoff = needed + 2
-    elif cutoff < needed:
-        raise CutoffError(f"cutoff {cutoff} below required {needed} for |alpha|={abs(alpha)}")
-    cutoff = fock.budget_cutoff(cutoff, 2)
-    cat_k = build_cat(CatSpec(alpha, cutoff), K)
-    cat_mk = build_cat(CatSpec(alpha, cutoff), MINUS_K)
-    input_state = fock.tensor(cat_k, cat_mk)
-    standing = fock.standing_basis(input_state)
-    environment = fock.absorber_environment(standing, absorber)
-    result = fock_result(
-        {"kind": "CAT_CAT", "alpha": alpha},
-        absorber,
-        {"cutoff": cutoff},
-        environment,
-        fock.absorption_coefficients(input_state, K, MINUS_K),
-        start,
+    # +2 keeps the even-cat parity doubling of the photon-number tail
+    # inside the truncation budget of the basis change
+    cutoff = settle_cutoff(cutoff, needed, needed + 2)
+    input_state = fock.tensor(build_cat(alpha, cutoff, K), build_cat(alpha, cutoff, MINUS_K))
+    result, standing, environment = run_pair(
+        {"kind": "CAT_CAT", "alpha": alpha}, absorber, {"cutoff": cutoff}, input_state
     )
     p_zero = environment.distribution[0]
     # no photon absorbed: level n keeps b[n, n] = tau_c^n and the (C, S) state is
@@ -150,7 +145,6 @@ def run_asymmetric(
     distribution (whose anti-correlation is the NOON-like signature of the
     coherent-squeezed case).
     """
-    start = time.perf_counter()
     intensity = abs(alpha) * abs(alpha)  # inf, not OverflowError, past 1e154
     if kind is AsymmetricKind.COHERENT_SQUEEZED:
         xi = float(np.real(partner_parameter))
@@ -158,28 +152,15 @@ def run_asymmetric(
     else:
         cat_alpha = complex(partner_parameter)
         needed = poisson_tail_cutoff(intensity + abs(cat_alpha) * abs(cat_alpha)) + 2
-    if cutoff is None:
-        cutoff = needed
-    elif cutoff < needed:
-        raise CutoffError(f"cutoff {cutoff} below required {needed}")
-    cutoff = fock.budget_cutoff(cutoff, 2)
+    cutoff = settle_cutoff(cutoff, needed, needed)
     if kind is AsymmetricKind.COHERENT_SQUEEZED:
         partner = fock.squeezed_coherent_state(0.0, xi, 0.0, cutoff, MINUS_K)
         scenario = {"kind": kind.value, "alpha": alpha, "xi": xi}
     else:
-        partner = build_cat(CatSpec(cat_alpha, cutoff), MINUS_K)
+        partner = build_cat(cat_alpha, cutoff, MINUS_K)
         scenario = {"kind": kind.value, "alpha": alpha, "cat_alpha": cat_alpha}
     input_state = fock.tensor(fock.coherent_state(alpha, cutoff, K), partner)
-    standing = fock.standing_basis(input_state)
-    environment = fock.absorber_environment(standing, absorber)
-    result = fock_result(
-        scenario,
-        absorber,
-        {"cutoff": cutoff},
-        environment,
-        fock.absorption_coefficients(input_state, K, MINUS_K),
-        start,
-    )
+    result, standing, environment = run_pair(scenario, absorber, {"cutoff": cutoff}, input_state)
     standing_dist = fock.joint_occupation_distribution(standing, C, S)
     reported = standing_dist > 1e-12
     levels, probabilities = np.argwhere(reported).tolist(), standing_dist[reported].tolist()

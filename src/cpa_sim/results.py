@@ -15,7 +15,6 @@ repr.  NaN and infinities have no JSON token: FockError names their path.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _string
 from typing import Any
@@ -127,9 +126,7 @@ class ScenarioResult:
         out["separability"] = self.separability
         if self.extras:
             out["extras"] = self.extras
-        # wall clock stays available in memory but would break byte-identical
-        # output of identical runs, so it is not serialized
-        out["diagnostics"] = {k: v for k, v in self.diagnostics.items() if k != "wall_clock_s"}
+        out["diagnostics"] = self.diagnostics
         return out
 
 
@@ -139,10 +136,9 @@ def fock_result(
     numerics: dict,
     environment: fock.EnvironmentReadout,
     coefficients: tuple[float | None, float | None],
-    start: float,
 ) -> ScenarioResult:
     """Fock-engine result: the `environment` readouts and the (intensity,
-    coherence) absorption `coefficients` of a run begun at perf_counter() == `start`."""
+    coherence) absorption `coefficients`."""
     return ScenarioResult(
         engine="FOCK",
         scenario=scenario,
@@ -152,5 +148,4 @@ def fock_result(
         mean_intensity_absorption=coefficients[0],
         coherence_absorption=coefficients[1],
         separability={"env_entanglement_entropy": environment.entropy},
-        diagnostics={"wall_clock_s": time.perf_counter() - start},
     )

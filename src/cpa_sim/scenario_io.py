@@ -10,14 +10,13 @@ from __future__ import annotations
 import cmath
 import json
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Any
 
 from . import dv, fock, gaussian, nongaussian
 from .absorber import AbsorberSpec
 from .modes import K, MINUS_K
-from .results import ScenarioResult, fock_result
+from .results import ScenarioResult
 
 SCHEMA_VERSION = 1
 
@@ -276,7 +275,6 @@ def run_scenario_file(spec: ScenarioFile) -> ScenarioResult:
         check_keys({"alpha_g", "alpha_h", "xi"})
         return gaussian.run_epr(*_epr_params(scenario), spec.absorber)
 
-    cutoff = spec.cutoff if spec.cutoff is not None else fock.DEFAULT_CUTOFF
     if kind in ("SINGLE_PHOTON", "NOON") or kind.startswith("BELL_"):
         check_keys({"n", "delta_theta"})
         n = scenario.get("n", 1)
@@ -287,6 +285,7 @@ def run_scenario_file(spec: ScenarioFile) -> ScenarioResult:
             n=n,
             delta_theta=parse_angle(scenario.get("delta_theta", 0.0), f"{path}.delta_theta"),
         )
+        cutoff = spec.cutoff if spec.cutoff is not None else fock.DEFAULT_CUTOFF
         return dv.run_scenario(
             dv_scenario, spec.absorber, cutoff, report_threshold=spec.tolerance
         )
@@ -319,7 +318,7 @@ def run_scenario_file(spec: ScenarioFile) -> ScenarioResult:
             spec.absorber,
             spec.cutoff,
         )
-    cutoff = fock.budget_cutoff(cutoff, 2)  # the bridged kinds below
+    cutoff = nongaussian.settle_cutoff(spec.cutoff, 0, fock.DEFAULT_CUTOFF)  # the bridged kinds
     if kind == "SQUEEZED_PAIR":
         check_keys({"k", "minus_k"})
         spec_k = _squeezed_spec(scenario.get("k"), f"{path}.k")
@@ -355,12 +354,5 @@ def run_bridged_fock(
     cutoff: int,
 ) -> ScenarioResult:
     """Run a continuous-variable input bridged onto the truncated Fock engine."""
-    start = time.perf_counter()
-    return fock_result(
-        scenario_echo,
-        absorber,
-        {"cutoff": cutoff, "truncation_tolerance": fock.TRUNCATION_TOL},
-        fock.absorber_environment(fock.standing_basis(state), absorber),
-        fock.absorption_coefficients(state, K, MINUS_K),
-        start,
-    )
+    numerics = {"cutoff": cutoff, "truncation_tolerance": fock.TRUNCATION_TOL}
+    return nongaussian.run_pair(scenario_echo, absorber, numerics, state)[0]

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from . import dv, fock, gaussian, nongaussian
+from . import dv, gaussian, nongaussian
 from .absorber import CANONICAL
 from .gaussian import SHOT_NOISE
 from .results import round_sig
@@ -63,17 +63,15 @@ def _distribution_checks(row: RowResult, result, expected: dict[int, float]) -> 
     row.approx("leakage outside expected counts", 0.0, leakage, DIST_TOL)
 
 
-def _single_photon_row(cutoff: int) -> RowResult:
+def _single_photon_row() -> RowResult:
     row = RowResult("single photon: controllable absorption")
     for delta, expected in ((0.0, 1.0), (math.pi, 0.0)):
         res = dv.run_scenario(
-            dv.DvScenario(dv.DvKind.SINGLE_PHOTON, delta_theta=delta), CANONICAL, cutoff
+            dv.DvScenario(dv.DvKind.SINGLE_PHOTON, delta_theta=delta), CANONICAL
         )
         dist = res.absorbed_distribution
         row.approx(f"P(absorb) at delta={delta:.2f}", expected, dist.get(1, 0.0), DIST_TOL)
-    res = dv.run_scenario(
-        dv.DvScenario(dv.DvKind.SINGLE_PHOTON, delta_theta=0.7), CANONICAL, cutoff
-    )
+    res = dv.run_scenario(dv.DvScenario(dv.DvKind.SINGLE_PHOTON, delta_theta=0.7), CANONICAL)
     row.approx(
         "P(absorb) at delta=0.70",
         math.cos(0.35) ** 2,
@@ -83,18 +81,18 @@ def _single_photon_row(cutoff: int) -> RowResult:
     return row
 
 
-def _bell_row(kind: dv.DvKind, expected: dict[int, float], note: str, cutoff: int) -> RowResult:
+def _bell_row(kind: dv.DvKind, expected: dict[int, float], note: str) -> RowResult:
     row = RowResult(f"two photons, {note}")
-    res = dv.run_scenario(dv.DvScenario(kind), CANONICAL, cutoff)
+    res = dv.run_scenario(dv.DvScenario(kind), CANONICAL)
     _distribution_checks(row, res, expected)
     row.approx("average intensity absorption", 0.5, res.mean_intensity_absorption, DIST_TOL)
     return row
 
 
-def _noon_row(n: int, by_delta: dict[float, dict[int, float]], cutoff: int) -> RowResult:
+def _noon_row(n: int, by_delta: dict[float, dict[int, float]]) -> RowResult:
     row = RowResult(f"NOON state with N={n}")
     for delta, expected in by_delta.items():
-        res = dv.run_scenario(dv.DvScenario(dv.DvKind.NOON, n, delta), CANONICAL, cutoff)
+        res = dv.run_scenario(dv.DvScenario(dv.DvKind.NOON, n, delta), CANONICAL)
         dist = res.absorbed_distribution
         for m, p in expected.items():
             row.approx(f"P(absorb {m}) at delta={delta:.2f}", p, dist.get(m, 0.0), DIST_TOL)
@@ -247,15 +245,15 @@ def _coherent_cat_row() -> RowResult:
     return row
 
 
-def run_table1(cutoff: int = fock.DEFAULT_CUTOFF) -> list[RowResult]:
-    rows = [
-        _single_photon_row(cutoff),
-        _bell_row(dv.DvKind.BELL_PSI_PLUS, {0: 0.5, 2: 0.5}, "triplet (one from each side)", cutoff),
-        _bell_row(dv.DvKind.BELL_PSI_MINUS, {1: 1.0}, "singlet (fermionic symmetry)", cutoff),
-        _bell_row(dv.DvKind.BELL_PHI_PLUS, {0: 0.5, 2: 0.5}, "NOON(+) pair", cutoff),
-        _bell_row(dv.DvKind.BELL_PHI_MINUS, {1: 1.0}, "NOON(-) pair", cutoff),
-        _noon_row(3, {0.0: {3: 0.25, 1: 0.75}, math.pi: {2: 0.75, 0: 0.25}}, cutoff),
-        _noon_row(4, {0.0: {4: 0.125, 2: 0.75, 0: 0.125}, math.pi: {3: 0.5, 1: 0.5}}, cutoff),
+def run_table1() -> list[RowResult]:
+    return [
+        _single_photon_row(),
+        _bell_row(dv.DvKind.BELL_PSI_PLUS, {0: 0.5, 2: 0.5}, "triplet (one from each side)"),
+        _bell_row(dv.DvKind.BELL_PSI_MINUS, {1: 1.0}, "singlet (fermionic symmetry)"),
+        _bell_row(dv.DvKind.BELL_PHI_PLUS, {0: 0.5, 2: 0.5}, "NOON(+) pair"),
+        _bell_row(dv.DvKind.BELL_PHI_MINUS, {1: 1.0}, "NOON(-) pair"),
+        _noon_row(3, {0.0: {3: 0.25, 1: 0.75}, math.pi: {2: 0.75, 0: 0.25}}),
+        _noon_row(4, {0.0: {4: 0.125, 2: 0.75, 0: 0.125}, math.pi: {3: 0.5, 1: 0.5}}),
         _identical_squeezed_row(),
         _orthogonal_squeezed_row(),
         _epr_row(),
@@ -263,7 +261,6 @@ def run_table1(cutoff: int = fock.DEFAULT_CUTOFF) -> list[RowResult]:
         _coherent_squeezed_row(),
         _coherent_cat_row(),
     ]
-    return rows
 
 
 def format_report(rows: list[RowResult]) -> str:

@@ -41,7 +41,7 @@ def test_table1_passes(capsys):
 def test_table1_regression_mismatch_exits_3(capsys, monkeypatch):
     from cpa_sim import table1
 
-    def broken_rows(cutoff=30):
+    def broken_rows():
         row = table1.RowResult("synthetic drifted row")
         row.approx("drifted value", 1.0, 0.9, 1e-12)
         return [row]
@@ -188,7 +188,8 @@ def test_run_epr_past_double_precision_squeezing_exits_nonzero(tmp_path, capsys)
 # tests/hostile: GAUSSIAN files at xi in {0.5, 20, 355, 400} and |alpha| in {0,
 # 1e154, 1e300} (the minus_k / alpha_h partner at phase 2), each kind, the
 # absorber cycling canonical, tau_c 0.3 and swap_roles.  Each file's exit code
-# and first stderr line; stdout is empty unless the code is 0.
+# and first stderr line; stdout is empty unless the code is 0.  One more
+# SQUEEZED_PAIR at xi 354.8 with minus_k at phi 1 overflows only in the absorber.
 HOSTILE_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "hostile")
 INTENSITY = "numerical failure: total intensity overflows a double"
 EXP = "numerical failure: {}: e^(2 xi) overflows a double"  # exited 2 as "math range error"
@@ -217,6 +218,10 @@ HOSTILE = {
     "squeezed_pair_xi20_alpha0_tau.json": (0, ""),
     "squeezed_pair_xi20_alpha1e154_swap.json": (2, INTENSITY),
     "squeezed_pair_xi20_alpha1e300_canonical.json": (2, INTENSITY),
+    # exited 1 as "error: covariance matrix not symmetric": the absorber's mix
+    # overflows the standing-basis covariances to inf and NaN
+    "squeezed_pair_xi354.8_phi1_canonical.json":
+        (2, "numerical failure: covariance overflows a double"),
     "squeezed_pair_xi355_alpha0_swap.json": (2, EXP.format("scenario.k.xi")),
     "squeezed_pair_xi355_alpha1e154_canonical.json": (2, EXP.format("scenario.k.xi")),
     "squeezed_pair_xi355_alpha1e300_tau.json": (2, EXP.format("scenario.k.xi")),
@@ -282,16 +287,21 @@ def test_run_rejects_sweep_files(tmp_path, capsys):
 
 
 def test_run_cutoff_failure_exits_2(tmp_path, capsys):
-    payload = {
-        "schema": 1,
-        "engine": "FOCK",
-        "scenario": {"kind": "CAT_CAT", "alpha": 2.0},
-        "numerics": {"cutoff": 31},
-    }
-    path = write_json(tmp_path, "cat.json", payload)
-    code, _, err = run_cli(capsys, "run", path)
-    assert code == 2
-    assert "cutoff" in err.lower()
+    """An explicit cutoff below the one a kind requires is refused by name; at
+    the required one a cat still loses norm to the truncation."""
+    cases = [
+        ({"kind": "CAT_CAT", "alpha": 2.0}, 30, "cutoff 30 below required 31"),
+        ({"kind": "CAT_CAT", "alpha": 2.0}, 31, "norm lost to cutoff"),
+        ({"kind": "COHERENT_SQUEEZED", "alpha": 1.0, "xi": 0.5}, 48, "cutoff 48 below required 49"),
+        ({"kind": "COHERENT_CAT", "alpha": 1.0, "cat_alpha": 1.0}, 21,
+         "cutoff 21 below required 22"),
+    ]
+    for scenario, cutoff, message in cases:
+        payload = {"schema": 1, "engine": "FOCK", "scenario": scenario,
+                   "numerics": {"cutoff": cutoff}}
+        code, out, err = run_cli(capsys, "run", write_json(tmp_path, "cutoff.json", payload))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"numerical failure: {message}")
 
 
 def test_sweep_fig6_values(tmp_path, capsys):

@@ -1173,7 +1173,7 @@ def test_coherent_and_cat_amplitudes_match_closed_form(alpha, cutoff):
     coherent = fock.coherent_state(alpha, cutoff).amplitudes
     assert np.max(np.abs(coherent - closed / np.linalg.norm(closed))) < 1e-13
     even = np.where(np.arange(cutoff + 1) % 2 == 0, closed, 0.0)
-    cat = nongaussian.build_cat(nongaussian.CatSpec(alpha, cutoff)).amplitudes
+    cat = nongaussian.build_cat(alpha, cutoff).amplitudes
     assert np.max(np.abs(cat - even / np.linalg.norm(even))) < 1e-13
 
 

@@ -14,18 +14,18 @@ from cpa_sim.modes import K, MINUS_K
 
 
 def test_cat_at_zero_amplitude_is_vacuum():
-    cat = ng.build_cat(ng.CatSpec(0.0, 10))
+    cat = ng.build_cat(0.0, 10)
     assert cat.amplitude({K: 0}) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_cat_has_no_odd_components():
-    cat = ng.build_cat(ng.CatSpec(2.0, 40))
+    cat = ng.build_cat(2.0, 40)
     assert np.max(np.abs(cat.amplitudes[1::2])) == 0.0
 
 
 def test_cat_mean_photon_number():
     alpha = 1.5
-    cat = ng.build_cat(ng.CatSpec(alpha, 40))
+    cat = ng.build_cat(alpha, 40)
     mean, number = fock.mode_moments(cat, K)
     mag2 = alpha * alpha
     expected = mag2 * (1.0 - math.exp(-2.0 * mag2)) / (1.0 + math.exp(-2.0 * mag2))
@@ -35,7 +35,7 @@ def test_cat_mean_photon_number():
 
 def test_cat_insufficient_cutoff_raises():
     with pytest.raises(CutoffError):
-        ng.build_cat(ng.CatSpec(3.0, 8))
+        ng.build_cat(3.0, 8)
 
 
 def test_cat_cat_probabilities_and_conditional_state():
@@ -51,8 +51,8 @@ def test_cat_cat_probabilities_and_conditional_state():
 
 def test_cat_cat_parity_conservation():
     alpha = 1.5
-    cat_k = ng.build_cat(ng.CatSpec(alpha, ng.cat_cutoff(alpha) + 2), K)
-    cat_mk = ng.build_cat(ng.CatSpec(alpha, ng.cat_cutoff(alpha) + 2), MINUS_K)
+    cat_k = ng.build_cat(alpha, ng.cat_cutoff(alpha) + 2, K)
+    cat_mk = ng.build_cat(alpha, ng.cat_cutoff(alpha) + 2, MINUS_K)
     joint = fock.full_pipeline(fock.tensor(cat_k, cat_mk), CANONICAL)
     totals = fock.total_occupation_distribution(joint, joint.modes)
     odd_mass = sum(p for n, p in totals.items() if n % 2 == 1)
@@ -76,7 +76,7 @@ def test_cat_cat_readouts_match_full_pipeline(magnitude, phase, reflection, swap
     absorber = AbsorberSpec(reflection=reflection, swap_roles=swap)
     cutoff = ng.cat_cutoff(alpha) + 8
     result = ng.run_cat_cat(alpha, absorber, cutoff)
-    cats = (ng.build_cat(ng.CatSpec(alpha, cutoff), mode) for mode in (K, MINUS_K))
+    cats = (ng.build_cat(alpha, cutoff, mode) for mode in (K, MINUS_K))
     joint = fock.full_pipeline(fock.tensor(*cats), absorber)
     env = [m for m in joint.modes if m.is_env]
     _, distribution, entropy, p_all_absorbed = oracle.joint_environment(
@@ -143,7 +143,7 @@ def test_standing_distribution_is_the_basis_change_of_the_input(kind, partner, a
     if kind is ng.AsymmetricKind.COHERENT_SQUEEZED:
         other = fock.squeezed_coherent_state(0.0, partner, 0.0, cutoff, MINUS_K)
     else:
-        other = ng.build_cat(ng.CatSpec(partner, cutoff), MINUS_K)
+        other = ng.build_cat(partner, cutoff, MINUS_K)
     state = fock.tensor(fock.coherent_state(alpha, cutoff, K), other)
     probs = fock.bs_transform(state, K, MINUS_K).probabilities()
     expected = {
