@@ -76,27 +76,19 @@ def _bell_terms(kind: DvKind) -> list[tuple[complex, dict[ModeLabel, int]]]:
 
 
 def build_input(scenario: DvScenario, cutoff: int) -> PureState:
-    """Travelling-basis input ket for the scenario."""
-    if cutoff < scenario.total_photons:
-        raise CutoffError(
-            f"cutoff {cutoff} below photon content {scenario.total_photons}"
+    """Travelling-basis input ket for the scenario; a single photon is NOON at n = 1."""
+    if scenario.kind in BELL_KINDS:
+        modes = (
+            K.with_rail(RAIL_A),
+            K.with_rail(RAIL_B),
+            MINUS_K.with_rail(RAIL_A),
+            MINUS_K.with_rail(RAIL_B),
         )
-    amp = 1.0 / math.sqrt(2.0)
+        return fock.superposition(_bell_terms(scenario.kind), modes, cutoff)
+    n, amp = scenario.total_photons, 1.0 / math.sqrt(2.0)
     phase = np.exp(1j * scenario.delta_theta)
-    if scenario.kind is DvKind.SINGLE_PHOTON:
-        terms = [(amp, {K: 1, MINUS_K: 0}), (amp * phase, {K: 0, MINUS_K: 1})]
-        return fock.superposition(terms, (K, MINUS_K), cutoff)
-    if scenario.kind is DvKind.NOON:
-        n = scenario.n
-        terms = [(amp, {K: n, MINUS_K: 0}), (amp * phase, {K: 0, MINUS_K: n})]
-        return fock.superposition(terms, (K, MINUS_K), cutoff)
-    modes = (
-        K.with_rail(RAIL_A),
-        K.with_rail(RAIL_B),
-        MINUS_K.with_rail(RAIL_A),
-        MINUS_K.with_rail(RAIL_B),
-    )
-    return fock.superposition(_bell_terms(scenario.kind), modes, cutoff)
+    terms = [(amp, {K: n, MINUS_K: 0}), (amp * phase, {K: 0, MINUS_K: n})]
+    return fock.superposition(terms, (K, MINUS_K), cutoff)
 
 
 def bell_standing_state(kind: DvKind, cutoff: int = 2) -> PureState:
@@ -126,12 +118,6 @@ def noon_standing_decomposition(
     return out
 
 
-def mean_intensity_absorption(distribution: dict[int, float], total_photons: int) -> float:
-    """Absorbed fraction of the mean photon number."""
-    absorbed = sum(m * p for m, p in distribution.items())
-    return absorbed / total_photons
-
-
 def run_scenario(
     scenario: DvScenario,
     absorber: AbsorberSpec = CANONICAL,
@@ -145,7 +131,8 @@ def run_scenario(
     The environment numbers come from absorber_environment; the conditional
     output of every reported count comes from one pass over |joint|^2
     (fock.conditional_outputs), with each count's probability as reported in
-    the absorbed distribution.
+    the absorbed distribution; a count is reported when that probability is
+    above both report_threshold and fock.CONDITIONING_FLOOR.
     """
     if cutoff < scenario.total_photons:
         raise CutoffError(
@@ -163,10 +150,10 @@ def run_scenario(
         (None, None),
     )
     distribution = result.absorbed_distribution
-    result.mean_intensity_absorption = mean_intensity_absorption(
-        distribution, scenario.total_photons
-    )
-    counts = [m for m, prob in sorted(distribution.items()) if prob > report_threshold]
+    absorbed = sum(m * p for m, p in distribution.items())
+    result.mean_intensity_absorption = absorbed / scenario.total_photons  # the absorbed fraction
+    floor = max(report_threshold, fock.CONDITIONING_FLOOR)  # reported above both
+    counts = [m for m, prob in sorted(distribution.items()) if prob > floor]
     for output in fock.conditional_outputs(joint, counts):
         result.conditional_outputs.append(
             {

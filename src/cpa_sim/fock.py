@@ -45,6 +45,7 @@ from .modes import (K, MINUS_K, STANDING_KINDS, STANDING_OF, TRAVELLING_OF, Mode
 TRUNCATION_TOL = 1e-10  # norm a constructor/map may lose to the cutoff
 SECTOR_MASS_FLOOR = 1e-26  # total-photon sectors below this weight are dropped
 DEFAULT_CUTOFF = 30
+CONDITIONING_FLOOR = 1e-12  # least probability of an absorbed count conditioned on
 MEMORY_BUDGET = 1 << 30  # bytes a run may commit to its cutoff: see budget_cutoff
 
 
@@ -321,9 +322,8 @@ def displaced_squeezed_amplitudes(beta: complex, xi: float, phi: float, dim: int
 
 
 def coherent_state(alpha: complex, cutoff: int, mode: ModeLabel = K) -> PureState:
-    """|alpha> truncated at the cutoff and renormalized."""
-    amps = displaced_squeezed_amplitudes(alpha, 0.0, 0.0, cutoff + 1)
-    return PureState((mode,), cutoff, _normalized(amps))
+    """|alpha> truncated at the cutoff and renormalized: the unsqueezed case."""
+    return squeezed_coherent_state(alpha, 0.0, 0.0, cutoff, mode)
 
 
 def superposition_of_coherent_pair(alpha: complex, cutoff: int) -> PureState:
@@ -689,11 +689,6 @@ def partial_trace(joint: PureState, keep: Iterable[ModeLabel]) -> DensityOperato
     return DensityOperator(keep, joint.cutoff, factor / np.linalg.norm(factor))
 
 
-def entanglement_entropy(joint: PureState, partition: Iterable[ModeLabel]) -> float:
-    """Von Neumann entropy (bits) of the reduced state on the partition."""
-    return partial_trace(joint, partition).entropy()
-
-
 def conditional_output(joint: PureState, absorbed: int) -> DensityOperator:
     """Output-light state conditioned on the environment holding `absorbed` photons
     in total: its purification is the environment columns of that total, renormalized."""
@@ -701,7 +696,7 @@ def conditional_output(joint: PureState, absorbed: int) -> DensityOperator:
     env_totals = np.indices((joint.dim,) * (len(joint.modes) - len(light))).sum(axis=0)
     sel = mat[:, env_totals.ravel() == absorbed]
     prob = float(np.vdot(sel, sel).real)
-    if prob < 1e-12:
+    if prob < CONDITIONING_FLOOR:
         raise FockError(f"conditioning on zero-probability absorbed count {absorbed}")
     return DensityOperator(light, joint.cutoff, sel / math.sqrt(prob))
 
@@ -737,7 +732,7 @@ def conditional_outputs(joint: PureState, counts: Iterable[int]) -> list[Conditi
     outputs = []
     for m in counts:
         prob = float(probs[m]) if 0 <= m < len(probs) else 0.0
-        if prob < 1e-12:
+        if prob < CONDITIONING_FLOOR:
             raise FockError(f"conditioning on zero-probability absorbed count {m}")
         gram = _smaller_gram(mat[:, env_totals == m] / math.sqrt(prob))
         outputs.append(ConditionalOutput(

@@ -19,7 +19,8 @@ over xi and phi, not alpha); and a matrix shared by the batch is applied as one
 BLAS product (_mix), which a test pins against single states.
 Outside data is checked in full by GaussianState(...); a map skips only the
 checks its construction guarantees (_built): relabel keeps the arrays, tensor
-copies validated blocks onto a block diagonal.  _mix is checked in full.
+copies validated blocks onto a block diagonal, and the vacuum is zero mean and
+identity covariance.  _mix is checked in full.
 """
 from __future__ import annotations
 
@@ -192,7 +193,7 @@ def _built(modes: tuple[ModeLabel, ...], mean: np.ndarray, cov: np.ndarray) -> G
 def vacuum_state(modes: Sequence[ModeLabel]) -> GaussianState:
     modes = tuple(modes)
     n = 2 * len(modes)
-    return GaussianState(modes, np.zeros(n), np.eye(n))
+    return _built(modes, np.zeros(n), np.eye(n))  # zero mean, identity covariance
 
 
 def squeezed_coherent_state(spec: SqueezedSpec, mode: ModeLabel = K) -> GaussianState:
@@ -249,18 +250,14 @@ def relabel(state: GaussianState, mapping: Mapping[ModeLabel, ModeLabel]) -> Gau
 def _mix(state: GaussianState, a: ModeLabel, b: ModeLabel, c: float, s: float) -> GaussianState:
     """Orthogonal two-mode mix on both quadratures (c^2 + s^2 = 1):
     X_a -> c X_a + s X_b, X_b -> s X_a - c X_b.  A mode b not in the state is
-    attached in vacuum (zero mean, identity covariance) as the last mode, as
-    fock._mix does."""
+    attached in vacuum as the last mode (a tensor product), as fock._mix does."""
     if a == b:
         raise ModeError("a two-mode mix needs two distinct modes")
+    ia = 2 * state.axis(a)
+    if b not in state.modes:
+        state = tensor(state, vacuum_state((b,)))
     modes, mean, cov = state.modes, state.mean, state.cov
-    ia, n = 2 * state.axis(a), mean.shape[-1]
-    if b not in modes:
-        modes = modes + (b,)
-        mean = np.concatenate((mean, np.zeros(mean.shape[:-1] + (2,))), axis=-1)
-        cov = np.zeros(cov.shape[:-2] + (n + 2, n + 2))
-        cov[..., :n, :n], cov[..., n:, n:] = state.cov, np.eye(2)
-    ib = 2 * modes.index(b)
+    ib = 2 * state.axis(b)
     matrix = np.eye(2 * len(modes))
     for q in (0, 1):
         matrix[ia + q, ia + q], matrix[ia + q, ib + q] = c, s
@@ -546,6 +543,15 @@ def _named(path: str, build: Callable, *args):
         raise OverflowError(f"{path}: {exc}") from None
 
 
+def squeezed_pair_echo(spec_k: SqueezedSpec, spec_mk: SqueezedSpec) -> dict:
+    """The scenario echo of a SQUEEZED_PAIR run, on either engine."""
+    return {
+        "kind": "SQUEEZED_PAIR",
+        "k": {"alpha": spec_k.alpha, "xi": spec_k.xi, "phi": spec_k.phi},
+        "minus_k": {"alpha": spec_mk.alpha, "xi": spec_mk.xi, "phi": spec_mk.phi},
+    }
+
+
 @np.errstate(over="ignore", invalid="ignore")  # out-of-range values fail by name, unwarned
 def run_squeezed_pair(
     spec_k: SqueezedSpec, spec_mk: SqueezedSpec, absorber: AbsorberSpec = CANONICAL
@@ -553,12 +559,7 @@ def run_squeezed_pair(
     """Two squeezed-coherent travelling inputs through the absorber."""
     state = tensor(_named("scenario.k.xi", squeezed_coherent_state, spec_k, K),
                    _named("scenario.minus_k.xi", squeezed_coherent_state, spec_mk, MINUS_K))
-    scenario = {
-        "kind": "SQUEEZED_PAIR",
-        "k": {"alpha": spec_k.alpha, "xi": spec_k.xi, "phi": spec_k.phi},
-        "minus_k": {"alpha": spec_mk.alpha, "xi": spec_mk.xi, "phi": spec_mk.phi},
-    }
-    result = _gaussian_result(scenario, absorber, state)
+    result = _gaussian_result(squeezed_pair_echo(spec_k, spec_mk), absorber, state)
     result.extras["closed_form_standing_inseparability"] = squeezed_pair_inseparability(
         spec_k.xi, spec_mk.xi, spec_k.phi, spec_mk.phi
     )

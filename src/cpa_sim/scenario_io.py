@@ -20,19 +20,15 @@ from .results import ScenarioResult
 
 SCHEMA_VERSION = 1
 
-FOCK_KINDS = {
-    "SINGLE_PHOTON",
-    "BELL_PSI_PLUS",
-    "BELL_PSI_MINUS",
-    "BELL_PHI_PLUS",
-    "BELL_PHI_MINUS",
-    "NOON",
-    "CAT_CAT",
-    "COHERENT_SQUEEZED",
-    "COHERENT_CAT",
-    "SQUEEZED_PAIR",
-    "EPR",
+KIND_KEYS = {  # the scenario keys of each kind besides "kind"
+    **{kind.value: {"n", "delta_theta"} for kind in dv.DvKind},
+    "CAT_CAT": {"alpha"},
+    "COHERENT_SQUEEZED": {"alpha", "xi"},
+    "COHERENT_CAT": {"alpha", "cat_alpha"},
+    "SQUEEZED_PAIR": {"k", "minus_k"},
+    "EPR": {"alpha_g", "alpha_h", "xi"},
 }
+FOCK_KINDS = set(KIND_KEYS)
 GAUSSIAN_KINDS = {"SQUEEZED_PAIR", "EPR"}
 
 
@@ -186,6 +182,8 @@ def parse_scenario_dict(obj: Any) -> ScenarioFile:
             raise ScenarioFileError("numerics.cutoff", "expected a positive integer")
         cutoff = raw_cutoff
     tolerance = _require_number(numerics, "tolerance", "numerics", default=1e-9)
+    if tolerance < 0:
+        raise ScenarioFileError("numerics.tolerance", f"must be >= 0, got {tolerance!r}")
     sweep = None
     if obj.get("sweep") is not None:
         sobj = obj["sweep"]
@@ -243,61 +241,52 @@ def _squeezed_spec(obj: Any, path: str) -> gaussian.SqueezedSpec:
     )
 
 
-def _epr_params(scenario: dict) -> tuple[complex, complex, float]:
-    """alpha_g, alpha_h and xi (>= 0) of an EPR scenario, on either engine."""
-    alpha_g = parse_complex(scenario.get("alpha_g", 0.0), "scenario.alpha_g")
-    alpha_h = parse_complex(scenario.get("alpha_h", 0.0), "scenario.alpha_h")
-    xi = _require_number(scenario, "xi", "scenario")
-    if xi < 0:
-        raise ScenarioFileError("scenario.xi", f"must be >= 0, got {xi!r}")
-    return alpha_g, alpha_h, xi
-
-
 def run_scenario_file(spec: ScenarioFile) -> ScenarioResult:
     """Dispatch a validated scenario to the right engine."""
     scenario = spec.scenario
     kind = scenario["kind"]
     path = "scenario"
+    extra = set(scenario) - KIND_KEYS[kind] - {"kind"}
+    if extra:
+        raise ScenarioFileError(path, f"unknown keys {sorted(extra)} for kind {kind}")
 
-    def check_keys(allowed: set[str]) -> None:
-        extra = set(scenario) - allowed - {"kind"}
-        if extra:
-            raise ScenarioFileError(path, f"unknown keys {sorted(extra)} for kind {kind}")
-
-    if spec.engine == "GAUSSIAN":
-        if kind == "SQUEEZED_PAIR":
-            check_keys({"k", "minus_k"})
-            return gaussian.run_squeezed_pair(
-                _squeezed_spec(scenario.get("k"), f"{path}.k"),
-                _squeezed_spec(scenario.get("minus_k"), f"{path}.minus_k"),
-                spec.absorber,
-            )
-        check_keys({"alpha_g", "alpha_h", "xi"})
-        return gaussian.run_epr(*_epr_params(scenario), spec.absorber)
-
-    if kind in ("SINGLE_PHOTON", "NOON") or kind.startswith("BELL_"):
-        check_keys({"n", "delta_theta"})
-        n = scenario.get("n", 1)
-        if isinstance(n, bool) or not isinstance(n, int):
-            raise ScenarioFileError(f"{path}.n", "expected an integer")
-        dv_scenario = dv.DvScenario(
-            kind=dv.DvKind(kind),
-            n=n,
-            delta_theta=parse_angle(scenario.get("delta_theta", 0.0), f"{path}.delta_theta"),
+    if kind == "SQUEEZED_PAIR":
+        spec_k = _squeezed_spec(scenario.get("k"), f"{path}.k")
+        spec_mk = _squeezed_spec(scenario.get("minus_k"), f"{path}.minus_k")
+        if spec.engine == "GAUSSIAN":
+            return gaussian.run_squeezed_pair(spec_k, spec_mk, spec.absorber)
+        cutoff = nongaussian.settle_cutoff(spec.cutoff, 0, fock.DEFAULT_CUTOFF)
+        state = fock.tensor(
+            fock.squeezed_coherent_state(spec_k.alpha, spec_k.xi, spec_k.phi, cutoff, K),
+            fock.squeezed_coherent_state(
+                spec_mk.alpha, spec_mk.xi, spec_mk.phi, cutoff, MINUS_K
+            ),
         )
-        cutoff = spec.cutoff if spec.cutoff is not None else fock.DEFAULT_CUTOFF
-        return dv.run_scenario(
-            dv_scenario, spec.absorber, cutoff, report_threshold=spec.tolerance
+        echo = gaussian.squeezed_pair_echo(spec_k, spec_mk)
+        return run_bridged_fock(echo, state, spec.absorber, cutoff)
+    if kind == "EPR":
+        alpha_g = parse_complex(scenario.get("alpha_g", 0.0), f"{path}.alpha_g")
+        alpha_h = parse_complex(scenario.get("alpha_h", 0.0), f"{path}.alpha_h")
+        xi = _require_number(scenario, "xi", path)
+        if xi < 0:
+            raise ScenarioFileError(f"{path}.xi", f"must be >= 0, got {xi!r}")
+        if spec.engine == "GAUSSIAN":
+            return gaussian.run_epr(alpha_g, alpha_h, xi, spec.absorber)
+        cutoff = nongaussian.settle_cutoff(spec.cutoff, 0, fock.DEFAULT_CUTOFF)
+        preceding = fock.tensor(  # EPR bridged onto the Fock engine via the preceding modes
+            fock.squeezed_coherent_state(alpha_g, xi, math.pi, cutoff, K),
+            fock.squeezed_coherent_state(alpha_h, xi, 0.0, cutoff, MINUS_K),
         )
+        state = fock.bs_transform(preceding, K, MINUS_K)
+        echo = {"kind": "EPR", "alpha_g": alpha_g, "alpha_h": alpha_h, "xi": xi}
+        return run_bridged_fock(echo, state, spec.absorber, cutoff)
     if kind == "CAT_CAT":
-        check_keys({"alpha"})
         return nongaussian.run_cat_cat(
             parse_complex(scenario.get("alpha", 0.0), f"{path}.alpha"),
             spec.absorber,
             spec.cutoff,
         )
     if kind == "COHERENT_SQUEEZED":
-        check_keys({"alpha", "xi"})
         return nongaussian.run_asymmetric(
             nongaussian.AsymmetricKind.COHERENT_SQUEEZED,
             parse_complex(scenario.get("alpha", 0.0), f"{path}.alpha"),
@@ -306,7 +295,6 @@ def run_scenario_file(spec: ScenarioFile) -> ScenarioResult:
             spec.cutoff,
         )
     if kind == "COHERENT_CAT":
-        check_keys({"alpha", "cat_alpha"})
         alpha = parse_complex(scenario.get("alpha", 0.0), f"{path}.alpha")
         cat_alpha = parse_complex(
             scenario.get("cat_alpha", scenario.get("alpha", 0.0)), f"{path}.cat_alpha"
@@ -318,33 +306,19 @@ def run_scenario_file(spec: ScenarioFile) -> ScenarioResult:
             spec.absorber,
             spec.cutoff,
         )
-    cutoff = nongaussian.settle_cutoff(spec.cutoff, 0, fock.DEFAULT_CUTOFF)  # the bridged kinds
-    if kind == "SQUEEZED_PAIR":
-        check_keys({"k", "minus_k"})
-        spec_k = _squeezed_spec(scenario.get("k"), f"{path}.k")
-        spec_mk = _squeezed_spec(scenario.get("minus_k"), f"{path}.minus_k")
-        state = fock.tensor(
-            fock.squeezed_coherent_state(spec_k.alpha, spec_k.xi, spec_k.phi, cutoff, K),
-            fock.squeezed_coherent_state(
-                spec_mk.alpha, spec_mk.xi, spec_mk.phi, cutoff, MINUS_K
-            ),
-        )
-        echo = {
-            "kind": "SQUEEZED_PAIR",
-            "k": {"alpha": spec_k.alpha, "xi": spec_k.xi, "phi": spec_k.phi},
-            "minus_k": {"alpha": spec_mk.alpha, "xi": spec_mk.xi, "phi": spec_mk.phi},
-        }
-        return run_bridged_fock(echo, state, spec.absorber, cutoff)
-    # EPR bridged onto the Fock engine via the preceding modes
-    check_keys({"alpha_g", "alpha_h", "xi"})
-    alpha_g, alpha_h, xi = _epr_params(scenario)
-    preceding = fock.tensor(
-        fock.squeezed_coherent_state(alpha_g, xi, math.pi, cutoff, K),
-        fock.squeezed_coherent_state(alpha_h, xi, 0.0, cutoff, MINUS_K),
-    )
-    state = fock.bs_transform(preceding, K, MINUS_K)
-    echo = {"kind": "EPR", "alpha_g": alpha_g, "alpha_h": alpha_h, "xi": xi}
-    return run_bridged_fock(echo, state, spec.absorber, cutoff)
+    n = scenario.get("n", 1)  # the DV kinds
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ScenarioFileError(f"{path}.n", "expected an integer")
+    delta_theta = parse_angle(scenario.get("delta_theta", 0.0), f"{path}.delta_theta")
+    try:
+        dv_scenario = dv.DvScenario(dv.DvKind(kind), n, delta_theta)
+    except ValueError as exc:  # NOON n < 1
+        raise ScenarioFileError(f"{path}.n", str(exc)) from None
+    # held at exactly its photon number, a DV run loses no norm at any cutoff above it
+    cutoff = spec.cutoff
+    if cutoff is None:
+        cutoff = max(fock.DEFAULT_CUTOFF, dv_scenario.total_photons)
+    return dv.run_scenario(dv_scenario, spec.absorber, cutoff, report_threshold=spec.tolerance)
 
 
 def run_bridged_fock(

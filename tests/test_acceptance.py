@@ -147,7 +147,7 @@ def test_07_identical_squeezed_inputs():
         fock.squeezed_coherent_state(0.0, 0.3, 0.0, 30, MINUS_K),
     )
     joint = fock.full_pipeline(bridge, CANONICAL)
-    ok &= fock.entanglement_entropy(joint, [ENV_C]) < 1e-6
+    ok &= fock.partial_trace(joint, [ENV_C]).entropy() < 1e-6
     report("07 identical squeezed inputs", bool(ok))
 
 

@@ -1,4 +1,6 @@
 """Command-line interface: exit codes, determinism, presets, scenario files."""
+import contextlib
+import io
 import json
 import math
 import os
@@ -6,8 +8,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cpa_sim import cli, scenario_io
+from cpa_sim import cli, dv, fock, scenario_io
 from test_golden import assert_matches
 
 
@@ -257,11 +261,42 @@ def test_run_coherent_cat_defaults_cat_alpha_to_alpha(tmp_path, capsys):
 
 
 def test_run_malformed_field_reports_path(tmp_path, capsys):
-    payload = {"schema": 1, "engine": "FOCK", "scenario": {"kind": "NOON", "n": "four"}}
-    path = write_json(tmp_path, "bad.json", payload)
-    code, _, err = run_cli(capsys, "run", path)
-    assert code == 1
-    assert "scenario.n" in err
+    for n in ("four", 0, -3):  # n < 1 exited 1 as "error: NOON needs n >= 1"
+        payload = {"schema": 1, "engine": "FOCK", "scenario": {"kind": "NOON", "n": n}}
+        path = write_json(tmp_path, "bad.json", payload)
+        code, _, err = run_cli(capsys, "run", path)
+        assert code == 1
+        assert "scenario.n" in err
+
+
+def test_run_reports_only_counts_above_the_conditioning_floor(tmp_path, capsys):
+    """A reporting tolerance below fock.CONDITIONING_FLOOR reports every count
+    above the floor; it exited 2 conditioning on count 11 (probability 4e-14).
+    A negative tolerance is refused by its field."""
+    payload = {"schema": 1, "engine": "FOCK", "scenario": {"kind": "NOON", "n": 12},
+               "absorber": {"tau_c": 0.95}, "numerics": {"tolerance": 0}}
+    code, out, err = run_cli(capsys, "run", write_json(tmp_path, "tol.json", payload))
+    assert code == 0, err
+    result = json.loads(out)
+    above = [int(m) for m, p in result["absorbed_distribution"].items()
+             if p > fock.CONDITIONING_FLOOR]
+    assert [o["absorbed"] for o in result["conditional_outputs"]] == above == list(range(11))
+    payload["numerics"]["tolerance"] = -1
+    code, out, err = run_cli(capsys, "run", write_json(tmp_path, "tol.json", payload))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: numerics.tolerance: must be >= 0")
+
+
+def test_run_dv_default_cutoff_holds_the_photon_number(tmp_path, capsys):
+    """Without numerics.cutoff a DV run echoes max(DEFAULT_CUTOFF, photons):
+    NOON n = 31 exited 2 with "cutoff 30 below photon content 31"."""
+    for n, cutoff in ((3, fock.DEFAULT_CUTOFF), (31, 31)):
+        payload = {"schema": 1, "engine": "FOCK", "scenario": {"kind": "NOON", "n": n}}
+        code, out, err = run_cli(capsys, "run", write_json(tmp_path, "noon.json", payload))
+        assert code == 0, err
+        result = json.loads(out)
+        assert result["numerics"] == {"cutoff": cutoff, "working_cutoff": n}
+        assert result["mean_intensity_absorption"] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_run_rejects_wrong_engine_kind(tmp_path, capsys):
@@ -364,14 +399,6 @@ def test_sweep_output_is_deterministic(tmp_path, capsys):
     run_cli(capsys, "sweep", "--preset", "fig6", "--grid", "7", "--out", first)
     run_cli(capsys, "sweep", "--preset", "fig6", "--grid", "7", "--out", second)
     assert open(first, "rb").read() == open(second, "rb").read()
-
-
-def test_sweep_respects_thread_cap(tmp_path, capsys, monkeypatch):
-    serial, threaded = str(tmp_path / "s.csv"), str(tmp_path / "t.csv")
-    run_cli(capsys, "sweep", "--preset", "fig9a", "--grid", "7", "--out", serial)
-    monkeypatch.setenv("CPA_THREADS", "4")
-    run_cli(capsys, "sweep", "--preset", "fig9a", "--grid", "7", "--out", threaded)
-    assert open(serial, "rb").read() == open(threaded, "rb").read()
 
 
 def test_sweep_custom_single_photon(tmp_path, capsys):
@@ -536,3 +563,61 @@ def test_run_names_the_cutoff_strong_squeezing_needs(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("numerical failure: cutoff 1905: balanced sectors up to total ")
+
+
+# random scenario files of every kind on both engines, at small magnitudes
+_reals = st.floats(-2.0, 2.0, allow_nan=False)
+_amplitudes = (_reals | st.tuples(_reals, _reals).map(list)
+               | st.fixed_dictionaries({"mag": st.floats(0.0, 2.0), "phase": _reals}))
+_angles = _reals | st.sampled_from(["0.5pi", "-pi", "pi", "2pi"])
+_squeezing = st.floats(-1.0, 1.0, allow_nan=False)
+_squeezed = st.fixed_dictionaries(
+    {}, optional={"alpha": _amplitudes, "xi": _squeezing, "phi": _angles})
+_FIELDS = {
+    **{kind.value: {"n": st.integers(-3, 12), "delta_theta": _angles} for kind in dv.DvKind},
+    "CAT_CAT": {"alpha": _amplitudes},
+    "COHERENT_SQUEEZED": {"alpha": _amplitudes, "xi": _squeezing},
+    "COHERENT_CAT": {"alpha": _amplitudes, "cat_alpha": _amplitudes},
+    "SQUEEZED_PAIR": {"k": _squeezed, "minus_k": _squeezed},
+    "EPR": {"alpha_g": _amplitudes, "alpha_h": _amplitudes, "xi": _squeezing},
+}
+
+
+@st.composite
+def _scenario_files(draw) -> dict:
+    kind = draw(st.sampled_from(sorted(_FIELDS)))
+    scenario = {"kind": kind, **draw(st.fixed_dictionaries({}, optional=_FIELDS[kind]))}
+    if draw(st.integers(0, 9)) == 0:
+        scenario["extra"] = 1
+    payload = {"schema": 1, "engine": draw(st.sampled_from(["FOCK", "GAUSSIAN"])),
+               "scenario": scenario}
+    payload.update(draw(st.fixed_dictionaries({}, optional={
+        "absorber": st.fixed_dictionaries({}, optional={
+            "tau_c": st.floats(-0.1, 1.1), "swap_roles": st.booleans()}),
+        "numerics": st.fixed_dictionaries({}, optional={
+            "cutoff": st.integers(1, 40),
+            "tolerance": st.sampled_from([-1.0, 0.0, 1e-15, 1e-9, 1e-3])}),
+    })))
+    return payload
+
+
+def _strict_constant(token: str):
+    raise ValueError(f"not JSON: {token}")
+
+
+@given(payload=_scenario_files())
+@settings(max_examples=150, deadline=None)
+def test_run_any_small_scenario_file_exits_cleanly(tmp_path_factory, payload):
+    """`cpa run` on any small scenario file exits 0, 1 or 2, never with a
+    traceback, and what it prints on exit 0 is strict JSON."""
+    assert set(_FIELDS) == set(scenario_io.KIND_KEYS)  # every kind is drawn
+    path = tmp_path_factory.mktemp("fuzz") / "scenario.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["run", str(path)])
+    assert code in (0, 1, 2), err.getvalue()
+    if code == 0:
+        json.loads(out.getvalue(), parse_constant=_strict_constant)
+    else:
+        assert out.getvalue() == "" and err.getvalue().count("\n") == 1

@@ -1065,14 +1065,14 @@ def test_entropy_product_state_is_zero():
     state = fock.tensor(
         fock.coherent_state(1.1, 25, K), fock.coherent_state(0.4, 25, MINUS_K)
     )
-    assert fock.entanglement_entropy(state, [K]) == pytest.approx(0.0, abs=1e-9)
+    assert fock.partial_trace(state, [K]).entropy() == pytest.approx(0.0, abs=1e-9)
 
 
 def test_entropy_bell_pair_is_one_bit():
     state = fock.superposition(
         [(INV, {K: 1, MINUS_K: 0}), (INV, {K: 0, MINUS_K: 1})], (K, MINUS_K), 1
     )
-    assert fock.entanglement_entropy(state, [K]) == pytest.approx(1.0, abs=1e-12)
+    assert fock.partial_trace(state, [K]).entropy() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_entropy_squeezed_bridge_product_input():
@@ -1081,7 +1081,7 @@ def test_entropy_squeezed_bridge_product_input():
         fock.squeezed_coherent_state(0.0, 0.3, 0.0, 30, MINUS_K),
     )
     joint = fock.full_pipeline(state, CANONICAL)
-    assert fock.entanglement_entropy(joint, [ENV_C]) < 1e-6
+    assert fock.partial_trace(joint, [ENV_C]).entropy() < 1e-6
 
 
 # ---------------------------------------------------------------------------

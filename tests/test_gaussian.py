@@ -699,7 +699,8 @@ def test_maps_build_states_that_pass_the_checks_they_skip(pairs, batched, epr, a
         standing = gaussian.standing_basis(state)
         joint = gaussian.cpa_channel(standing, absorber)
         out = gaussian.travelling_basis(joint)
-    assert len(outputs["tensor"]) == 1 and len(outputs["relabel"]) == 2
+    # tensor builds the input pair, then attaches the environment on the one rail
+    assert len(outputs["tensor"]) == 2 and len(outputs["relabel"]) == 2
     for built in outputs["tensor"] + outputs["relabel"] + [standing, joint, out]:
         GaussianState(built.modes, built.mean.copy(), built.cov.copy())
     assert len(outputs["_mix"]) == 3 + epr
