@@ -36,10 +36,8 @@ from .modes import (C, K, MINUS_K, S, STANDING_OF, TRAVELLING_OF, ModeError, Mod
 
 SHOT_NOISE = 2.0  # Duan inseparability of two coherent modes
 DET_FLOOR = 1.0 - 1e-10  # least mode-block determinant a state may have
-
-
-class SingularAngleError(ValueError):
-    """Polar inverse map evaluated too close to a removable singularity."""
+_QUARTER_TURN = math.pi / 2.0
+_QUARTER_COS, _QUARTER_SIN = np.array([1.0, 0.0, -1.0, 0.0]), np.array([0.0, 1.0, 0.0, -1.0])
 
 
 def _per_element(fn: Callable, x) -> float | np.ndarray:
@@ -48,6 +46,19 @@ def _per_element(fn: Callable, x) -> float | np.ndarray:
     if isinstance(x, float):
         return fn(x)
     return np.fromiter(map(fn, np.ravel(x).tolist()), float, np.size(x)).reshape(np.shape(x))[()]
+
+
+def _cos_sin(x) -> tuple:
+    """cos and sin per element from libm, but exact where x is a nonzero exact
+    multiple of fl(pi / 2) (fmod is exact, so it finds them): there libm's
+    cos(fl(pi) / 2) = 6.1e-17 is rounding, which a squeezer's e^(2 xi) magnifies."""
+    cos, sin = _per_element(math.cos, x), _per_element(math.sin, x)
+    quarter = (np.fmod(x, _QUARTER_TURN) == 0.0) & (x != 0.0)
+    if not quarter.any():
+        return cos, sin
+    turns = (np.rint(np.where(quarter, x, 0.0) / _QUARTER_TURN) % 4).astype(int)
+    return (np.where(quarter, _QUARTER_COS[turns], cos)[()],
+            np.where(quarter, _QUARTER_SIN[turns], sin)[()])
 
 
 def _complex(re, im) -> complex | np.ndarray:
@@ -215,8 +226,7 @@ def squeezed_coherent_state(spec: SqueezedSpec, mode: ModeLabel = K) -> Gaussian
     mean = np.empty(batch + (2,))
     mean[..., 0], mean[..., 1] = 2.0 * amp.real, 2.0 * amp.imag
     shape = np.broadcast(spec.xi, spec.phi).shape  # the covariance does not depend on alpha
-    half = spec.phi / 2.0
-    cos, sin = _per_element(math.cos, half), _per_element(math.sin, half)
+    cos, sin = _cos_sin(spec.phi / 2.0)
     rot = np.empty(shape + (2, 2))
     rot[..., 0, 0], rot[..., 0, 1], rot[..., 1, 0], rot[..., 1, 1] = cos, -sin, sin, cos
     squeezer = np.zeros(shape + (2, 2))
@@ -345,6 +355,17 @@ def duan_inseparability(state: GaussianState, a: ModeLabel, b: ModeLabel) -> flo
     return var_q + var_p
 
 
+def duan_from_partner_basis(partner: GaussianState, x1_mode: ModeLabel,
+                            x2_mode: ModeLabel) -> float | np.ndarray:
+    """duan_inseparability of a pair, read where it is a sum: in the partner basis,
+    the pair's image under the balanced mix, as var X1 of `x1_mode` + var X2 of
+    `x2_mode`.  The pair's relative position and total momentum are sqrt(2) times
+    those quadratures, so (K, MINUS_K) reads (S, C) of its standing state and
+    (C, S) reads (MINUS_K, K) of its travelling state, with no cancellation."""
+    x1, x2 = partner.slot(x1_mode, 0), partner.slot(x2_mode, 1)
+    return partner.cov[..., x1, x1] + partner.cov[..., x2, x2]
+
+
 def _half_plus_ratio(num, den) -> np.ndarray:
     """0.5 + num / den, NaN where the denominator vanishes (den <= 1e-12)."""
     return 0.5 + np.divide(num, den, out=np.full(np.shape(den), np.nan), where=den > 1e-12)
@@ -396,6 +417,14 @@ def squeezed_pair_inseparability(
     )
 
 
+def _epr_standing(alpha_g: complex, alpha_h: complex, xi: float) -> GaussianState:
+    """The entangled-pair input on the standing modes: preceding mode g on C, h on S.
+    The balanced mix that makes EPR light of them is the pipeline's first stage,
+    an involution, so the standing state is their product."""
+    return tensor(squeezed_coherent_state(SqueezedSpec(alpha_g, xi, math.pi), C),
+                  squeezed_coherent_state(SqueezedSpec(alpha_h, xi, 0.0), S))
+
+
 def epr_state(alpha_g: complex, alpha_h: complex, xi: float) -> GaussianState:
     """Two-mode entangled state from orthogonally squeezed preceding modes.
 
@@ -403,12 +432,10 @@ def epr_state(alpha_g: complex, alpha_h: complex, xi: float) -> GaussianState:
     e^xi Re(alpha_g) + i e^-xi Im(alpha_g)), mode h a well-defined position;
     mixing them on the balanced beamsplitter yields travelling modes with all
     quadrature variances (e^{2 xi} + e^{-2 xi})/2 and inseparability
-    2 e^{-2 xi}.
+    2 e^{-2 xi}.  It is the travelling image of _epr_standing, the product of g
+    on C and h on S, which run_epr reads the standing readouts from.
     """
-    mode_g = squeezed_coherent_state(SqueezedSpec(alpha_g, xi, math.pi), K)
-    mode_h = squeezed_coherent_state(SqueezedSpec(alpha_h, xi, 0.0), MINUS_K)
-    state = tensor(mode_g, mode_h)
-    return bs_transform(state, K, MINUS_K)
+    return travelling_basis(_epr_standing(alpha_g, alpha_h, xi))
 
 
 def epr_params_from_means(
@@ -425,41 +452,6 @@ def epr_params_from_means(
     alpha_g = _complex(shrink * prec_g.real, stretch * prec_g.imag)
     alpha_h = _complex(stretch * prec_h.real, shrink * prec_h.imag)
     return alpha_g, alpha_h
-
-
-def epr_inverse_map(
-    theta_k: float, theta_mk: float, alpha_mag: float, xi: float
-) -> tuple[float, float, float, float]:
-    """Polar preceding-mode parameters for equal travelling amplitudes.
-
-    Returns (theta_g, theta_h, mag_g, mag_h); magnitudes are signed (a
-    negative value means an extra pi on the phase).  Raises
-    SingularAngleError when the half-sum of the phases sits within 1e-9 of a
-    removable singularity of the polar form while the affected amplitude is
-    nonzero; when that amplitude vanishes identically the branch-consistent
-    limit (zero magnitude) is returned instead.  Callers wanting a grid-safe
-    evaluation should use epr_params_from_means.
-    """
-    half_sum = (theta_k + theta_mk) / 2.0
-    half_diff = (theta_k - theta_mk) / 2.0
-    sum_cos, sum_sin = math.cos(half_sum), math.sin(half_sum)
-    diff_cos, diff_sin = math.cos(half_diff), math.sin(half_diff)
-    root2 = math.sqrt(2.0)
-    if abs(sum_cos) < 1e-9:
-        if abs(alpha_mag * diff_cos) > 1e-12:
-            raise SingularAngleError("half-sum of phases too close to +-pi/2 for theta_g")
-        theta_g, mag_g = math.copysign(math.pi / 2.0, sum_sin), 0.0
-    else:
-        theta_g = math.atan(math.exp(2 * xi) * math.tan(half_sum))
-        mag_g = root2 * math.exp(-xi) * alpha_mag * diff_cos * sum_cos / math.cos(theta_g)
-    if abs(sum_sin) < 1e-9:
-        if abs(alpha_mag * diff_sin) > 1e-12:
-            raise SingularAngleError("half-sum of phases too close to 0/pi for theta_h")
-        theta_h, mag_h = -math.pi / 2.0, 0.0
-    else:
-        theta_h = math.atan(-math.exp(-2 * xi) / math.tan(half_sum))
-        mag_h = -root2 * math.exp(xi) * alpha_mag * diff_sin * sum_sin / math.cos(theta_h)
-    return theta_g, theta_h, mag_g, mag_h
 
 
 def preceding_mode_intensity(alpha: complex, xi: float, stretched_x1: bool) -> float:
@@ -485,8 +477,11 @@ def epr_intensity_absorption(alpha_g: complex, alpha_h: complex, xi: float) -> f
     Intensity of the g mode (ending in the absorbed standing wave) over the
     total; vanishing total intensity raises ValueError.
     """
-    intensity_g = preceding_mode_intensity(alpha_g, xi, stretched_x1=True)
-    intensity_h = preceding_mode_intensity(alpha_h, xi, stretched_x1=False)
+    try:  # Python's float power raised where |alpha|^2 leaves double range
+        intensity_g = preceding_mode_intensity(alpha_g, xi, stretched_x1=True)
+        intensity_h = preceding_mode_intensity(alpha_h, xi, stretched_x1=False)
+    except OverflowError:
+        raise OverflowError("total intensity overflows a double") from None
     total = intensity_g + intensity_h
     if total <= 1e-300:
         raise ValueError("total intensity is zero")
@@ -498,14 +493,15 @@ def epr_intensity_absorption(alpha_g: complex, alpha_h: complex, xi: float) -> f
 
 
 def _gaussian_result(
-    scenario: dict, absorber: AbsorberSpec, state: GaussianState
+    scenario: dict, absorber: AbsorberSpec, state: GaussianState, standing: GaussianState
 ) -> "ScenarioResult":
+    """The result of a (K, MINUS_K) input `state` whose standing-basis image is
+    `standing`; each Duan value is read from the other basis, where it is a sum."""
     from .results import ScenarioResult  # local import avoids a cycle at module load
 
     coeff_int, coeff_coh = absorption_coefficients(state, K, MINUS_K)
-    inseparability_in = duan_inseparability(state, K, MINUS_K)
-    standing = standing_basis(state)
-    inseparability_standing = duan_inseparability(standing, C, S)
+    inseparability_in = duan_from_partner_basis(standing, S, C)
+    inseparability_standing = duan_from_partner_basis(state, MINUS_K, K)
     output = travelling_basis(cpa_channel(standing, absorber))
     out_stats = {}
     for mode in (K, MINUS_K):
@@ -559,7 +555,8 @@ def run_squeezed_pair(
     """Two squeezed-coherent travelling inputs through the absorber."""
     state = tensor(_named("scenario.k.xi", squeezed_coherent_state, spec_k, K),
                    _named("scenario.minus_k.xi", squeezed_coherent_state, spec_mk, MINUS_K))
-    result = _gaussian_result(squeezed_pair_echo(spec_k, spec_mk), absorber, state)
+    result = _gaussian_result(squeezed_pair_echo(spec_k, spec_mk), absorber, state,
+                              standing_basis(state))
     result.extras["closed_form_standing_inseparability"] = squeezed_pair_inseparability(
         spec_k.xi, spec_mk.xi, spec_k.phi, spec_mk.phi
     )
@@ -571,9 +568,9 @@ def run_epr(
     alpha_g: complex, alpha_h: complex, xi: float, absorber: AbsorberSpec = CANONICAL
 ) -> "ScenarioResult":
     """Entangled-pair input built from orthogonally squeezed preceding modes."""
-    state = _named("scenario.xi", epr_state, alpha_g, alpha_h, xi)
+    standing = _named("scenario.xi", _epr_standing, alpha_g, alpha_h, xi)
     scenario = {"kind": "EPR", "alpha_g": alpha_g, "alpha_h": alpha_h, "xi": xi}
-    result = _gaussian_result(scenario, absorber, state)
+    result = _gaussian_result(scenario, absorber, travelling_basis(standing), standing)
     if result.mean_intensity_absorption is not None:  # total intensity > 1e-12
         result.extras["closed_form_intensity_absorption"] = epr_intensity_absorption(
             alpha_g, alpha_h, xi

@@ -63,15 +63,14 @@ def settle_cutoff(requested: int | None, needed: int, automatic: float) -> int:
 
 
 def run_pair(
-    scenario: dict, absorber: AbsorberSpec, numerics: dict, state: PureState
-) -> tuple[ScenarioResult, PureState, fock.EnvironmentReadout]:
-    """The result of a (K, MINUS_K) input `state`, with the standing-basis state
-    and the environment readout it was read from."""
-    standing = fock.standing_basis(state)
+    scenario: dict, absorber: AbsorberSpec, numerics: dict, state: PureState, standing: PureState
+) -> tuple[ScenarioResult, fock.EnvironmentReadout]:
+    """The result of a (K, MINUS_K) input `state` whose standing-basis image is
+    `standing`, with the environment readout it was read from."""
     environment = fock.absorber_environment(standing, absorber)
     coefficients = fock.absorption_coefficients(state, K, MINUS_K)
     result = fock_result(scenario, absorber, numerics, environment, coefficients)
-    return result, standing, environment
+    return result, environment
 
 
 def build_cat(alpha: complex, cutoff: int, mode=K) -> PureState:
@@ -109,8 +108,9 @@ def run_cat_cat(
     # inside the truncation budget of the basis change
     cutoff = settle_cutoff(cutoff, needed, needed + 2)
     input_state = fock.tensor(build_cat(alpha, cutoff, K), build_cat(alpha, cutoff, MINUS_K))
-    result, standing, environment = run_pair(
-        {"kind": "CAT_CAT", "alpha": alpha}, absorber, {"cutoff": cutoff}, input_state
+    standing = fock.standing_basis(input_state)
+    result, environment = run_pair(
+        {"kind": "CAT_CAT", "alpha": alpha}, absorber, {"cutoff": cutoff}, input_state, standing
     )
     p_zero = environment.distribution[0]
     # no photon absorbed: level n keeps b[n, n] = tau_c^n and the (C, S) state is
@@ -160,7 +160,8 @@ def run_asymmetric(
         partner = build_cat(cat_alpha, cutoff, MINUS_K)
         scenario = {"kind": kind.value, "alpha": alpha, "cat_alpha": cat_alpha}
     input_state = fock.tensor(fock.coherent_state(alpha, cutoff, K), partner)
-    result, standing, environment = run_pair(scenario, absorber, {"cutoff": cutoff}, input_state)
+    standing = fock.standing_basis(input_state)
+    result, environment = run_pair(scenario, absorber, {"cutoff": cutoff}, input_state, standing)
     standing_dist = fock.joint_occupation_distribution(standing, C, S)
     reported = standing_dist > 1e-12
     levels, probabilities = np.argwhere(reported).tolist(), standing_dist[reported].tolist()

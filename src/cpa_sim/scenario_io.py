@@ -15,7 +15,7 @@ from typing import Any
 
 from . import dv, fock, gaussian, nongaussian
 from .absorber import AbsorberSpec
-from .modes import K, MINUS_K
+from .modes import C, K, MINUS_K, S
 from .results import ScenarioResult
 
 SCHEMA_VERSION = 1
@@ -263,7 +263,7 @@ def run_scenario_file(spec: ScenarioFile) -> ScenarioResult:
             ),
         )
         echo = gaussian.squeezed_pair_echo(spec_k, spec_mk)
-        return run_bridged_fock(echo, state, spec.absorber, cutoff)
+        return run_bridged_fock(echo, state, fock.standing_basis(state), spec.absorber, cutoff)
     if kind == "EPR":
         alpha_g = parse_complex(scenario.get("alpha_g", 0.0), f"{path}.alpha_g")
         alpha_h = parse_complex(scenario.get("alpha_h", 0.0), f"{path}.alpha_h")
@@ -273,13 +273,14 @@ def run_scenario_file(spec: ScenarioFile) -> ScenarioResult:
         if spec.engine == "GAUSSIAN":
             return gaussian.run_epr(alpha_g, alpha_h, xi, spec.absorber)
         cutoff = nongaussian.settle_cutoff(spec.cutoff, 0, fock.DEFAULT_CUTOFF)
-        preceding = fock.tensor(  # EPR bridged onto the Fock engine via the preceding modes
-            fock.squeezed_coherent_state(alpha_g, xi, math.pi, cutoff, K),
-            fock.squeezed_coherent_state(alpha_h, xi, 0.0, cutoff, MINUS_K),
+        # EPR light's preceding modes are its standing modes: the balanced mix is an involution
+        standing = fock.tensor(
+            fock.squeezed_coherent_state(alpha_g, xi, math.pi, cutoff, C),
+            fock.squeezed_coherent_state(alpha_h, xi, 0.0, cutoff, S),
         )
-        state = fock.bs_transform(preceding, K, MINUS_K)
         echo = {"kind": "EPR", "alpha_g": alpha_g, "alpha_h": alpha_h, "xi": xi}
-        return run_bridged_fock(echo, state, spec.absorber, cutoff)
+        state = fock.travelling_basis(standing)  # the one balanced mix
+        return run_bridged_fock(echo, state, standing, spec.absorber, cutoff)
     if kind == "CAT_CAT":
         return nongaussian.run_cat_cat(
             parse_complex(scenario.get("alpha", 0.0), f"{path}.alpha"),
@@ -321,12 +322,9 @@ def run_scenario_file(spec: ScenarioFile) -> ScenarioResult:
     return dv.run_scenario(dv_scenario, spec.absorber, cutoff, report_threshold=spec.tolerance)
 
 
-def run_bridged_fock(
-    scenario_echo: dict,
-    state: "fock.PureState",
-    absorber: AbsorberSpec,
-    cutoff: int,
-) -> ScenarioResult:
-    """Run a continuous-variable input bridged onto the truncated Fock engine."""
+def run_bridged_fock(scenario_echo: dict, state: "fock.PureState", standing: "fock.PureState",
+                     absorber: AbsorberSpec, cutoff: int) -> ScenarioResult:
+    """Run a continuous-variable input bridged onto the truncated Fock engine:
+    travelling `state` and its standing-basis image `standing`."""
     numerics = {"cutoff": cutoff, "truncation_tolerance": fock.TRUNCATION_TOL}
-    return nongaussian.run_pair(scenario_echo, absorber, numerics, state)[0]
+    return nongaussian.run_pair(scenario_echo, absorber, numerics, state, standing)[0]

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import gaussian, scenario_io
-from .modes import C, K, MINUS_K, S
+from .modes import K, MINUS_K
 from .results import round_sig
 
 DEFAULT_GRID = 101
@@ -81,7 +81,7 @@ def sweep_fig6(grid: int = DEFAULT_GRID) -> tuple[list[str], list[list]]:
         gaussian.squeezed_coherent_state(gaussian.SqueezedSpec(xi=xi, phi=phi_k), K),
         gaussian.squeezed_coherent_state(gaussian.SqueezedSpec(xi=xi, phi=phi_mk), MINUS_K),
     )
-    values = gaussian.duan_inseparability(gaussian.standing_basis(state), C, S)
+    values = gaussian.duan_from_partner_basis(state, MINUS_K, K)  # of the (C, S) pair
     return ["phi_k", "phi_minus_k", "standing_inseparability"], _rows(phi_k, phi_mk, values)
 
 

@@ -401,3 +401,77 @@ def stacked_det_check(modes, cov):
     where = f" at batch index {index[:-1]}" if cov.ndim > 2 else ""
     return index, (f"mode {modes[index[-1]]} violates the uncertainty relation "
                    f"(block determinant {float(dets[index])!r}){where}")
+
+
+class SingularAngleError(ValueError):
+    """Polar inverse map evaluated too close to a removable singularity."""
+
+
+def epr_inverse_map(
+    theta_k: float, theta_mk: float, alpha_mag: float, xi: float
+) -> tuple[float, float, float, float]:
+    """Polar preceding-mode parameters for equal travelling amplitudes.
+
+    Returns (theta_g, theta_h, mag_g, mag_h); magnitudes are signed (a
+    negative value means an extra pi on the phase).  Raises
+    SingularAngleError when the half-sum of the phases sits within 1e-9 of a
+    removable singularity of the polar form while the affected amplitude is
+    nonzero; when that amplitude vanishes identically the branch-consistent
+    limit (zero magnitude) is returned instead.  Callers wanting a grid-safe
+    evaluation should use gaussian.epr_params_from_means.
+    """
+    half_sum = (theta_k + theta_mk) / 2.0
+    half_diff = (theta_k - theta_mk) / 2.0
+    sum_cos, sum_sin = math.cos(half_sum), math.sin(half_sum)
+    diff_cos, diff_sin = math.cos(half_diff), math.sin(half_diff)
+    root2 = math.sqrt(2.0)
+    if abs(sum_cos) < 1e-9:
+        if abs(alpha_mag * diff_cos) > 1e-12:
+            raise SingularAngleError("half-sum of phases too close to +-pi/2 for theta_g")
+        theta_g, mag_g = math.copysign(math.pi / 2.0, sum_sin), 0.0
+    else:
+        theta_g = math.atan(math.exp(2 * xi) * math.tan(half_sum))
+        mag_g = root2 * math.exp(-xi) * alpha_mag * diff_cos * sum_cos / math.cos(theta_g)
+    if abs(sum_sin) < 1e-9:
+        if abs(alpha_mag * diff_sin) > 1e-12:
+            raise SingularAngleError("half-sum of phases too close to 0/pi for theta_h")
+        theta_h, mag_h = -math.pi / 2.0, 0.0
+    else:
+        theta_h = math.atan(-math.exp(-2 * xi) / math.tan(half_sum))
+        mag_h = -root2 * math.exp(xi) * alpha_mag * diff_sin * sum_sin / math.cos(theta_h)
+    return theta_g, theta_h, mag_g, mag_h
+
+
+def two_mix_epr(alpha_g: complex, alpha_h: complex, xi: float):
+    """(travelling, standing) Gaussian states of the EPR input by the route of two
+    balanced mixes: the preceding modes g and h on (K, MINUS_K), mixed into the
+    travelling modes, then mixed back by standing_basis.  The second mix recovers
+    each e^(-2 xi) variance as a difference of entries near cosh(2 xi) / 2."""
+    from cpa_sim import gaussian
+    from cpa_sim.modes import K, MINUS_K
+
+    preceding = gaussian.tensor(
+        gaussian.squeezed_coherent_state(gaussian.SqueezedSpec(alpha_g, xi, math.pi), K),
+        gaussian.squeezed_coherent_state(gaussian.SqueezedSpec(alpha_h, xi, 0.0), MINUS_K))
+    travelling = gaussian.bs_transform(preceding, K, MINUS_K)
+    return travelling, gaussian.standing_basis(travelling)
+
+
+def two_mix_epr_readouts(alpha_g: complex, alpha_h: complex, xi: float, absorber) -> dict:
+    """Every number a GAUSSIAN EPR run reports, read off two_mix_epr's states by
+    the definitions: the coefficients and duan_inseparability of each basis' pair,
+    and the output quadratures of travelling_basis(cpa_channel(standing))."""
+    from cpa_sim import gaussian
+    from cpa_sim.modes import C, K, MINUS_K, S
+
+    travelling, standing = two_mix_epr(alpha_g, alpha_h, xi)
+    output = gaussian.travelling_basis(gaussian.cpa_channel(standing, absorber))
+    coeff_int, coeff_coh = gaussian.absorption_coefficients(travelling, K, MINUS_K)
+    numbers = {"mean_intensity_absorption": coeff_int, "coherence_absorption": coeff_coh,
+               "duan_travelling": gaussian.duan_inseparability(travelling, K, MINUS_K),
+               "duan_standing": gaussian.duan_inseparability(standing, C, S)}
+    for mode in (K, MINUS_K):
+        (mean_x1, mean_x2), block = output.mode_mean(mode), output.mode_block(mode)
+        numbers.update({f"{mode}.mean_x1": mean_x1, f"{mode}.mean_x2": mean_x2,
+                        f"{mode}.var_x1": block[0, 0], f"{mode}.var_x2": block[1, 1]})
+    return numbers

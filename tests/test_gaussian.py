@@ -1,16 +1,18 @@
 """Gaussian engine: preparation, transformations, inseparability, absorption."""
+import cmath
 import contextlib
 import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cpa_sim import fock, gaussian
+from cpa_sim import fock, gaussian, results, scenario_io
 from cpa_sim.absorber import CANONICAL, AbsorberSpec
-from cpa_sim.gaussian import GaussianState, SingularAngleError, SqueezedSpec
+from cpa_sim.gaussian import GaussianState, SqueezedSpec
 from cpa_sim.modes import C, ENV_C, K, MINUS_K, S
 
 import oracle
@@ -67,6 +69,30 @@ def test_negative_squeezing_folds_into_angle():
     spec = SqueezedSpec(xi=-0.7, phi=0.0)
     assert spec.xi == 0.7
     assert spec.phi == pytest.approx(math.pi)
+
+
+def test_squeezing_angle_pi_block_is_exact():
+    """At phi = pi the squeezer turns by a quarter turn, whose cosine is exactly 0:
+    libm's cos(fl(pi) / 2) = 6.1e-17 left [[2.35e17, -14.4], [-14.4, 8.9e-16]]."""
+    state = gaussian.squeezed_coherent_state(SqueezedSpec(xi=20.0, phi=math.pi))
+    assert np.array_equal(state.cov, np.diag([math.exp(40.0), math.exp(-40.0)]))
+
+
+@given(x=st.floats(-1e9, 1e9) | st.integers(-40, 40).map(lambda k: k * (math.pi / 2.0)))
+@settings(max_examples=200, deadline=None)
+def test_cos_sin_is_libm_but_at_exact_quarter_turns(x):
+    """_cos_sin gives the exact cos and sin of k pi / 2 where x is exactly k
+    fl(pi / 2), k != 0 (found here with fractions), and libm's bits everywhere
+    else, for a float and within an array alike."""
+    turns = Fraction(x) / Fraction(math.pi / 2.0)
+    if x != 0.0 and turns.denominator == 1:
+        expected = ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))[int(turns) % 4]
+    else:
+        expected = math.cos(x), math.sin(x)
+    assert gaussian._cos_sin(x) == expected
+    cos, sin = gaussian._cos_sin(np.array([0.5, x, -x]))
+    assert (cos[1], sin[1]) == expected and (cos[2], -sin[2]) == expected
+    assert (cos[0], sin[0]) == (math.cos(0.5), math.sin(0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +222,22 @@ def test_closed_form_matches_covariance_on_a_grid():
             engine = gaussian.duan_inseparability(standing, C, S)
             closed = gaussian.squeezed_pair_inseparability(xi, xi, phi_k, phi_mk)
             assert abs(engine - closed) < 1e-10
+
+
+@given(spec_k=specs, spec_mk=specs)
+@settings(max_examples=50, deadline=None)
+def test_duan_from_partner_basis_is_duan_inseparability(spec_k, spec_mk):
+    """Each pair's Duan value, read as a sum of two variances of the other basis,
+    agrees with duan_inseparability's definition on the pair itself."""
+    state = two_mode_pair(spec_k, spec_mk)
+    standing = gaussian.standing_basis(state)
+    for read, definition in (
+        (gaussian.duan_from_partner_basis(standing, S, C),
+         gaussian.duan_inseparability(state, K, MINUS_K)),
+        (gaussian.duan_from_partner_basis(state, MINUS_K, K),
+         gaussian.duan_inseparability(standing, C, S)),
+    ):
+        assert read == pytest.approx(definition, rel=1e-12, abs=1e-12)
 
 
 def test_closed_form_special_points():
@@ -338,30 +380,97 @@ def test_small_squeezing_recovers_classical_pattern():
         assert abs(coeff_int - (1.0 + math.cos(theta)) / 2.0) < 0.02
 
 
+epr_amplitudes = st.builds(lambda log_mag, phase: 10.0 ** log_mag * cmath.exp(1j * phase),
+                           st.floats(-20.0, 154.0), st.floats(-math.pi, math.pi)) | st.just(0j)
+
+
+@given(alpha_g=epr_amplitudes, alpha_h=epr_amplitudes, xi=st.floats(0.0, 20.0),
+       tau=st.floats(0.0, 1.0), swap=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_epr_runs_to_xi_20_with_duan_values_in_closed_form(alpha_g, alpha_h, xi, tau, swap):
+    """GAUSSIAN EPR exits 0 for xi <= 20 wherever (|alpha_g|^2 + |alpha_h|^2)
+    e^(2 xi), the most intensity the preceding modes can hold, is below 1e308,
+    and its Duan values are within 1e-12 of 2 e^(-2 xi) and 2 cosh(2 xi).  For
+    xi <= 3, where the route of two balanced mixes still holds its digits, every
+    number agrees with that route within 1e-12 of max(1, |value|, |alpha| e^xi),
+    the scale of the means."""
+    bound = (abs(alpha_g) * abs(alpha_g) + abs(alpha_h) * abs(alpha_h)) * math.exp(2.0 * xi)
+    assume(bound < 1e308)
+    payload = {"schema": 1, "engine": "GAUSSIAN",
+               "scenario": {"kind": "EPR", "alpha_g": [alpha_g.real, alpha_g.imag],
+                            "alpha_h": [alpha_h.real, alpha_h.imag], "xi": xi},
+               "absorber": {"tau_c": tau, "swap_roles": swap}}
+    spec = scenario_io.parse_scenario_dict(payload)
+    result = scenario_io.run_scenario_file(spec)
+    results.clean(result.to_dict())  # what `cpa run` prints: every value finite
+    duan = result.separability
+    assert duan["duan_travelling"] == pytest.approx(2.0 * math.exp(-2.0 * xi), rel=1e-12)
+    assert duan["duan_standing"] == pytest.approx(2.0 * math.cosh(2.0 * xi), rel=1e-12)
+    if xi > 3.0:
+        return
+    reference = oracle.two_mix_epr_readouts(alpha_g, alpha_h, xi, spec.absorber)
+    quadratures = result.extras["output_quadratures"]
+    numbers = {"mean_intensity_absorption": result.mean_intensity_absorption,
+               "coherence_absorption": result.coherence_absorption, **duan,
+               **{f"{mode}.{key}": value for mode, stats in quadratures.items()
+                  for key, value in stats.items()}}
+    scale = max(abs(alpha_g), abs(alpha_h)) * math.exp(xi)
+    for name, old in reference.items():
+        new = numbers[name]
+        if old is None or new is None:
+            assert old is new, name
+        else:
+            assert abs(new - old) <= 1e-12 * max(1.0, abs(old), scale), name
+
+
+@pytest.mark.parametrize("engine", ["GAUSSIAN", "FOCK"])
+def test_epr_run_mixes_once_before_the_absorber(engine):
+    """An EPR run builds its input on the standing modes and mixes it once, into
+    the travelling modes its coefficients read: the balanced beamsplitter runs
+    exactly once before the absorber, never there and back."""
+    module, absorber = (gaussian, "cpa_channel") if engine == "GAUSSIAN" else (
+        fock, "absorber_environment")
+    calls = []
+
+    def spy(name):
+        original = getattr(module, name)
+
+        def call(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return call
+
+    payload = {"schema": 1, "engine": engine, "absorber": {"tau_c": 0.3},
+               "scenario": {"kind": "EPR", "alpha_g": 0.3, "alpha_h": [0.1, -0.2], "xi": 0.4}}
+    with mock.patch.multiple(module, **{name: spy(name) for name in ("bs_transform", absorber)}):
+        scenario_io.run_scenario_file(scenario_io.parse_scenario_dict(payload))
+    assert calls[:calls.index(absorber)] == ["bs_transform"]
+
+
 # ---------------------------------------------------------------------------
 # polar inverse map
 
 
 def test_inverse_map_trivial_angles():
     # in-phase input feeds only the absorbed preceding mode
-    theta_g, theta_h, mag_g, mag_h = gaussian.epr_inverse_map(0.0, 0.0, 1.0, 0.7)
+    theta_g, theta_h, mag_g, mag_h = oracle.epr_inverse_map(0.0, 0.0, 1.0, 0.7)
     assert theta_g == pytest.approx(0.0, abs=1e-12)
     assert mag_h == pytest.approx(0.0, abs=1e-12)
     assert mag_g == pytest.approx(math.sqrt(2.0) * math.exp(-0.7), abs=1e-12)
 
 
 def test_inverse_map_no_squeezing_identity():
-    theta_g, _, _, _ = gaussian.epr_inverse_map(0.4, 0.2, 1.0, 0.0)
+    theta_g, _, _, _ = oracle.epr_inverse_map(0.4, 0.2, 1.0, 0.0)
     assert theta_g == pytest.approx(0.3, abs=1e-12)
 
 
 def test_inverse_map_singular_angles_raise():
     # half-sum at 0 with unequal phases leaves a genuine 0/0 in the h branch
-    with pytest.raises(SingularAngleError):
-        gaussian.epr_inverse_map(0.3, -0.3, 1.0, 0.5)
+    with pytest.raises(oracle.SingularAngleError):
+        oracle.epr_inverse_map(0.3, -0.3, 1.0, 0.5)
     # half-sum at pi/2 with unequal phases does the same for the g branch
-    with pytest.raises(SingularAngleError):
-        gaussian.epr_inverse_map(math.pi + 0.4, -0.4, 1.0, 0.5)
+    with pytest.raises(oracle.SingularAngleError):
+        oracle.epr_inverse_map(math.pi + 0.4, -0.4, 1.0, 0.5)
 
 
 def test_inverse_map_round_trip_recovers_means():
@@ -375,7 +484,7 @@ def test_inverse_map_round_trip_recovers_means():
             continue
         mag = rng.uniform(0.1, 3.0)
         xi = rng.uniform(0.0, 1.5)
-        theta_g, theta_h, mag_g, mag_h = gaussian.epr_inverse_map(
+        theta_g, theta_h, mag_g, mag_h = oracle.epr_inverse_map(
             theta_k, theta_mk, mag, xi
         )
         state = gaussian.epr_state(
@@ -635,22 +744,22 @@ def test_screened_determinants_decide_as_lapack_does(blocks, modes, batched):
 
 
 def test_determinant_lost_to_rounding_is_a_numerical_failure():
-    """At xi = 20 the standing basis cancels e^40-sized entries: the mode block's
-    determinant of -218.5 is rounding noise, so it raises FloatingPointError, as
-    does a block whose products overflow, where a well-conditioned failure
-    (0.5 I) raises ValueError."""
-    state = gaussian.epr_state(0.0, 0.0, 20.0)
+    """Mixed back to the standing basis, EPR light at xi = 20 has e^40-sized
+    entries cancelled: the mode block's determinant of -10.77 is rounding noise,
+    so it raises FloatingPointError, as does a block whose products overflow,
+    where a well-conditioned failure (0.5 I) raises ValueError."""
     with pytest.raises(FloatingPointError, match=r"^mode K: whether it violates the uncertainty "
-                       r"relation is lost to rounding \(block determinant -218.509361691524 "
+                       r"relation is lost to rounding \(block determinant -10.769296115788425 "
                        r"from entries up to 2.35e\+17\)$"):
-        gaussian.standing_basis(state)
+        oracle.two_mix_epr(0.0, 0.0, 20.0)
     block = np.array([[2.35e17, -14.4], [-14.4, -1e-17]])
     with pytest.raises(FloatingPointError, match=r"block determinant -209\.7"):
         gaussian._check_uncertainty((K,), block)
-    # ad and bc overflow, so no bound can be formed: cos(pi / 2) = 6e-17 leaves
-    # e^600-sized rounding in the squeezed block, which exited 1 as "determinant 0.0"
-    with pytest.raises(FloatingPointError, match=r"determinant 0\.0 from entries up to 3\.77e\+260"):
-        gaussian.squeezed_coherent_state(SqueezedSpec(xi=300.0, phi=math.pi))
+    # ad and bc overflow, so no bound can be formed: LAPACK's 0.0 for the rotated
+    # squeezed block's e^600-sized entries is what rounding leaves of them
+    with pytest.raises(FloatingPointError,
+                       match=r"determinant 0\.0 from entries up to 2\.91e\+260"):
+        gaussian.squeezed_coherent_state(SqueezedSpec(xi=300.0, phi=1.0))
     with pytest.raises(ValueError, match=r"^mode K violates .* \(block determinant 0\.25\)$"):
         gaussian._check_uncertainty((K,), 0.5 * np.eye(2))
 
@@ -684,25 +793,27 @@ def recording(module, *names):
 @settings(max_examples=40, deadline=None)
 def test_maps_build_states_that_pass_the_checks_they_skip(pairs, batched, epr, absorber):
     """tensor and relabel check only mode labels, and _mix's symmetry check
-    takes its exact branch: every output of tensor, relabel, standing_basis,
-    cpa_channel and travelling_basis passes GaussianState(...) when rebuilt
-    from copies, and every _mix output is exactly symmetric; for one state and
-    a batch, squeezed pairs and EPR inputs, at any absorber."""
+    takes its exact branch: every output of tensor, relabel and the pipeline
+    stages passes GaussianState(...) when rebuilt from copies, and every _mix
+    output is exactly symmetric; for one state and a batch, squeezed pairs and
+    EPR inputs (built on the standing modes, as run_epr does), at any absorber."""
     if batched:
         pairs = [tuple(batch_spec(col) for col in zip(*pairs))]
     spec_k, spec_mk = pairs[0]
     with recording(gaussian, "tensor", "relabel", "_mix") as outputs:
         if epr:  # the squeezed inputs' amplitudes and the first xi
-            state = gaussian.epr_state(spec_k.alpha, spec_mk.alpha, spec_k.xi)
+            standing = gaussian._epr_standing(spec_k.alpha, spec_mk.alpha, spec_k.xi)
+            state = gaussian.travelling_basis(standing)
         else:
             state = two_mode_pair(spec_k, spec_mk)
-        standing = gaussian.standing_basis(state)
+            standing = gaussian.standing_basis(state)
         joint = gaussian.cpa_channel(standing, absorber)
         out = gaussian.travelling_basis(joint)
-    # tensor builds the input pair, then attaches the environment on the one rail
+    # tensor builds the input pair, then attaches the environment on the one rail;
+    # one basis change precedes the absorber and one follows it, on either input
     assert len(outputs["tensor"]) == 2 and len(outputs["relabel"]) == 2
-    for built in outputs["tensor"] + outputs["relabel"] + [standing, joint, out]:
+    for built in outputs["tensor"] + outputs["relabel"] + [state, standing, joint, out]:
         GaussianState(built.modes, built.mean.copy(), built.cov.copy())
-    assert len(outputs["_mix"]) == 3 + epr
+    assert len(outputs["_mix"]) == 3
     for mixed in outputs["_mix"]:
         assert np.array_equal(mixed.cov, np.swapaxes(mixed.cov, -1, -2))
