@@ -417,12 +417,19 @@ def squeezed_pair_inseparability(
     )
 
 
+def epr_factors(
+    alpha_g: complex, alpha_h: complex, xi: float
+) -> tuple[SqueezedSpec, SqueezedSpec]:
+    """The preceding modes of EPR light: g squeezed at angle pi, h at angle 0."""
+    return SqueezedSpec(alpha_g, xi, math.pi), SqueezedSpec(alpha_h, xi, 0.0)
+
+
 def _epr_standing(alpha_g: complex, alpha_h: complex, xi: float) -> GaussianState:
     """The entangled-pair input on the standing modes: preceding mode g on C, h on S.
     The balanced mix that makes EPR light of them is the pipeline's first stage,
     an involution, so the standing state is their product."""
-    return tensor(squeezed_coherent_state(SqueezedSpec(alpha_g, xi, math.pi), C),
-                  squeezed_coherent_state(SqueezedSpec(alpha_h, xi, 0.0), S))
+    g, h = epr_factors(alpha_g, alpha_h, xi)
+    return tensor(squeezed_coherent_state(g, C), squeezed_coherent_state(h, S))
 
 
 def epr_state(alpha_g: complex, alpha_h: complex, xi: float) -> GaussianState:
@@ -457,18 +464,14 @@ def epr_params_from_means(
 def preceding_mode_intensity(alpha: complex, xi: float, stretched_x1: bool) -> float:
     """<a^dag a> of a preceding mode with its X1 (or X2) fluctuations stretched.
 
-    stretched_x1=True is the squeezing-angle-pi mode (variance e^{2 xi} in
-    X1), whose coherent part amplifies as e^{2 xi} cos^2(theta); the other
-    orientation carries the opposite sign on the sinh term.
+    stretched_x1=True is the squeezing-angle-pi mode (variance e^{2 xi} in X1):
+    (e^xi Re alpha)^2 + (e^-xi Im alpha)^2 + sinh^2 xi, a sum of squares with no
+    cancelling terms; the other orientation swaps the exponents.
     """
-    sign = 1.0 if stretched_x1 else -1.0
-    mag2 = abs(alpha) ** 2
-    cos_2theta = 1.0 if mag2 == 0 else (alpha.real ** 2 - alpha.imag ** 2) / mag2
-    return (
-        mag2 * math.cosh(2 * xi)
-        + sign * mag2 * cos_2theta * math.sinh(2 * xi)
-        + math.sinh(xi) ** 2
-    )
+    grow, shrink = math.exp(xi), math.exp(-xi)
+    if not stretched_x1:
+        grow, shrink = shrink, grow
+    return (grow * alpha.real) ** 2 + (shrink * alpha.imag) ** 2 + math.sinh(xi) ** 2
 
 
 def epr_intensity_absorption(alpha_g: complex, alpha_h: complex, xi: float) -> float:

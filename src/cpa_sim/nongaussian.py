@@ -1,23 +1,29 @@
-"""Cat-state and asymmetric illumination scenarios on the Fock engine.
+"""Two-mode continuous-variable inputs on the Fock engine, built by one function.
 
-The even cat |alpha> + |-alpha> interferes with itself (or with a coherent /
-squeezed partner) on the standing-wave basis change, concentrating all light
-in one standing mode; the absorber then takes everything or nothing.  The
-branch overlap of non-orthogonal coherent states makes the 50/50 split an
-asymptotic statement, so runners report the exact truncated values.
+Each input is two single-mode factors, D(beta) S(xi e^{i phi})|0> (a
+gaussian.SqueezedSpec) or its even part (a cat), placed on one basis: CAT_CAT is
+(cat, cat), COHERENT_CAT (coherent, cat), COHERENT_SQUEEZED (coherent, squeezed
+vacuum) and bridged SQUEEZED_PAIR two squeezed coherent states, on (K, MINUS_K);
+bridged EPR is its preceding modes g and h, on (C, S).  `run_pair` builds them,
+mixes once into the other basis and reads the result; each kind's entry point
+keeps only its cutoff, its echo and its extras.  A cat interferes with itself
+(or a coherent partner) on the basis change, so the absorber takes all or
+nothing, up to a branch overlap that the runners report exactly.
 """
 from __future__ import annotations
 
 import math
-from enum import Enum
 
 import numpy as np
 
 from . import fock
 from .absorber import CANONICAL, AbsorberSpec
 from .fock import CutoffError, PureState
+from .gaussian import SqueezedSpec
 from .modes import C, K, MINUS_K, S, ModeLabel
 from .results import ScenarioResult, fock_result
+
+SQUEEZED_TAIL = 1e-12  # weight a squeezed partner's automatic cutoff leaves above it
 
 
 def cat_cutoff(alpha: complex) -> int:
@@ -34,9 +40,9 @@ def poisson_tail_cutoff(mean_photons: float) -> int:
     return fock.budget_cutoff(mean_photons + spread + 2.0, 2)
 
 
-def squeezed_vacuum_cutoff(xi: float, tail: float = 1e-12) -> int:
-    """Even occupation beyond which a squeezed vacuum carries < tail weight, or the
-    first even cutoff past the two-mode memory budget (fock.budget_cutoff)."""
+def squeezed_vacuum_cutoff(xi: float) -> int:
+    """Even occupation beyond which a squeezed vacuum carries < SQUEEZED_TAIL weight,
+    or the first even cutoff past the two-mode memory budget (fock.budget_cutoff)."""
     ratio = math.tanh(abs(xi)) ** 2
     if ratio == 0.0:
         return 2
@@ -44,7 +50,7 @@ def squeezed_vacuum_cutoff(xi: float, tail: float = 1e-12) -> int:
         return 1002
     term = 1.0 / math.cosh(xi)  # weight of the vacuum component
     m = 0
-    while term * ratio / (1.0 - ratio) > tail and (
+    while term * ratio / (1.0 - ratio) > SQUEEZED_TAIL and (
         fock.budget_bytes(2 * (m + 1), 2) <= fock.MEMORY_BUDGET
     ):
         m += 1
@@ -63,14 +69,31 @@ def settle_cutoff(requested: int | None, needed: int, automatic: float) -> int:
 
 
 def run_pair(
-    scenario: dict, absorber: AbsorberSpec, numerics: dict, state: PureState, standing: PureState
-) -> tuple[ScenarioResult, fock.EnvironmentReadout]:
-    """The result of a (K, MINUS_K) input `state` whose standing-basis image is
-    `standing`, with the environment readout it was read from."""
+    scenario: dict,
+    absorber: AbsorberSpec,
+    numerics: dict,
+    factors: tuple[SqueezedSpec, SqueezedSpec],
+    even: tuple[bool, bool] = (False, False),
+) -> tuple[ScenarioResult, PureState, fock.EnvironmentReadout]:
+    """The result of `factors` (each the even cat of its alpha where `even` says
+    so) built at numerics["cutoff"], with the standing state and environment
+    readout it was read from.  EPR's preceding modes g and h sit on (C, S), since the mix that
+    makes them EPR light is the pipeline's first stage, an involution; the other
+    kinds sit on (K, MINUS_K).  One balanced mix derives the other basis."""
+    cutoff, on_standing = numerics["cutoff"], scenario["kind"] == "EPR"
+    built = fock.tensor(*(
+        build_cat(spec.alpha, cutoff, mode) if cat
+        else fock.squeezed_coherent_state(spec.alpha, spec.xi, spec.phi, cutoff, mode)
+        for spec, cat, mode in zip(factors, even, (C, S) if on_standing else (K, MINUS_K))
+    ))
+    if on_standing:
+        standing, state = built, fock.travelling_basis(built)
+    else:
+        state, standing = built, fock.standing_basis(built)
     environment = fock.absorber_environment(standing, absorber)
     coefficients = fock.absorption_coefficients(state, K, MINUS_K)
     result = fock_result(scenario, absorber, numerics, environment, coefficients)
-    return result, environment
+    return result, standing, environment
 
 
 def build_cat(alpha: complex, cutoff: int, mode=K) -> PureState:
@@ -88,11 +111,6 @@ def build_cat(alpha: complex, cutoff: int, mode=K) -> PureState:
     return PureState((mode,), cutoff, amps / truncated_norm)
 
 
-class AsymmetricKind(Enum):
-    COHERENT_SQUEEZED = "COHERENT_SQUEEZED"
-    COHERENT_CAT = "COHERENT_CAT"
-
-
 def run_cat_cat(
     alpha: complex,
     absorber: AbsorberSpec = CANONICAL,
@@ -107,10 +125,9 @@ def run_cat_cat(
     # +2 keeps the even-cat parity doubling of the photon-number tail
     # inside the truncation budget of the basis change
     cutoff = settle_cutoff(cutoff, needed, needed + 2)
-    input_state = fock.tensor(build_cat(alpha, cutoff, K), build_cat(alpha, cutoff, MINUS_K))
-    standing = fock.standing_basis(input_state)
-    result, environment = run_pair(
-        {"kind": "CAT_CAT", "alpha": alpha}, absorber, {"cutoff": cutoff}, input_state, standing
+    cat = SqueezedSpec(alpha)
+    result, standing, environment = run_pair(
+        {"kind": "CAT_CAT", "alpha": alpha}, absorber, {"cutoff": cutoff}, (cat, cat), (True, True)
     )
     p_zero = environment.distribution[0]
     # no photon absorbed: level n keeps b[n, n] = tau_c^n and the (C, S) state is
@@ -131,37 +148,32 @@ def run_cat_cat(
 
 
 def run_asymmetric(
-    kind: AsymmetricKind,
     alpha: complex,
-    partner_parameter: float | complex,
+    partner: float | complex,
     absorber: AbsorberSpec = CANONICAL,
     cutoff: int | None = None,
 ) -> ScenarioResult:
     """Coherent light against a squeezed vacuum or a cat on the other side.
 
-    ``partner_parameter`` is the squeezing magnitude for COHERENT_SQUEEZED and
-    the cat amplitude for COHERENT_CAT.  Reports the absorption coefficients,
-    the absorbed-photon distribution, and the standing-basis joint photon
-    distribution (whose anti-correlation is the NOON-like signature of the
-    coherent-squeezed case).
+    A real ``partner`` is the squeezing xi of a COHERENT_SQUEEZED run, a complex
+    one the cat amplitude of a COHERENT_CAT run.  Reports the absorption
+    coefficients, the absorbed-photon distribution, and the standing-basis joint
+    photon distribution (whose anti-correlation is the NOON-like signature of
+    the coherent-squeezed case).
     """
     intensity = abs(alpha) * abs(alpha)  # inf, not OverflowError, past 1e154
-    if kind is AsymmetricKind.COHERENT_SQUEEZED:
-        xi = float(np.real(partner_parameter))
-        needed = poisson_tail_cutoff(intensity) + squeezed_vacuum_cutoff(xi)
+    if isinstance(partner, complex):
+        needed = poisson_tail_cutoff(intensity + abs(partner) * abs(partner)) + 2
+        scenario = {"kind": "COHERENT_CAT", "alpha": alpha, "cat_alpha": partner}
+        other, even = SqueezedSpec(partner), (False, True)
     else:
-        cat_alpha = complex(partner_parameter)
-        needed = poisson_tail_cutoff(intensity + abs(cat_alpha) * abs(cat_alpha)) + 2
+        needed = poisson_tail_cutoff(intensity) + squeezed_vacuum_cutoff(partner)
+        scenario = {"kind": "COHERENT_SQUEEZED", "alpha": alpha, "xi": partner}
+        other, even = SqueezedSpec(0.0, partner), (False, False)
     cutoff = settle_cutoff(cutoff, needed, needed)
-    if kind is AsymmetricKind.COHERENT_SQUEEZED:
-        partner = fock.squeezed_coherent_state(0.0, xi, 0.0, cutoff, MINUS_K)
-        scenario = {"kind": kind.value, "alpha": alpha, "xi": xi}
-    else:
-        partner = build_cat(cat_alpha, cutoff, MINUS_K)
-        scenario = {"kind": kind.value, "alpha": alpha, "cat_alpha": cat_alpha}
-    input_state = fock.tensor(fock.coherent_state(alpha, cutoff, K), partner)
-    standing = fock.standing_basis(input_state)
-    result, environment = run_pair(scenario, absorber, {"cutoff": cutoff}, input_state, standing)
+    result, standing, environment = run_pair(
+        scenario, absorber, {"cutoff": cutoff}, (SqueezedSpec(alpha), other), even
+    )
     standing_dist = fock.joint_occupation_distribution(standing, C, S)
     reported = standing_dist > 1e-12
     levels, probabilities = np.argwhere(reported).tolist(), standing_dist[reported].tolist()

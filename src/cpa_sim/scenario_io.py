@@ -15,7 +15,6 @@ from typing import Any
 
 from . import dv, fock, gaussian, nongaussian
 from .absorber import AbsorberSpec
-from .modes import C, K, MINUS_K, S
 from .results import ScenarioResult
 
 SCHEMA_VERSION = 1
@@ -255,15 +254,8 @@ def run_scenario_file(spec: ScenarioFile) -> ScenarioResult:
         spec_mk = _squeezed_spec(scenario.get("minus_k"), f"{path}.minus_k")
         if spec.engine == "GAUSSIAN":
             return gaussian.run_squeezed_pair(spec_k, spec_mk, spec.absorber)
-        cutoff = nongaussian.settle_cutoff(spec.cutoff, 0, fock.DEFAULT_CUTOFF)
-        state = fock.tensor(
-            fock.squeezed_coherent_state(spec_k.alpha, spec_k.xi, spec_k.phi, cutoff, K),
-            fock.squeezed_coherent_state(
-                spec_mk.alpha, spec_mk.xi, spec_mk.phi, cutoff, MINUS_K
-            ),
-        )
         echo = gaussian.squeezed_pair_echo(spec_k, spec_mk)
-        return run_bridged_fock(echo, state, fock.standing_basis(state), spec.absorber, cutoff)
+        return run_bridged_fock(echo, (spec_k, spec_mk), spec.absorber, spec.cutoff)
     if kind == "EPR":
         alpha_g = parse_complex(scenario.get("alpha_g", 0.0), f"{path}.alpha_g")
         alpha_h = parse_complex(scenario.get("alpha_h", 0.0), f"{path}.alpha_h")
@@ -272,15 +264,9 @@ def run_scenario_file(spec: ScenarioFile) -> ScenarioResult:
             raise ScenarioFileError(f"{path}.xi", f"must be >= 0, got {xi!r}")
         if spec.engine == "GAUSSIAN":
             return gaussian.run_epr(alpha_g, alpha_h, xi, spec.absorber)
-        cutoff = nongaussian.settle_cutoff(spec.cutoff, 0, fock.DEFAULT_CUTOFF)
-        # EPR light's preceding modes are its standing modes: the balanced mix is an involution
-        standing = fock.tensor(
-            fock.squeezed_coherent_state(alpha_g, xi, math.pi, cutoff, C),
-            fock.squeezed_coherent_state(alpha_h, xi, 0.0, cutoff, S),
-        )
         echo = {"kind": "EPR", "alpha_g": alpha_g, "alpha_h": alpha_h, "xi": xi}
-        state = fock.travelling_basis(standing)  # the one balanced mix
-        return run_bridged_fock(echo, state, standing, spec.absorber, cutoff)
+        factors = gaussian.epr_factors(alpha_g, alpha_h, xi)
+        return run_bridged_fock(echo, factors, spec.absorber, spec.cutoff)
     if kind == "CAT_CAT":
         return nongaussian.run_cat_cat(
             parse_complex(scenario.get("alpha", 0.0), f"{path}.alpha"),
@@ -289,7 +275,6 @@ def run_scenario_file(spec: ScenarioFile) -> ScenarioResult:
         )
     if kind == "COHERENT_SQUEEZED":
         return nongaussian.run_asymmetric(
-            nongaussian.AsymmetricKind.COHERENT_SQUEEZED,
             parse_complex(scenario.get("alpha", 0.0), f"{path}.alpha"),
             _require_number(scenario, "xi", path, default=0.0),
             spec.absorber,
@@ -300,13 +285,7 @@ def run_scenario_file(spec: ScenarioFile) -> ScenarioResult:
         cat_alpha = parse_complex(
             scenario.get("cat_alpha", scenario.get("alpha", 0.0)), f"{path}.cat_alpha"
         )
-        return nongaussian.run_asymmetric(
-            nongaussian.AsymmetricKind.COHERENT_CAT,
-            alpha,
-            cat_alpha,
-            spec.absorber,
-            spec.cutoff,
-        )
+        return nongaussian.run_asymmetric(alpha, cat_alpha, spec.absorber, spec.cutoff)
     n = scenario.get("n", 1)  # the DV kinds
     if isinstance(n, bool) or not isinstance(n, int):
         raise ScenarioFileError(f"{path}.n", "expected an integer")
@@ -322,9 +301,14 @@ def run_scenario_file(spec: ScenarioFile) -> ScenarioResult:
     return dv.run_scenario(dv_scenario, spec.absorber, cutoff, report_threshold=spec.tolerance)
 
 
-def run_bridged_fock(scenario_echo: dict, state: "fock.PureState", standing: "fock.PureState",
-                     absorber: AbsorberSpec, cutoff: int) -> ScenarioResult:
-    """Run a continuous-variable input bridged onto the truncated Fock engine:
-    travelling `state` and its standing-basis image `standing`."""
+def run_bridged_fock(
+    scenario_echo: dict,
+    factors: tuple[gaussian.SqueezedSpec, gaussian.SqueezedSpec],
+    absorber: AbsorberSpec,
+    cutoff: int | None,
+) -> ScenarioResult:
+    """Run a continuous-variable input bridged onto the truncated Fock engine: two
+    squeezed coherent `factors` at `cutoff`, or fock.DEFAULT_CUTOFF when none is given."""
+    cutoff = nongaussian.settle_cutoff(cutoff, 0, fock.DEFAULT_CUTOFF)
     numerics = {"cutoff": cutoff, "truncation_tolerance": fock.TRUNCATION_TOL}
-    return nongaussian.run_pair(scenario_echo, absorber, numerics, state, standing)[0]
+    return nongaussian.run_pair(scenario_echo, absorber, numerics, factors)[0]

@@ -290,8 +290,8 @@ def test_13_cat_cat_at_alpha_two():
 
 
 def test_14_asymmetric_inputs_absorb_half():
-    res_sq = ng.run_asymmetric(ng.AsymmetricKind.COHERENT_SQUEEZED, 1.0, 0.5, CANONICAL)
-    res_cat = ng.run_asymmetric(ng.AsymmetricKind.COHERENT_CAT, 1.5, 1.5, CANONICAL)
+    res_sq = ng.run_asymmetric(1.0, 0.5, CANONICAL)
+    res_cat = ng.run_asymmetric(1.5, 1.5 + 0j, CANONICAL)
     ok = abs(res_sq.mean_intensity_absorption - 0.5) < 1e-9
     ok &= abs(res_cat.mean_intensity_absorption - 0.5) < 1e-9
     report("14 asymmetric inputs absorb half the intensity", bool(ok))

@@ -198,7 +198,8 @@ def test_run_epr_past_double_precision_squeezing_exits_nonzero(tmp_path, capsys,
 # 1e154, 1e300} (the minus_k / alpha_h partner at phase 2), each kind, the
 # absorber cycling canonical, tau_c 0.3 and swap_roles.  Each file's exit code
 # and first stderr line; stdout is empty unless the code is 0.  One more
-# SQUEEZED_PAIR at xi 354.8 with minus_k at phi 1 overflows only in the absorber.
+# SQUEEZED_PAIR at xi 354.8 with minus_k at phi 1 overflows only in the absorber,
+# and one more EPR with alpha_g = 1e150 i at xi 20 has a finite closed form.
 HOSTILE_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "hostile")
 INTENSITY = "numerical failure: total intensity overflows a double"
 EXP = "numerical failure: {}: e^(2 xi) overflows a double"  # exited 2 as "math range error"
@@ -211,6 +212,10 @@ HOSTILE = {
     "epr_xi20_alpha0_tau.json": (0, ""),
     "epr_xi20_alpha1e154_swap.json": (2, INTENSITY),
     "epr_xi20_alpha1e300_canonical.json": (2, INTENSITY),  # NaN means; leaked a warning
+    # alpha_g [0, 1e150]: exited 2 as "non-finite value at
+    # extras.closed_form_intensity_absorption", the closed form's |alpha|^2 cosh 2xi
+    # and |alpha|^2 cos 2theta sinh 2xi overflowing to inf - inf
+    "epr_xi20_alpha_g_imag1e150_canonical.json": (0, ""),
     "epr_xi355_alpha0_swap.json": (2, EXP.format("scenario.xi")),
     "epr_xi355_alpha1e154_canonical.json": (2, EXP.format("scenario.xi")),
     "epr_xi355_alpha1e300_tau.json": (2, EXP.format("scenario.xi")),
@@ -261,6 +266,35 @@ def test_run_coherent_cat_defaults_cat_alpha_to_alpha(tmp_path, capsys):
     code, explicit, _ = run_cli(capsys, "run", write_json(tmp_path, "b.json", payload))
     assert code == 0
     assert default == explicit
+
+
+@pytest.mark.parametrize(
+    "alpha, xi, absorber, cutoff",
+    [([0.8, 0.3], 0.4, {"tau_c": 0.4, "swap_roles": True}, 50),
+     (1.1, -0.25, {}, 45),
+     ({"mag": 0.6, "phase": "0.75pi"}, 0.0, {"r": -0.1}, 30)],
+)
+def test_coherent_squeezed_prints_what_its_bridged_squeezed_pair_prints(
+    tmp_path, capsys, alpha, xi, absorber, cutoff
+):
+    """COHERENT_SQUEEZED {alpha, xi} is the SQUEEZED_PAIR {k: {alpha}, minus_k:
+    {xi}}: at the same explicit cutoff and absorber both print the same absorbed
+    distribution, coefficients and separability; only the echoes and the extras
+    differ."""
+    outputs = []
+    for scenario in ({"kind": "COHERENT_SQUEEZED", "alpha": alpha, "xi": xi},
+                     {"kind": "SQUEEZED_PAIR", "k": {"alpha": alpha, "xi": 0.0},
+                      "minus_k": {"alpha": 0.0, "xi": xi}}):
+        payload = {"schema": 1, "engine": "FOCK", "scenario": scenario,
+                   "absorber": absorber, "numerics": {"cutoff": cutoff}}
+        code, out, err = run_cli(capsys, "run", write_json(tmp_path, "in.json", payload))
+        assert code == 0, err
+        outputs.append(json.loads(out))
+    keys = ("absorbed_distribution", "mean_intensity_absorption", "coherence_absorption",
+            "separability")
+    coherent_squeezed, squeezed_pair = ({k: out[k] for k in keys} for out in outputs)
+    assert coherent_squeezed == squeezed_pair
+    assert outputs[0]["numerics"]["cutoff"] == outputs[1]["numerics"]["cutoff"] == cutoff
 
 
 def test_run_malformed_field_reports_path(tmp_path, capsys):

@@ -995,7 +995,7 @@ amplitudes = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infini
 
 @settings(max_examples=25, deadline=None)
 @given(
-    kind=st.sampled_from(["EPR", "SQUEEZED_PAIR"]),
+    kind=st.sampled_from(["EPR", "SQUEEZED_PAIR", "COHERENT_SQUEEZED"]),
     alphas=st.tuples(amplitudes, amplitudes),
     xis=st.tuples(st.floats(0.0, 0.3), st.floats(-0.3, 0.3)),
     phi=angles,
@@ -1003,25 +1003,26 @@ amplitudes = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infini
     swap=st.booleans(),
 )
 def test_bridged_environment_matches_the_gaussian_engine(kind, alphas, xis, phi, tau, swap):
-    """The environment readouts of a bridged Gaussian input agree with the
-    Gaussian engine's ENV_C block (V, mu), through the single-mode closed forms
-    P(0) = 2 / sqrt(det(V + I)) exp(-mu^T (V + I)^-1 mu / 2), <n> = (tr V +
-    |mu|^2 - 2) / 4 and entropy g((sqrt(det V) - 1) / 2).  The Gaussian engine
-    shares no code with the Fock readout."""
+    """The environment readouts of a Gaussian input built by the two-mode
+    builder agree with the Gaussian engine's ENV_C block (V, mu), through the
+    single-mode closed forms P(0) = 2 / sqrt(det(V + I)) exp(-mu^T (V + I)^-1 mu
+    / 2), <n> = (tr V + |mu|^2 - 2) / 4 and entropy g((sqrt(det V) - 1) / 2), and
+    its absorption coefficients agree with gaussian.absorption_coefficients.
+    COHERENT_SQUEEZED {alpha, xi} is the SQUEEZED_PAIR {k: {alpha}, minus_k:
+    {xi}}.  The Gaussian engine shares no code with the Fock readout."""
     cutoff, absorber = 45, AbsorberSpec(reflection=(tau - 1.0) / 2.0, swap_roles=swap)
-    if kind == "EPR":  # built on the standing modes, as the bridged runner does
-        xi = xis[0]
-        standing = fock.tensor(fock.squeezed_coherent_state(alphas[0], xi, math.pi, cutoff, C),
-                               fock.squeezed_coherent_state(alphas[1], xi, 0.0, cutoff, S))
-        reference = gaussian.epr_state(alphas[0], alphas[1], xi)
+    if kind == "EPR":
+        factors = gaussian.epr_factors(alphas[0], alphas[1], xis[0])
+        reference = gaussian.epr_state(alphas[0], alphas[1], xis[0])
     else:
-        specs = [gaussian.SqueezedSpec(a, x, p) for a, x, p in zip(alphas, xis, (phi, 0.0))]
-        standing = fock.standing_basis(fock.tensor(*(
-            fock.squeezed_coherent_state(sp.alpha, sp.xi, sp.phi, cutoff, m)
-            for sp, m in zip(specs, (K, MINUS_K)))))
+        if kind == "COHERENT_SQUEEZED":
+            factors = (gaussian.SqueezedSpec(alphas[0]), gaussian.SqueezedSpec(0.0, xis[1]))
+        else:
+            factors = tuple(gaussian.SqueezedSpec(a, x, p)
+                            for a, x, p in zip(alphas, xis, (phi, 0.0)))
         reference = gaussian.tensor(*(gaussian.squeezed_coherent_state(sp, m)
-                                      for sp, m in zip(specs, (K, MINUS_K))))
-    readout = fock.absorber_environment(standing, absorber)
+                                      for sp, m in zip(factors, (K, MINUS_K))))
+    result, _, readout = nongaussian.run_pair({"kind": kind}, absorber, {"cutoff": cutoff}, factors)
     env = gaussian.full_pipeline(reference, absorber)
     p_zero, mean, entropy = _gaussian_environment(env.mode_block(ENV_C), env.mode_mean(ENV_C))
     # at the corners of these ranges truncation at cutoff 45 moves <n> by 1.3e-12;
@@ -1029,6 +1030,18 @@ def test_bridged_environment_matches_the_gaussian_engine(kind, alphas, xis, phi,
     assert abs(readout.distribution[0] - p_zero) < 1e-11
     assert abs(sum(m * p for m, p in readout.distribution.items()) - mean) < 1e-11
     assert abs(readout.entropy - entropy) < 1e-11
+    # each coefficient is 1/2 + N / D: rounding in N and D moves it by ~1e-16 / D,
+    # and either side may call it undefined within rounding of D = 1e-12
+    means = [gaussian.mean_amplitude(reference, m) for m in (K, MINUS_K)]
+    totals = (sum(gaussian.mode_intensity(reference, m) for m in (K, MINUS_K)),
+              sum(abs(a) ** 2 for a in means))
+    wanted = gaussian.absorption_coefficients(reference)
+    got = (result.mean_intensity_absorption, result.coherence_absorption)
+    for value, want, total in zip(got, wanted, totals):
+        if total > 1e-10:
+            assert abs(value - want) < 1e-11 / min(total, 1.0)
+        elif total < 1e-14:
+            assert value is None and want is None
 
 
 def test_absorber_environment_needs_a_fresh_environment():

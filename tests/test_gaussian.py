@@ -364,6 +364,24 @@ def test_epr_intensity_all_in_absorbed_mode():
     assert gaussian.epr_intensity_absorption(1.5, 0.0, 0.0) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_preceding_mode_intensity_is_a_sum_of_squares():
+    """(e^xi Re alpha)^2 + (e^-xi Im alpha)^2 + sinh^2 xi (exponents swapped for
+    h) is the polar |alpha|^2 (cosh 2xi +- cos 2theta sinh 2xi) + sinh^2 xi, to
+    the ~1e-13 the polar form loses to cancellation, and stays finite where the
+    polar form's two terms overflow to inf - inf."""
+    rng = np.random.default_rng(7)
+    for _ in range(2000):
+        alpha, xi = complex(*rng.normal(scale=3.0, size=2)), rng.uniform(0.0, 5.0)
+        mag2 = abs(alpha) ** 2
+        cos_2theta = (alpha.real ** 2 - alpha.imag ** 2) / mag2
+        for sign in (1.0, -1.0):
+            polar = mag2 * (math.cosh(2 * xi) + sign * cos_2theta * math.sinh(2 * xi))
+            polar += math.sinh(xi) ** 2
+            got = gaussian.preceding_mode_intensity(alpha, xi, stretched_x1=sign > 0)
+            assert abs(got - polar) <= 1e-12 * polar
+    assert gaussian.epr_intensity_absorption(1e150j, 0.0, 20.0) == 1.0
+
+
 def test_epr_intensity_absorption_rejects_vacuum():
     with pytest.raises(ValueError):
         gaussian.epr_intensity_absorption(0.0, 0.0, 0.0)

@@ -112,13 +112,13 @@ def test_cat_cat_rejects_small_cutoff():
 
 
 def test_coherent_squeezed_absorbs_half():
-    result = ng.run_asymmetric(ng.AsymmetricKind.COHERENT_SQUEEZED, 1.0, 0.5)
+    result = ng.run_asymmetric(1.0, 0.5)
     assert result.mean_intensity_absorption == pytest.approx(0.5, abs=1e-9)
     assert result.coherence_absorption == pytest.approx(0.5, abs=1e-9)
 
 
 def test_coherent_squeezed_standing_distribution_reported():
-    result = ng.run_asymmetric(ng.AsymmetricKind.COHERENT_SQUEEZED, 1.0, 0.5)
+    result = ng.run_asymmetric(1.0, 0.5)
     dist = result.extras["standing_joint_distribution"]
     assert sum(dist.values()) == pytest.approx(1.0, abs=1e-9)
     concentrated = sum(
@@ -130,17 +130,15 @@ def test_coherent_squeezed_standing_distribution_reported():
 
 
 @pytest.mark.parametrize(
-    "kind, partner, absorber",
-    [
-        (ng.AsymmetricKind.COHERENT_SQUEEZED, 0.6, AbsorberSpec(reflection=-0.3)),
-        (ng.AsymmetricKind.COHERENT_CAT, 1.2j, AbsorberSpec(swap_roles=True)),
-    ],
+    "partner, absorber",
+    [(0.6, AbsorberSpec(reflection=-0.3)), (1.2j, AbsorberSpec(swap_roles=True))],
+    ids=["COHERENT_SQUEEZED", "COHERENT_CAT"],
 )
-def test_standing_distribution_is_the_basis_change_of_the_input(kind, partner, absorber):
+def test_standing_distribution_is_the_basis_change_of_the_input(partner, absorber):
     alpha = 0.9 - 0.4j
-    result = ng.run_asymmetric(kind, alpha, partner, absorber)
+    result = ng.run_asymmetric(alpha, partner, absorber)
     cutoff = result.numerics["cutoff"]
-    if kind is ng.AsymmetricKind.COHERENT_SQUEEZED:
+    if isinstance(partner, float):
         other = fock.squeezed_coherent_state(0.0, partner, 0.0, cutoff, MINUS_K)
     else:
         other = ng.build_cat(partner, cutoff, MINUS_K)
@@ -158,8 +156,20 @@ def test_standing_distribution_is_the_basis_change_of_the_input(kind, partner, a
     )
 
 
+@pytest.mark.parametrize(
+    "partner, kind, key",
+    [(0.5, "COHERENT_SQUEEZED", "xi"), (-0.5, "COHERENT_SQUEEZED", "xi"),
+     (1.5 + 0j, "COHERENT_CAT", "cat_alpha")],
+)
+def test_asymmetric_partner_picks_the_kind_and_is_echoed_as_given(partner, kind, key):
+    """A real partner is a squeezing, echoed as given (a negative xi is not
+    turned into phi + pi); a complex one is a cat amplitude."""
+    scenario = ng.run_asymmetric(1.0, partner).scenario
+    assert scenario == {"kind": kind, "alpha": 1.0, key: partner}
+
+
 def test_coherent_cat_splits_exactly_between_standing_modes():
-    result = ng.run_asymmetric(ng.AsymmetricKind.COHERENT_CAT, 1.5, 1.5)
+    result = ng.run_asymmetric(1.5, 1.5 + 0j)
     assert result.extras["standing_cross_sector_mass"] < 0.02
     assert result.mean_intensity_absorption == pytest.approx(0.5, abs=1e-9)
     assert result.coherence_absorption == pytest.approx(0.5, abs=1e-9)
@@ -177,14 +187,14 @@ def test_asymmetric_input_moments_are_uncorrelated():
 
 
 def test_vacuum_asymmetric_run_is_trivial():
-    result = ng.run_asymmetric(ng.AsymmetricKind.COHERENT_SQUEEZED, 0.0, 0.0)
+    result = ng.run_asymmetric(0.0, 0.0)
     assert result.absorbed_distribution[0] == pytest.approx(1.0, abs=1e-12)
     assert result.mean_intensity_absorption is None  # no photons anywhere
 
 
 def test_asymmetric_rejects_small_cutoff():
     with pytest.raises(CutoffError):
-        ng.run_asymmetric(ng.AsymmetricKind.COHERENT_CAT, 1.5, 1.5, CANONICAL, cutoff=5)
+        ng.run_asymmetric(1.5, 1.5 + 0j, CANONICAL, cutoff=5)
 
 
 def _squeezed_vacuum_tail(xi: float, cutoff: int) -> float:
