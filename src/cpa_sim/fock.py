@@ -375,7 +375,8 @@ def relabel(state: PureState, mapping: Mapping[ModeLabel, ModeLabel]) -> PureSta
 def _next_block(
     block: np.ndarray, first: int, c: float, s: float, lo: int, hi: int
 ) -> np.ndarray:
-    """Columns lo..hi of sector T+1 of the mix from columns first.. of sector T.
+    """Columns lo..hi of sector T+1 of the mix from columns first.. of sector T,
+    column-major and allocated before any temporary (see hadamard_block).
 
     Column m of sector T is U|m, T-m> over the kets |p, T-p>.  The recurrence
     of Miatto & Quesada (Quantum 4, 366 (2020)) in the two-sided form of
@@ -385,16 +386,20 @@ def _next_block(
     vector scaled by m/(T+1) and (T+1-m)/(T+1), so rounding errors average out.
     """
     n, k = block.shape  # n = T + 1
+    out = np.empty((n + 1, hi - lo + 1), order="F")
     root = np.sqrt(np.arange(n + 1.0))
     # A and B applied to every column, padded with one zero column on each side
-    raise_a = np.zeros((n + 1, k + 2))
-    raise_a[1:, 1:-1] = root[1:, None] * block  # (A x)[p] = sqrt(p) x[p-1]
-    raise_b = np.zeros((n + 1, k + 2))
-    raise_b[:-1, 1:-1] = root[:0:-1, None] * block  # (B x)[p] = sqrt(T+1-p) x[p]
+    raise_a = np.zeros((n + 1, k + 2), order="F")
+    np.multiply(root[1:, None], block, out=raise_a[1:, 1:-1])  # (A x)[p] = sqrt(p) x[p-1]
+    raise_b = np.zeros((n + 1, k + 2), order="F")
+    np.multiply(root[:0:-1, None], block, out=raise_b[:-1, 1:-1])  # (B x)[p] = sqrt(T+1-p) x[p]
     m = np.arange(lo, hi + 1)
-    from_left = (c * raise_a + s * raise_b)[:, m - first]  # column m-1 of sector T
-    from_same = (s * raise_a - c * raise_b)[:, m - first + 1]  # column m of sector T
-    return (from_left * root[m] + from_same * root[n - m]) / n
+    left = slice(lo - first, hi - first + 1)  # padded column m-first: column m-1 of sector T
+    same = slice(lo - first + 1, hi - first + 2)  # column m of sector T
+    np.multiply(c * raise_a[:, left] + s * raise_b[:, left], root[m], out=out)
+    out += (s * raise_a[:, same] - c * raise_b[:, same]) * root[n - m]
+    out /= n
+    return out
 
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -406,7 +411,12 @@ def hadamard_block(total: int) -> np.ndarray:
 
     Entry [p, m] is the amplitude of |p, total-p> in the image of
     |m, total-m> under a_1 -> (a_1 + a_2)/sqrt(2), a_2 -> (a_1 - a_2)/sqrt(2).
-    The cache grows up to the largest total requested so far.
+    The cache grows up to the largest total requested so far.  _next_block
+    allocates each new block before its temporaries and fills it in place: a
+    block allocated after them would sit above their freed space in the heap
+    and pin it, and the process would grow by about twice the cached bytes.
+    The blocks are column-major, as the recurrence leaves them; _mix's sector
+    matmuls round differently on a C-ordered copy of the same values.
     """
     while len(_HADAMARD_BLOCKS) <= total:
         n = len(_HADAMARD_BLOCKS)

@@ -20,7 +20,8 @@ from .results import ScenarioResult
 SCHEMA_VERSION = 1
 
 KIND_KEYS = {  # the scenario keys of each kind besides "kind"
-    **{kind.value: {"n", "delta_theta"} for kind in dv.DvKind},
+    **{kind.value: {"delta_theta"} for kind in dv.DvKind},
+    "NOON": {"n", "delta_theta"},  # the other DV kinds carry one photon per rail
     "CAT_CAT": {"alpha"},
     "COHERENT_SQUEEZED": {"alpha", "xi"},
     "COHERENT_CAT": {"alpha", "cat_alpha"},

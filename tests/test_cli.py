@@ -144,6 +144,17 @@ def test_run_rejects_negative_epr_squeezing(tmp_path, capsys, engine):
 
 
 @pytest.mark.parametrize(
+    "kind", sorted(kind.value for kind in dv.DvKind if kind is not dv.DvKind.NOON))
+@pytest.mark.parametrize("extra", [{}, {"delta_theta": "0.5pi"}])
+def test_run_refuses_a_photon_number_outside_noon(tmp_path, capsys, kind, extra):
+    # exited 0: ran one photon per rail and echoed "n": 5
+    scenario = {"kind": kind, "n": 5, **extra}
+    payload = {"schema": 1, "engine": "FOCK", "scenario": scenario}
+    code, out, err = run_cli(capsys, "run", write_json(tmp_path, "hostile.json", payload))
+    assert (code, out, err) == (1, "", f"error: scenario: unknown keys ['n'] for kind {kind}\n")
+
+
+@pytest.mark.parametrize(
     "scenario",
     [
         # each ended in an OverflowError traceback
@@ -611,7 +622,8 @@ _squeezing = st.floats(-1.0, 1.0, allow_nan=False)
 _squeezed = st.fixed_dictionaries(
     {}, optional={"alpha": _amplitudes, "xi": _squeezing, "phi": _angles})
 _FIELDS = {
-    **{kind.value: {"n": st.integers(-3, 12), "delta_theta": _angles} for kind in dv.DvKind},
+    **{kind.value: {"delta_theta": _angles} for kind in dv.DvKind},
+    "NOON": {"n": st.integers(-3, 12), "delta_theta": _angles},
     "CAT_CAT": {"alpha": _amplitudes},
     "COHERENT_SQUEEZED": {"alpha": _amplitudes, "xi": _squeezing},
     "COHERENT_CAT": {"alpha": _amplitudes, "cat_alpha": _amplitudes},

@@ -193,6 +193,45 @@ def test_hadamard_blocks_are_unitary():
         assert np.max(np.abs(block @ block.T - np.eye(total + 1))) < 1e-13
 
 
+def test_hadamard_cache_is_the_recurrence_chain():
+    """Each cached block is bit for bit the chain of _next_block calls, column-major
+    (the sector matmuls' rounding depends on the layout), and mirrors its rows
+    exactly: H_T[T-p, m] = (-1)^(T-m) H_T[p, m]."""
+    block = np.ones((1, 1))
+    for total in range(251):
+        if total:
+            block = fock._next_block(block, 0, INV, INV, 0, total)
+        cached = fock.hadamard_block(total)
+        assert cached.flags.f_contiguous, total
+        assert cached.view(np.int64).tobytes("F") == block.view(np.int64).tobytes("F"), total
+        sign = (-1.0) ** (total - np.arange(total + 1))
+        assert np.array_equal(cached[::-1], cached * sign), total
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+def test_hadamard_cache_grows_the_process_by_its_own_bytes():
+    """Growing the cache to total 200 in a fresh interpreter raises its peak RSS by
+    at most 1.25x the cached bytes (about 1.7x when each block was allocated after its
+    recurrence's temporaries, which then stayed pinned below it).  The peak is
+    VmHWM: ru_maxrss would carry over the spawning process's peak."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fock.__file__)))
+    code = (
+        "from cpa_sim import fock\n"
+        "def peak():\n"
+        "    with open('/proc/self/status') as status:\n"
+        "        lines = [line for line in status if line.startswith('VmHWM:')]\n"
+        "    return int(lines[0].split()[1])\n"
+        "before = peak()\n"
+        "fock.hadamard_block(200)\n"
+        "print(1024 * (peak() - before), sum(b.nbytes for b in fock._HADAMARD_BLOCKS))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
+                         capture_output=True, text=True, check=True)
+    grown, cached = map(int, run.stdout.split())
+    assert grown <= 1.25 * cached, (grown, cached)
+
+
 def test_hadamard_blocks_match_exact_integers():
     for total in range(121):
         exact = oracle.exact_hadamard_block(total)
