@@ -59,14 +59,14 @@ CANONICAL = AbsorberSpec(reflection=-0.5)
 
 
 def change_basis(state, kinds: Mapping[ModeKind, ModeKind], rotate: Callable,
-                 relabel: Callable, *args):
-    """rotate(state, a, b, *args) on each rail's pair of `kinds` (STANDING_OF:
+                 relabel: Callable):
+    """rotate(state, a, b) on each rail's pair of `kinds` (STANDING_OF:
     K, MINUS_K; TRAVELLING_OF: C, S), then each such mode relabelled to its
     partner kind on the same rail."""
     first, second = kinds
     result = state
     for rail in basis_rails(state.modes, (first, second)):
-        result = rotate(result, ModeLabel(first, rail), ModeLabel(second, rail), *args)
+        result = rotate(result, ModeLabel(first, rail), ModeLabel(second, rail))
     return relabel(result, {m: ModeLabel(kinds[m.kind], m.rail)
                             for m in result.modes if m.kind in kinds})
 

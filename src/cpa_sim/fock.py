@@ -14,12 +14,13 @@ purifications, rho = A A^H.  The environment meets only the absorbed modes, so
 runs read it from their reduced state in the standing basis, through the
 pure-loss channel's complementary map in closed form: real Toeplitz matmuls
 per rail on the diagonal-major layout of that state (absorber_environment);
-they never build the light x environment joint, and only what is read in the
-travelling basis is carried there.  The absorber's own mix, with a vacuum
-partner, reads each sector's single column from one table of loss amplitudes.
-DV runs, which do carry the joint there, read every conditional output from
-one pass over |joint|^2 (conditional_outputs), not one reduction per count and
-mode.
+they never build the light x environment joint.  The travelling absorption
+coefficients are moments of the standing state too (absorption_coefficients),
+so two-mode runs never mix back to the travelling modes.  The absorber's own
+mix, with a vacuum partner, reads each sector's single column from one table
+of loss amplitudes.  DV runs, which do carry the joint there, read every
+conditional output from one pass over |joint|^2 (conditional_outputs), not one
+reduction per count and mode.
 States are immutable and every map is a pure function.  Outside data is
 checked in full by PureState(...); a map skips only the checks its construction
 guarantees (_built): relabel keeps the array, and _mix returns what _normalized
@@ -39,7 +40,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .absorber import AbsorberSpec, absorb, change_basis
-from .modes import (K, MINUS_K, STANDING_KINDS, STANDING_OF, TRAVELLING_OF, ModeError, ModeLabel,
+from .modes import (C, K, S, STANDING_KINDS, STANDING_OF, TRAVELLING_OF, ModeError, ModeLabel,
                     basis_rails, check_mode_consistency)
 
 TRUNCATION_TOL = 1e-10  # norm a constructor/map may lose to the cutoff
@@ -210,17 +211,15 @@ def _split(
 # constructors
 
 
-def _normalized(amps: np.ndarray, lossy_ok: bool = False, weight: float = 1.0) -> np.ndarray:
-    """`amps` scaled in place to unit norm; every caller owns the buffer.  For a
-    `weight` share of a normalized state, the cutoff check bounds that state's
-    loss.  numpy's complex / real is this multiply by the reciprocal."""
+def _normalized(amps: np.ndarray, lossy_ok: bool = False) -> np.ndarray:
+    """`amps` scaled in place to unit norm; every caller owns the buffer.
+    numpy's complex / real is this multiply by the reciprocal."""
     norm2 = float(np.vdot(amps, amps).real)
     if norm2 <= 0.0:
         raise FockError("zero-amplitude state")
     norm = math.sqrt(norm2)
-    kept = norm if weight == 1.0 else math.sqrt(1.0 - weight * (1.0 - norm2))
-    if not lossy_ok and abs(kept - 1.0) > TRUNCATION_TOL:
-        raise CutoffError(f"norm lost to cutoff: 1 - |psi| = {1 - kept:.3e}")
+    if not lossy_ok and abs(norm - 1.0) > TRUNCATION_TOL:
+        raise CutoffError(f"norm lost to cutoff: 1 - |psi| = {1 - norm:.3e}")
     scaled = amps.view(np.float64)
     scaled *= 1.0 / norm
     return amps
@@ -324,14 +323,6 @@ def displaced_squeezed_amplitudes(beta: complex, xi: float, phi: float, dim: int
 def coherent_state(alpha: complex, cutoff: int, mode: ModeLabel = K) -> PureState:
     """|alpha> truncated at the cutoff and renormalized: the unsqueezed case."""
     return squeezed_coherent_state(alpha, 0.0, 0.0, cutoff, mode)
-
-
-def superposition_of_coherent_pair(alpha: complex, cutoff: int) -> PureState:
-    """Normalized |alpha>|-alpha> + |-alpha>|alpha> over (K, MINUS_K)."""
-    plus = coherent_state(alpha, cutoff, K).amplitudes
-    minus = coherent_state(-alpha, cutoff, K).amplitudes
-    amps = np.tensordot(plus, minus, axes=0) + np.tensordot(minus, plus, axes=0)
-    return PureState((K, MINUS_K), cutoff, _normalized(amps, lossy_ok=True))
 
 
 def squeezed_coherent_state(
@@ -452,9 +443,7 @@ def _sector_rows(total: int, lo: int, hi: int, cols: int) -> slice:
     return slice(total + lo * (cols - 1), total + hi * (cols - 1) + 1, max(cols - 1, 1))
 
 
-def _mix(
-    state: PureState, a: ModeLabel, b: ModeLabel, c: float, s: float, weight: float = 1.0
-) -> PureState:
+def _mix(state: PureState, a: ModeLabel, b: ModeLabel, c: float, s: float) -> PureState:
     """Two-mode mix a^dag -> c a^dag + s b^dag, b^dag -> s a^dag - c b^dag
     (c^2 + s^2 = 1, an involution), the convention of gaussian._mix.  A mode b
     not in the state is attached in vacuum as the last mode.
@@ -472,8 +461,7 @@ def _mix(
     (top_b = 0, as in the absorber) sector T is the one column b[T] of a single
     loss_amplitudes table, exactly the unit vector at c = 0; other blocks are
     rebuilt per call by _next_block.  Sectors above the cutoff keep their
-    representable rows; losing more than TRUNCATION_TOL raises CutoffError (of
-    a larger state, when the state is a `weight` share of it).
+    representable rows; losing more than TRUNCATION_TOL raises CutoffError.
     """
     if a == b:
         raise ModeError("a two-mode mix needs two distinct modes")
@@ -510,12 +498,12 @@ def _mix(
         np.matmul(block[lo:hi + 1], flat[_sector_rows(total, lo_m, hi_m, cols)],
                   out=flat_out[_sector_rows(total, lo, hi, dim)])
     out = image if (ia, ib) == (0, 1) else np.moveaxis(image, (0, 1), (ia, ib)).copy()
-    return _built(modes, cutoff, _normalized(out, weight=weight))
+    return _built(modes, cutoff, _normalized(out))
 
 
-def bs_transform(state: PureState, a: ModeLabel, b: ModeLabel, weight: float = 1.0) -> PureState:
+def bs_transform(state: PureState, a: ModeLabel, b: ModeLabel) -> PureState:
     """Balanced beamsplitter between modes a and b (an involution)."""
-    return _mix(state, a, b, _INV_SQRT2, _INV_SQRT2, weight)
+    return _mix(state, a, b, _INV_SQRT2, _INV_SQRT2)
 
 
 # ---------------------------------------------------------------------------
@@ -650,11 +638,11 @@ def standing_basis(state: PureState) -> PureState:
     return change_basis(state, STANDING_OF, bs_transform, relabel)
 
 
-def travelling_basis(state: PureState, weight: float = 1.0) -> PureState:
+def travelling_basis(state: PureState) -> PureState:
     """Standing basis -> travelling modes: the last stage of full_pipeline.  It
     acts on light modes alone and keeps light vacuum, so no environment readout
-    needs it.  `weight` is as in _mix, for a conditional state."""
-    return change_basis(state, TRAVELLING_OF, bs_transform, relabel, weight)
+    and no two-mode run needs it; only DV's joint goes there."""
+    return change_basis(state, TRAVELLING_OF, bs_transform, relabel)
 
 
 def full_pipeline(state: PureState, absorber: AbsorberSpec) -> PureState:
@@ -815,28 +803,18 @@ def quadrature_stats(state: PureState | DensityOperator, mode: ModeLabel) -> Qua
     return QuadratureStats(m1, m2, var1, var2, cov)
 
 
-def absorption_coefficients(
-    state: PureState, a: ModeLabel = K, b: ModeLabel = MINUS_K
-) -> tuple[float | None, float | None]:
-    """Intensity and coherence absorption coefficients of a travelling pair.
+def absorption_coefficients(standing: PureState) -> tuple[float | None, float | None]:
+    """Intensity and coherence absorption coefficients of the travelling pair
+    whose standing state (C, S) this is.
 
-    Intensity: 1/2 + Re<a_a^dag a_b> / (I_a + I_b); coherence: same with the
-    correlation replaced by the product of mean amplitudes and intensities by
-    |<a>|^2.  A coefficient with a vanishing denominator is None (undefined).
-    Each mode is lowered once; the vdots are mode_moments' and cross_moment's.
+    The travelling forms, 1/2 + Re<a_K^dag a_-K> / (I_K + I_-K) and the same
+    with the correlation replaced by conj(<a_K>) <a_-K> and the intensities by
+    |<a>|^2, are the cosine mode's shares after the balanced mix:
+    <n_C> / (<n_C> + <n_S>) and |<a_C>|^2 / (|<a_C>|^2 + |<a_S>|^2).  A
+    coefficient with a vanishing denominator is None (undefined).
     """
-    amps = state.amplitudes
-    lowered_a, lowered_b = (_apply_lowering(amps, state.axis(m)) for m in (a, b))
-    mean_a, mean_b = complex(np.vdot(amps, lowered_a)), complex(np.vdot(amps, lowered_b))
-    intensity_a = float(np.vdot(lowered_a, lowered_a).real)
-    intensity_b = float(np.vdot(lowered_b, lowered_b).real)
-    total_intensity = intensity_a + intensity_b
-    total_coherence = abs(mean_a) ** 2 + abs(mean_b) ** 2
-    coeff_int: float | None = None
-    coeff_coh: float | None = None
-    if total_intensity > 1e-12:
-        corr = complex(np.vdot(lowered_a, lowered_b))
-        coeff_int = float(0.5 + corr.real / total_intensity)
-    if total_coherence > 1e-12:
-        coeff_coh = float(0.5 + (np.conj(mean_a) * mean_b).real / total_coherence)
-    return coeff_int, coeff_coh
+    amps = standing.amplitudes
+    lowered = [_apply_lowering(amps, standing.axis(m)) for m in (C, S)]
+    intensities = [float(np.vdot(x, x).real) for x in lowered]
+    coherences = [abs(complex(np.vdot(amps, x))) ** 2 for x in lowered]
+    return tuple(c / (c + s) if c + s > 1e-12 else None for c, s in (intensities, coherences))

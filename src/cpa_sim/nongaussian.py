@@ -5,10 +5,12 @@ gaussian.SqueezedSpec) or its even part (a cat), placed on one basis: CAT_CAT is
 (cat, cat), COHERENT_CAT (coherent, cat), COHERENT_SQUEEZED (coherent, squeezed
 vacuum) and bridged SQUEEZED_PAIR two squeezed coherent states, on (K, MINUS_K);
 bridged EPR is its preceding modes g and h, on (C, S).  `run_pair` builds them,
-mixes once into the other basis and reads the result; each kind's entry point
-keeps only its cutoff, its echo and its extras.  A cat interferes with itself
-(or a coherent partner) on the basis change, so the absorber takes all or
-nothing, up to a branch overlap that the runners report exactly.
+mixes the travelling ones once into the standing basis, and reads every output
+there: the absorption coefficients are moments of the standing state, so no
+run goes back to the travelling modes.  Each kind's entry point keeps only its
+cutoff, its echo and its extras.  A cat interferes with itself (or a coherent
+partner) on the basis change, so the absorber takes all or nothing, up to a
+branch overlap that the runners report exactly.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ from . import fock
 from .absorber import CANONICAL, AbsorberSpec
 from .fock import CutoffError, PureState
 from .gaussian import SqueezedSpec
-from .modes import C, K, MINUS_K, S, ModeLabel
+from .modes import C, K, MINUS_K, S
 from .results import ScenarioResult, fock_result
 
 SQUEEZED_TAIL = 1e-12  # weight a squeezed partner's automatic cutoff leaves above it
@@ -79,19 +81,17 @@ def run_pair(
     so) built at numerics["cutoff"], with the standing state and environment
     readout it was read from.  EPR's preceding modes g and h sit on (C, S), since the mix that
     makes them EPR light is the pipeline's first stage, an involution; the other
-    kinds sit on (K, MINUS_K).  One balanced mix derives the other basis."""
+    kinds sit on (K, MINUS_K), and one balanced mix takes them to (C, S)."""
     cutoff, on_standing = numerics["cutoff"], scenario["kind"] == "EPR"
-    built = fock.tensor(*(
+    standing = fock.tensor(*(
         build_cat(spec.alpha, cutoff, mode) if cat
         else fock.squeezed_coherent_state(spec.alpha, spec.xi, spec.phi, cutoff, mode)
         for spec, cat, mode in zip(factors, even, (C, S) if on_standing else (K, MINUS_K))
     ))
-    if on_standing:
-        standing, state = built, fock.travelling_basis(built)
-    else:
-        state, standing = built, fock.standing_basis(built)
+    if not on_standing:
+        standing = fock.standing_basis(standing)
     environment = fock.absorber_environment(standing, absorber)
-    coefficients = fock.absorption_coefficients(state, K, MINUS_K)
+    coefficients = fock.absorption_coefficients(standing)
     result = fock_result(scenario, absorber, numerics, environment, coefficients)
     return result, standing, environment
 
@@ -130,18 +130,19 @@ def run_cat_cat(
         {"kind": "CAT_CAT", "alpha": alpha}, absorber, {"cutoff": cutoff}, (cat, cat), (True, True)
     )
     p_zero = environment.distribution[0]
-    # no photon absorbed: level n keeps b[n, n] = tau_c^n and the (C, S) state is
-    # pure (one rail); only it goes back to the travelling basis, checked as the joint
-    scale = absorber.tau_c ** np.arange(cutoff + 1.0) / math.sqrt(p_zero)
-    absorbed_axis = standing.axis(ModeLabel(absorber.absorbed_kind))
-    kept = standing.amplitudes * np.expand_dims(scale, 1 - absorbed_axis)
-    survivors = fock.travelling_basis(PureState(standing.modes, cutoff, kept), weight=p_zero)
-    # survivors exit as |alpha>|-alpha> + |-alpha>|alpha> (up to branch overlap)
-    target = fock.superposition_of_coherent_pair(alpha, cutoff)
+    # no photon absorbed: level n keeps b[n, n] = tau_c^n, and the (C, S) state is
+    # pure (one rail).  The mix sends |alpha>|-alpha> + |-alpha>|alpha> to vacuum
+    # on C times the even cat of sqrt(2) alpha on S, so only C = 0 meets it.
+    kept = np.take(standing.amplitudes, 0, axis=standing.axis(C))
+    if absorber.swap_roles:  # S absorbed; C = 0 keeps tau_c^0 = 1
+        kept = kept * absorber.tau_c ** np.arange(cutoff + 1.0)
+    target = fock.displaced_squeezed_amplitudes(math.sqrt(2.0) * alpha, 0.0, 0.0, cutoff + 1)
+    target[1::2] = 0.0  # normalized over the kept levels below
+    fidelity = float(abs(np.vdot(target, kept)) ** 2 / np.vdot(target, target).real)
     result.extras = {
         "p_all_absorbed": environment.p_all_absorbed,
         "p_all_transmitted": p_zero,
-        "zero_absorption_fidelity_with_opposite_pair": survivors.fidelity(target),
+        "zero_absorption_fidelity_with_opposite_pair": fidelity / p_zero,
     }
     result.conditional_outputs = [{"absorbed": 0, "probability": p_zero, "purity": 1.0}]
     return result

@@ -30,6 +30,7 @@ KIND_KEYS = {  # the scenario keys of each kind besides "kind"
 }
 FOCK_KINDS = set(KIND_KEYS)
 GAUSSIAN_KINDS = {"SQUEEZED_PAIR", "EPR"}
+SWEEP_POINT_BYTES = 1024  # a sweep point's peak memory: batch, row, CSV text (fig8: 757)
 
 
 class ScenarioFileError(ValueError):
@@ -198,6 +199,7 @@ def parse_scenario_dict(obj: Any) -> ScenarioFile:
         points = sobj.get("points")
         if isinstance(points, bool) or not isinstance(points, int) or points < 2:
             raise ScenarioFileError("sweep.points", "expected an integer >= 2")
+        check_sweep_points(points, "sweep.points")
         sweep = SweepSpec(
             parameter=parameter,
             start=parse_angle(sobj.get("start", None), "sweep.start"),
@@ -217,6 +219,16 @@ def parse_scenario_dict(obj: Any) -> ScenarioFile:
         sweep=sweep,
         raw=obj,
     )
+
+
+def check_sweep_points(points: int, path: str) -> None:
+    """ScenarioFileError at `path` when `points` sweep points, SWEEP_POINT_BYTES
+    each, exceed fock.MEMORY_BUDGET; raised before anything is allocated."""
+    need = points * SWEEP_POINT_BYTES
+    if need > fock.MEMORY_BUDGET:
+        raise ScenarioFileError(path, f"{points} points need {need / 2**30:.5g} GiB at "
+                                f"{SWEEP_POINT_BYTES} bytes a point, above the "
+                                f"{fock.MEMORY_BUDGET >> 30} GiB memory budget")
 
 
 def load_scenario_file(path: str) -> ScenarioFile:

@@ -121,6 +121,7 @@ def run_preset(name: str, grid: int = DEFAULT_GRID) -> tuple[list[str], list[lis
     table = {"fig6": sweep_fig6, "fig8": sweep_fig8, "fig9a": sweep_fig9a, "fig9b": sweep_fig9b}
     if name not in table:
         raise ValueError(f"unknown preset {name!r}; choose from {sorted(table)}")
+    scenario_io.check_sweep_points(grid * grid * (4 if name == "fig8" else 1), "--grid")
     return table[name](grid)
 
 

@@ -154,7 +154,7 @@ def exact_hadamard_block(total: int):
     return block
 
 
-def sector_loop_mix(state, a, b, c: float, s: float, weight: float = 1.0):
+def sector_loop_mix(state, a, b, c: float, s: float):
     """fock._mix as one loop over total-photon sectors: per sector a fancy-index
     gather of its columns, a vdot for the mass floor, a complex matmul with the
     real block and a fancy-index scatter.  The same blocks, windows, floor and
@@ -190,7 +190,7 @@ def sector_loop_mix(state, a, b, c: float, s: float, weight: float = 1.0):
         ps = np.arange(lo, hi + 1)
         image = block[lo:hi + 1] @ sector.reshape(len(ms), -1)
         out_ab[ps, total - ps] = image.reshape((len(ps),) + sector.shape[1:])
-    return fock.PureState(modes, cutoff, fock._normalized(out, weight=weight))
+    return fock.PureState(modes, cutoff, fock._normalized(out))
 
 
 def dense_reduced(amplitudes, modes, keep, absorbed=None):
@@ -336,6 +336,20 @@ def padded_squeezed_coherent(alpha: complex, xi: float, phi: float, work_dim: in
     generator = 0.5j * (zeta.conjugate() * (lower @ lower) - zeta * (lower.T @ lower.T))
     lam, vec = np.linalg.eigh(generator)
     return vec @ (np.exp(-1j * lam) * (vec.conj().T @ coherent))
+
+
+def superposition_of_coherent_pair(alpha: complex, cutoff: int):
+    """Normalized |alpha>|-alpha> + |-alpha>|alpha> over (K, MINUS_K): the
+    travelling state CAT_CAT's zero-absorption output is compared with."""
+    import numpy as np
+
+    from cpa_sim import fock
+    from cpa_sim.modes import K, MINUS_K
+
+    plus = fock.coherent_state(alpha, cutoff, K).amplitudes
+    minus = fock.coherent_state(-alpha, cutoff, K).amplitudes
+    amps = np.multiply.outer(plus, minus) + np.multiply.outer(minus, plus)
+    return fock.PureState((K, MINUS_K), cutoff, amps / np.linalg.norm(amps))
 
 
 def _rounded(obj):

@@ -270,7 +270,7 @@ def test_12_engine_cross_validation():
                     - gaussian.mode_intensity(gauss, mode)
                 ),
             )
-        fock_coeffs = fock.absorption_coefficients(bridge)
+        fock_coeffs = fock.absorption_coefficients(fock.standing_basis(bridge))
         gauss_coeffs = gaussian.absorption_coefficients(gauss)
         for fock_value, gauss_value in zip(fock_coeffs, gauss_coeffs):
             if fock_value is None or gauss_value is None:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpa_sim import cli, dv, fock, gaussian, scenario_io
+from cpa_sim import cli, dv, fock, gaussian, scenario_io, sweeps
 from test_golden import assert_matches
 
 import oracle
@@ -477,6 +477,28 @@ def test_sweep_custom_requires_sweep_block(tmp_path, capsys):
     code, _, err = run_cli(capsys, "sweep", "--custom", path)
     assert code == 1
     assert "sweep" in err
+
+
+def test_sweep_sizes_past_the_memory_budget_exit_1_before_allocating(tmp_path, capsys, monkeypatch):
+    """A preset grid or custom sweep whose points would exceed fock.MEMORY_BUDGET
+    is refused by its field before any array exists (the preset is never
+    called); the largest allowed size passes the check."""
+    def never(grid):
+        raise AssertionError("the preset ran")
+    monkeypatch.setattr(sweeps, "sweep_fig8", never)
+    code, _, err = run_cli(capsys, "sweep", "--preset", "fig8", "--grid", "30000",
+                           "--out", str(tmp_path / "x.csv"))
+    assert code == 1 and err.startswith("error: --grid: 3600000000 points need")
+    assert not (tmp_path / "x.csv").exists()
+    payload = dict(SINGLE_PHOTON_FILE)
+    payload["sweep"] = {"parameter": "scenario.delta_theta", "start": 0, "stop": 1,
+                        "points": 10**12}
+    code, _, err = run_cli(capsys, "sweep", "--custom", write_json(tmp_path, "s.json", payload))
+    assert code == 1 and err.startswith("error: sweep.points: 1000000000000 points need")
+    largest = fock.MEMORY_BUDGET // scenario_io.SWEEP_POINT_BYTES
+    scenario_io.check_sweep_points(largest, "sweep.points")
+    with pytest.raises(scenario_io.ScenarioFileError, match="^sweep.points: "):
+        scenario_io.check_sweep_points(largest + 1, "sweep.points")
 
 
 def test_missing_file_is_validation_error(capsys):

@@ -1,5 +1,8 @@
 """Cat-state and asymmetric illumination scenarios."""
+import cmath
 import math
+import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
-from cpa_sim import fock, nongaussian as ng
+from cpa_sim import fock, nongaussian as ng, scenario_io
 from cpa_sim.absorber import CANONICAL, AbsorberSpec
 from cpa_sim.fock import CutoffError
 from cpa_sim.modes import K, MINUS_K
@@ -69,9 +72,9 @@ def test_cat_cat_parity_conservation():
 @example(1.2, 0.4, -0.5, False)
 @example(1.2, 0.4, 0.0, True)
 def test_cat_cat_readouts_match_full_pipeline(magnitude, phase, reflection, swap):
-    """run_cat_cat reads the environment from the standing state and carries
-    only the zero-absorption state back to the travelling basis; every number
-    matches the same readouts of full_pipeline's joint."""
+    """run_cat_cat reads the environment and the zero-absorption state from the
+    standing state; every number matches the same readouts of full_pipeline's
+    joint."""
     alpha = magnitude * complex(math.cos(phase), math.sin(phase))
     absorber = AbsorberSpec(reflection=reflection, swap_roles=swap)
     cutoff = ng.cat_cutoff(alpha) + 8
@@ -89,7 +92,7 @@ def test_cat_cat_readouts_match_full_pipeline(magnitude, phase, reflection, swap
     assert abs(result.absorbed_distribution[0] - rho_env[0, 0].real) < 1e-12
     assert abs(result.separability["env_entanglement_entropy"] - oracle.dense_entropy(rho_env)) < 1e-12
     zero = fock.conditional_output(joint, 0)
-    target = fock.superposition_of_coherent_pair(alpha, cutoff)
+    target = oracle.superposition_of_coherent_pair(alpha, cutoff)
     fidelity = result.extras["zero_absorption_fidelity_with_opposite_pair"]
     assert abs(fidelity - zero.expectation_with_pure(target)) < 1e-12
     assert abs(result.conditional_outputs[0]["purity"] - zero.purity()) < 1e-12
@@ -109,6 +112,67 @@ def test_cat_cat_all_absorbed_tends_to_half():
 def test_cat_cat_rejects_small_cutoff():
     with pytest.raises(CutoffError):
         ng.run_cat_cat(2.0, CANONICAL, cutoff=10)
+
+
+@pytest.mark.parametrize("magnitude", [3.0, 2.75])
+def test_cat_cat_fidelity_does_not_depend_on_the_phase_of_alpha(magnitude):
+    """A common phase of alpha commutes with every passive map, so the
+    zero-absorption fidelity at the automatic cutoff is one value at every
+    phase, within 1e-13 relative, even where it is ~1e-15 (swapped absorber)."""
+    swapped = AbsorberSpec(swap_roles=True)
+    values = [
+        ng.run_cat_cat(magnitude * cmath.exp(1j * phase), swapped).extras[
+            "zero_absorption_fidelity_with_opposite_pair"]
+        for phase in (0.0, 0.3, 1.1, 2.0, -2.5)
+    ]
+    assert max(values) - min(values) <= 1e-13 * max(values)
+
+
+def test_cat_cat_target_adds_no_exit_path():
+    """Every cat pair that gets through standing_basis at cutoffs needed ..
+    needed + 2 also gets through run_cat_cat: the opposite-pair target is
+    normalized over the kept levels, with no truncation check of its own."""
+    for magnitude in np.linspace(0.0, 4.0, 81).tolist() + [0.07, 0.13]:
+        for phase in (0.0, 0.7):
+            alpha = magnitude * cmath.exp(1j * phase)
+            needed = ng.cat_cutoff(alpha)
+            for cutoff in range(needed, needed + 3):
+                try:
+                    fock.standing_basis(fock.tensor(
+                        *(ng.build_cat(alpha, cutoff, mode) for mode in (K, MINUS_K))))
+                except CutoffError:
+                    continue
+                ng.run_cat_cat(alpha, CANONICAL, cutoff)
+
+
+@pytest.mark.parametrize("name", ["cat_cat_canonical", "cat_cat_tau_swap"])
+def test_cat_cat_golden_fidelity_holds_at_a_larger_cutoff(name):
+    """The golden files' fidelity is within TRUNCATION_TOL of its value at
+    cutoff + 30."""
+    golden = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", name + ".in.json")
+    spec = scenario_io.load_scenario_file(golden)
+    result = scenario_io.run_scenario_file(spec)
+    alpha = scenario_io.parse_complex(spec.scenario["alpha"], "scenario.alpha")
+    larger = ng.run_cat_cat(alpha, spec.absorber, result.numerics["cutoff"] + 30)
+    key = "zero_absorption_fidelity_with_opposite_pair"
+    assert abs(result.extras[key] - larger.extras[key]) <= fock.TRUNCATION_TOL
+
+
+@pytest.mark.parametrize("scenario", [
+    {"kind": "CAT_CAT", "alpha": [1.1, 0.4]},
+    {"kind": "COHERENT_CAT", "alpha": 0.8, "cat_alpha": [0.5, -0.6]},
+    {"kind": "COHERENT_SQUEEZED", "alpha": [0.6, 0.2], "xi": 0.4},
+    {"kind": "SQUEEZED_PAIR", "k": {"alpha": 0.4, "xi": 0.3},
+     "minus_k": {"alpha": [0.1, 0.2], "xi": 0.2, "phi": 1.0}},
+])
+def test_pair_runs_never_mix_after_the_standing_state_exists(scenario):
+    """A two-mode Fock run built on the travelling modes mixes once, into the
+    standing basis, and reads every output there (EPR, built on the standing
+    modes, mixes never: test_epr_run_mixes_once_before_the_absorber)."""
+    payload = {"schema": 1, "engine": "FOCK", "absorber": {"tau_c": 0.3}, "scenario": scenario}
+    with mock.patch.object(fock, "bs_transform", wraps=fock.bs_transform) as spy:
+        scenario_io.run_scenario_file(scenario_io.parse_scenario_dict(payload))
+    assert spy.call_count == 1
 
 
 def test_coherent_squeezed_absorbs_half():
