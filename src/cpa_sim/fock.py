@@ -26,13 +26,15 @@ checked in full by PureState(...); a map skips only the checks its construction
 guarantees (_built): relabel keeps the array, and _mix returns what _normalized
 has just scaled to unit norm.  States bridged from
 continuous families (coherent, squeezed, cat) come from one exact amplitude
-recurrence, truncated at the cutoff; any constructor or map that would push
-more than TRUNCATION_TOL of probability past the cutoff fails loudly instead of
+recurrence, truncated at the cutoff (a travelling pair's standing state from its
+two-mode form, balanced_pair); any constructor or map that would push more
+than TRUNCATION_TOL of probability past the cutoff fails loudly instead of
 silently corrupting moments.
 """
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -104,13 +106,6 @@ class PureState:
             raise ModeError(f"mode sets differ: {mode_order} vs {self.modes}")
         perm = [self.axis(m) for m in mode_order]
         return np.transpose(self.amplitudes, perm)
-
-    def fidelity(self, other: "PureState") -> float:
-        """|<self|other>|^2; mode sets must match, order may differ."""
-        if self.cutoff != other.cutoff:
-            raise FockError("states have different cutoffs")
-        aligned = other.aligned_amplitudes(self.modes)
-        return float(abs(np.vdot(self.amplitudes, aligned)) ** 2)
 
 
 @dataclass(frozen=True)
@@ -225,19 +220,19 @@ def _normalized(amps: np.ndarray, lossy_ok: bool = False) -> np.ndarray:
     return amps
 
 
-def budget_bytes(cutoff: float, modes: int) -> float:
-    """16 (cutoff + 1)^modes: the bytes of one dense complex128 state over
-    `modes` modes; inf when a float overflows."""
+def budget_bytes(cutoff: float, modes: int, states: float = 1.0) -> float:
+    """16 states (cutoff + 1)^modes: the bytes of `states` dense complex128 states
+    over `modes` modes; inf when a float overflows."""
     try:
-        return 16.0 * (float(cutoff) + 1.0) ** modes
+        return 16.0 * states * (float(cutoff) + 1.0) ** modes
     except OverflowError:
         return math.inf
 
 
-def budget_cutoff(cutoff: float, modes: int) -> int:
-    """`cutoff` rounded up, when a dense state at it fits MEMORY_BUDGET
+def budget_cutoff(cutoff: float, modes: int, states: float = 1.0) -> int:
+    """`cutoff` rounded up, when `states` dense states at it fit MEMORY_BUDGET
     (budget_bytes); CutoffError otherwise, raised before anything is allocated."""
-    need = budget_bytes(cutoff, modes)
+    need = budget_bytes(cutoff, modes, states)
     if not need <= MEMORY_BUDGET:
         shown = f"{cutoff:.6g}" if isinstance(cutoff, float) else cutoff
         raise CutoffError(
@@ -304,25 +299,40 @@ def vacuum_state(modes: Sequence[ModeLabel], cutoff: int) -> PureState:
     return basis_state({m: 0 for m in modes}, cutoff)
 
 
-def displaced_squeezed_amplitudes(beta: complex, xi: float, phi: float, dim: int) -> np.ndarray:
-    """Exact <n|D(beta) S(xi e^{i phi})|0> for n < dim, not renormalized; xi = 0 is |beta>.
-
-    The single-mode Gaussian recurrence of Miatto & Quesada (Quantum 4, 366 (2020)),
-    with t = e^{i phi} tanh xi:  c_0 = exp(-|beta|^2/2 - conj(beta)^2 t/2) / sqrt(cosh xi),
-    c_{n+1} = ((beta + conj(beta) t) c_n - t sqrt(n) c_{n-1}) / sqrt(n+1).
-    """
+def _bargmann(beta: complex, xi: float, phi: float) -> tuple[complex, complex, complex]:
+    """(c_0, b, t), D(beta) S(xi e^{i phi})|0> = c_0 exp(b a^dag - t a^dag^2 / 2)|0>: t = e^{i phi}
+    tanh xi, c_0 = exp(-|beta|^2/2 - conj(beta)^2 t/2) / sqrt(cosh xi), b = beta + conj(beta) t."""
     beta, t = complex(beta), cmath.exp(1j * phi) * math.tanh(xi)
-    gain, amps = beta + beta.conjugate() * t, np.zeros(dim, dtype=complex)
-    amps[0] = cmath.exp(-abs(beta) ** 2 / 2.0 - beta.conjugate() ** 2 * t / 2.0)
-    amps[0] /= math.sqrt(math.cosh(xi))
+    c0 = np.complex128(cmath.exp(-abs(beta) ** 2 / 2.0 - beta.conjugate() ** 2 * t / 2.0))
+    return c0 / math.sqrt(math.cosh(xi)), beta + beta.conjugate() * t, t
+
+
+def _one_mode(c0: complex, b: complex, t: complex, dim: int) -> np.ndarray:
+    """<n| c_0 exp(b a^dag - t a^dag^2 / 2)|0> for n < dim, by the Gaussian recurrence of
+    Miatto & Quesada (Quantum 4, 366 (2020)): c_{n+1} = (b c_n - t sqrt(n) c_{n-1}) / sqrt(n+1)."""
+    amps = np.zeros(dim, dtype=complex)
+    amps[0] = c0
     for n in range(1, dim):  # at n = 1 the c_{n-2} term has weight sqrt(0)
-        amps[n] = (gain * amps[n - 1] - t * math.sqrt(n - 1) * amps[n - 2]) / math.sqrt(n)
+        amps[n] = (b * amps[n - 1] - t * math.sqrt(n - 1) * amps[n - 2]) / math.sqrt(n)
     return amps
 
 
-def coherent_state(alpha: complex, cutoff: int, mode: ModeLabel = K) -> PureState:
-    """|alpha> truncated at the cutoff and renormalized: the unsqueezed case."""
-    return squeezed_coherent_state(alpha, 0.0, 0.0, cutoff, mode)
+def displaced_squeezed_amplitudes(beta: complex, xi: float, phi: float, dim: int) -> np.ndarray:
+    """Exact <n|D(beta) S(xi e^{i phi})|0> for n < dim, not renormalized; xi = 0 is |beta>."""
+    return _one_mode(*_bargmann(beta, xi, phi), dim)
+
+
+def _displacement(alpha: complex, xi: float, phi: float, cutoff: int) -> tuple[complex, float, float]:
+    """(beta, xi, phi), xi >= 0, with S(zeta) D(alpha)|0> = D(beta) S(xi e^{i phi})|0>:
+    beta = alpha cosh(xi) - conj(alpha) e^{i phi} sinh(xi); CutoffError where tanh xi is 1."""
+    if xi < 0:
+        xi, phi = -xi, phi + math.pi
+    if math.tanh(xi) == 1.0:  # xi > 18.7; cosh itself overflows past xi = 710
+        raise CutoffError(
+            f"squeezed state (xi={xi:.3f}) has mean photon number sinh^2 xi > 1e15, "
+            f"beyond cutoff {cutoff}"
+        )
+    return alpha * math.cosh(xi) - np.conj(alpha) * cmath.exp(1j * phi) * math.sinh(xi), xi, phi
 
 
 def squeezed_coherent_state(
@@ -331,19 +341,12 @@ def squeezed_coherent_state(
 ) -> PureState:
     """Squeezed coherent state S(zeta) D(alpha)|0> = D(beta) S(zeta)|0>, zeta = xi e^{i phi}.
 
-    The mean amplitude beta = alpha cosh(xi) - conj(alpha) e^{i phi} sinh(xi) and the
-    quadrature variances cosh(2 xi) -/+ cos(phi) sinh(2 xi) match the Gaussian engine's
-    conventions exactly.  Built from exact amplitudes (no padded space, no matrix exponential),
+    The mean amplitude beta (_displacement) and the quadrature variances
+    cosh(2 xi) -/+ cos(phi) sinh(2 xi) match the Gaussian engine's conventions
+    exactly.  Built from exact amplitudes (no padded space, no matrix exponential),
     it fails the cutoff check when half the weight beyond the cutoff exceeds TRUNCATION_TOL.
     """
-    if xi < 0:
-        xi, phi = -xi, phi + math.pi
-    if math.tanh(xi) == 1.0:  # xi > 18.7; cosh itself overflows past xi = 710
-        raise CutoffError(
-            f"squeezed state (xi={xi:.3f}) has mean photon number sinh^2 xi > 1e15, "
-            f"beyond cutoff {cutoff}"
-        )
-    beta = alpha * math.cosh(xi) - np.conj(alpha) * cmath.exp(1j * phi) * math.sinh(xi)
+    beta, xi, phi = _displacement(alpha, xi, phi, cutoff)
     amps = displaced_squeezed_amplitudes(beta, xi, phi, cutoff + 1)
     tail = 1.0 - float(np.vdot(amps, amps).real)
     if tail / 2.0 > TRUNCATION_TOL:
@@ -352,6 +355,37 @@ def squeezed_coherent_state(
             f"{tail:.2e} of its weight beyond cutoff {cutoff}"
         )
     return PureState((mode,), cutoff, _normalized(amps, lossy_ok=True))
+
+
+def balanced_pair(factors: Sequence[Sequence[tuple]], cutoff: int) -> PureState:
+    """The standing state (C, S) of two factors on (K, MINUS_K), each a sum of
+    branches (w, alpha, xi, phi), w S(xi e^{i phi}) D(alpha)|0>, in closed form:
+    the mix sends a product branch c_0 exp(b.z - z^T T z / 2) (_bargmann) to
+    b -> U^T b, T -> U^T T U, U the 2x2 Hadamard.  Row n_C = 0 is the one-mode
+    recurrence in S, then psi[m+1, n] = (b_C psi[m, n] - T_CC sqrt(m) psi[m-1, n]
+    - T_CS sqrt(n) psi[m, n-1]) / sqrt(m+1).  Each row holds true amplitudes, so
+    none overflows; with T_CS = 0 a branch is an outer product of one-mode
+    states.  1 - |psi| is the exact state's weight outside the box."""
+    dim, amps = cutoff + 1, 0.0
+    for (w1, *one), (w2, *two) in itertools.product(*factors):
+        first, second = _displacement(*one, cutoff), _displacement(*two, cutoff)
+        (c1, b1, t1), (c2, b2, t2) = _bargmann(*first), _bargmann(*second)
+        if t1 == t2:  # equal squeezers commute with the mix: D(beta_C) S (x) D(beta_S) S
+            sides = ((first[0] + sign * second[0]) * _INV_SQRT2 for sign in (1, -1))
+            on_c, on_s = (displaced_squeezed_amplitudes(beta, *first[1:], dim) for beta in sides)
+            amps = amps + np.multiply.outer(w1 * w2 * on_c, on_s)
+            continue
+        b_c, b_s, t_cc, t_cs = (b1 + b2) * _INV_SQRT2, (b1 - b2) * _INV_SQRT2, (t1 + t2) / 2, (t1 - t2) / 2
+        psi = np.zeros((dim, dim), dtype=complex)  # finite: row m - 1 = -1 has weight 0 at m = 0
+        psi[0] = _one_mode(w1 * w2 * c1 * c2, b_s, t_cc, dim)
+        coupling = t_cs * np.sqrt(np.arange(1.0, dim))
+        for m in range(dim - 1):
+            row = np.multiply(psi[m], b_c, out=psi[m + 1])
+            row[1:] -= coupling * psi[m, :-1]
+            row -= psi[m - 1] * (t_cc * math.sqrt(m))
+            row /= math.sqrt(m + 1)
+        amps = amps + psi
+    return _built((C, S), cutoff, _normalized(amps))
 
 
 def relabel(state: PureState, mapping: Mapping[ModeLabel, ModeLabel]) -> PureState:
@@ -402,7 +436,8 @@ def hadamard_block(total: int) -> np.ndarray:
 
     Entry [p, m] is the amplitude of |p, total-p> in the image of
     |m, total-m> under a_1 -> (a_1 + a_2)/sqrt(2), a_2 -> (a_1 - a_2)/sqrt(2).
-    The cache grows up to the largest total requested so far.  _next_block
+    The cache grows up to the largest total requested so far (by DV runs: the
+    pair runs build on (C, S) with balanced_pair).  _next_block
     allocates each new block before its temporaries and fills it in place: a
     block allocated after them would sit above their freed space in the heap
     and pin it, and the process would grow by about twice the cached bytes.

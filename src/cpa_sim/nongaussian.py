@@ -4,13 +4,13 @@ Each input is two single-mode factors, D(beta) S(xi e^{i phi})|0> (a
 gaussian.SqueezedSpec) or its even part (a cat), placed on one basis: CAT_CAT is
 (cat, cat), COHERENT_CAT (coherent, cat), COHERENT_SQUEEZED (coherent, squeezed
 vacuum) and bridged SQUEEZED_PAIR two squeezed coherent states, on (K, MINUS_K);
-bridged EPR is its preceding modes g and h, on (C, S).  `run_pair` builds them,
-mixes the travelling ones once into the standing basis, and reads every output
-there: the absorption coefficients are moments of the standing state, so no
-run goes back to the travelling modes.  Each kind's entry point keeps only its
-cutoff, its echo and its extras.  A cat interferes with itself (or a coherent
-partner) on the basis change, so the absorber takes all or nothing, up to a
-branch overlap that the runners report exactly.
+bridged EPR is its preceding modes g and h, on (C, S).  `run_pair` builds the
+standing state, the travelling pairs' in closed form (fock.balanced_pair: no
+mix, no cached block), and reads every output there: the absorption
+coefficients are moments of the standing state.  Each kind's entry point keeps
+only its cutoff, its echo and its extras.  A cat interferes with itself (or a
+coherent partner) on the basis change, so the absorber takes all or nothing, up
+to a branch overlap that the runners report exactly.
 """
 from __future__ import annotations
 
@@ -26,6 +26,7 @@ from .modes import C, K, MINUS_K, S
 from .results import ScenarioResult, fock_result
 
 SQUEEZED_TAIL = 1e-12  # weight a squeezed partner's automatic cutoff leaves above it
+PAIR_PEAK_STATES = 4.5  # a pair run's peak memory, in dense (cutoff+1)^2 states (settle_cutoff)
 
 
 def cat_cutoff(alpha: complex) -> int:
@@ -62,12 +63,12 @@ def squeezed_vacuum_cutoff(xi: float) -> int:
 
 def settle_cutoff(requested: int | None, needed: int, automatic: float) -> int:
     """The cutoff of a two-mode run: `requested`, refused below `needed`, or
-    `automatic` when none is given, within the memory budget (fock.budget_cutoff)."""
+    `automatic` when none is given, within the memory budget for PAIR_PEAK_STATES."""
     if requested is None:
         requested = automatic
     elif requested < needed:
         raise CutoffError(f"cutoff {requested} below required {needed}")
-    return fock.budget_cutoff(requested, 2)
+    return fock.budget_cutoff(requested, 2, PAIR_PEAK_STATES)
 
 
 def run_pair(
@@ -79,29 +80,34 @@ def run_pair(
 ) -> tuple[ScenarioResult, PureState, fock.EnvironmentReadout]:
     """The result of `factors` (each the even cat of its alpha where `even` says
     so) built at numerics["cutoff"], with the standing state and environment
-    readout it was read from.  EPR's preceding modes g and h sit on (C, S), since the mix that
-    makes them EPR light is the pipeline's first stage, an involution; the other
-    kinds sit on (K, MINUS_K), and one balanced mix takes them to (C, S)."""
+    readout it was read from.  Each factor is built alone for its tail check.
+    EPR's g and h sit on (C, S), since the mix that makes them EPR light is the
+    pipeline's first stage; the rest sit on (K, MINUS_K) (fock.balanced_pair)."""
     cutoff, on_standing = numerics["cutoff"], scenario["kind"] == "EPR"
-    standing = fock.tensor(*(
+    built = [
         build_cat(spec.alpha, cutoff, mode) if cat
         else fock.squeezed_coherent_state(spec.alpha, spec.xi, spec.phi, cutoff, mode)
         for spec, cat, mode in zip(factors, even, (C, S) if on_standing else (K, MINUS_K))
-    ))
-    if not on_standing:
-        standing = fock.standing_basis(standing)
+    ]
+    standing = fock.tensor(*built) if on_standing else fock.balanced_pair([  # a cat's two halves
+        [(_cat_weight(spec.alpha), a, 0.0, 0.0) for a in (spec.alpha, -spec.alpha)] if cat
+        else [(1.0, spec.alpha, spec.xi, spec.phi)] for spec, cat in zip(factors, even)], cutoff)
     environment = fock.absorber_environment(standing, absorber)
     coefficients = fock.absorption_coefficients(standing)
     result = fock_result(scenario, absorber, numerics, environment, coefficients)
     return result, standing, environment
 
 
+def _cat_weight(alpha: complex) -> float:
+    """1 / sqrt(2 (1 + e^{-2|alpha|^2})): the even cat's weight on |alpha> and on |-alpha>."""
+    return 1.0 / math.sqrt(2.0 * (1.0 + math.exp(-2.0 * abs(alpha) ** 2)))
+
+
 def build_cat(alpha: complex, cutoff: int, mode=K) -> PureState:
     """Normalized even cat state: the even part of the coherent amplitudes."""
-    norm = 1.0 / math.sqrt(2.0 * (1.0 + math.exp(-2.0 * abs(alpha) ** 2)))
     coh = fock.displaced_squeezed_amplitudes(alpha, 0.0, 0.0, cutoff + 1)
     amps = np.zeros_like(coh)
-    amps[0::2] = 2.0 * norm * coh[0::2]
+    amps[0::2] = 2.0 * _cat_weight(alpha) * coh[0::2]
     truncated_norm = float(np.linalg.norm(amps))
     if 1.0 - truncated_norm > fock.TRUNCATION_TOL:
         raise CutoffError(

@@ -338,6 +338,25 @@ def padded_squeezed_coherent(alpha: complex, xi: float, phi: float, work_dim: in
     return vec @ (np.exp(-1j * lam) * (vec.conj().T @ coherent))
 
 
+def coherent_state(alpha: complex, cutoff: int, mode=None):
+    """|alpha> on `mode` (K by default), truncated at the cutoff and renormalized:
+    fock.squeezed_coherent_state without squeezing."""
+    from cpa_sim import fock
+    from cpa_sim.modes import K
+
+    return fock.squeezed_coherent_state(alpha, 0.0, 0.0, cutoff, K if mode is None else mode)
+
+
+def fidelity(state, other) -> float:
+    """|<state|other>|^2 of two fock.PureStates; mode sets must match, order may differ."""
+    import numpy as np
+
+    if state.cutoff != other.cutoff:
+        raise ValueError("states have different cutoffs")
+    aligned = other.aligned_amplitudes(state.modes)
+    return float(abs(np.vdot(state.amplitudes, aligned)) ** 2)
+
+
 def superposition_of_coherent_pair(alpha: complex, cutoff: int):
     """Normalized |alpha>|-alpha> + |-alpha>|alpha> over (K, MINUS_K): the
     travelling state CAT_CAT's zero-absorption output is compared with."""
@@ -346,8 +365,8 @@ def superposition_of_coherent_pair(alpha: complex, cutoff: int):
     from cpa_sim import fock
     from cpa_sim.modes import K, MINUS_K
 
-    plus = fock.coherent_state(alpha, cutoff, K).amplitudes
-    minus = fock.coherent_state(-alpha, cutoff, K).amplitudes
+    plus = coherent_state(alpha, cutoff, K).amplitudes
+    minus = coherent_state(-alpha, cutoff, K).amplitudes
     amps = np.multiply.outer(plus, minus) + np.multiply.outer(minus, plus)
     return fock.PureState((K, MINUS_K), cutoff, amps / np.linalg.norm(amps))
 

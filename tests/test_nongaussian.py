@@ -1,7 +1,10 @@
 """Cat-state and asymmetric illumination scenarios."""
 import cmath
+import json
 import math
 import os
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
@@ -13,6 +16,7 @@ import oracle
 from cpa_sim import fock, nongaussian as ng, scenario_io
 from cpa_sim.absorber import CANONICAL, AbsorberSpec
 from cpa_sim.fock import CutoffError
+from cpa_sim.gaussian import SqueezedSpec
 from cpa_sim.modes import K, MINUS_K
 
 
@@ -166,13 +170,96 @@ def test_cat_cat_golden_fidelity_holds_at_a_larger_cutoff(name):
      "minus_k": {"alpha": [0.1, 0.2], "xi": 0.2, "phi": 1.0}},
 ])
 def test_pair_runs_never_mix_after_the_standing_state_exists(scenario):
-    """A two-mode Fock run built on the travelling modes mixes once, into the
-    standing basis, and reads every output there (EPR, built on the standing
-    modes, mixes never: test_epr_run_mixes_once_before_the_absorber)."""
+    """A two-mode Fock run built on the travelling modes gets its standing state
+    in closed form (fock.balanced_pair) and reads every output there, so it
+    applies no beamsplitter at all (nor does EPR, built on the standing modes:
+    test_epr_run_mixes_once_before_the_absorber)."""
     payload = {"schema": 1, "engine": "FOCK", "absorber": {"tau_c": 0.3}, "scenario": scenario}
     with mock.patch.object(fock, "bs_transform", wraps=fock.bs_transform) as spy:
         scenario_io.run_scenario_file(scenario_io.parse_scenario_dict(payload))
-    assert spy.call_count == 1
+    assert spy.call_count == 0
+
+
+def test_pair_run_leaves_the_balanced_block_cache_alone():
+    """A cutoff-123 pair run grows no balanced block: from a cache holding only
+    total 0 (as in a fresh process), the cache still holds one block after it."""
+    with mock.patch.object(fock, "_HADAMARD_BLOCKS", [np.ones((1, 1))]):
+        result = ng.run_asymmetric(2.0, 1.0)
+        assert len(fock._HADAMARD_BLOCKS) == 1
+    assert result.numerics["cutoff"] == 123
+
+
+def _mixed_reference(factors, even, cutoff):
+    """The standing amplitudes by the mix of truncated factors: both factors at
+    2 cutoff + 1 levels, mixed by standing_basis, which keeps every total up to
+    2 cutoff, so its crop to the box is exact; renormalized over the box, as
+    the direct build is."""
+    wide = 2 * cutoff
+    built = (ng.build_cat(spec.alpha, wide, mode) if cat
+             else fock.squeezed_coherent_state(spec.alpha, spec.xi, spec.phi, wide, mode)
+             for spec, cat, mode in zip(factors, even, (K, MINUS_K)))
+    box = fock.standing_basis(fock.tensor(*built)).amplitudes[:cutoff + 1, :cutoff + 1]
+    return box / np.linalg.norm(box)
+
+
+_specs = st.builds(SqueezedSpec, st.complex_numbers(max_magnitude=1.0),
+                   st.floats(-0.5, 0.5), st.floats(-math.pi, math.pi))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.tuples(_specs, _specs), st.tuples(st.booleans(), st.booleans()), st.integers(0, 8))
+@example((SqueezedSpec(1.1 + 0.4j),) * 2, (True, True), 0)  # CAT_CAT
+@example((SqueezedSpec(0.8), SqueezedSpec(0.5 - 0.6j)), (False, True), 0)  # COHERENT_CAT
+@example((SqueezedSpec(0.6 + 0.2j), SqueezedSpec(0.0, 0.5)), (False, False), 0)  # COHERENT_SQUEEZED
+@example((SqueezedSpec(0.4, 0.3), SqueezedSpec(0.1 + 0.2j, 0.5, 1.0)), (False, False), 0)
+def test_direct_standing_build_matches_the_mix_of_its_factors(factors, even, headroom):
+    """run_pair's standing state is within 1e-11 of the balanced mix of its
+    factors (cats where `even` says so), at the cutoff of a COHERENT_SQUEEZED
+    run of the same size plus `headroom`."""
+    intensity = sum(abs(spec.alpha) ** 2 for spec in factors)
+    squeezing = max(abs(spec.xi) for spec in factors)
+    cutoff = ng.poisson_tail_cutoff(intensity) + ng.squeezed_vacuum_cutoff(squeezing) + headroom
+    scenario = {"kind": "SQUEEZED_PAIR"}
+    _, standing, _ = ng.run_pair(scenario, CANONICAL, {"cutoff": cutoff}, factors, even)
+    assert np.max(np.abs(standing.amplitudes - _mixed_reference(factors, even, cutoff))) < 1e-11
+
+
+def test_cat_cat_entropy_at_the_automatic_cutoff_is_converged():
+    """The benchmark's CAT_CAT at |alpha| = 0.325 runs at the automatic cutoff 6;
+    its entropy is within 1e-11 of its value at cutoff 40, 0.000503931133572
+    (the mix of truncated cats was 7.3e-10 off)."""
+    payload = {"schema": 1, "engine": "FOCK",
+               "scenario": {"kind": "CAT_CAT", "alpha": {"mag": 0.325, "phase": 3.694909}}}
+    result = scenario_io.run_scenario_file(scenario_io.parse_scenario_dict(payload))
+    assert result.numerics["cutoff"] == 6
+    assert abs(result.separability["env_entanglement_entropy"] - 0.000503931133572) < 1e-11
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+def test_large_squeezed_pair_run_peaks_below_100_mib(tmp_path):
+    """COHERENT_SQUEEZED alpha = 1, xi = 1.7 runs at its automatic cutoff 397 in a
+    fresh interpreter with a peak RSS (VmHWM) below 100 MiB; mixing truncated
+    factors through the balanced-block cache took 226 MiB."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fock.__file__)))
+    path = tmp_path / "xi.json"
+    path.write_text(json.dumps({"schema": 1, "engine": "FOCK", "scenario": {
+        "kind": "COHERENT_SQUEEZED", "alpha": 1.0, "xi": 1.7}}))
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from cpa_sim import cli\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        "    assert cli.main(['run', sys.argv[1]]) == 0\n"
+        "with open('/proc/self/status') as status:\n"
+        "    lines = [line for line in status if line.startswith('VmHWM:')]\n"
+        "print(json.loads(out.getvalue())['numerics']['cutoff'], lines[0].split()[1])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-c", code, str(path)], env=env, timeout=120,
+                         capture_output=True, text=True, check=True)
+    cutoff, peak_kib = map(int, run.stdout.split())
+    assert cutoff == 397
+    assert peak_kib < 100 * 1024
 
 
 def test_coherent_squeezed_absorbs_half():
@@ -199,22 +286,29 @@ def test_coherent_squeezed_standing_distribution_reported():
     ids=["COHERENT_SQUEEZED", "COHERENT_CAT"],
 )
 def test_standing_distribution_is_the_basis_change_of_the_input(partner, absorber):
+    """The reported distribution is that of the balanced mix of the input at
+    cutoff + 40, cropped to the box and renormalized: the same keys, and values
+    within 1e-12."""
     alpha = 0.9 - 0.4j
     result = ng.run_asymmetric(alpha, partner, absorber)
     cutoff = result.numerics["cutoff"]
+    wide = cutoff + 40
     if isinstance(partner, float):
-        other = fock.squeezed_coherent_state(0.0, partner, 0.0, cutoff, MINUS_K)
+        other = fock.squeezed_coherent_state(0.0, partner, 0.0, wide, MINUS_K)
     else:
-        other = ng.build_cat(partner, cutoff, MINUS_K)
-    state = fock.tensor(fock.coherent_state(alpha, cutoff, K), other)
-    probs = fock.bs_transform(state, K, MINUS_K).probabilities()
+        other = ng.build_cat(partner, wide, MINUS_K)
+    state = fock.tensor(oracle.coherent_state(alpha, wide, K), other)
+    probs = fock.bs_transform(state, K, MINUS_K).probabilities()[:cutoff + 1, :cutoff + 1]
+    probs /= math.fsum(probs.ravel())
     expected = {
         f"{na},{nb}": float(probs[na, nb])
         for na in range(cutoff + 1)
         for nb in range(cutoff + 1)
         if probs[na, nb] > 1e-12
     }
-    assert result.extras["standing_joint_distribution"] == expected
+    reported = result.extras["standing_joint_distribution"]
+    assert reported.keys() == expected.keys()
+    assert max(abs(reported[key] - p) for key, p in expected.items()) < 1e-12
     assert result.extras["standing_cross_sector_mass"] == pytest.approx(
         math.fsum(probs[1:, 1:].ravel()), abs=1e-15
     )
@@ -243,7 +337,7 @@ def test_coherent_cat_splits_exactly_between_standing_modes():
 def test_asymmetric_input_moments_are_uncorrelated():
     alpha, xi = 1.0, 0.4
     state = fock.tensor(
-        fock.coherent_state(alpha, 40, K),
+        oracle.coherent_state(alpha, 40, K),
         fock.squeezed_coherent_state(0.0, xi, 0.0, 40, MINUS_K),
     )
     assert abs(fock.cross_moment(state, K, MINUS_K)) < 1e-12
