@@ -3,7 +3,8 @@
 Bell states of two labeled photons are encoded dual-rail: one travelling pair
 per internal label (rail "A" and rail "B"), with path operations acting
 identically on both rails.  All states here carry a finite photon number, so
-runs are exact: the working cutoff is the total photon number.
+runs are exact: the working cutoff is the total photon number.  Only the Bell
+kinds build the light x environment joint; one rail reads every output on (C, S).
 """
 from __future__ import annotations
 
@@ -124,29 +125,30 @@ def run_scenario(
     cutoff: int = fock.DEFAULT_CUTOFF,
     report_threshold: float = 1e-9,
 ) -> ScenarioResult:
-    """Build the input, run the absorber pipeline, and collect statistics.
+    """Build the input and its standing state, run the absorber, and collect statistics.
 
     Photon number is conserved, so the tensors are held at the exact photon
-    content of the scenario regardless of the (validated) requested cutoff.
-    The environment numbers come from absorber_environment; the conditional
-    output of every reported count comes from one pass over |joint|^2
-    (fock.conditional_outputs), with each count's probability as reported in
-    the absorbed distribution; a count is reported when that probability is
-    above both report_threshold and fock.CONDITIONING_FLOOR.
+    content of the scenario regardless of the (validated) requested cutoff, and
+    are charged for the joint even on one rail, which builds none.  Every run
+    reads its environment from the standing state (absorber_environment); one
+    rail reads its conditional outputs there too (absorber_outputs), the Bell
+    kinds from their joint (conditional_outputs).  A count is reported when its
+    probability in the absorbed distribution is above both report_threshold
+    and fock.CONDITIONING_FLOOR.
     """
     if cutoff < scenario.total_photons:
         raise CutoffError(
             f"cutoff {cutoff} below photon content {scenario.total_photons}"
         )
-    joint_modes = 6 if scenario.kind in BELL_KINDS else 3  # a pair and an environment per rail
-    working_cutoff = fock.budget_cutoff(scenario.total_photons, joint_modes)
+    rails = 2 if scenario.kind in BELL_KINDS else 1
+    working_cutoff = fock.budget_cutoff(scenario.total_photons, 3 * rails)  # pair + env per rail
     state = build_input(scenario, working_cutoff)
-    joint = fock.full_pipeline(state, absorber)  # for the conditional outputs
+    standing = fock.standing_basis(state)
     result = fock_result(
         {"kind": scenario.kind.value, "n": scenario.n, "delta_theta": scenario.delta_theta},
         absorber,
         {"cutoff": cutoff, "working_cutoff": working_cutoff},
-        fock.absorber_environment(fock.standing_basis(state), absorber),
+        fock.absorber_environment(standing, absorber),
         (None, None),
     )
     distribution = result.absorbed_distribution
@@ -154,7 +156,9 @@ def run_scenario(
     result.mean_intensity_absorption = absorbed / scenario.total_photons  # the absorbed fraction
     floor = max(report_threshold, fock.CONDITIONING_FLOOR)  # reported above both
     counts = [m for m, prob in sorted(distribution.items()) if prob > floor]
-    for output in fock.conditional_outputs(joint, counts):
+    outputs = (fock.conditional_outputs(fock.full_pipeline(state, absorber), counts)
+               if rails == 2 else fock.absorber_outputs(standing, absorber, counts))
+    for output in outputs:
         result.conditional_outputs.append(
             {
                 "absorbed": output.absorbed,

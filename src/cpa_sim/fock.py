@@ -16,11 +16,11 @@ pure-loss channel's complementary map in closed form: real Toeplitz matmuls
 per rail on the diagonal-major layout of that state (absorber_environment);
 they never build the light x environment joint.  The travelling absorption
 coefficients are moments of the standing state too (absorption_coefficients),
-so two-mode runs never mix back to the travelling modes.  The absorber's own
-mix, with a vacuum partner, reads each sector's single column from one table
-of loss amplitudes.  DV runs, which do carry the joint there, read every
-conditional output from one pass over |joint|^2 (conditional_outputs), not one
-reduction per count and mode.
+so two-mode runs never mix back to the travelling modes, nor do one-rail DV
+runs, whose counts each leave pure light read off the standing state
+(absorber_outputs).  The absorber's own mix, with a vacuum partner, reads each
+sector's single column from one table of loss amplitudes.  Bell runs carry the
+joint there and read every count from one pass over |joint|^2 (conditional_outputs).
 States are immutable and every map is a pure function.  Outside data is
 checked in full by PureState(...); a map skips only the checks its construction
 guarantees (_built): relabel keeps the array, and _mix returns what _normalized
@@ -42,8 +42,8 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .absorber import AbsorberSpec, absorb, change_basis
-from .modes import (C, K, S, STANDING_KINDS, STANDING_OF, TRAVELLING_OF, ModeError, ModeLabel,
-                    basis_rails, check_mode_consistency)
+from .modes import (C, K, MINUS_K, S, STANDING_KINDS, STANDING_OF, TRAVELLING_OF, ModeError,
+                    ModeLabel, basis_rails, check_mode_consistency)
 
 TRUNCATION_TOL = 1e-10  # norm a constructor/map may lose to the cutoff
 SECTOR_MASS_FLOOR = 1e-26  # total-photon sectors below this weight are dropped
@@ -210,6 +210,8 @@ def _normalized(amps: np.ndarray, lossy_ok: bool = False) -> np.ndarray:
     """`amps` scaled in place to unit norm; every caller owns the buffer.
     numpy's complex / real is this multiply by the reciprocal."""
     norm2 = float(np.vdot(amps, amps).real)
+    if not math.isfinite(norm2):  # a NaN would pass both checks below
+        raise FockError(f"state norm is not finite: |psi|^2 = {norm2!r}")
     if norm2 <= 0.0:
         raise FockError("zero-amplitude state")
     norm = math.sqrt(norm2)
@@ -668,6 +670,39 @@ def absorber_environment(standing: PureState, absorber: AbsorberSpec) -> Environ
     )
 
 
+def absorber_outputs(standing: PureState, absorber: AbsorberSpec,
+                     counts: Iterable[int]) -> list[ConditionalOutput]:
+    """conditional_outputs(travelling_basis(cpa_channel(standing, absorber)), counts)
+    for a one-rail standing state Psi[n_a, n_o], a the absorbed mode, without
+    the joint.  m absorbed photons leave the pure light Psi[k+m, s] W[m, k],
+    W[m, k] = b[k+m, k] (b = loss_amplitudes: the Kraus form that
+    absorber_environment uses).  With P, Q[n] = sum_s (1, s) |Psi[n, s]|^2 and
+    X[n] = sum_s conj(Psi[n+1, s-1]) Psi[n, s] sqrt(s), a count costs O(dim):
+    p_m = sum_k W^2 P[k+m], (<n_a> + <n_o>) p_m = sum_k W^2 (k P + Q)[k+m] and
+    <a_a^dag a_o> p_m = sum_k W[m, k] W[m, k+1] sqrt(k+1) X[k+m].  The mix back
+    gives <n_K>, <n_-K> = (<n_a> + <n_o>) / 2 +- Re<a_a^dag a_o>."""
+    tau, dim, levels = absorber.tau_c, standing.dim, np.arange(standing.dim + 0.0)
+    psi = standing.aligned_amplitudes((S, C) if absorber.swap_roles else (C, S))
+    b = loss_amplitudes(tau, math.sqrt(max(0.0, 1.0 - tau * tau)), dim)
+    n = np.add.outer(np.arange(dim), np.arange(dim))  # [m, k]: the level k + m
+    w = np.where(n < dim, b[np.minimum(n, dim - 1), np.arange(dim)], 0.0)
+    weight, padded = np.abs(psi) ** 2, np.zeros((3, 2 * dim))  # P, Q, Re X past the top: 0
+    padded[0, :dim], padded[1, :dim] = weight.sum(axis=1), weight @ levels
+    padded[2, :dim - 1] = (psi[1:, :-1].conj() * psi[:-1, 1:]).real @ np.sqrt(levels[1:])
+    p, q, x = padded[:, n]
+    probs, totals = np.sum(w * w * p, axis=1), np.sum(w * w * (levels * p + q), axis=1)
+    reals = np.sum(w[:, 1:] * w[:, :-1] * np.sqrt(levels[1:]) * x[:, :-1], axis=1)
+    outputs = []
+    for m in counts:
+        prob = float(probs[m]) if 0 <= m < dim else 0.0
+        if prob < CONDITIONING_FLOOR:
+            raise FockError(f"conditioning on zero-probability absorbed count {m}")
+        half, real = float(totals[m]) / 2.0, float(reals[m])
+        outputs.append(ConditionalOutput(m, prob, 1.0, {
+            K: (half + real) / prob, MINUS_K: (half - real) / prob}))
+    return outputs
+
+
 def standing_basis(state: PureState) -> PureState:
     """Travelling modes -> standing basis: the first stage of full_pipeline."""
     return change_basis(state, STANDING_OF, bs_transform, relabel)
@@ -676,7 +711,7 @@ def standing_basis(state: PureState) -> PureState:
 def travelling_basis(state: PureState) -> PureState:
     """Standing basis -> travelling modes: the last stage of full_pipeline.  It
     acts on light modes alone and keeps light vacuum, so no environment readout
-    and no two-mode run needs it; only DV's joint goes there."""
+    and no two-mode or one-rail run needs it; only Bell joints go there."""
     return change_basis(state, TRAVELLING_OF, bs_transform, relabel)
 
 
@@ -749,7 +784,8 @@ def conditional_outputs(joint: PureState, counts: Iterable[int]) -> list[Conditi
     P per light mode gives each column's <n> weight; binned by environment total
     m, those and the column weights give p_m and <n> p_m for every count at once.
     The purity is that of the purification A[:, columns of total m] / sqrt(p_m):
-    one column on one rail, so pure; several on two, so possibly mixed."""
+    one column on one rail, so pure; several on two, so possibly mixed.  Runs
+    read it for the Bell kinds only (one rail: absorber_outputs)."""
     light, mat = _split(joint.amplitudes, joint.modes, [m for m in joint.modes if not m.is_env])
     dim, count = joint.dim, len(light)
     env_totals = np.indices((dim,) * (len(joint.modes) - count)).sum(axis=0).ravel()

@@ -10,6 +10,12 @@ substitutions on the creation operators:
     standing  ->  balanced mix back onto the k-pair
 
 Ket amplitudes follow from (a^dag)^n |0> = sqrt(n!) |n>.
+
+The engine's own joint route, fock.conditional_outputs of fock.full_pipeline
+(the standing state mixed with its environment and back to K, MINUS_K), is
+what the Bell kinds run.  It is the reference for the one-rail readout that
+NOON and SINGLE_PHOTON runs use, fock.absorber_outputs, which never builds
+that joint (tests/test_dv.py and tests/test_fock.py hold the two together).
 """
 from __future__ import annotations
 

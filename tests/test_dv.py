@@ -1,5 +1,10 @@
 """Discrete-variable scenarios: inputs, standing decompositions, statistics."""
+import json
 import math
+import os
+import subprocess
+import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,9 +13,10 @@ from hypothesis import strategies as st
 
 import oracle
 from cpa_sim import dv, fock
-from cpa_sim.absorber import CANONICAL
+from cpa_sim.absorber import CANONICAL, AbsorberSpec
 from cpa_sim.fock import CutoffError
 from cpa_sim.modes import K, MINUS_K
+from test_fock import _absorber
 
 INV = 1.0 / math.sqrt(2.0)
 
@@ -214,3 +220,84 @@ def test_environment_entropy_reported():
     result2 = dv.run_scenario(dv.DvScenario(dv.DvKind.BELL_PSI_MINUS), CANONICAL)
     # deterministic one-photon absorption: still correlated in the rail label
     assert result2.separability["env_entanglement_entropy"] >= 0.0
+
+
+# ---------------------------------------------------------------------------
+# one-rail runs read their outputs from the standing state
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(st.just(0), st.integers(1, 28)),  # 0: SINGLE_PHOTON, else NOON n
+    st.floats(-2.0 * math.pi, 2.0 * math.pi),
+    st.sampled_from(["canonical", "tau_c", "swap", "tau_c+swap"]),
+    st.floats(0.05, 0.95),
+)
+def test_one_rail_outputs_match_the_joint_route(n, delta, choice, tau_c):
+    """fock.absorber_outputs on the standing state gives, within 1e-13, what
+    fock.conditional_outputs reads from full_pipeline's joint."""
+    scenario = (dv.DvScenario(dv.DvKind.NOON, n, delta) if n
+                else dv.DvScenario(dv.DvKind.SINGLE_PHOTON, delta_theta=delta))
+    absorber = _absorber(choice, tau_c)
+    state = dv.build_input(scenario, scenario.total_photons)
+    standing = fock.standing_basis(state)
+    distribution = fock.absorber_environment(standing, absorber).distribution
+    counts = [m for m, p in distribution.items() if p > 1e-9]  # the run's default report
+    expected = fock.conditional_outputs(fock.full_pipeline(state, absorber), counts)
+    got = fock.absorber_outputs(standing, absorber, counts)
+    assert [o.absorbed for o in got] == counts
+    for new, old in zip(got, expected):
+        assert abs(new.probability - old.probability) < 1e-13
+        assert new.purity == 1.0 and abs(old.purity - 1.0) < 1e-13
+        assert list(new.mean_photons) == list(old.mean_photons) == [K, MINUS_K]
+        for mode, number in old.mean_photons.items():
+            assert abs(new.mean_photons[mode] - number) < 1e-13
+
+
+def _calls(scenario: dv.DvScenario) -> dict[str, int]:
+    """How often a run at tau_c = 0.4 calls each map that builds or mixes the joint."""
+    names = ("cpa_channel", "full_pipeline", "bs_transform")
+    spies = [mock.patch.object(fock, name, wraps=getattr(fock, name)) for name in names]
+    with spies[0] as channel, spies[1] as pipeline, spies[2] as mix:
+        dv.run_scenario(scenario, AbsorberSpec(-0.3))
+    return {name: spy.call_count for name, spy in zip(names, (channel, pipeline, mix))}
+
+
+@pytest.mark.parametrize("scenario", [
+    dv.DvScenario(dv.DvKind.NOON, 5, 0.3), dv.DvScenario(dv.DvKind.SINGLE_PHOTON),
+], ids=["NOON", "SINGLE_PHOTON"])
+def test_one_rail_run_builds_no_joint(scenario):
+    """The standing state is built once (one beamsplitter) and feeds both
+    readouts: no absorber mix, no pipeline, no mix back."""
+    assert _calls(scenario) == {"cpa_channel": 0, "full_pipeline": 0, "bs_transform": 1}
+
+
+def test_bell_run_reads_its_joint():
+    calls = _calls(dv.DvScenario(dv.DvKind.BELL_PSI_PLUS))
+    assert calls["full_pipeline"] == 1 and calls["cpa_channel"] == 1
+
+
+def test_large_noon_run_peaks_below_100_mib(tmp_path):
+    """NOON n = 200 at tau_c = 0.46 runs in a fresh interpreter with a peak RSS
+    (VmHWM) below 100 MiB; building its (n+1)^3 joint took 306 MiB."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fock.__file__)))
+    path = tmp_path / "noon.json"
+    path.write_text(json.dumps({
+        "schema": 1, "engine": "FOCK", "scenario": {"kind": "NOON", "n": 200, "delta_theta": 0.4},
+        "absorber": {"tau_c": 0.46}, "numerics": {"cutoff": 200}}))
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from cpa_sim import cli\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        "    assert cli.main(['run', sys.argv[1]]) == 0\n"
+        "with open('/proc/self/status') as status:\n"
+        "    lines = [line for line in status if line.startswith('VmHWM:')]\n"
+        "print(len(json.loads(out.getvalue())['conditional_outputs']), lines[0].split()[1])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-c", code, str(path)], env=env, timeout=120,
+                         capture_output=True, text=True, check=True)
+    outputs, peak_kib = map(int, run.stdout.split())
+    assert outputs > 50
+    assert peak_kib < 100 * 1024

@@ -126,6 +126,20 @@ def test_normalized_cutoff_check():
         fock._normalized(short.copy())
 
 
+@pytest.mark.parametrize("lossy_ok", [False, True])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_normalized_refuses_a_non_finite_norm(lossy_ok, bad):
+    """A NaN norm passes both `norm <= 0` and `abs(norm - 1) > tol`, so it is
+    refused by name, on the checked path and on the lossy one."""
+    with pytest.raises(FockError, match="state norm is not finite"):
+        fock._normalized(np.array([bad, 0.5 + 0.0j]), lossy_ok=lossy_ok)
+
+
+def test_superposition_refuses_a_nan_coefficient():
+    with pytest.raises(FockError, match=r"not finite: \|psi\|\^2 = nan"):
+        fock.superposition([(math.nan, {K: 1}), (1.0, {MINUS_K: 1})], (K, MINUS_K), 2)
+
+
 @given(seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_bs_is_unitary_involution(seed):
@@ -825,6 +839,39 @@ def test_two_rail_conditional_output_can_be_mixed():
     joint = fock.full_pipeline(state, _absorber("tau_c+swap", 0.3))
     (output,) = fock.conditional_outputs(joint, [1])
     assert output.purity == pytest.approx(0.5, abs=1e-13)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["canonical", "tau_c", "swap", "tau_c+swap"]),
+    st.floats(0.05, 0.95),
+)
+def test_absorber_outputs_match_the_joint_after_the_mix_back(seed, choice, tau_c):
+    """absorber_outputs reads from a one-rail standing state what
+    conditional_outputs reads from its joint on K, MINUS_K, for random inputs
+    whose light modes differ (Re<a_C^dag a_S> != 0, unlike any DV input)."""
+    absorber = _absorber(choice, tau_c)
+    standing = fock.standing_basis(random_rail_state(seed, 1, cutoff=6))
+    joint = fock.travelling_basis(fock.cpa_channel(standing, absorber))
+    counts = [m for m, p in fock.absorbed_photon_distribution(joint).items() if p > 1e-9]
+    expected = fock.conditional_outputs(joint, counts)
+    got = fock.absorber_outputs(standing, absorber, counts)
+    assert [o.absorbed for o in got] == counts
+    for new, old in zip(got, expected):
+        assert abs(new.probability - old.probability) < 1e-13
+        assert new.purity == 1.0
+        assert list(new.mean_photons) == list(old.mean_photons)
+        for mode, number in old.mean_photons.items():
+            assert abs(new.mean_photons[mode] - number) < 1e-13
+
+
+def test_absorber_outputs_zero_probability_raises():
+    standing = fock.standing_basis(fock.basis_state({K: 1, MINUS_K: 1}, 2))
+    assert [o.absorbed for o in fock.absorber_outputs(standing, CANONICAL, [0, 2])] == [0, 2]
+    for absorbed in (1, 3, 99):
+        with pytest.raises(FockError, match="zero-probability absorbed count"):
+            fock.absorber_outputs(standing, CANONICAL, [absorbed])
 
 
 def test_conditional_outputs_zero_probability_raises():

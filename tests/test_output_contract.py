@@ -27,7 +27,7 @@ def _compare(tmp_path, a, b) -> tuple[int, str]:
 
 def test_two_records_compare_equal_and_a_doctored_line_is_reported(tmp_path):
     argvs = contract.commands([GOLDEN_DIR], grid=3)
-    assert len(argvs) == 16 + 2 + 4
+    assert len(argvs) == 18 + 2 + 4  # golden runs, table1 twice, four presets
     assert all(not argv[-1].endswith(".out.json") for argv in argvs)
     first, second = contract.record(argvs), contract.record(argvs)
     assert all(line["exit"] == 0 and line["stderr"] == "" for line in first)
