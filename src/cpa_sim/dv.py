@@ -3,11 +3,15 @@
 Bell states of two labeled photons are encoded dual-rail: one travelling pair
 per internal label (rail "A" and rail "B"), with path operations acting
 identically on both rails.  All states here carry a finite photon number, so
-runs are exact: the working cutoff is the total photon number.  Only the Bell
-kinds build the light x environment joint; one rail reads every output on (C, S).
+runs are exact: the working cutoff is the total photon number.  Every input's
+standing state has a closed form (standing_state), so no run mixes to reach it.
+One rail reads every output there; the Bell kinds still read their conditional
+outputs from the light x environment joint of fock.full_pipeline, which stays
+because the benchmark's call-chain test spans it and bs_transform.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -17,7 +21,7 @@ import numpy as np
 from . import fock
 from .absorber import CANONICAL, AbsorberSpec
 from .fock import CutoffError, PureState
-from .modes import K, MINUS_K, ModeLabel
+from .modes import C, K, MINUS_K, S, ModeLabel
 from .results import ScenarioResult, fock_result
 
 RAIL_A, RAIL_B = "A", "B"
@@ -32,12 +36,15 @@ class DvKind(Enum):
     NOON = "NOON"
 
 
-BELL_KINDS = {
-    DvKind.BELL_PSI_PLUS,
-    DvKind.BELL_PSI_MINUS,
-    DvKind.BELL_PHI_PLUS,
-    DvKind.BELL_PHI_MINUS,
+# Bell kind -> (sign, crossed, the kind the balanced mix on each rail takes it to);
+# a crossed pair holds one rail's K with the other's MINUS_K, an uncrossed one like with like
+_BELL = {
+    DvKind.BELL_PSI_PLUS: (1.0, True, DvKind.BELL_PHI_MINUS),
+    DvKind.BELL_PSI_MINUS: (-1.0, True, DvKind.BELL_PSI_MINUS),
+    DvKind.BELL_PHI_PLUS: (1.0, False, DvKind.BELL_PHI_PLUS),
+    DvKind.BELL_PHI_MINUS: (-1.0, False, DvKind.BELL_PSI_PLUS),
 }
+BELL_KINDS = set(_BELL)
 
 
 @dataclass(frozen=True)
@@ -61,31 +68,20 @@ class DvScenario:
         return self.n
 
 
-def _bell_terms(kind: DvKind) -> list[tuple[complex, dict[ModeLabel, int]]]:
-    k_a, k_b = K.with_rail(RAIL_A), K.with_rail(RAIL_B)
-    mk_a, mk_b = MINUS_K.with_rail(RAIL_A), MINUS_K.with_rail(RAIL_B)
+def _bell_state(kind: DvKind, cutoff: int, plus: ModeLabel = K,
+                minus: ModeLabel = MINUS_K) -> PureState:
+    """The Bell state `kind` over (plus_A, plus_B, minus_A, minus_B)."""
+    sign, crossed, _ = _BELL[kind]
+    p_a, p_b, m_a, m_b = (mode.with_rail(rail) for mode in (plus, minus) for rail in (RAIL_A, RAIL_B))
+    pairs = ({p_a: 1, m_b: 1}, {p_b: 1, m_a: 1}) if crossed else ({p_a: 1, p_b: 1}, {m_a: 1, m_b: 1})
     amp = 1.0 / math.sqrt(2.0)
-    if kind is DvKind.BELL_PSI_PLUS:
-        return [(amp, {k_a: 1, mk_b: 1}), (amp, {k_b: 1, mk_a: 1})]
-    if kind is DvKind.BELL_PSI_MINUS:
-        return [(amp, {k_a: 1, mk_b: 1}), (-amp, {k_b: 1, mk_a: 1})]
-    if kind is DvKind.BELL_PHI_PLUS:
-        return [(amp, {k_a: 1, k_b: 1}), (amp, {mk_a: 1, mk_b: 1})]
-    if kind is DvKind.BELL_PHI_MINUS:
-        return [(amp, {k_a: 1, k_b: 1}), (-amp, {mk_a: 1, mk_b: 1})]
-    raise ValueError(f"not a Bell kind: {kind}")
+    return fock.superposition(zip((amp, sign * amp), pairs), (p_a, p_b, m_a, m_b), cutoff)
 
 
 def build_input(scenario: DvScenario, cutoff: int) -> PureState:
     """Travelling-basis input ket for the scenario; a single photon is NOON at n = 1."""
     if scenario.kind in BELL_KINDS:
-        modes = (
-            K.with_rail(RAIL_A),
-            K.with_rail(RAIL_B),
-            MINUS_K.with_rail(RAIL_A),
-            MINUS_K.with_rail(RAIL_B),
-        )
-        return fock.superposition(_bell_terms(scenario.kind), modes, cutoff)
+        return _bell_state(scenario.kind, cutoff)
     n, amp = scenario.total_photons, 1.0 / math.sqrt(2.0)
     phase = np.exp(1j * scenario.delta_theta)
     terms = [(amp, {K: n, MINUS_K: 0}), (amp * phase, {K: 0, MINUS_K: n})]
@@ -97,26 +93,41 @@ def bell_standing_state(kind: DvKind, cutoff: int = 2) -> PureState:
     return build_input(DvScenario(kind), cutoff)
 
 
+# (i^m, sign) by m mod 4: cos((pi m + delta)/2) = sign * (cos, sin)[m mod 2] of delta/2
+_QUARTER_TURNS = ((1 + 0j, 1.0), (1j, -1.0), (-1 + 0j, -1.0), (-1j, 1.0))
+
+
 def noon_standing_decomposition(
     n: int, delta_theta: float
 ) -> list[tuple[int, complex]]:
     """Standing-basis expansion coefficients of a NOON input.
 
     Entry (m, c_m) multiplies the ket with n-m photons in the cosine mode and
-    m in the sine mode.  Squared magnitudes follow the cosine law
-    binom(n, m) cos^2((pi m + delta)/2) / 2^(n-1); the i^m factor keeps the
-    expansion exactly consistent with the balanced-beamsplitter convention
-    (Hadamard, no extra phase), so the list matches bs_transform output up to
-    a global phase.
+    m in the sine mode: c_m = i^m cos((pi m + delta)/2) sqrt(binom(n, m) / 2^(n-1)),
+    bs_transform's output times e^{-i delta/2}.  Both periodic factors are read
+    off m mod 4 and the binomial ratio is one correctly rounded division, so
+    every entry is exact to a few ulp at any n.
     """
     if n < 1:
         raise ValueError("n >= 1 required")
-    scale = 1.0 / math.sqrt(2.0 ** (n - 1))
+    trig = (math.cos(delta_theta / 2.0), math.sin(delta_theta / 2.0))
     out: list[tuple[int, complex]] = []
     for m in range(n + 1):
-        magnitude = math.sqrt(math.comb(n, m)) * math.cos((math.pi * m + delta_theta) / 2.0)
-        out.append((m, (1j ** m) * magnitude * scale))
+        phase, sign = _QUARTER_TURNS[m % 4]
+        magnitude = sign * trig[m % 2] * math.sqrt(math.comb(n, m) / 2 ** (n - 1))
+        out.append((m, phase * magnitude))
     return out
+
+
+def standing_state(scenario: DvScenario, cutoff: int) -> PureState:
+    """fock.standing_basis(build_input(scenario, cutoff)) in closed form, to
+    rounding and up to BELL_PSI_MINUS's sign: a Bell state's image (_BELL) on
+    (C, S), one rail's noon_standing_decomposition times e^{i delta/2}."""
+    if scenario.kind in BELL_KINDS:
+        return _bell_state(_BELL[scenario.kind][2], cutoff, C, S)
+    n, phase = scenario.total_photons, cmath.exp(0.5j * scenario.delta_theta)  # the mix's phase
+    terms = noon_standing_decomposition(n, scenario.delta_theta)
+    return fock.superposition([(c * phase, {C: n - m, S: m}) for m, c in terms], (C, S), cutoff)
 
 
 def run_scenario(
@@ -142,8 +153,7 @@ def run_scenario(
         )
     rails = 2 if scenario.kind in BELL_KINDS else 1
     working_cutoff = fock.budget_cutoff(scenario.total_photons, 3 * rails)  # pair + env per rail
-    state = build_input(scenario, working_cutoff)
-    standing = fock.standing_basis(state)
+    standing = standing_state(scenario, working_cutoff)
     result = fock_result(
         {"kind": scenario.kind.value, "n": scenario.n, "delta_theta": scenario.delta_theta},
         absorber,
@@ -156,7 +166,8 @@ def run_scenario(
     result.mean_intensity_absorption = absorbed / scenario.total_photons  # the absorbed fraction
     floor = max(report_threshold, fock.CONDITIONING_FLOOR)  # reported above both
     counts = [m for m, prob in sorted(distribution.items()) if prob > floor]
-    outputs = (fock.conditional_outputs(fock.full_pipeline(state, absorber), counts)
+    outputs = (fock.conditional_outputs(
+        fock.full_pipeline(build_input(scenario, working_cutoff), absorber), counts)
                if rails == 2 else fock.absorber_outputs(standing, absorber, counts))
     for output in outputs:
         result.conditional_outputs.append(

@@ -1,41 +1,40 @@
 """Truncated multi-mode Fock-space engine.
 
 States are dense complex tensors indexed by per-mode occupation number with a
-common cutoff.  Every map of the pipeline is one two-mode mix, run by the
-stages of absorber.py as on the Gaussian engine: the balanced (Hadamard)
-beamsplitter, and the absorber, which mixes the absorbed standing mode with a
-fresh vacuum environment mode that the mix itself attaches.  The mix acts per
-total-photon sector, in a layout with the two mixed modes leading, where each
-sector is a strided row slice: its real sector matrix multiplies the float
-view of those rows (one BLAS call, no complex cast, no per-sector gather or
-scatter).  The sector matrices come from a stable recurrence and match the
-exact integer expansion to ~5e-15 up to total 246.  Reduced states are held as
-purifications, rho = A A^H.  The environment meets only the absorbed modes, so
-runs read it from their reduced state in the standing basis, through the
-pure-loss channel's complementary map in closed form: real Toeplitz matmuls
-per rail on the diagonal-major layout of that state (absorber_environment);
-they never build the light x environment joint.  The travelling absorption
-coefficients are moments of the standing state too (absorption_coefficients),
-so two-mode runs never mix back to the travelling modes, nor do one-rail DV
-runs, whose counts each leave pure light read off the standing state
-(absorber_outputs).  The absorber's own mix, with a vacuum partner, reads each
-sector's single column from one table of loss amplitudes.  Bell runs carry the
-joint there and read every count from one pass over |joint|^2 (conditional_outputs).
+common cutoff.  Every run builds its standing state in closed form
+(dv.standing_state; balanced_pair for the travelling pairs) and reads its
+environment there, through the pure-loss channel's complementary map in closed
+form: real Toeplitz matmuls per rail on the diagonal-major layout of the
+absorbed modes' reduced state (absorber_environment), with no light x
+environment joint.  The travelling absorption coefficients are moments of the
+standing state too (absorption_coefficients), and a one-rail DV run's counts
+each leave pure light read off it (absorber_outputs).  Only the Bell kinds run
+the pipeline of two-mode mixes (absorber.py's stages, as on the Gaussian
+engine), and read every count from one pass over |joint|^2
+(conditional_outputs); full_pipeline, its stages bs_transform and
+cpa_channel, and hadamard_block stay because the benchmark names them.  _mix
+acts per total-photon sector, in a layout with the two mixed modes leading,
+where each sector is a strided row slice that its real sector matrix
+multiplies as one float view (one BLAS call, no complex cast).  A vacuum
+partner's sector is one column of a loss_amplitudes table; every other comes
+from the one before by a stable recurrence (_next_block, rebuilt per call)
+that matches the exact integer expansion to ~5e-15 up to total 246.  Reduced
+states are held as purifications, rho = A A^H.
 States are immutable and every map is a pure function.  Outside data is
 checked in full by PureState(...); a map skips only the checks its construction
 guarantees (_built): relabel keeps the array, and _mix returns what _normalized
 has just scaled to unit norm.  States bridged from
 continuous families (coherent, squeezed, cat) come from one exact amplitude
-recurrence, truncated at the cutoff (a travelling pair's standing state from its
-two-mode form, balanced_pair); any constructor or map that would push more
-than TRUNCATION_TOL of probability past the cutoff fails loudly instead of
-silently corrupting moments.
+recurrence, truncated at the cutoff (a travelling pair's from its two-mode
+form); any constructor or map that would push more than TRUNCATION_TOL of
+probability past the cutoff fails loudly instead of silently corrupting moments.
 """
 from __future__ import annotations
 
 import cmath
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -77,7 +76,7 @@ class PureState:
             )
         check_mode_consistency(self.modes)
         norm = math.sqrt(float(np.vdot(self.amplitudes, self.amplitudes).real))
-        if abs(norm - 1.0) > 1e-9:
+        if not abs(norm - 1.0) <= 1e-9:  # a NaN norm fails this, not `> 1e-9`
             raise FockError(f"state not normalized: |psi| = {norm!r}")
         self.amplitudes.setflags(write=False)
 
@@ -311,7 +310,16 @@ def _bargmann(beta: complex, xi: float, phi: float) -> tuple[complex, complex, c
 
 def _one_mode(c0: complex, b: complex, t: complex, dim: int) -> np.ndarray:
     """<n| c_0 exp(b a^dag - t a^dag^2 / 2)|0> for n < dim, by the Gaussian recurrence of
-    Miatto & Quesada (Quantum 4, 366 (2020)): c_{n+1} = (b c_n - t sqrt(n) c_{n-1}) / sqrt(n+1)."""
+    Miatto & Quesada (Quantum 4, 366 (2020)): c_{n+1} = (b c_n - t sqrt(n) c_{n-1}) / sqrt(n+1).
+    CutoffError when c_0 is below the smallest normal double (about e^-708): the
+    vector would start subnormal or at zero and lose its digits.  The message
+    names the mode's mean amplitude, alpha = (b - conj(b) t) / (1 - |t|^2)."""
+    if abs(c0) < sys.float_info.min:
+        alpha = abs(b - b.conjugate() * t) / (1.0 - abs(t) ** 2)
+        raise CutoffError(
+            f"state with |alpha| = {alpha:.6g} on one mode is past double range: its "
+            f"vacuum amplitude {abs(c0):.3g} underflows below {sys.float_info.min:.3g}"
+        )
     amps = np.zeros(dim, dtype=complex)
     amps[0] = c0
     for n in range(1, dim):  # at n = 1 the c_{n-2} term has weight sqrt(0)
@@ -403,7 +411,7 @@ def _next_block(
     block: np.ndarray, first: int, c: float, s: float, lo: int, hi: int
 ) -> np.ndarray:
     """Columns lo..hi of sector T+1 of the mix from columns first.. of sector T,
-    column-major and allocated before any temporary (see hadamard_block).
+    column-major: _mix's sector matmuls round differently on a C-ordered copy.
 
     Column m of sector T is U|m, T-m> over the kets |p, T-p>.  The recurrence
     of Miatto & Quesada (Quantum 4, 366 (2020)) in the two-sided form of
@@ -413,7 +421,6 @@ def _next_block(
     vector scaled by m/(T+1) and (T+1-m)/(T+1), so rounding errors average out.
     """
     n, k = block.shape  # n = T + 1
-    out = np.empty((n + 1, hi - lo + 1), order="F")
     root = np.sqrt(np.arange(n + 1.0))
     # A and B applied to every column, padded with one zero column on each side
     raise_a = np.zeros((n + 1, k + 2), order="F")
@@ -423,46 +430,27 @@ def _next_block(
     m = np.arange(lo, hi + 1)
     left = slice(lo - first, hi - first + 1)  # padded column m-first: column m-1 of sector T
     same = slice(lo - first + 1, hi - first + 2)  # column m of sector T
-    np.multiply(c * raise_a[:, left] + s * raise_b[:, left], root[m], out=out)
+    out = np.multiply(c * raise_a[:, left] + s * raise_b[:, left], root[m], order="F")
     out += (s * raise_a[:, same] - c * raise_b[:, same]) * root[n - m]
     out /= n
     return out
 
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
-_HADAMARD_BLOCKS = [np.ones((1, 1))]
 
 
 def hadamard_block(total: int) -> np.ndarray:
-    """Sector `total` of the balanced mix (c = s = 1/sqrt(2)), cached.
+    """Sector `total` of the balanced mix (c = s = 1/sqrt(2)), by the _next_block
+    chain from sector 0, which _mix walks itself; kept, uncached, for the
+    benchmark and tests that name it.
 
     Entry [p, m] is the amplitude of |p, total-p> in the image of
     |m, total-m> under a_1 -> (a_1 + a_2)/sqrt(2), a_2 -> (a_1 - a_2)/sqrt(2).
-    The cache grows up to the largest total requested so far (by DV runs: the
-    pair runs build on (C, S) with balanced_pair).  _next_block
-    allocates each new block before its temporaries and fills it in place: a
-    block allocated after them would sit above their freed space in the heap
-    and pin it, and the process would grow by about twice the cached bytes.
-    The blocks are column-major, as the recurrence leaves them; _mix's sector
-    matmuls round differently on a C-ordered copy of the same values.
     """
-    while len(_HADAMARD_BLOCKS) <= total:
-        n = len(_HADAMARD_BLOCKS)
-        block = _next_block(_HADAMARD_BLOCKS[-1], 0, _INV_SQRT2, _INV_SQRT2, 0, n)
-        block.setflags(write=False)
-        _HADAMARD_BLOCKS.append(block)
-    return _HADAMARD_BLOCKS[total]
-
-
-def _check_block_budget(total: int, cutoff: int) -> None:
-    """CutoffError when hadamard_block's cache up to `total`, 8 (T+1)^2 bytes a
-    block, would exceed MEMORY_BUDGET; checked before the cache grows."""
-    need = 8 * (total + 1) * (total + 2) * (2 * total + 3) // 6
-    if need > MEMORY_BUDGET:
-        raise CutoffError(
-            f"cutoff {cutoff}: balanced sectors up to total {total} need {need / 2**30:.5g} GiB "
-            f"of cached blocks, above the {MEMORY_BUDGET >> 30} GiB memory budget"
-        )
+    block = np.ones((1, 1))
+    for n in range(1, total + 1):
+        block = _next_block(block, 0, _INV_SQRT2, _INV_SQRT2, 0, n)
+    return block
 
 
 def _top_levels(amps: np.ndarray, ia: int, ib: int) -> list[int]:
@@ -493,11 +481,11 @@ def _mix(state: PureState, a: ModeLabel, b: ModeLabel, c: float, s: float) -> Pu
     vacuum and a leads), so every sector is a strided row slice (_sector_rows)
     of one float view; its real block multiplies that slice straight into the
     output's slice, and one transpose puts the output back in mode order.  One
-    bincount weighs every sector.  Balanced blocks are cached by hadamard_block,
-    whose growth is checked against MEMORY_BUDGET first.  With a vacuum partner
-    (top_b = 0, as in the absorber) sector T is the one column b[T] of a single
-    loss_amplitudes table, exactly the unit vector at c = 0; other blocks are
-    rebuilt per call by _next_block.  Sectors above the cutoff keep their
+    bincount weighs every sector; none past the top weighted one is visited.
+    With a vacuum partner (top_b = 0, as in the absorber) sector T is the one
+    column b[T] of a single loss_amplitudes table, exactly the unit vector at
+    c = 0; otherwise each sector's block comes from the one before by
+    _next_block, a chain rebuilt per call.  Sectors above the cutoff keep their
     representable rows; losing more than TRUNCATION_TOL raises CutoffError.
     """
     if a == b:
@@ -513,23 +501,19 @@ def _mix(state: PureState, a: ModeLabel, b: ModeLabel, c: float, s: float) -> Pu
     flat = source.reshape(len(source) * cols, -1).view(np.float64)  # re, im per rest entry
     # every sector's weight; the row-sized temporaries are freed before `image` exists
     masses = np.bincount(np.add.outer(np.arange(len(source)), np.arange(cols)).ravel(),
-                         weights=np.einsum("ij,ij->i", flat, flat))[:top_a + top_b + 1]
-    balanced = c == s == _INV_SQRT2
-    if balanced:  # the cache will hold every block up to the top weighted sector
-        _check_block_budget(int(np.flatnonzero(masses >= SECTOR_MASS_FLOOR)[-1]), cutoff)
+                         weights=np.einsum("ij,ij->i", flat, flat))
+    masses = masses[:np.flatnonzero(masses >= SECTOR_MASS_FLOOR)[-1] + 1]
     image = np.zeros((dim, dim) + source.shape[2:], dtype=complex)
     flat_out = image.reshape(dim * dim, -1).view(np.float64)
-    loss = loss_amplitudes(c, s, top_a + 1) if top_b == 0 and not balanced else None
+    loss = loss_amplitudes(c, s, top_a + 1) if top_b == 0 else None
     block, first = np.ones((1, 1)), 0  # columns first.. of the current sector
     for total, mass in enumerate(masses.tolist()):
         lo_m, hi_m = max(0, total - top_b), min(total, top_a)
-        if total and not balanced and loss is None:
+        if total and loss is None:
             block, first = _next_block(block, first, c, s, lo_m, hi_m), lo_m
         if mass < SECTOR_MASS_FLOOR:
             continue
-        if balanced:  # only sectors with weight grow the cache
-            block = hadamard_block(total)[:, lo_m:hi_m + 1]
-        elif loss is not None:
+        if loss is not None:
             block = loss[total, :total + 1, None]
         lo, hi = max(0, total - cutoff), min(total, cutoff)
         np.matmul(block[lo:hi + 1], flat[_sector_rows(total, lo_m, hi_m, cols)],

@@ -6,7 +6,7 @@ gaussian.SqueezedSpec) or its even part (a cat), placed on one basis: CAT_CAT is
 vacuum) and bridged SQUEEZED_PAIR two squeezed coherent states, on (K, MINUS_K);
 bridged EPR is its preceding modes g and h, on (C, S).  `run_pair` builds the
 standing state, the travelling pairs' in closed form (fock.balanced_pair: no
-mix, no cached block), and reads every output there: the absorption
+mix), and reads every output there: the absorption
 coefficients are moments of the standing state.  Each kind's entry point keeps
 only its cutoff, its echo and its extras.  A cat interferes with itself (or a
 coherent partner) on the basis change, so the absorber takes all or nothing, up

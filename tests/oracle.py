@@ -134,37 +134,68 @@ def amplitude_map_to_array(amps, mode_names: list[str], cutoff: int):
     return arr
 
 
-def exact_hadamard_block(total: int):
-    """Sector `total` of the balanced beamsplitter from exact integers.
+def exact_hadamard_column(total: int, m: int):
+    """Column m of sector `total` of the balanced beamsplitter from exact integers.
 
-    Entry [p, m] is the amplitude of |p, total-p> in the image of
-    |m, total-m> under a_1 -> (a_1 + a_2)/sqrt(2), a_2 -> (a_1 - a_2)/sqrt(2):
-    the coefficient of x^p in (x+1)^m (x-1)^(total-m), expanded in Python
-    integers, so every entry is correct to a few ulp at any total.
+    Entry p is the amplitude of |p, total-p> in the image of |m, total-m> under
+    a_1 -> (a_1 + a_2)/sqrt(2), a_2 -> (a_1 - a_2)/sqrt(2): the coefficient of
+    x^p in (x+1)^m (x-1)^(total-m), expanded in Python integers and scaled in
+    extended precision (np.longdouble), so every entry is correct to a few ulp
+    of a double at any total.
     """
     import numpy as np
 
-    fact = [math.factorial(i) for i in range(total + 1)]
-    scale = 2.0 ** (-total / 2.0)
-    block = np.zeros((total + 1, total + 1))
-    for m in range(total + 1):
-        n = total - m
-        coeffs = [math.comb(m, j) for j in range(m + 1)] + [0] * n
-        for _ in range(n):  # multiply by (x - 1), exact integers
-            for p in range(total, -1, -1):
-                coeffs[p] = (coeffs[p - 1] if p > 0 else 0) - coeffs[p]
-        for p, s in enumerate(coeffs):
-            if s:
-                ratio = (fact[p] * fact[total - p]) / (fact[m] * fact[n])
-                block[p, m] = s * math.sqrt(ratio) * scale
-    return block
+    n = total - m
+    plus = np.array([math.comb(m, j) for j in range(m + 1)], dtype=object)
+    minus = np.array([math.comb(n, k) * (-1) ** (n - k) for k in range(n + 1)], dtype=object)
+    coeffs = np.convolve(plus, minus).tolist()  # Python integers
+    # entry^2 = coeff^2 p! (total-p)! / (m! n! 2^total) = coeff^2 C(total, m) / (C(total, p) 2^total)
+    squares = [c * c * math.comb(total, m) for c in coeffs]
+    scales = [math.comb(total, p) << total for p in range(total + 1)]
+    ratio = np.array(squares, dtype=np.longdouble) / np.array(scales, dtype=np.longdouble)
+    return np.array([(c > 0) - (c < 0) for c in coeffs]) * np.sqrt(ratio)
+
+
+def exact_hadamard_block(total: int):
+    """Sector `total` of the balanced beamsplitter from exact integers: entry
+    [p, m] is exact_hadamard_column(total, m)[p]."""
+    import numpy as np
+
+    return np.column_stack([exact_hadamard_column(total, m) for m in range(total + 1)])
+
+
+def exact_standing_amplitudes(state):
+    """fock.standing_basis(state)'s amplitudes from exact integers, for a state
+    of few kets within its cutoff on each rail's (K, MINUS_K): each ket's image
+    is the outer product over rails of exact_hadamard_column, summed in extended
+    precision (np.clongdouble), in the state's axis order."""
+    import numpy as np
+
+    from cpa_sim.modes import TRAVELLING_KINDS, ModeLabel, basis_rails
+
+    dim = state.dim
+    pairs = [[state.axis(ModeLabel(kind, rail)) for kind in TRAVELLING_KINDS]
+             for rail in basis_rails(state.modes, TRAVELLING_KINDS)]
+    out = np.zeros(state.amplitudes.shape, dtype=np.clongdouble)
+    for index in zip(*np.nonzero(state.amplitudes)):
+        image = np.clongdouble(state.amplitudes[index])
+        for ia, ib in pairs:
+            m, total = int(index[ia]), int(index[ia] + index[ib])
+            plane = np.zeros((dim, dim), dtype=np.longdouble)
+            p = np.arange(total + 1)
+            plane[p, total - p] = exact_hadamard_column(total, m)
+            image = np.multiply.outer(image, plane)
+        out += np.transpose(image, np.argsort([axis for pair in pairs for axis in pair]))
+    return out
 
 
 def sector_loop_mix(state, a, b, c: float, s: float):
     """fock._mix as one loop over total-photon sectors: per sector a fancy-index
     gather of its columns, a vdot for the mass floor, a complex matmul with the
-    real block and a fancy-index scatter.  The same blocks, windows, floor and
-    row clipping as the engine, without its strided layout."""
+    real block and a fancy-index scatter.  The same windows, floor and row
+    clipping as the engine, without its strided layout; every block comes from
+    one _next_block chain, where the engine reads a vacuum partner's from
+    loss_amplitudes."""
     import numpy as np
 
     from cpa_sim import fock
@@ -180,18 +211,15 @@ def sector_loop_mix(state, a, b, c: float, s: float):
     out = np.zeros((cutoff + 1,) * len(modes), dtype=complex)
     arr, out_ab = (np.moveaxis(x, (ia, ib), (0, 1)) for x in (amps, out))
     top_a, top_b = fock._top_levels(amps, ia, ib)
-    balanced = c == s == fock._INV_SQRT2
     block, first = np.ones((1, 1)), 0
     for total in range(top_a + top_b + 1):
         lo_m, hi_m = max(0, total - top_b), min(total, top_a)
-        if total and not balanced:
+        if total:
             block, first = fock._next_block(block, first, c, s, lo_m, hi_m), lo_m
         ms = np.arange(lo_m, hi_m + 1)
         sector = arr[ms, total - ms]
         if float(np.vdot(sector, sector).real) < fock.SECTOR_MASS_FLOOR:
             continue
-        if balanced:
-            block = fock.hadamard_block(total)[:, lo_m:hi_m + 1]
         lo, hi = max(0, total - cutoff), min(total, cutoff)
         ps = np.arange(lo, hi + 1)
         image = block[lo:hi + 1] @ sector.reshape(len(ms), -1)

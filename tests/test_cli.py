@@ -645,14 +645,17 @@ def test_run_names_the_cutoff_strong_squeezing_needs(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("alpha, message", [
-    (27.0, "numerical failure: norm lost to cutoff: 1 - |psi| = "),
-    (28.0, "numerical failure: zero-amplitude state"),
-])
+    (27.0, "numerical failure: state with |alpha| = 38.1838 on one mode is past double "
+           "range: its vacuum amplitude 2.51e-317 underflows below 2.23e-308"),
+    (28.0, "numerical failure: state with |alpha| = 39.598 on one mode is past double "
+           "range: its vacuum amplitude 0 underflows below 2.23e-308"),
+], ids=["alpha27", "alpha28"])
 def test_run_cat_past_double_range_exits_2(tmp_path, capsys, alpha, message):
-    """At |alpha| = 27 and 28 (cutoffs 1766 and 1887) the standing state's
-    branches start at e^{-|alpha|^2} / 2, which is subnormal or underflows to zero:
-    the run exits 2 at the norm check.  A one-mode vector started at 1 would
-    overflow to inf, and inf * 0 to NaN, which no norm check refuses."""
+    """At |alpha| = 27 and 28 (cutoffs 1766 and 1887) each standing branch holds
+    sqrt(2) alpha on one standing mode, whose one-mode vector starts at
+    e^{-|alpha|^2}: subnormal at 27, zero at 28.  The run exits 2 naming that
+    amplitude and the underflow, before the vector is built.  A one-mode vector
+    started at 1 would overflow to inf, and inf * 0 to NaN."""
     payload = {"schema": 1, "engine": "FOCK", "scenario": {"kind": "CAT_CAT", "alpha": alpha}}
     code, out, err = run_cli(capsys, "run", write_json(tmp_path, "cat.json", payload))
     assert code == 2

@@ -1,4 +1,5 @@
 """Discrete-variable scenarios: inputs, standing decompositions, statistics."""
+import contextlib
 import json
 import math
 import os
@@ -8,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -120,6 +121,31 @@ def test_bell_standing_mappings():
             state = fock.bs_transform(state, K.with_rail(rail), MINUS_K.with_rail(rail))
         target = dv.bell_standing_state(target_kind)
         assert oracle.fidelity(state, target) >= 1.0 - 1e-12, (source, target_kind)
+
+
+def _aligned(closed: np.ndarray, reference: np.ndarray) -> np.ndarray:
+    """`closed` times the global phase that brings it onto `reference`."""
+    overlap = np.vdot(closed, reference)
+    return closed * (overlap / abs(overlap))
+
+
+@given(kind=st.sampled_from(list(dv.DvKind)), n=st.integers(1, 300), delta=st.floats(-10.0, 10.0))
+@settings(max_examples=40, deadline=None)
+@example(kind=dv.DvKind.NOON, n=300, delta=0.4)
+@example(kind=dv.DvKind.NOON, n=120, delta=2.1)
+def test_standing_closed_forms_match_the_exact_expansion(kind, n, delta):
+    """dv.standing_state is within 5e-16 of the input's exact integer expansion
+    (tests/oracle.py) and within 1e-15 of fock.standing_basis, each after
+    aligning the global phase: NOON n <= 300, the single photon, and all four
+    Bell kinds, whose standing state is the mapped Bell state on (C, S)."""
+    scenario = dv.DvScenario(kind, n if kind is dv.DvKind.NOON else 1, delta)
+    state = dv.build_input(scenario, scenario.total_photons)
+    closed = dv.standing_state(scenario, scenario.total_photons)
+    mixed = fock.standing_basis(state)
+    assert closed.modes == mixed.modes
+    exact = oracle.exact_standing_amplitudes(state)
+    assert np.max(np.abs(_aligned(closed.amplitudes, exact) - exact)) <= 5e-16
+    assert np.max(np.abs(_aligned(closed.amplitudes, mixed.amplitudes) - mixed.amplitudes)) <= 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -256,35 +282,40 @@ def test_one_rail_outputs_match_the_joint_route(n, delta, choice, tau_c):
 
 def _calls(scenario: dv.DvScenario) -> dict[str, int]:
     """How often a run at tau_c = 0.4 calls each map that builds or mixes the joint."""
-    names = ("cpa_channel", "full_pipeline", "bs_transform")
-    spies = [mock.patch.object(fock, name, wraps=getattr(fock, name)) for name in names]
-    with spies[0] as channel, spies[1] as pipeline, spies[2] as mix:
+    names = ("cpa_channel", "full_pipeline", "bs_transform", "_mix", "standing_basis")
+    with contextlib.ExitStack() as stack:
+        spies = [stack.enter_context(mock.patch.object(fock, name, wraps=getattr(fock, name)))
+                 for name in names]
         dv.run_scenario(scenario, AbsorberSpec(-0.3))
-    return {name: spy.call_count for name, spy in zip(names, (channel, pipeline, mix))}
+    return {name: spy.call_count for name, spy in zip(names, spies)}
 
 
 @pytest.mark.parametrize("scenario", [
     dv.DvScenario(dv.DvKind.NOON, 5, 0.3), dv.DvScenario(dv.DvKind.SINGLE_PHOTON),
 ], ids=["NOON", "SINGLE_PHOTON"])
 def test_one_rail_run_builds_no_joint(scenario):
-    """The standing state is built once (one beamsplitter) and feeds both
-    readouts: no absorber mix, no pipeline, no mix back."""
-    assert _calls(scenario) == {"cpa_channel": 0, "full_pipeline": 0, "bs_transform": 1}
+    """The standing state is built in closed form and feeds both readouts: no
+    beamsplitter, no absorber mix, no pipeline, no mix back."""
+    assert _calls(scenario) == {"cpa_channel": 0, "full_pipeline": 0, "bs_transform": 0,
+                                "_mix": 0, "standing_basis": 0}
 
 
 def test_bell_run_reads_its_joint():
+    """A Bell run builds its joint once, and the standing state inside it is its
+    only basis change: absorber_environment reads the closed form."""
     calls = _calls(dv.DvScenario(dv.DvKind.BELL_PSI_PLUS))
     assert calls["full_pipeline"] == 1 and calls["cpa_channel"] == 1
+    assert calls["standing_basis"] == 1
 
 
-def test_large_noon_run_peaks_below_100_mib(tmp_path):
-    """NOON n = 200 at tau_c = 0.46 runs in a fresh interpreter with a peak RSS
-    (VmHWM) below 100 MiB; building its (n+1)^3 joint took 306 MiB."""
+def _noon_run_peak_kib(tmp_path, n: int) -> tuple[int, int]:
+    """(reported counts, VmHWM in KiB) of `cpa run` on NOON n at tau_c = 0.46 in a
+    fresh interpreter."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(fock.__file__)))
     path = tmp_path / "noon.json"
     path.write_text(json.dumps({
-        "schema": 1, "engine": "FOCK", "scenario": {"kind": "NOON", "n": 200, "delta_theta": 0.4},
-        "absorber": {"tau_c": 0.46}, "numerics": {"cutoff": 200}}))
+        "schema": 1, "engine": "FOCK", "scenario": {"kind": "NOON", "n": n, "delta_theta": 0.4},
+        "absorber": {"tau_c": 0.46}, "numerics": {"cutoff": n}}))
     code = (
         "import contextlib, io, json, sys\n"
         "from cpa_sim import cli\n"
@@ -298,6 +329,21 @@ def test_large_noon_run_peaks_below_100_mib(tmp_path):
     env = dict(os.environ, PYTHONPATH=src)
     run = subprocess.run([sys.executable, "-c", code, str(path)], env=env, timeout=120,
                          capture_output=True, text=True, check=True)
-    outputs, peak_kib = map(int, run.stdout.split())
+    return tuple(map(int, run.stdout.split()))
+
+
+def test_large_noon_run_peaks_below_100_mib(tmp_path):
+    """NOON n = 200 at tau_c = 0.46 runs in a fresh interpreter with a peak RSS
+    (VmHWM) below 100 MiB; building its (n+1)^3 joint took 306 MiB."""
+    outputs, peak_kib = _noon_run_peak_kib(tmp_path, 200)
+    assert outputs > 50
+    assert peak_kib < 100 * 1024
+
+
+def test_largest_noon_run_peaks_below_100_mib(tmp_path):
+    """NOON n = 405, the most the memory budget admits, stays below 100 MiB too:
+    its standing state is built in closed form, with no cache of balanced
+    blocks (which held 179 MB of the 225 MiB it peaked at)."""
+    outputs, peak_kib = _noon_run_peak_kib(tmp_path, 405)
     assert outputs > 50
     assert peak_kib < 100 * 1024

@@ -180,13 +180,16 @@ def test_pair_runs_never_mix_after_the_standing_state_exists(scenario):
     assert spy.call_count == 0
 
 
-def test_pair_run_leaves_the_balanced_block_cache_alone():
-    """A cutoff-123 pair run grows no balanced block: from a cache holding only
-    total 0 (as in a fresh process), the cache still holds one block after it."""
-    with mock.patch.object(fock, "_HADAMARD_BLOCKS", [np.ones((1, 1))]):
-        result = ng.run_asymmetric(2.0, 1.0)
-        assert len(fock._HADAMARD_BLOCKS) == 1
-    assert result.numerics["cutoff"] == 123
+def test_pair_run_leaves_the_balanced_block_cache_alone(monkeypatch):
+    """No balanced-block cache is left to grow; what a pair run must leave alone
+    is the mix: a cutoff-123 run builds its standing state in closed form and
+    calls neither _mix nor _next_block."""
+    def refuse(*args):
+        raise AssertionError("mix called")
+
+    monkeypatch.setattr(fock, "_mix", refuse)
+    monkeypatch.setattr(fock, "_next_block", refuse)
+    assert ng.run_asymmetric(2.0, 1.0).numerics["cutoff"] == 123
 
 
 def _mixed_reference(factors, even, cutoff):
