@@ -34,6 +34,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import struct
 import sys
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -126,7 +127,7 @@ class DensityOperator:
             raise FockError(f"purification shape {self.factor.shape} != ({dim}, r)")
         check_mode_consistency(self.modes)
         trace = float(np.vdot(self.factor, self.factor).real)
-        if abs(trace - 1.0) > 1e-9:
+        if not abs(trace - 1.0) <= 1e-9:  # a NaN trace fails this, not `> 1e-9`
             raise FockError(f"density matrix trace {trace!r} != 1")
         self.factor.setflags(write=False)
 
@@ -376,13 +377,22 @@ def balanced_pair(factors: Sequence[Sequence[tuple]], cutoff: int) -> PureState:
     - T_CS sqrt(n) psi[m, n-1]) / sqrt(m+1).  Each row holds true amplitudes, so
     none overflows; with T_CS = 0 a branch is an outer product of one-mode
     states.  1 - |psi| is the exact state's weight outside the box."""
-    dim, amps = cutoff + 1, 0.0
+    dim, amps, one_modes = cutoff + 1, 0.0, {}
+
+    def one_mode(beta: complex, xi: float, phi: float) -> np.ndarray:
+        """D(beta) S(xi e^{i phi})|0>, built once per call for each exact bit pattern
+        (signed zeros too): a cat pair's 8 vectors hold 3 distinct ones."""
+        key = struct.pack("<4d", beta.real, beta.imag, xi, phi)
+        if key not in one_modes:
+            one_modes[key] = displaced_squeezed_amplitudes(beta, xi, phi, dim)
+        return one_modes[key]
+
     for (w1, *one), (w2, *two) in itertools.product(*factors):
         first, second = _displacement(*one, cutoff), _displacement(*two, cutoff)
         (c1, b1, t1), (c2, b2, t2) = _bargmann(*first), _bargmann(*second)
         if t1 == t2:  # equal squeezers commute with the mix: D(beta_C) S (x) D(beta_S) S
             sides = ((first[0] + sign * second[0]) * _INV_SQRT2 for sign in (1, -1))
-            on_c, on_s = (displaced_squeezed_amplitudes(beta, *first[1:], dim) for beta in sides)
+            on_c, on_s = (one_mode(beta, *first[1:]) for beta in sides)
             amps = amps + np.multiply.outer(w1 * w2 * on_c, on_s)
             continue
         b_c, b_s, t_cc, t_cs = (b1 + b2) * _INV_SQRT2, (b1 - b2) * _INV_SQRT2, (t1 + t2) / 2, (t1 - t2) / 2
@@ -645,7 +655,7 @@ def absorber_environment(standing: PureState, absorber: AbsorberSpec) -> Environ
                 mirror = np.greater.outer(grid[r].ravel(), grid[r].ravel())  # rail r's ket > bra
                 rho = np.where(mirror, flat.conj().T, flat).reshape(rho.shape)
         rho = rho.reshape(levels ** count, -1)
-    if abs(float(np.trace(rho).real) - 1.0) > 1e-9:
+    if not abs(float(np.trace(rho).real) - 1.0) <= 1e-9:
         raise FockError(f"environment density matrix trace {np.trace(rho).real!r} != 1")
     weights = np.bincount(totals, weights=np.diagonal(rho).real, minlength=count * (dim - 1) + 1)
     return EnvironmentReadout(

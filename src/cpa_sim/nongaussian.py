@@ -23,7 +23,7 @@ from .absorber import CANONICAL, AbsorberSpec
 from .fock import CutoffError, PureState
 from .gaussian import SqueezedSpec
 from .modes import C, K, MINUS_K, S
-from .results import ScenarioResult, fock_result
+from .results import LevelTable, ScenarioResult, fock_result
 
 SQUEEZED_TAIL = 1e-12  # weight a squeezed partner's automatic cutoff leaves above it
 PAIR_PEAK_STATES = 4.5  # a pair run's peak memory, in dense (cutoff+1)^2 states (settle_cutoff)
@@ -183,11 +183,8 @@ def run_asymmetric(
     )
     standing_dist = fock.joint_occupation_distribution(standing, C, S)
     reported = standing_dist > 1e-12
-    levels, probabilities = np.argwhere(reported).tolist(), standing_dist[reported].tolist()
     result.extras = {
-        "standing_joint_distribution": {
-            f"{na},{nb}": p for (na, nb), p in zip(levels, probabilities)
-        },
+        "standing_joint_distribution": LevelTable(np.argwhere(reported), standing_dist[reported]),
         "standing_cross_sector_mass": float(standing_dist[1:, 1:].sum()),
         "p_all_absorbed": environment.p_all_absorbed,
         "p_all_transmitted": environment.distribution[0],

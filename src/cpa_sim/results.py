@@ -11,11 +11,19 @@ round-trip through a normal double, so where f"{v:.12g}" has a fraction and no
 exponent, or a two-digit negative exponent, it already is that token; any other
 text (integral, e+12 and up, subnormal, signed zero) is re-read and printed by
 repr.  NaN and infinities have no JSON token: FockError names their path.
+
+A LevelTable (the standing joint distribution, thousands of entries) holds its
+level pairs and values as arrays.  When every value lies in TABLE_RANGE, where
+that rule always keeps the f"{v:.12g}" text, the table is written by one
+'"%d,%d": %.12g' format call over the arrays; any other table (a value that
+rounds to 1, a subnormal, zero, NaN) is written entry by entry through _number.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 from json.encoder import encode_basestring_ascii as _string
 from typing import Any
 
@@ -40,6 +48,46 @@ def _number(value: float) -> str:
     return repr(float(text))
 
 
+# |v| where f"{v:.12g}" is _number's token: 1e-99 prints as "1e-99" (a two-digit
+# negative exponent) and anything below 0.9999999999995 rounds to "0.", not "1"
+TABLE_RANGE = (1e-99, 0.9999999999995)
+
+
+class LevelTable(Mapping):
+    """Read-only map "na,nb" -> value over (n, 2) integer `levels` and their
+    (n,) float `weights`, written by _text without a key or token per entry."""
+
+    def __init__(self, levels: np.ndarray, weights: np.ndarray) -> None:
+        self.levels, self.weights = levels, weights
+        levels.setflags(write=False)
+        weights.setflags(write=False)
+
+    @cached_property
+    def _entries(self) -> dict[str, float]:
+        return {f"{na},{nb}": w for (na, nb), w in zip(self.levels.tolist(), self.weights.tolist())}
+
+    def __getitem__(self, key: str) -> float:
+        return self._entries[key]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._entries)
+
+    def __len__(self) -> int:
+        return len(self.weights)
+
+    def text(self, inner: str) -> str | None:
+        """The entries' JSON lines joined by `inner`, or None when the table is
+        empty or a value lies outside TABLE_RANGE (the caller then writes it
+        entry by entry)."""
+        size = np.abs(self.weights)
+        if not size.size or not np.all((size >= TABLE_RANGE[0]) & (size < TABLE_RANGE[1])):
+            return None
+        flat = [0] * (3 * len(self))
+        flat[0::3], flat[1::3] = self.levels.T.tolist()
+        flat[2::3] = self.weights.tolist()
+        return ("," + inner).join(['"%d,%d": %.12g'] * len(self)) % tuple(flat)
+
+
 def _text(obj: Any, newline: str) -> str:
     """JSON text of `obj`; `newline` begins each of its continuation lines."""
     if obj is None:
@@ -57,7 +105,9 @@ def _text(obj: Any, newline: str) -> str:
     if isinstance(obj, complex):
         obj = [obj.real, obj.imag]
     inner = newline + "  "  # floats, most of the leaves, are tokenized in place
-    if isinstance(obj, dict):
+    if isinstance(obj, LevelTable) and (lines := obj.text(inner)) is not None:
+        return f"{{{inner}{lines}{newline}}}"
+    if isinstance(obj, (dict, LevelTable)):
         ends, items = "{}", [
             f"{_string(str(key))}: {_number(v) if type(v) is float else _text(v, inner)}"
             for key, v in obj.items()
@@ -77,7 +127,7 @@ def _nonfinite_path(obj: Any, path: str = "$") -> str | None:
         return None if math.isfinite(obj) else path
     if isinstance(obj, complex):
         obj = [obj.real, obj.imag]
-    if isinstance(obj, dict):
+    if isinstance(obj, (dict, LevelTable)):
         pairs = [(f"{path}.{key}", value) for key, value in obj.items()]
     elif isinstance(obj, (list, tuple)):
         pairs = [(f"{path}[{i}]", value) for i, value in enumerate(obj)]

@@ -407,7 +407,9 @@ def superposition_of_coherent_pair(alpha: complex, cutoff: int):
 
 def _rounded(obj):
     """The payload json.dumps is given: floats at 12 significant digits, None as
-    "undefined", numpy scalars as Python ones, dict keys as str(key)."""
+    "undefined", numpy scalars as Python ones, mapping keys as str(key)."""
+    from collections.abc import Mapping
+
     import numpy as np
 
     if obj is None:
@@ -420,7 +422,7 @@ def _rounded(obj):
         return float(f"{obj:.12g}")
     if isinstance(obj, complex):
         return [float(f"{obj.real:.12g}"), float(f"{obj.imag:.12g}")]
-    if isinstance(obj, dict):
+    if isinstance(obj, Mapping):  # a dict, or a results.LevelTable read entry by entry
         return {str(k): _rounded(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_rounded(v) for v in obj]

@@ -142,6 +142,45 @@ def test_pure_state_refuses_nan_amplitudes():
         fock.PureState((K, MINUS_K), 1, np.array([[math.nan, 0.0], [0.0, 0.0]], dtype=complex))
 
 
+def test_density_operator_refuses_a_nan_purification():
+    """`abs(nan - 1) > 1e-9` is False, so the trace check is written to fail on NaN."""
+    with pytest.raises(FockError, match=r"density matrix trace nan != 1"):
+        fock.DensityOperator((K,), 1, np.array([[math.nan], [0.0]]))
+
+
+@pytest.mark.parametrize("absorber", [CANONICAL, AbsorberSpec(reflection=-0.3),
+                                      AbsorberSpec(swap_roles=True)],
+                         ids=["canonical", "tau_c", "swap"])
+def test_absorber_environment_refuses_a_nan_state(absorber):
+    """A NaN amplitude on a state built without checks (fock._built) reaches the
+    environment's reduced state; the trace check refuses it, where an entropy of
+    0.0 (max(0.0, nan)) or a LinAlgError came out before."""
+    amps = np.zeros((3, 3), dtype=complex)
+    amps[0, 1], amps[1, 0] = math.nan, 1.0
+    with pytest.raises(FockError, match=r"environment density matrix trace .*nan.* != 1"):
+        fock.absorber_environment(fock._built((C, S), 2, amps), absorber)
+
+
+def test_balanced_pair_builds_each_one_mode_vector_once(monkeypatch):
+    """A cat pair's four branch pairs ask for eight one-mode vectors, and only
+    sqrt(2) alpha, 0 and -sqrt(2) alpha differ: three _one_mode calls, and the
+    same amplitudes as building all eight."""
+    alpha, cutoff = 1.3 - 0.4j, 30
+    weight = nongaussian._cat_weight(alpha)
+    cats = [[(weight, a, 0.0, 0.0) for a in (alpha, -alpha)]] * 2
+    unshared = sum(
+        np.multiply.outer(w1 * w2 * fock.displaced_squeezed_amplitudes(
+            (a1 + a2) / math.sqrt(2.0), 0.0, 0.0, cutoff + 1),
+            fock.displaced_squeezed_amplitudes((a1 - a2) / math.sqrt(2.0), 0.0, 0.0, cutoff + 1))
+        for (w1, a1, *_), (w2, a2, *_) in itertools.product(*cats))
+    calls = []
+    one_mode = fock._one_mode
+    monkeypatch.setattr(fock, "_one_mode", lambda *args: calls.append(args) or one_mode(*args))
+    state = fock.balanced_pair(cats, cutoff)
+    assert len(calls) == 3
+    np.testing.assert_allclose(state.amplitudes, unshared / np.linalg.norm(unshared), atol=1e-15)
+
+
 def test_superposition_refuses_a_nan_coefficient():
     with pytest.raises(FockError, match=r"not finite: \|psi\|\^2 = nan"):
         fock.superposition([(math.nan, {K: 1}), (1.0, {MINUS_K: 1})], (K, MINUS_K), 2)

@@ -123,3 +123,59 @@ def test_non_finite_result_exits_2_without_output(value, tmp_path, capsys, monke
         assert captured.out == ""
         assert captured.err == "numerical failure: non-finite value at extras.p_all_absorbed\n"
     assert not out.exists()
+
+
+def _level_table(entries):
+    """A LevelTable of (na, nb, value) entries, as run_asymmetric builds one."""
+    levels = np.array([entry[:2] for entry in entries], dtype=np.int64).reshape(-1, 2)
+    return results.LevelTable(levels, np.array([entry[2] for entry in entries], dtype=float))
+
+
+# the edges of results.TABLE_RANGE, and values on either side of them
+_EDGES = [1e-99, 9.9999999999995e-100, 9.99999999999995e-05, 0.99999999999949,
+          0.9999999999995, 1.0, 5e-324, -0.0, 0.0, 1e12, 3.7e15, -0.25]
+_IN_RANGE = st.floats(1e-99, 0.9999999999995, exclude_max=True) | st.floats(
+    -0.9999999999995, -1e-99, exclude_min=True)
+_TABLE_VALUES = st.sampled_from(_EDGES) | st.floats(allow_nan=False, allow_infinity=False)
+_LEVEL_PAIRS = st.tuples(st.integers(0, 10**6), st.integers(0, 10**6))
+
+
+@given(st.lists(st.tuples(_LEVEL_PAIRS, _IN_RANGE | _TABLE_VALUES), max_size=40,
+                unique_by=lambda entry: entry[0])
+       | st.lists(st.tuples(_LEVEL_PAIRS, _IN_RANGE), max_size=40, unique_by=lambda entry: entry[0]))
+@example([])
+@example([((0, 0), 1.0)])
+@example([((0, 0), 0.9999999999995), ((0, 1), 1e-99)])
+@example([((n, 2 * n), v) for n, v in enumerate(_EDGES)])
+@settings(max_examples=300, deadline=None)
+def test_level_table_is_written_as_its_entries(entries):
+    """One format call over the arrays where every value lies in TABLE_RANGE, the
+    per-entry path otherwise: either way json.dumps of the rounded entries."""
+    table = _level_table([(na, nb, value) for (na, nb), value in entries])
+    payload = {"extras": {"standing_joint_distribution": table, "after": [0.5]}}
+    assert results.clean(payload) == oracle.json_reference(payload)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_level_table_names_its_non_finite_entry(value):
+    table = _level_table([(0, 0, 0.5), (3, 17, value), (12, 1, 0.25)])
+    with pytest.raises(
+        FockError, match=r"non-finite value at extras\.standing_joint_distribution\.3,17$"
+    ):
+        results.clean({"extras": {"standing_joint_distribution": table}})
+
+
+def test_coherent_squeezed_run_tokenizes_no_table_entry(tmp_path, capsys, monkeypatch):
+    """A cutoff-123 COHERENT_SQUEEZED run writes its 1,698 table entries in
+    one format call: _number tokenizes only the rest, under 300 floats."""
+    path = tmp_path / "coherent_squeezed.json"
+    path.write_text(json.dumps({"schema": 1, "engine": "FOCK", "scenario": {
+        "kind": "COHERENT_SQUEEZED", "alpha": 2.0, "xi": 1.0}}))
+    calls = []
+    number = results._number
+    monkeypatch.setattr(results, "_number", lambda value: calls.append(value) or number(value))
+    assert cli.main(["run", str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["numerics"]["cutoff"] == 123
+    assert len(out["extras"]["standing_joint_distribution"]) == 1698
+    assert len(calls) < 300, len(calls)
