@@ -15,8 +15,8 @@ adds the `run` files the benchmark generates for it, in op order:
 `cpabench/workloads.py` writes them to a temporary directory, which the record
 names `<NAME-seedN>`, so no benchmark run is needed first and two records of
 the same inputs compare equal.  It writes one JSON line per command: argv,
-exit code, the sha256 of stdout (and of the CSV a preset writes), stderr, and
-for `run` the stdout itself.  Whichever `cpa_sim` is
+exit code, the sha256 of stdout (and of the CSV a preset writes, with the CSV
+text itself), stderr, and for `run` the stdout itself.  Whichever `cpa_sim` is
 importable is recorded, so pointing PYTHONPATH at another checkout's `src`
 records that one.
 
@@ -25,7 +25,10 @@ only one record has, and exits 1 when there is any.  Under each argv it names
 what moved, one `  PATH: OLD -> NEW` line each: `exit`, `stderr`, and every
 value of the `run` JSON whose token differs, by its path
 (`separability.env_entanglement_entropy`, `conditional_outputs[1].purity`;
-`<absent>` where a key exists on one side).
+`<absent>` where a key exists on one side), and every CSV cell that differs
+as `row R, COLUMN: OLD -> NEW`, R counting data rows from 1 (`row R: <absent>
+-> LINE` where a row exists on one side, `header: OLD -> NEW` where the
+header lines differ).
 
 Good inputs are `tests/golden`, `tests/hostile` (whose exit codes and stderr
 the record pins) and the benchmark's workloads, e.g.
@@ -90,7 +93,7 @@ def _sha256(data: str) -> str:
 
 
 def record(argvs: list[list[str]]) -> list[dict]:
-    """One line per argv: exit code, sha256 of stdout and of any CSV, stderr."""
+    """One line per argv: exit code, sha256 of stdout and of any CSV, the CSV, stderr."""
     from cpa_sim import cli
 
     lines = []
@@ -116,7 +119,7 @@ def record(argvs: list[list[str]]) -> list[dict]:
             line = {"argv": argv, "exit": code, "stdout_sha256": _sha256(out.getvalue())}
             if CSV in argv:
                 text = csv_path.read_text(encoding="utf-8") if csv_path.exists() else ""
-                line["csv_sha256"] = _sha256(text)
+                line["csv_sha256"], line["csv"] = _sha256(text), text
                 csv_path.unlink(missing_ok=True)
             line["stderr"] = err.getvalue()
             if argv[0] == "run":
@@ -146,14 +149,35 @@ def _leaves(obj, path: str = "") -> dict[str, str]:
     return {p: token for key, value in pairs for p, token in _leaves(value, key).items()}
 
 
+def _cells(old: str, new: str) -> list[tuple[str, str, str]]:
+    """(`row R, COLUMN`, old, new) of each cell that differs between two CSV
+    texts, R counting data rows from 1; a row on one side only, or with another
+    number of cells, is one `row R` entry."""
+    old_rows, new_rows = ([line.split(",") for line in text.splitlines()] or [[]]
+                          for text in (old, new))
+    header = old_rows[0] or new_rows[0]
+    out = [] if old_rows[0] == new_rows[0] else [
+        ("header", ",".join(old_rows[0]), ",".join(new_rows[0]))]
+    for r in range(1, max(len(old_rows), len(new_rows))):
+        cells = [rows[r] if r < len(rows) else None for rows in (old_rows, new_rows)]
+        if None in cells or len(cells[0]) != len(cells[1]):
+            out.append((f"row {r}", *(ABSENT if c is None else ",".join(c) for c in cells)))
+        else:
+            out += [(f"row {r}, {column}", cell_old, cell_new)
+                    for column, cell_old, cell_new in zip(header, *cells) if cell_old != cell_new]
+    return out
+
+
 def moved(a: dict | None, b: dict | None) -> list[tuple[str, str, str]]:
     """(path, old, new) of what differs between two lines of one command: exit,
-    stderr and each value of a `run`'s JSON stdout; `stdout` itself when the
-    texts differ in nothing else."""
+    stderr, each cell of a preset's CSV and each value of a `run`'s JSON stdout;
+    `stdout` itself when the texts differ in nothing else."""
     a, b = a or {}, b or {}
     out = [(key, json.dumps(a.get(key)) if key in a else ABSENT,
             json.dumps(b.get(key)) if key in b else ABSENT)
            for key in ("exit", "stderr") if a.get(key) != b.get(key)]
+    if a.get("csv") != b.get("csv"):
+        out += _cells(a.get("csv", ""), b.get("csv", ""))
     if a.get("stdout") == b.get("stdout"):
         return out
     text = [("stdout", "<text>", "<text>")]

@@ -16,12 +16,21 @@ engine passing in its own primitives: change_basis, the balanced beamsplitter
 on each rail's (K, MINUS_K) pair, or its (C, S) pair on the way back, then the
 relabel; and absorb, the two-mode mix of each rail's absorbed standing mode
 with that rail's environment mode ENV_C, which the mix attaches in vacuum.
+
+Both engines read the absorption coefficients by one rule, absorbed_share:
+light in the standing mode with an antinode at the canonical absorber, C, is
+absorbed, so a coefficient is C's share of the standing pair's <n> (intensity)
+or |<a>|^2 (coherence).  Through the balanced mix this is the travelling form
+1/2 + Re<a_K^dag a_-K> / (I_K + I_-K).  It describes the input: swap_roles
+leaves it alone.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
+
+import numpy as np
 
 from .modes import ENV_C, STANDING_KINDS, ModeError, ModeKind, ModeLabel, basis_rails
 
@@ -83,3 +92,15 @@ def absorb(state, absorber: AbsorberSpec, mix: Callable):
             raise ModeError(f"environment mode {env} already attached")
         result = mix(result, ModeLabel(absorber.absorbed_kind, rail), env, tau, s)
     return result
+
+
+def absorbed_share(absorbed, passed):
+    """absorbed / (absorbed + passed), an absorption coefficient, undefined where
+    the total is <= 1e-12: None for scalars, NaN within arrays.  A scalar total
+    past double range gives inf, which results.clean refuses by name."""
+    total = absorbed + passed
+    if isinstance(total, np.ndarray):
+        return np.divide(absorbed, total, out=np.full(total.shape, np.nan), where=total > 1e-12)
+    if not math.isfinite(total):
+        return math.inf
+    return float(absorbed / total) if total > 1e-12 else None

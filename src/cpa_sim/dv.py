@@ -88,11 +88,6 @@ def build_input(scenario: DvScenario, cutoff: int) -> PureState:
     return fock.superposition(terms, (K, MINUS_K), cutoff)
 
 
-def bell_standing_state(kind: DvKind, cutoff: int = 2) -> PureState:
-    """Expected standing-basis Bell state (on travelling labels, rail-encoded)."""
-    return build_input(DvScenario(kind), cutoff)
-
-
 # (i^m, sign) by m mod 4: cos((pi m + delta)/2) = sign * (cos, sin)[m mod 2] of delta/2
 _QUARTER_TURNS = ((1 + 0j, 1.0), (1j, -1.0), (-1 + 0j, -1.0), (-1j, 1.0))
 

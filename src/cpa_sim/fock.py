@@ -6,8 +6,9 @@ common cutoff.  Every run builds its standing state in closed form
 environment there, through the pure-loss channel's complementary map in closed
 form: real Toeplitz matmuls per rail on the diagonal-major layout of the
 absorbed modes' reduced state (absorber_environment), with no light x
-environment joint.  The travelling absorption coefficients are moments of the
-standing state too (absorption_coefficients), and a one-rail DV run's counts
+environment joint.  The absorption coefficients are the standing state's shares
+too (absorption_coefficients, by absorber.absorbed_share as on the Gaussian
+engine), and a one-rail DV run's counts
 each leave pure light read off it (absorber_outputs).  Only the Bell kinds run
 the pipeline of two-mode mixes (absorber.py's stages, as on the Gaussian
 engine), and read every count from one pass over |joint|^2
@@ -41,7 +42,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .absorber import AbsorberSpec, absorb, change_basis
+from .absorber import AbsorberSpec, absorb, absorbed_share, change_basis
 from .modes import (C, K, MINUS_K, S, STANDING_KINDS, STANDING_OF, TRAVELLING_OF, ModeError,
                     ModeLabel, basis_rails, check_mode_consistency)
 
@@ -656,7 +657,7 @@ def absorber_environment(standing: PureState, absorber: AbsorberSpec) -> Environ
                 rho = np.where(mirror, flat.conj().T, flat).reshape(rho.shape)
         rho = rho.reshape(levels ** count, -1)
     if not abs(float(np.trace(rho).real) - 1.0) <= 1e-9:
-        raise FockError(f"environment density matrix trace {np.trace(rho).real!r} != 1")
+        raise FockError(f"environment density matrix trace {float(np.trace(rho).real)!r} != 1")
     weights = np.bincount(totals, weights=np.diagonal(rho).real, minlength=count * (dim - 1) + 1)
     return EnvironmentReadout(
         {m: float(w) for m, w in enumerate(weights)},
@@ -728,14 +729,6 @@ def total_occupation_distribution(state: PureState, modes: Sequence[ModeLabel]) 
     grid = np.indices(marginal.shape).sum(axis=0)
     weights = np.bincount(grid.ravel(), weights=marginal.ravel())
     return {m: float(w) for m, w in enumerate(weights)}
-
-
-def absorbed_photon_distribution(joint: PureState) -> dict[int, float]:
-    """Probability of finding m photons (total) in the environment mode(s)."""
-    env = [m for m in joint.modes if m.is_env]
-    if not env:
-        raise ModeError("state has no environment mode")
-    return total_occupation_distribution(joint, env)
 
 
 def joint_occupation_distribution(state: PureState, *modes: ModeLabel) -> np.ndarray:
@@ -818,68 +811,25 @@ def _apply_lowering(arr: np.ndarray, axis: int) -> np.ndarray:
     return np.moveaxis(out, 0, axis)
 
 
-def _moments(state: PureState | DensityOperator, mode: ModeLabel) -> tuple[complex, complex, float]:
-    """(<a>, <a^2>, <a^dag a>) for one mode of a pure or reduced state."""
+def mode_moments(state: PureState | DensityOperator, mode: ModeLabel) -> tuple[complex, float]:
+    """Mean amplitude <a> and mean photon number <a^dag a> of one mode of a
+    pure or reduced state."""
     if isinstance(state, PureState):
-        axis = state.axis(mode)
-        lowered = _apply_lowering(state.amplitudes, axis)
-        mean = complex(np.vdot(state.amplitudes, lowered))
-        mean_sq = complex(np.vdot(state.amplitudes, _apply_lowering(lowered, axis)))
-        return mean, mean_sq, float(np.vdot(lowered, lowered).real)
+        lowered = _apply_lowering(state.amplitudes, state.axis(mode))
+        return complex(np.vdot(state.amplitudes, lowered)), float(np.vdot(lowered, lowered).real)
     rows = state.partial_trace([mode]).factor
     reduced = rows @ rows.conj().T  # the single-mode d x d block
     n = np.arange(reduced.shape[0])
     mean = complex(np.sum(np.sqrt(n[1:]) * np.diagonal(reduced, offset=-1)))
-    two = n[2:]
-    mean_sq = complex(np.sum(np.sqrt(two * (two - 1)) * np.diagonal(reduced, offset=-2)))
-    number = float(np.sum(n * np.diagonal(reduced).real))
-    return mean, mean_sq, number
-
-
-def mode_moments(state: PureState | DensityOperator, mode: ModeLabel) -> tuple[complex, float]:
-    """Mean amplitude <a> and mean photon number <a^dag a> of one mode."""
-    mean, _, number = _moments(state, mode)
-    return mean, number
-
-
-def cross_moment(state: PureState, a: ModeLabel, b: ModeLabel) -> complex:
-    """<a_a^dag a_b> between two modes of a pure state."""
-    lowered_a = _apply_lowering(state.amplitudes, state.axis(a))
-    lowered_b = _apply_lowering(state.amplitudes, state.axis(b))
-    return complex(np.vdot(lowered_a, lowered_b))
-
-
-@dataclass(frozen=True)
-class QuadratureStats:
-    mean_x1: float
-    mean_x2: float
-    var_x1: float
-    var_x2: float
-    cov_x1x2: float
-
-
-def quadrature_stats(state: PureState | DensityOperator, mode: ModeLabel) -> QuadratureStats:
-    """Quadrature means and (co)variances in the X1 = a + a^dag convention."""
-    mean, mean_sq, number = _moments(state, mode)
-    m1, m2 = 2.0 * mean.real, 2.0 * mean.imag
-    var1 = 1.0 + 2.0 * number + 2.0 * mean_sq.real - m1 * m1
-    var2 = 1.0 + 2.0 * number - 2.0 * mean_sq.real - m2 * m2
-    cov = 2.0 * mean_sq.imag - m1 * m2
-    return QuadratureStats(m1, m2, var1, var2, cov)
+    return mean, float(np.sum(n * np.diagonal(reduced).real))
 
 
 def absorption_coefficients(standing: PureState) -> tuple[float | None, float | None]:
     """Intensity and coherence absorption coefficients of the travelling pair
-    whose standing state (C, S) this is.
-
-    The travelling forms, 1/2 + Re<a_K^dag a_-K> / (I_K + I_-K) and the same
-    with the correlation replaced by conj(<a_K>) <a_-K> and the intensities by
-    |<a>|^2, are the cosine mode's shares after the balanced mix:
-    <n_C> / (<n_C> + <n_S>) and |<a_C>|^2 / (|<a_C>|^2 + |<a_S>|^2).  A
-    coefficient with a vanishing denominator is None (undefined).
-    """
+    whose standing state (C, S) this is: absorber.absorbed_share of <n_C> and
+    <n_S>, and of |<a_C>|^2 and |<a_S>|^2 (None where a total vanishes)."""
     amps = standing.amplitudes
     lowered = [_apply_lowering(amps, standing.axis(m)) for m in (C, S)]
     intensities = [float(np.vdot(x, x).real) for x in lowered]
     coherences = [abs(complex(np.vdot(amps, x))) ** 2 for x in lowered]
-    return tuple(c / (c + s) if c + s > 1e-12 else None for c, s in (intensities, coherences))
+    return absorbed_share(*intensities), absorbed_share(*coherences)

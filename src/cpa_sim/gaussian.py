@@ -7,6 +7,8 @@ Hadamard block acting identically on both quadrature sectors.  The pipeline
 runs absorber.py's stages, as on the Fock engine: the absorber is the same
 two-mode mix of the absorbed standing mode with an environment mode that the
 mix attaches in vacuum, so full_pipeline returns the environment modes too.
+The absorption coefficients are read on the standing modes by absorber.py's
+absorbed_share, also as on the Fock engine; EPR light is built there.
 
 States and functions work over optional leading batch axes: means have shape
 (..., 2M), covariances (..., 2M, 2M), and a single state has batch shape ().
@@ -30,7 +32,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .absorber import CANONICAL, AbsorberSpec, absorb, change_basis
+from .absorber import CANONICAL, AbsorberSpec, absorb, absorbed_share, change_basis
 from .modes import (C, K, MINUS_K, S, STANDING_OF, TRAVELLING_OF, ModeError, ModeLabel,
                     check_mode_consistency)
 
@@ -329,16 +331,6 @@ def mode_intensity(state: GaussianState, mode: ModeLabel) -> float | np.ndarray:
     return _abs2(mean_amplitude(state, mode)) + _noise_intensity(state, mode)
 
 
-def cross_correlation(state: GaussianState, a: ModeLabel, b: ModeLabel) -> complex | np.ndarray:
-    """<a_a^dag a_b> from means and covariance cross-blocks."""
-    ia, ib = 2 * state.axis(a), 2 * state.axis(b)
-    cross = state.cov[..., ia:ia + 2, ib:ib + 2]
-    noise = _complex(
-        (cross[..., 0, 0] + cross[..., 1, 1]) / 4.0, (cross[..., 0, 1] - cross[..., 1, 0]) / 4.0
-    )
-    return noise + _cmul(np.conj(mean_amplitude(state, a)), mean_amplitude(state, b))
-
-
 def duan_inseparability(state: GaussianState, a: ModeLabel, b: ModeLabel) -> float | np.ndarray:
     """Variance sum of relative position and total momentum of two modes.
 
@@ -366,35 +358,22 @@ def duan_from_partner_basis(partner: GaussianState, x1_mode: ModeLabel,
     return partner.cov[..., x1, x1] + partner.cov[..., x2, x2]
 
 
-def _half_plus_ratio(num, den) -> np.ndarray:
-    """0.5 + num / den, NaN where the denominator vanishes (den <= 1e-12)."""
-    return 0.5 + np.divide(num, den, out=np.full(np.shape(den), np.nan), where=den > 1e-12)
-
-
 def absorption_coefficients(
-    state: GaussianState, a: ModeLabel = K, b: ModeLabel = MINUS_K
+    standing: GaussianState
 ) -> tuple[float | None, float | None] | tuple[np.ndarray, np.ndarray]:
-    """Intensity and coherence absorption coefficients of a travelling pair.
-
-    A coefficient whose denominator (total intensity / total coherence)
-    vanishes is undefined: None for a single state, NaN within a batch.  For a
-    single state whose total left double range it is inf, which results.clean
-    refuses by name.
-    """
-    amp_a, amp_b = mean_amplitude(state, a), mean_amplitude(state, b)
-    try:
-        coherent_a, coherent_b = _abs2(amp_a), _abs2(amp_b)
-    except OverflowError:  # Python's float power raised where numpy would give inf
-        raise OverflowError("total intensity overflows a double") from None
-    # mode_intensity(a) + mode_intensity(b), with each |<a>|^2 computed once
-    intensity = (coherent_a + _noise_intensity(state, a)) + (coherent_b + _noise_intensity(state, b))
-    coherence = coherent_a + coherent_b
-    coeff_int = _half_plus_ratio(cross_correlation(state, a, b).real, intensity)
-    coeff_coh = _half_plus_ratio(_cmul(np.conj(amp_a), amp_b).real, coherence)
-    if state.mean.ndim > 1:  # a batch
-        return coeff_int, coeff_coh
-    return tuple(math.inf if not math.isfinite(total) else None if math.isnan(c) else float(c)
-                 for c, total in ((coeff_int, intensity), (coeff_coh, coherence)))
+    """Intensity and coherence absorption coefficients of the travelling pair
+    whose standing state (C, S) this is: absorber.absorbed_share of I_C and I_S,
+    and of |<a_C>|^2 and |<a_S>|^2, read from the means and covariance diagonals
+    (None or NaN where a total vanishes, inf where a single state's sum overflows).
+    A |<a>|^2 past double range, or a mean already there, raises OverflowError."""
+    try:  # Python's float power raises where numpy would give inf
+        coherent = [_abs2(mean_amplitude(standing, mode)) for mode in (C, S)]
+    except OverflowError:
+        coherent = [math.inf]
+    if not np.isfinite(coherent).all():  # or a mean was already inf or NaN
+        raise OverflowError("total intensity overflows a double")
+    intensity = [c + _noise_intensity(standing, mode) for c, mode in zip(coherent, (C, S))]
+    return absorbed_share(*intensity), absorbed_share(*coherent)
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +419,7 @@ def epr_state(alpha_g: complex, alpha_h: complex, xi: float) -> GaussianState:
     mixing them on the balanced beamsplitter yields travelling modes with all
     quadrature variances (e^{2 xi} + e^{-2 xi})/2 and inseparability
     2 e^{-2 xi}.  It is the travelling image of _epr_standing, the product of g
-    on C and h on S, which run_epr reads the standing readouts from.
+    on C and h on S, which run_epr and the sweeps read the coefficients from.
     """
     return travelling_basis(_epr_standing(alpha_g, alpha_h, xi))
 
@@ -502,7 +481,7 @@ def _gaussian_result(
     `standing`; each Duan value is read from the other basis, where it is a sum."""
     from .results import ScenarioResult  # local import avoids a cycle at module load
 
-    coeff_int, coeff_coh = absorption_coefficients(state, K, MINUS_K)
+    coeff_int, coeff_coh = absorption_coefficients(standing)
     inseparability_in = duan_from_partner_basis(standing, S, C)
     inseparability_standing = duan_from_partner_basis(state, MINUS_K, K)
     output = travelling_basis(cpa_channel(standing, absorber))

@@ -2,10 +2,11 @@
 
 Presets emit CSV grids (comma separated, UTF-8, header row, 12 significant
 digits).  Undefined coefficients serialize as the literal token "undefined".
-Each preset evaluates its whole grid as one batch on the Gaussian engine;
-custom sweeps run their scenario files one point after another.  The CSV text
-is built once, by csv_text, for a file or for stdout alike.  Output is
-byte-identical for identical inputs.
+Each preset evaluates its whole grid as one batch on the Gaussian engine; the
+EPR presets read the coefficients off the standing product of the preceding
+modes, with no mix.  Custom sweeps run their scenario files one point after
+another.  The CSV text is built once, by csv_text, for a file or for stdout
+alike.  Output is byte-identical for identical inputs.
 """
 from __future__ import annotations
 
@@ -67,9 +68,10 @@ def _rows(*columns) -> list[list]:
 
 
 def _epr_absorption(alpha_k: np.ndarray, alpha_mk, xi) -> tuple[np.ndarray, np.ndarray]:
-    """Absorption coefficients of the entangled pair with given travelling means."""
+    """Absorption coefficients of the entangled pair with given travelling means,
+    read from its standing state, the product of its preceding modes."""
     alpha_g, alpha_h = gaussian.epr_params_from_means(alpha_k, alpha_mk, xi)
-    return gaussian.absorption_coefficients(gaussian.epr_state(alpha_g, alpha_h, xi))
+    return gaussian.absorption_coefficients(gaussian._epr_standing(alpha_g, alpha_h, xi))
 
 
 def sweep_fig6(grid: int = DEFAULT_GRID) -> tuple[list[str], list[list]]:

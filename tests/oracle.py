@@ -20,6 +20,7 @@ that joint (tests/test_dv.py and tests/test_fock.py hold the two together).
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 Monomial = tuple[tuple[str, int], ...]
 Poly = dict[Monomial, complex]
@@ -344,6 +345,69 @@ def dense_moments(rho) -> tuple[complex, float]:
     return mean, float(np.sum(n * np.diagonal(rho).real))
 
 
+def _lowered(amps, axis: int):
+    """The annihilation operator applied along one axis of an amplitude tensor."""
+    import numpy as np
+
+    moved = np.moveaxis(amps, axis, 0)
+    out = np.zeros_like(moved)
+    roots = np.sqrt(np.arange(1, len(moved))).reshape((-1,) + (1,) * (moved.ndim - 1))
+    out[:-1] = moved[1:] * roots
+    return np.moveaxis(out, 0, axis)
+
+
+def cross_moment(state, a, b) -> complex:
+    """<a_a^dag a_b> between two modes of a fock.PureState."""
+    import numpy as np
+
+    return complex(np.vdot(_lowered(state.amplitudes, state.axis(a)),
+                           _lowered(state.amplitudes, state.axis(b))))
+
+
+class QuadratureStats(NamedTuple):
+    mean_x1: float
+    mean_x2: float
+    var_x1: float
+    var_x2: float
+    cov_x1x2: float
+
+
+def quadrature_stats(state, mode) -> QuadratureStats:
+    """Quadrature means and (co)variances of one mode of a fock.PureState in the
+    X1 = a + a^dag convention, from <a>, <a^2> and <a^dag a>."""
+    import numpy as np
+
+    axis = state.axis(mode)
+    lowered = _lowered(state.amplitudes, axis)
+    mean = complex(np.vdot(state.amplitudes, lowered))
+    mean_sq = complex(np.vdot(state.amplitudes, _lowered(lowered, axis)))
+    number = float(np.vdot(lowered, lowered).real)
+    m1, m2 = 2.0 * mean.real, 2.0 * mean.imag
+    return QuadratureStats(m1, m2, 1.0 + 2.0 * number + 2.0 * mean_sq.real - m1 * m1,
+                           1.0 + 2.0 * number - 2.0 * mean_sq.real - m2 * m2,
+                           2.0 * mean_sq.imag - m1 * m2)
+
+
+def absorbed_photon_distribution(joint) -> dict[int, float]:
+    """Probability of m photons in total in the environment modes of a joint
+    fock.PureState."""
+    from cpa_sim import fock
+    from cpa_sim.modes import ModeError
+
+    env = [m for m in joint.modes if m.is_env]
+    if not env:
+        raise ModeError("state has no environment mode")
+    return fock.total_occupation_distribution(joint, env)
+
+
+def bell_standing_state(kind, cutoff: int = 2):
+    """Expected standing-basis Bell state of `kind`, on travelling labels
+    (rail-encoded): the Bell input of that kind."""
+    from cpa_sim import dv
+
+    return dv.build_input(dv.DvScenario(kind), cutoff)
+
+
 def padded_squeezed_coherent(alpha: complex, xi: float, phi: float, work_dim: int):
     """S(zeta) D(alpha)|0>, zeta = xi e^{i phi}, over levels 0..work_dim-1.
 
@@ -511,6 +575,40 @@ def epr_inverse_map(
     return theta_g, theta_h, mag_g, mag_h
 
 
+def cross_correlation(state, a, b):
+    """<a_a^dag a_b> of a Gaussian state (or batch) from its means and the
+    covariance cross-block of the two modes."""
+    from cpa_sim import gaussian
+
+    ia, ib = 2 * state.axis(a), 2 * state.axis(b)
+    cross = state.cov[..., ia:ia + 2, ib:ib + 2]
+    noise = ((cross[..., 0, 0] + cross[..., 1, 1]) / 4.0
+             + 1j * (cross[..., 0, 1] - cross[..., 1, 0]) / 4.0)
+    return noise + (gaussian.mean_amplitude(state, a).conjugate()
+                    * gaussian.mean_amplitude(state, b))
+
+
+def travelling_coefficients(state):
+    """The absorption coefficients of a Gaussian travelling pair (K, MINUS_K) by
+    the travelling forms: 1/2 + Re<a_K^dag a_-K> / (I_K + I_-K), and
+    1/2 + Re(conj(<a_K>) <a_-K>) / (|<a_K>|^2 + |<a_-K>|^2).  Undefined where a
+    total is <= 1e-12: None for a single state, NaN within a batch."""
+    import numpy as np
+
+    from cpa_sim import gaussian
+    from cpa_sim.modes import K, MINUS_K
+
+    amp_k, amp_mk = gaussian.mean_amplitude(state, K), gaussian.mean_amplitude(state, MINUS_K)
+    pairs = ((cross_correlation(state, K, MINUS_K).real,
+              gaussian.mode_intensity(state, K) + gaussian.mode_intensity(state, MINUS_K)),
+             ((amp_k.conjugate() * amp_mk).real, abs(amp_k) ** 2 + abs(amp_mk) ** 2))
+    coeffs = [np.where(total > 1e-12, 0.5 + num / np.where(total > 1e-12, total, 1.0), np.nan)
+              for num, total in pairs]
+    if state.mean.ndim > 1:  # a batch
+        return tuple(coeffs)
+    return tuple(None if np.isnan(c) else float(c) for c in coeffs)
+
+
 def two_mix_epr(alpha_g: complex, alpha_h: complex, xi: float):
     """(travelling, standing) Gaussian states of the EPR input by the route of two
     balanced mixes: the preceding modes g and h on (K, MINUS_K), mixed into the
@@ -535,7 +633,7 @@ def two_mix_epr_readouts(alpha_g: complex, alpha_h: complex, xi: float, absorber
 
     travelling, standing = two_mix_epr(alpha_g, alpha_h, xi)
     output = gaussian.travelling_basis(gaussian.cpa_channel(standing, absorber))
-    coeff_int, coeff_coh = gaussian.absorption_coefficients(travelling, K, MINUS_K)
+    coeff_int, coeff_coh = travelling_coefficients(travelling)
     numbers = {"mean_intensity_absorption": coeff_int, "coherence_absorption": coeff_coh,
                "duan_travelling": gaussian.duan_inseparability(travelling, K, MINUS_K),
                "duan_standing": gaussian.duan_inseparability(standing, C, S)}

@@ -85,7 +85,7 @@ def test_04_bell_standing_mappings():
         state = dv.build_input(dv.DvScenario(source), 2)
         for rail in ("A", "B"):
             state = fock.bs_transform(state, K.with_rail(rail), MINUS_K.with_rail(rail))
-        worst = min(worst, oracle.fidelity(state, dv.bell_standing_state(target_kind)))
+        worst = min(worst, oracle.fidelity(state, oracle.bell_standing_state(target_kind)))
     report("04 Bell standing-basis mappings", worst >= 1.0 - 1e-12)
 
 
@@ -198,12 +198,12 @@ def test_10_epr_inseparability_and_absorption():
             np.exp(1j * delta), 1.0 + 0.0j, 0.8
         )
         _, coeff_coh = gaussian.absorption_coefficients(
-            gaussian.epr_state(alpha_g, alpha_h, 0.8)
+            gaussian._epr_standing(alpha_g, alpha_h, 0.8)
         )
         worst_coh = max(worst_coh, abs(coeff_coh - (1.0 + math.cos(delta)) / 2.0))
     ok &= worst_coh < 1e-12
     for xi_vac in (0.1, 1.0, 2.0):
-        coeff_int, _ = gaussian.absorption_coefficients(gaussian.epr_state(0.0, 0.0, xi_vac))
+        coeff_int, _ = gaussian.absorption_coefficients(gaussian._epr_standing(0.0, 0.0, xi_vac))
         ok &= abs(coeff_int - 0.5) < 1e-10
     report("10 EPR inseparability and absorption laws", bool(ok))
 
@@ -258,7 +258,7 @@ def test_12_engine_cross_validation():
             fock.squeezed_coherent_state(spec_mk.alpha, spec_mk.xi, spec_mk.phi, 40, MINUS_K),
         )
         for mode in (K, MINUS_K):
-            stats = fock.quadrature_stats(bridge, mode)
+            stats = oracle.quadrature_stats(bridge, mode)
             worst = max(
                 worst,
                 abs(stats.mean_x1 - gauss.mode_mean(mode)[0]),
@@ -271,7 +271,7 @@ def test_12_engine_cross_validation():
                 ),
             )
         fock_coeffs = fock.absorption_coefficients(fock.standing_basis(bridge))
-        gauss_coeffs = gaussian.absorption_coefficients(gauss)
+        gauss_coeffs = gaussian.absorption_coefficients(gaussian.standing_basis(gauss))
         for fock_value, gauss_value in zip(fock_coeffs, gauss_coeffs):
             if fock_value is None or gauss_value is None:
                 worst = max(worst, 0.0 if fock_value == gauss_value else 1.0)
@@ -329,7 +329,7 @@ def test_15b_channel_bookkeeping_and_normalization(seed, reflection):
     state = _random_pair_state(seed)
     absorber = AbsorberSpec(reflection=reflection)
     joint = fock.full_pipeline(state, absorber)
-    dist = fock.absorbed_photon_distribution(joint)
+    dist = oracle.absorbed_photon_distribution(joint)
     assert abs(sum(dist.values()) - 1.0) < 1e-12
     standing = fock.relabel(
         fock.bs_transform(state, K, MINUS_K), {K: C, MINUS_K: S}

@@ -119,7 +119,7 @@ def test_bell_standing_mappings():
         state = dv.build_input(dv.DvScenario(source), 2)
         for rail in ("A", "B"):
             state = fock.bs_transform(state, K.with_rail(rail), MINUS_K.with_rail(rail))
-        target = dv.bell_standing_state(target_kind)
+        target = oracle.bell_standing_state(target_kind)
         assert oracle.fidelity(state, target) >= 1.0 - 1e-12, (source, target_kind)
 
 

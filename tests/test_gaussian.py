@@ -258,7 +258,8 @@ def test_closed_form_special_points():
 
 def test_identical_squeezed_inputs_absorb_all_coherence():
     spec = SqueezedSpec(alpha=1.3 + 0.2j, xi=0.7, phi=0.5)
-    coeff_int, coeff_coh = gaussian.absorption_coefficients(two_mode_pair(spec, spec))
+    coeff_int, coeff_coh = gaussian.absorption_coefficients(
+        gaussian.standing_basis(two_mode_pair(spec, spec)))
     assert coeff_coh == pytest.approx(1.0, abs=1e-12)
     assert coeff_int is not None and 0.0 <= coeff_int <= 1.0
 
@@ -269,7 +270,7 @@ def test_coherence_law_for_equal_amplitudes():
         alpha_g, alpha_h = gaussian.epr_params_from_means(
             np.exp(1j * delta), 1.0 + 0.0j, xi
         )
-        state = gaussian.epr_state(alpha_g, alpha_h, xi)
+        state = gaussian._epr_standing(alpha_g, alpha_h, xi)
         _, coeff_coh = gaussian.absorption_coefficients(state)
         assert abs(coeff_coh - (1.0 + math.cos(delta)) / 2.0) < 1e-12
 
@@ -281,7 +282,7 @@ def test_coherence_absorption_tends_to_half_for_lopsided_amplitudes():
         alpha_g, alpha_h = gaussian.epr_params_from_means(
             complex(ratio), 1.0 + 0.0j, xi
         )
-        state = gaussian.epr_state(alpha_g, alpha_h, xi)
+        state = gaussian._epr_standing(alpha_g, alpha_h, xi)
         _, coeff_coh = gaussian.absorption_coefficients(state)
         assert coeff_coh > 0.5
         if previous is not None:
@@ -292,13 +293,13 @@ def test_coherence_absorption_tends_to_half_for_lopsided_amplitudes():
 
 def test_undefined_coefficients_for_squeezed_vacua():
     state = two_mode_pair(SqueezedSpec(xi=0.5, phi=0.0), SqueezedSpec(xi=0.5, phi=1.0))
-    coeff_int, coeff_coh = gaussian.absorption_coefficients(state)
+    coeff_int, coeff_coh = gaussian.absorption_coefficients(gaussian.standing_basis(state))
     assert coeff_coh is None  # no coherent component anywhere
     assert coeff_int == pytest.approx(0.5, abs=1e-12)
 
 
 def test_all_vacuum_coefficients_undefined():
-    state = gaussian.vacuum_state((K, MINUS_K))
+    state = gaussian.vacuum_state((C, S))
     coeff_int, coeff_coh = gaussian.absorption_coefficients(state)
     assert coeff_int is None and coeff_coh is None
 
@@ -342,7 +343,7 @@ def test_epr_travelling_variances_are_symmetric():
 
 @pytest.mark.parametrize("xi", [0.1, 1.0, 2.0])
 def test_epr_vacuum_intensity_absorption_is_half(xi):
-    state = gaussian.epr_state(0.0, 0.0, xi)
+    state = gaussian._epr_standing(0.0, 0.0, xi)
     coeff_int, _ = gaussian.absorption_coefficients(state)
     assert coeff_int == pytest.approx(0.5, abs=1e-10)
     assert gaussian.epr_intensity_absorption(0.0, 0.0, xi) == pytest.approx(0.5, abs=1e-12)
@@ -354,7 +355,7 @@ def test_epr_intensity_closed_form_matches_engine():
         alpha_g = complex(rng.normal(), rng.normal())
         alpha_h = complex(rng.normal(), rng.normal())
         xi = rng.uniform(0.05, 1.5)
-        state = gaussian.epr_state(alpha_g, alpha_h, xi)
+        state = gaussian._epr_standing(alpha_g, alpha_h, xi)
         coeff_int, _ = gaussian.absorption_coefficients(state)
         closed = gaussian.epr_intensity_absorption(alpha_g, alpha_h, xi)
         assert abs(coeff_int - closed) < 1e-10
@@ -393,7 +394,7 @@ def test_small_squeezing_recovers_classical_pattern():
         alpha_g, alpha_h = gaussian.epr_params_from_means(
             np.exp(1j * theta), 1.0 + 0.0j, xi
         )
-        state = gaussian.epr_state(alpha_g, alpha_h, xi)
+        state = gaussian._epr_standing(alpha_g, alpha_h, xi)
         coeff_int, _ = gaussian.absorption_coefficients(state)
         assert abs(coeff_int - (1.0 + math.cos(theta)) / 2.0) < 0.02
 
@@ -411,7 +412,13 @@ def test_epr_runs_to_xi_20_with_duan_values_in_closed_form(alpha_g, alpha_h, xi,
     and its Duan values are within 1e-12 of 2 e^(-2 xi) and 2 cosh(2 xi).  For
     xi <= 3, where the route of two balanced mixes still holds its digits, every
     number agrees with that route within 1e-12 of max(1, |value|, |alpha| e^xi),
-    the scale of the means."""
+    the scale of the means.  The route reads the intensity coefficient from
+    covariance entries of size cosh(2 xi), and its rounding of them moves the
+    coefficient by up to ~1e-16 cosh(2 xi) / I, I the total intensity, which the
+    engine's standing intensities do not cancel: at alpha = 0 and xi = 6.1e-5
+    the route gives 0.50000000014 where the engine gives the exact 1/2.  That
+    rounding is allowed for, and either side may call the coefficient undefined
+    where I is within it of 1e-12."""
     bound = (abs(alpha_g) * abs(alpha_g) + abs(alpha_h) * abs(alpha_h)) * math.exp(2.0 * xi)
     assume(bound < 1e308)
     payload = {"schema": 1, "engine": "GAUSSIAN",
@@ -433,20 +440,26 @@ def test_epr_runs_to_xi_20_with_duan_values_in_closed_form(alpha_g, alpha_h, xi,
                **{f"{mode}.{key}": value for mode, stats in quadratures.items()
                   for key, value in stats.items()}}
     scale = max(abs(alpha_g), abs(alpha_h)) * math.exp(xi)
+    intensity = (gaussian.preceding_mode_intensity(alpha_g, xi, stretched_x1=True)
+                 + gaussian.preceding_mode_intensity(alpha_h, xi, stretched_x1=False))
+    rounding = 1e-15 * math.cosh(2.0 * xi)  # the route's error in I
     for name, old in reference.items():
-        new = numbers[name]
+        new, coefficient = numbers[name], name == "mean_intensity_absorption"
+        if coefficient and abs(intensity - 1e-12) <= rounding:
+            continue
         if old is None or new is None:
             assert old is new, name
         else:
-            assert abs(new - old) <= 1e-12 * max(1.0, abs(old), scale), name
+            slack = rounding / intensity if coefficient else 0.0
+            assert abs(new - old) <= 1e-12 * max(1.0, abs(old), scale) + slack, name
 
 
 @pytest.mark.parametrize("engine", ["GAUSSIAN", "FOCK"])
 def test_epr_run_mixes_once_before_the_absorber(engine):
-    """An EPR run builds its input on the standing modes.  The Gaussian engine
-    mixes it once, into the travelling modes its coefficients read, before the
-    absorber; the Fock engine reads its coefficients from the standing state
-    and never mixes.  Neither goes there and back."""
+    """An EPR run builds its input on the standing modes, and both engines read
+    its coefficients there.  The Gaussian engine mixes it once, into the
+    travelling modes its standing Duan value reads, before the absorber; the
+    Fock engine never mixes.  Neither goes there and back."""
     module, absorber = (gaussian, "cpa_channel") if engine == "GAUSSIAN" else (
         fock, "absorber_environment")
     calls = []
@@ -542,7 +555,7 @@ def test_fock_bridge_agrees_with_gaussian_engine(alpha, xi, phi):
     spec = SqueezedSpec(alpha=alpha, xi=xi, phi=phi)
     gauss = gaussian.squeezed_coherent_state(spec, K)
     bridge = fock.squeezed_coherent_state(alpha, xi, phi, 40, K)
-    stats = fock.quadrature_stats(bridge, K)
+    stats = oracle.quadrature_stats(bridge, K)
     assert stats.mean_x1 == pytest.approx(gauss.mean[0], abs=1e-6)
     assert stats.mean_x2 == pytest.approx(gauss.mean[1], abs=1e-6)
     assert stats.var_x1 == pytest.approx(gauss.cov[0, 0], abs=1e-6)
@@ -599,31 +612,38 @@ def _same(batched, single) -> bool:
 )
 @settings(max_examples=40, deadline=None)
 def test_batched_calls_match_single_states(pairs, eprs, absorber):
-    """Element i of each batched call equals the single-state call on element i."""
+    """Element i of each batched call equals the single-state call on element i.
+    The coefficients read each pair's standing state: its standing_basis image,
+    and for EPR light also the product of its preceding modes, as runs and
+    sweeps build it."""
+    epr_columns = [np.array(col) for col in zip(*eprs)]
     cases = [
         (
             two_mode_pair(*(batch_spec(col) for col in zip(*pairs))),
             [two_mode_pair(k, mk) for k, mk in pairs],
         ),
         (
-            gaussian.epr_state(*(np.array(col) for col in zip(*eprs))),
+            gaussian.epr_state(*epr_columns),
             [gaussian.epr_state(*e) for e in eprs],
         ),
     ]
+    standings = [(gaussian.standing_basis(batch), [gaussian.standing_basis(s) for s in singles])
+                 for batch, singles in cases]
+    standings.append((gaussian._epr_standing(*epr_columns), [gaussian._epr_standing(*e) for e in eprs]))
     for batch, singles in cases:
         out = gaussian.full_pipeline(batch, absorber)
-        coeffs = gaussian.absorption_coefficients(batch)
         duan = gaussian.duan_inseparability(batch, K, MINUS_K)
-        cross = gaussian.cross_correlation(batch, K, MINUS_K)
         for i, single in enumerate(singles):
             single_out = gaussian.full_pipeline(single, absorber)
             assert out.modes == single_out.modes
             assert np.array_equal(out.mean[i], single_out.mean)
             assert np.array_equal(out.cov[i], single_out.cov)
+            assert duan[i] == gaussian.duan_inseparability(single, K, MINUS_K)
+    for standing, singles in standings:
+        coeffs = gaussian.absorption_coefficients(standing)
+        for i, single in enumerate(singles):
             single_coeffs = gaussian.absorption_coefficients(single)
             assert all(_same(c[i], s) for c, s in zip(coeffs, single_coeffs))
-            assert duan[i] == gaussian.duan_inseparability(single, K, MINUS_K)
-            assert cross[i] == gaussian.cross_correlation(single, K, MINUS_K)
 
 
 def test_batch_with_one_unphysical_covariance_raises():
@@ -640,7 +660,9 @@ def test_batched_calls_match_single_states_at_preset_shapes(preset, size):
     """Batches the size of the presets' and larger, where _mix's covariance
     products are one BLAS call over the whole stack, in the presets' parameter
     shapes: scalar xi and phi with array alpha (fig9), array xi (fig8) and array
-    phi (fig6).  Every element equals the single-state call bit for bit."""
+    phi (fig6).  Every element equals the single-state call bit for bit, and so
+    do the coefficients of the standing states the presets read (the product of
+    the preceding modes for fig8 and fig9, the standing_basis image for fig6)."""
     rng = np.random.default_rng(size)
     alpha_g, alpha_h = (rng.normal(size=size) + 1j * rng.normal(size=size) for _ in "gh")
     if preset == "fig6":
@@ -648,20 +670,25 @@ def test_batched_calls_match_single_states_at_preset_shapes(preset, size):
         batch = two_mode_pair(SqueezedSpec(xi=1.0, phi=phi_k), SqueezedSpec(xi=1.0, phi=phi_mk))
         singles = [two_mode_pair(SqueezedSpec(xi=1.0, phi=k), SqueezedSpec(xi=1.0, phi=mk))
                    for k, mk in zip(phi_k.tolist(), phi_mk.tolist())]
+        standing = gaussian.standing_basis(batch)
+        single_standings = [gaussian.standing_basis(s) for s in singles]
     else:
         xi = rng.uniform(0.01, 2.0, size) if preset == "fig8" else 0.5
+        params = list(zip(alpha_g.tolist(), alpha_h.tolist(), np.broadcast_to(xi, size).tolist()))
         batch = gaussian.epr_state(alpha_g, alpha_h, xi)
-        singles = [gaussian.epr_state(g, h, x) for g, h, x in
-                   zip(alpha_g.tolist(), alpha_h.tolist(), np.broadcast_to(xi, size).tolist())]
+        singles = [gaussian.epr_state(*p) for p in params]
+        standing = gaussian._epr_standing(alpha_g, alpha_h, xi)
+        single_standings = [gaussian._epr_standing(*p) for p in params]
     absorber = AbsorberSpec(reflection=-0.35, swap_roles=size % 2 == 0)
     out = gaussian.full_pipeline(batch, absorber)
-    coeffs = gaussian.absorption_coefficients(batch)
+    coeffs = gaussian.absorption_coefficients(standing)
     duan = gaussian.duan_inseparability(batch, K, MINUS_K)
-    for i, single in enumerate(singles):
+    for i, (single, single_standing) in enumerate(zip(singles, single_standings)):
         single_out = gaussian.full_pipeline(single, absorber)
         assert np.array_equal(out.mean[i], single_out.mean)
         assert np.array_equal(out.cov[i], single_out.cov)
-        assert all(_same(c[i], s) for c, s in zip(coeffs, gaussian.absorption_coefficients(single)))
+        single_coeffs = gaussian.absorption_coefficients(single_standing)
+        assert all(_same(c[i], s) for c, s in zip(coeffs, single_coeffs))
         assert duan[i] == gaussian.duan_inseparability(single, K, MINUS_K)
 
 

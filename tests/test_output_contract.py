@@ -31,7 +31,7 @@ def test_two_records_compare_equal_and_a_doctored_line_is_reported(tmp_path):
     assert all(not argv[-1].endswith(".out.json") for argv in argvs)
     first, second = contract.record(argvs), contract.record(argvs)
     assert all(line["exit"] == 0 and line["stderr"] == "" for line in first)
-    assert {len(line) for line in first} == {4, 5}  # presets add the CSV hash
+    assert {len(line) for line in first} == {4, 5, 6}  # runs add stdout, presets the CSV, hashed
     assert _compare(tmp_path, first, second) == (0, "")
 
     doctored = [dict(line) for line in second]
@@ -57,8 +57,10 @@ def test_workload_commands_stand_in_for_the_generated_inputs():
 
 def test_compare_names_each_moved_value(tmp_path):
     """Under each differing command, --compare prints what moved: exit and
-    stderr, and every value of a run's JSON by its path with the old and the
-    new token; a key on one side only shows as <absent>."""
+    stderr, every value of a run's JSON by its path with the old and the new
+    token (a key on one side only shows as <absent>), and every cell of a
+    preset's CSV by its data row and column (a row on one side only, or with
+    another number of cells, as the whole row)."""
     def line(name, payload, code=0, stderr=""):
         stdout = json.dumps(payload, indent=2) if payload is not None else ""
         return {"argv": ["run", name], "exit": code, "stdout_sha256": contract._sha256(stdout),
@@ -68,8 +70,16 @@ def test_compare_names_each_moved_value(tmp_path):
               "conditional_outputs": [{"purity": 1.0}], "extras": {}}
     after = {"absorbed_distribution": {"0": 0.5, "1": 0.500000000001},
              "conditional_outputs": [{"purity": 0.9}], "extras": {"x": 1}}
-    old = [line("a.json", before), line("b.json", before), line("c.json", before)]
-    new = [line("a.json", after), line("b.json", None, 2, "boom\n"), line("c.json", before)]
+    def preset(text):
+        return {"argv": ["sweep", "--preset", "fig9a"], "exit": 0, "stdout_sha256": "",
+                "csv_sha256": contract._sha256(text), "csv": text, "stderr": ""}
+
+    csv_before = "theta_k,alpha_mag,coherence_absorption\n0,0,undefined\n0,1,1\n3.14,1,0\n"
+    csv_after = csv_before.replace("3.14,1,0", "3.14,1,1.2e-16") + "0,2\n"
+    old = [line("a.json", before), line("b.json", before), line("c.json", before),
+           preset(csv_before)]
+    new = [line("a.json", after), line("b.json", None, 2, "boom\n"), line("c.json", before),
+           preset(csv_after)]
     assert _compare(tmp_path, old, new) == (1, "\n".join([
         "run a.json",
         "  absorbed_distribution.1: 0.5 -> 0.500000000001",
@@ -79,6 +89,9 @@ def test_compare_names_each_moved_value(tmp_path):
         "  exit: 0 -> 2",
         '  stderr: "" -> "boom\\n"',
         "  stdout: <text> -> <text>",
+        "sweep --preset fig9a",
+        "  row 3, coherence_absorption: 0 -> 1.2e-16",
+        "  row 4: <absent> -> 0,2",
     ]) + "\n")
 
 
