@@ -15,8 +15,8 @@ adds the `run` files the benchmark generates for it, in op order:
 `cpabench/workloads.py` writes them to a temporary directory, which the record
 names `<NAME-seedN>`, so no benchmark run is needed first and two records of
 the same inputs compare equal.  It writes one JSON line per command: argv,
-exit code, the sha256 of stdout (and of the CSV a preset writes, with the CSV
-text itself), stderr, and for `run` the stdout itself.  Whichever `cpa_sim` is
+exit code, the sha256 of stdout, the text of the CSV a preset writes, stderr,
+and for `run` the stdout itself.  Whichever `cpa_sim` is
 importable is recorded, so pointing PYTHONPATH at another checkout's `src`
 records that one.
 
@@ -28,7 +28,9 @@ value of the `run` JSON whose token differs, by its path
 `<absent>` where a key exists on one side), and every CSV cell that differs
 as `row R, COLUMN: OLD -> NEW`, R counting data rows from 1 (`row R: <absent>
 -> LINE` where a row exists on one side, `header: OLD -> NEW` where the
-header lines differ).
+header lines differ).  A record written before the CSV text was kept holds
+only its sha256 (`csv_sha256`); a CSV compares with such a line by its sha256,
+and a moved one is named by that `csv_sha256` alone.
 
 Good inputs are `tests/golden`, `tests/hostile` (whose exit codes and stderr
 the record pins) and the benchmark's workloads, e.g.
@@ -93,7 +95,7 @@ def _sha256(data: str) -> str:
 
 
 def record(argvs: list[list[str]]) -> list[dict]:
-    """One line per argv: exit code, sha256 of stdout and of any CSV, the CSV, stderr."""
+    """One line per argv: exit code, sha256 of stdout, any CSV, stderr."""
     from cpa_sim import cli
 
     lines = []
@@ -119,7 +121,7 @@ def record(argvs: list[list[str]]) -> list[dict]:
             line = {"argv": argv, "exit": code, "stdout_sha256": _sha256(out.getvalue())}
             if CSV in argv:
                 text = csv_path.read_text(encoding="utf-8") if csv_path.exists() else ""
-                line["csv_sha256"], line["csv"] = _sha256(text), text
+                line["csv"] = text
                 csv_path.unlink(missing_ok=True)
             line["stderr"] = err.getvalue()
             if argv[0] == "run":
@@ -128,9 +130,17 @@ def record(argvs: list[list[str]]) -> list[dict]:
     return lines
 
 
+def _hashed(line: dict | None) -> dict | None:
+    """A line with its CSV text, if any, replaced by the text's `csv_sha256`, the
+    form records written before the text was kept hold."""
+    if line is None or "csv" not in line:
+        return line
+    return {**{k: v for k, v in line.items() if k != "csv"}, "csv_sha256": _sha256(line["csv"])}
+
+
 def differing(a: list[dict], b: list[dict]) -> list[list[str]]:
     """argv of the commands whose lines differ or appear in one record only."""
-    by_argv = [{json.dumps(line["argv"]): line for line in lines} for lines in (a, b)]
+    by_argv = [{json.dumps(line["argv"]): _hashed(line) for line in lines} for lines in (a, b)]
     keys = list(by_argv[0]) + [k for k in by_argv[1] if k not in by_argv[0]]
     return [json.loads(k) for k in keys if by_argv[0].get(k) != by_argv[1].get(k)]
 
@@ -176,8 +186,12 @@ def moved(a: dict | None, b: dict | None) -> list[tuple[str, str, str]]:
     out = [(key, json.dumps(a.get(key)) if key in a else ABSENT,
             json.dumps(b.get(key)) if key in b else ABSENT)
            for key in ("exit", "stderr") if a.get(key) != b.get(key)]
-    if a.get("csv") != b.get("csv"):
-        out += _cells(a.get("csv", ""), b.get("csv", ""))
+    if "csv" in a and "csv" in b:
+        out += _cells(a["csv"], b["csv"])
+    elif _hashed(a).get("csv_sha256") != _hashed(b).get("csv_sha256"):
+        out += [("csv_sha256", *(json.dumps(_hashed(line)["csv_sha256"])
+                                 if "csv" in line or "csv_sha256" in line else ABSENT
+                                 for line in (a, b)))]
     if a.get("stdout") == b.get("stdout"):
         return out
     text = [("stdout", "<text>", "<text>")]

@@ -97,7 +97,7 @@ def absorb(state, absorber: AbsorberSpec, mix: Callable):
 def absorbed_share(absorbed, passed):
     """absorbed / (absorbed + passed), an absorption coefficient, undefined where
     the total is <= 1e-12: None for scalars, NaN within arrays.  A scalar total
-    past double range gives inf, which results.clean refuses by name."""
+    past double range, or NaN, gives inf, which results.clean refuses by name."""
     total = absorbed + passed
     if isinstance(total, np.ndarray):
         return np.divide(absorbed, total, out=np.full(total.shape, np.nan), where=total > 1e-12)

@@ -71,7 +71,7 @@ def _epr_absorption(alpha_k: np.ndarray, alpha_mk, xi) -> tuple[np.ndarray, np.n
     """Absorption coefficients of the entangled pair with given travelling means,
     read from its standing state, the product of its preceding modes."""
     alpha_g, alpha_h = gaussian.epr_params_from_means(alpha_k, alpha_mk, xi)
-    return gaussian.absorption_coefficients(gaussian._epr_standing(alpha_g, alpha_h, xi))
+    return gaussian.absorption_coefficients(gaussian.epr_standing(alpha_g, alpha_h, xi))
 
 
 def sweep_fig6(grid: int = DEFAULT_GRID) -> tuple[list[str], list[list]]:

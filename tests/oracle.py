@@ -591,7 +591,8 @@ def cross_correlation(state, a, b):
 def travelling_coefficients(state):
     """The absorption coefficients of a Gaussian travelling pair (K, MINUS_K) by
     the travelling forms: 1/2 + Re<a_K^dag a_-K> / (I_K + I_-K), and
-    1/2 + Re(conj(<a_K>) <a_-K>) / (|<a_K>|^2 + |<a_-K>|^2).  Undefined where a
+    1/2 + Re(conj(<a_K>) <a_-K>) / (|<a_K>|^2 + |<a_-K>|^2), I = |<a>|^2 + (trace
+    of the mode's covariance - 2) / 4 (no engine intensity code).  Undefined where a
     total is <= 1e-12: None for a single state, NaN within a batch."""
     import numpy as np
 
@@ -599,14 +600,34 @@ def travelling_coefficients(state):
     from cpa_sim.modes import K, MINUS_K
 
     amp_k, amp_mk = gaussian.mean_amplitude(state, K), gaussian.mean_amplitude(state, MINUS_K)
-    pairs = ((cross_correlation(state, K, MINUS_K).real,
-              gaussian.mode_intensity(state, K) + gaussian.mode_intensity(state, MINUS_K)),
-             ((amp_k.conjugate() * amp_mk).real, abs(amp_k) ** 2 + abs(amp_mk) ** 2))
+    coherence = abs(amp_k) ** 2 + abs(amp_mk) ** 2
+    traces = [np.trace(state.mode_block(mode), axis1=-2, axis2=-1) for mode in (K, MINUS_K)]
+    pairs = ((cross_correlation(state, K, MINUS_K).real, coherence + (traces[0] + traces[1] - 4.0) / 4.0),
+             ((amp_k.conjugate() * amp_mk).real, coherence))
     coeffs = [np.where(total > 1e-12, 0.5 + num / np.where(total > 1e-12, total, 1.0), np.nan)
               for num, total in pairs]
     if state.mean.ndim > 1:  # a batch
         return tuple(coeffs)
     return tuple(None if np.isnan(c) else float(c) for c in coeffs)
+
+
+def exact_intensity_share(standing):
+    """The intensity absorption coefficient of a single Gaussian standing state
+    (C, S), in exact rational arithmetic from its stored means and covariance
+    diagonals: <n_C> / (<n_C> + <n_S>), with <n> = (<X1>^2 + <X2>^2 + V11 + V22 -
+    2) / 4 for each mode.  None where the total is <= 1e-12."""
+    from fractions import Fraction
+
+    from cpa_sim.modes import C, S
+
+    intensities = []
+    for mode in (C, S):
+        (x1, x2), block = standing.mode_mean(mode).tolist(), standing.mode_block(mode)
+        terms = [Fraction(x1) ** 2, Fraction(x2) ** 2, Fraction(float(block[0, 0])),
+                 Fraction(float(block[1, 1])), -2]
+        intensities.append(sum(terms) / 4)
+    total = sum(intensities)
+    return float(intensities[0] / total) if total > Fraction(1e-12) else None
 
 
 def two_mix_epr(alpha_g: complex, alpha_h: complex, xi: float):

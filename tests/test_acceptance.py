@@ -198,12 +198,12 @@ def test_10_epr_inseparability_and_absorption():
             np.exp(1j * delta), 1.0 + 0.0j, 0.8
         )
         _, coeff_coh = gaussian.absorption_coefficients(
-            gaussian._epr_standing(alpha_g, alpha_h, 0.8)
+            gaussian.epr_standing(alpha_g, alpha_h, 0.8)
         )
         worst_coh = max(worst_coh, abs(coeff_coh - (1.0 + math.cos(delta)) / 2.0))
     ok &= worst_coh < 1e-12
     for xi_vac in (0.1, 1.0, 2.0):
-        coeff_int, _ = gaussian.absorption_coefficients(gaussian._epr_standing(0.0, 0.0, xi_vac))
+        coeff_int, _ = gaussian.absorption_coefficients(gaussian.epr_standing(0.0, 0.0, xi_vac))
         ok &= abs(coeff_int - 0.5) < 1e-10
     report("10 EPR inseparability and absorption laws", bool(ok))
 

@@ -197,7 +197,7 @@ def test_run_epr_past_double_precision_squeezing_exits_nonzero(tmp_path, capsys,
     mode determinant: the mix's check must run, however the maps skip theirs,
     and report the rounding as a numerical failure.  (`cpa run` builds the
     standing state directly, and exits 0.)"""
-    monkeypatch.setattr(gaussian, "_epr_standing", lambda *args: oracle.two_mix_epr(*args)[1])
+    monkeypatch.setattr(gaussian, "epr_standing", lambda *args: oracle.two_mix_epr(*args)[1])
     payload = {"schema": 1, "engine": "GAUSSIAN",
                "scenario": {"kind": "EPR", "alpha_g": 0.0, "alpha_h": 0.0, "xi": 20}}
     code, out, err = run_cli(capsys, "run", write_json(tmp_path, "epr.json", payload))

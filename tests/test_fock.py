@@ -1324,7 +1324,7 @@ def test_absorption_coefficients_of_the_standing_state_are_the_travelling_ones(s
         mags = np.concatenate([10.0 ** rng.uniform(0.0, 4.0, (2, 62)), extremes], axis=1)
         alpha_g, alpha_h = mags * np.exp(1j * rng.uniform(-math.pi, math.pi, mags.shape))
         xi = np.append(rng.uniform(0.0, 0.5, 62), [0.3, 0.3])
-        got = gaussian.absorption_coefficients(gaussian._epr_standing(alpha_g, alpha_h, xi))
+        got = gaussian.absorption_coefficients(gaussian.epr_standing(alpha_g, alpha_h, xi))
         expected = oracle.travelling_coefficients(gaussian.epr_state(alpha_g, alpha_h, xi))
         for new, old in zip(got, expected):
             assert new.min() < 1e-7 and new.max() > 1.0 - 1e-7

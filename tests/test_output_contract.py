@@ -31,7 +31,7 @@ def test_two_records_compare_equal_and_a_doctored_line_is_reported(tmp_path):
     assert all(not argv[-1].endswith(".out.json") for argv in argvs)
     first, second = contract.record(argvs), contract.record(argvs)
     assert all(line["exit"] == 0 and line["stderr"] == "" for line in first)
-    assert {len(line) for line in first} == {4, 5, 6}  # runs add stdout, presets the CSV, hashed
+    assert {len(line) for line in first} == {4, 5}  # runs add stdout, presets the CSV
     assert _compare(tmp_path, first, second) == (0, "")
 
     doctored = [dict(line) for line in second]
@@ -60,7 +60,8 @@ def test_compare_names_each_moved_value(tmp_path):
     stderr, every value of a run's JSON by its path with the old and the new
     token (a key on one side only shows as <absent>), and every cell of a
     preset's CSV by its data row and column (a row on one side only, or with
-    another number of cells, as the whole row)."""
+    another number of cells, as the whole row).  A line of an older record,
+    which holds a CSV's sha256 alone, compares with the CSV text by that sha256."""
     def line(name, payload, code=0, stderr=""):
         stdout = json.dumps(payload, indent=2) if payload is not None else ""
         return {"argv": ["run", name], "exit": code, "stdout_sha256": contract._sha256(stdout),
@@ -70,16 +71,18 @@ def test_compare_names_each_moved_value(tmp_path):
               "conditional_outputs": [{"purity": 1.0}], "extras": {}}
     after = {"absorbed_distribution": {"0": 0.5, "1": 0.500000000001},
              "conditional_outputs": [{"purity": 0.9}], "extras": {"x": 1}}
-    def preset(text):
-        return {"argv": ["sweep", "--preset", "fig9a"], "exit": 0, "stdout_sha256": "",
-                "csv_sha256": contract._sha256(text), "csv": text, "stderr": ""}
+    def preset(text, name="fig9a", hashed=False):
+        csv = {"csv_sha256": contract._sha256(text)} if hashed else {"csv": text}
+        return {"argv": ["sweep", "--preset", name], "exit": 0, "stdout_sha256": "",
+                **csv, "stderr": ""}
 
     csv_before = "theta_k,alpha_mag,coherence_absorption\n0,0,undefined\n0,1,1\n3.14,1,0\n"
     csv_after = csv_before.replace("3.14,1,0", "3.14,1,1.2e-16") + "0,2\n"
     old = [line("a.json", before), line("b.json", before), line("c.json", before),
-           preset(csv_before)]
+           preset(csv_before), preset(csv_before, "fig8", hashed=True),
+           preset(csv_before, "fig9b", hashed=True)]
     new = [line("a.json", after), line("b.json", None, 2, "boom\n"), line("c.json", before),
-           preset(csv_after)]
+           preset(csv_after), preset(csv_before, "fig8"), preset(csv_after, "fig9b")]
     assert _compare(tmp_path, old, new) == (1, "\n".join([
         "run a.json",
         "  absorbed_distribution.1: 0.5 -> 0.500000000001",
@@ -92,6 +95,8 @@ def test_compare_names_each_moved_value(tmp_path):
         "sweep --preset fig9a",
         "  row 3, coherence_absorption: 0 -> 1.2e-16",
         "  row 4: <absent> -> 0,2",
+        "sweep --preset fig9b",
+        f'  csv_sha256: "{contract._sha256(csv_before)}" -> "{contract._sha256(csv_after)}"',
     ]) + "\n")
 
 
