@@ -3,15 +3,16 @@
 Bell states of two labeled photons are encoded dual-rail: one travelling pair
 per internal label (rail "A" and rail "B"), with path operations acting
 identically on both rails.  All states here carry a finite photon number, so
-runs are exact: the working cutoff is the total photon number.  Every input's
-standing state has a closed form (standing_state), so no run mixes to reach it.
-One rail reads every output there; the Bell kinds still read their conditional
-outputs from the light x environment joint of fock.full_pipeline, which stays
-because the benchmark's call-chain test spans it and bs_transform.
+runs are exact: the working cutoff is the total photon number.  A one-rail run
+(NOON, SINGLE_PHOTON) is read in closed form in O(n) and builds no state
+(one_rail_distribution; tests/oracle.py keeps the dense route it replaced as
+its reference).  A Bell run's standing state is another Bell state (_BELL); it
+reads its conditional outputs from the light x environment joint of
+fock.full_pipeline, which stays because the benchmark's call-chain test spans
+it and bs_transform.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -22,7 +23,7 @@ from . import fock
 from .absorber import CANONICAL, AbsorberSpec
 from .fock import CutoffError, PureState
 from .modes import C, K, MINUS_K, S, ModeLabel
-from .results import ScenarioResult, fock_result
+from .results import OutputTable, ScenarioResult, fock_result
 
 RAIL_A, RAIL_B = "A", "B"
 
@@ -45,6 +46,9 @@ _BELL = {
     DvKind.BELL_PHI_MINUS: (-1.0, False, DvKind.BELL_PSI_PLUS),
 }
 BELL_KINDS = set(_BELL)
+# a one-rail run's peak per photon level in 16-byte states: at NOON n = 10^5 its arrays,
+# distribution dict and JSON text peaked at 310 B traced and 333 B of RSS per level
+ONE_RAIL_LEVEL_STATES = 21.0
 
 
 @dataclass(frozen=True)
@@ -88,41 +92,77 @@ def build_input(scenario: DvScenario, cutoff: int) -> PureState:
     return fock.superposition(terms, (K, MINUS_K), cutoff)
 
 
-# (i^m, sign) by m mod 4: cos((pi m + delta)/2) = sign * (cos, sin)[m mod 2] of delta/2
-_QUARTER_TURNS = ((1 + 0j, 1.0), (1j, -1.0), (-1 + 0j, -1.0), (-1j, 1.0))
+# log(k!) - log(sqrt(2 pi k) (k/e)^k), Loader's stirlerr, for k < 16; its series above
+_STIRLING = [0.0] + [math.lgamma(k + 1.0) - (k + 0.5) * math.log(k) + k - 0.5 * math.log(2 * math.pi)
+                     for k in range(1, 16)]
 
 
-def noon_standing_decomposition(
-    n: int, delta_theta: float
-) -> list[tuple[int, complex]]:
-    """Standing-basis expansion coefficients of a NOON input.
+def _stirlerr(k: np.ndarray) -> np.ndarray:
+    inv2 = 1.0 / np.maximum(k, 16.0) ** 2
+    series = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - inv2 / 1188) * inv2) * inv2) * inv2)
+    return np.where(k < 16, np.take(_STIRLING, np.minimum(k, 15).astype(int)), series * np.sqrt(inv2))
 
-    Entry (m, c_m) multiplies the ket with n-m photons in the cosine mode and
-    m in the sine mode: c_m = i^m cos((pi m + delta)/2) sqrt(binom(n, m) / 2^(n-1)),
-    bs_transform's output times e^{-i delta/2}.  Both periodic factors are read
-    off m mod 4 and the binomial ratio is one correctly rounded division, so
-    every entry is exact to a few ulp at any n.
-    """
-    if n < 1:
-        raise ValueError("n >= 1 required")
-    trig = (math.cos(delta_theta / 2.0), math.sin(delta_theta / 2.0))
-    out: list[tuple[int, complex]] = []
-    for m in range(n + 1):
-        phase, sign = _QUARTER_TURNS[m % 4]
-        magnitude = sign * trig[m % 2] * math.sqrt(math.comb(n, m) / 2 ** (n - 1))
-        out.append((m, phase * magnitude))
+
+def _bd0(x: np.ndarray, mean: float) -> np.ndarray:
+    """x log(x / mean) + mean - x, which cancels by about 1 / |v|, v = (x - mean)
+    / (x + mean): where |v| < 0.1, or |v| < 0.5 with x |v| >= 64, it is the
+    series (x - mean) v + 2 x sum_j v^(2j+1) / (2j+1), to the terms the widest v needs."""
+    diff, v = x - mean, (x - mean) / (x + mean)
+    near = (np.abs(v) < 0.1) | ((np.abs(v) < 0.5) & (x * np.abs(v) >= 64.0))
+    term, series = 2.0 * x * v, diff * v
+    for j in range(1, 1 + math.ceil(-19.6 / math.log(np.max(np.abs(v), where=near, initial=1e-300)))):
+        term = term * v * v
+        series = series + term / (2 * j + 1)
+    with np.errstate(divide="ignore"):
+        return np.where(near, series, x * np.log(x / mean) + mean - x)
+
+
+def binomial_pmf(n: int, num: int, den: int) -> np.ndarray:
+    """Bin(n, q)(e), e = 0..n, q = num / den <= 1/2, to a few ulp of each exponent
+    stirlerr(n) - stirlerr(e) - stirlerr(n - e) - bd0(e, n q) - bd0(n - e, n (1 -
+    q)) (C. Loader, "Fast and Accurate Computation of Binomial Probabilities",
+    2000), with each mean's exact residual to first order, d bd0(x, M) / dM = 1
+    - x / M: q's rounding alone would move entry e by |e - n q| / (1 - q) ulp."""
+    out = np.zeros(n + 1)
+    out[0] = 1.0
+    if num == 0:
+        return out
+    out[0], out[n] = math.exp(n * math.log1p(-num / den)), math.exp(n * math.log(num / den))
+    e = np.arange(1.0, n)
+    exponent = _stirlerr(np.array(float(n))) - _stirlerr(e) - _stirlerr(n - e)
+    for x, top in ((e, num), (n - e, den - num)):
+        mean = n * top / den  # correctly rounded, as is the residual below
+        rounded_num, rounded_den = mean.as_integer_ratio()
+        residual = (n * top * rounded_den - rounded_num * den) / (den * rounded_den)
+        exponent -= _bd0(x, mean) + (1.0 - x / mean) * residual
+    out[1:n] = np.exp(exponent) * np.sqrt(n / (2.0 * math.pi * e * (n - e)))
     return out
 
 
-def standing_state(scenario: DvScenario, cutoff: int) -> PureState:
-    """fock.standing_basis(build_input(scenario, cutoff)) in closed form, to
-    rounding and up to BELL_PSI_MINUS's sign: a Bell state's image (_BELL) on
-    (C, S), one rail's noon_standing_decomposition times e^{i delta/2}."""
-    if scenario.kind in BELL_KINDS:
-        return _bell_state(_BELL[scenario.kind][2], cutoff, C, S)
-    n, phase = scenario.total_photons, cmath.exp(0.5j * scenario.delta_theta)  # the mix's phase
-    terms = noon_standing_decomposition(n, scenario.delta_theta)
-    return fock.superposition([(c * phase, {C: n - m, S: m}) for m, c in terms], (C, S), cutoff)
+def one_rail_distribution(scenario: DvScenario, absorber: AbsorberSpec) -> np.ndarray:
+    """P(e photons absorbed), e = 0..n, of a NOON or single-photon run.
+
+    The standing weights |c_m|^2 = Bin(n, 1/2)(m) (1 + (-1)^m cos delta), m
+    photons in S, thin through the absorber (each absorbed photon leaves with
+    probability s^2 = 1 - tau_c^2) to p(e) = Bin(n, s^2/2)(e) (1 + sigma_e cos
+    delta r^k), k = n - e, r = s^2 / (2 - s^2), sigma_e = (-1)^k when C is
+    absorbed and (-1)^e under swap_roles.  The factor is w_a (1 + r^k) + w_b (1 -
+    r^k), (w_a, w_b) = (1 +- cos delta) / 2, swapped where sigma_e = -1, with r^k
+    by expm1 of k log r = k (log1p(-tau^2) - log1p(tau^2)): no term cancels, and
+    cos pi = -1 makes p exactly 0 where it vanishes.  s^2 / 2 is the exact
+    ratio of integers that the double tau_c gives.
+    """
+    n, tau = scenario.total_photons, absorber.tau_c
+    top, bottom = tau.as_integer_ratio()
+    binomial = binomial_pmf(n, bottom * bottom - top * top, 2 * bottom * bottom)
+    if tau == 1.0:  # nothing is absorbed
+        return binomial
+    kept = np.arange(n, -1.0, -1.0)
+    decay = np.expm1(kept * (math.log1p(-tau * tau) - math.log1p(tau * tau)))  # r^k - 1
+    flip = (n - kept if absorber.swap_roles else kept) % 2 == 1  # sigma_e = -1
+    cos = math.cos(scenario.delta_theta)
+    w_a, w_b = (np.where(flip, (1.0 - sign * cos) / 2.0, (1.0 + sign * cos) / 2.0) for sign in (1, -1))
+    return binomial * (w_a * (2.0 + decay) - w_b * decay)
 
 
 def run_scenario(
@@ -131,48 +171,39 @@ def run_scenario(
     cutoff: int = fock.DEFAULT_CUTOFF,
     report_threshold: float = 1e-9,
 ) -> ScenarioResult:
-    """Build the input and its standing state, run the absorber, and collect statistics.
-
-    Photon number is conserved, so the tensors are held at the exact photon
-    content of the scenario regardless of the (validated) requested cutoff, and
-    are charged for the joint even on one rail, which builds none.  Every run
-    reads its environment from the standing state (absorber_environment); one
-    rail reads its conditional outputs there too (absorber_outputs), the Bell
-    kinds from their joint (conditional_outputs).  A count is reported when its
-    probability in the absorbed distribution is above both report_threshold
-    and fock.CONDITIONING_FLOOR.
-    """
-    if cutoff < scenario.total_photons:
-        raise CutoffError(
-            f"cutoff {cutoff} below photon content {scenario.total_photons}"
-        )
-    rails = 2 if scenario.kind in BELL_KINDS else 1
-    working_cutoff = fock.budget_cutoff(scenario.total_photons, 3 * rails)  # pair + env per rail
-    standing = standing_state(scenario, working_cutoff)
+    """Run the absorber and collect statistics; the working cutoff is the photon
+    content, whatever the (validated) requested cutoff.  One rail reads every
+    output in O(n) from one_rail_distribution, charged ONE_RAIL_LEVEL_STATES
+    states per level: the environment is diagonal, so its entropy is Shannon's,
+    and count e leaves pure light with <n_K> = <n_-K> = (n - e)/2, since c_m is
+    i^m times a real number and so Re<a_C^dag a_S> = 0.  A Bell run, charged for
+    its joint, reads absorber_environment and conditional_outputs of the joint.
+    Counts above report_threshold and fock.CONDITIONING_FLOOR are reported."""
+    n = scenario.total_photons
+    if cutoff < n:
+        raise CutoffError(f"cutoff {cutoff} below photon content {n}")
+    floor = max(report_threshold, fock.CONDITIONING_FLOOR)  # reported above both
+    if scenario.kind in BELL_KINDS:
+        working_cutoff = fock.budget_cutoff(n, 6)  # pair + env per rail
+        standing = _bell_state(_BELL[scenario.kind][2], working_cutoff, C, S)  # the closed form
+        environment = fock.absorber_environment(standing, absorber)
+        counts = [m for m, prob in sorted(environment.distribution.items()) if prob > floor]
+        outputs = [{"absorbed": o.absorbed, "probability": o.probability, "purity": o.purity,
+                    "mean_output_photons": {str(mode): v for mode, v in o.mean_photons.items()}}
+                   for o in fock.conditional_outputs(fock.full_pipeline(
+                       build_input(scenario, working_cutoff), absorber), counts)]
+    else:
+        working_cutoff = fock.budget_cutoff(n, 1, ONE_RAIL_LEVEL_STATES)
+        probs = one_rail_distribution(scenario, absorber)
+        weighted = probs[probs > 0.0]
+        environment = fock.EnvironmentReadout(
+            dict(enumerate(probs.tolist())),
+            max(0.0, float(-np.sum(weighted * np.log2(weighted)))), float(probs[n]))
+        counts = np.flatnonzero(probs > floor)
+        outputs = OutputTable(counts, probs[counts], (n - counts) / 2.0)
     result = fock_result(
         {"kind": scenario.kind.value, "n": scenario.n, "delta_theta": scenario.delta_theta},
-        absorber,
-        {"cutoff": cutoff, "working_cutoff": working_cutoff},
-        fock.absorber_environment(standing, absorber),
-        (None, None),
-    )
-    distribution = result.absorbed_distribution
-    absorbed = sum(m * p for m, p in distribution.items())
-    result.mean_intensity_absorption = absorbed / scenario.total_photons  # the absorbed fraction
-    floor = max(report_threshold, fock.CONDITIONING_FLOOR)  # reported above both
-    counts = [m for m, prob in sorted(distribution.items()) if prob > floor]
-    outputs = (fock.conditional_outputs(
-        fock.full_pipeline(build_input(scenario, working_cutoff), absorber), counts)
-               if rails == 2 else fock.absorber_outputs(standing, absorber, counts))
-    for output in outputs:
-        result.conditional_outputs.append(
-            {
-                "absorbed": output.absorbed,
-                "probability": distribution[output.absorbed],
-                "purity": output.purity,
-                "mean_output_photons": {
-                    str(mode): number for mode, number in output.mean_photons.items()
-                },
-            }
-        )
+        absorber, {"cutoff": cutoff, "working_cutoff": working_cutoff}, environment, (None, None))
+    result.mean_intensity_absorption = sum(m * p for m, p in result.absorbed_distribution.items()) / n
+    result.conditional_outputs = outputs
     return result

@@ -1,33 +1,28 @@
 """Truncated multi-mode Fock-space engine.
 
 States are dense complex tensors indexed by per-mode occupation number with a
-common cutoff.  Every run builds its standing state in closed form
-(dv.standing_state; balanced_pair for the travelling pairs) and reads its
-environment there, through the pure-loss channel's complementary map in closed
-form: real Toeplitz matmuls per rail on the diagonal-major layout of the
-absorbed modes' reduced state (absorber_environment), with no light x
-environment joint.  The absorption coefficients are the standing state's shares
-too (absorption_coefficients, by absorber.absorbed_share as on the Gaussian
-engine), and a one-rail DV run's counts
-each leave pure light read off it (absorber_outputs).  Only the Bell kinds run
-the pipeline of two-mode mixes (absorber.py's stages, as on the Gaussian
-engine), and read every count from one pass over |joint|^2
-(conditional_outputs); full_pipeline, its stages bs_transform and
-cpa_channel, and hadamard_block stay because the benchmark names them.  _mix
-acts per total-photon sector, in a layout with the two mixed modes leading,
-where each sector is a strided row slice that its real sector matrix
-multiplies as one float view (one BLAS call, no complex cast).  A vacuum
-partner's sector is one column of a loss_amplitudes table; every other comes
-from the one before by a stable recurrence (_next_block, rebuilt per call)
-that matches the exact integer expansion to ~5e-15 up to total 246.  Reduced
-states are held as purifications, rho = A A^H.
+common cutoff.  A pair run builds its standing state in closed form
+(balanced_pair) and reads its environment there, through the pure-loss
+channel's complementary map in closed form: real Toeplitz matmuls per rail on
+the diagonal-major layout of the absorbed modes' reduced state
+(absorber_environment), with no light x environment joint; its absorption
+coefficients are the standing state's shares (absorption_coefficients, by
+absorber.absorbed_share as on the Gaussian engine).  A one-rail DV run builds no
+state at all (dv.one_rail_distribution; tests/oracle.py holds the dense route
+it replaced).  Only the Bell kinds run the pipeline of two-mode mixes
+(absorber.py's stages) and read every count from one pass over |joint|^2
+(conditional_outputs); full_pipeline, bs_transform, cpa_channel and
+hadamard_block stay because the benchmark names them.  _mix acts per
+total-photon sector, each a strided row slice of one float view that its real
+sector matrix multiplies (one BLAS call); a vacuum partner's sector is one
+column of a loss_amplitudes table, any other comes from the one before by a
+stable recurrence (_next_block) that matches the exact integer expansion to
+~5e-15 up to total 246.  Reduced states are held as purifications, rho = A A^H.
 States are immutable and every map is a pure function.  Outside data is
 checked in full by PureState(...); a map skips only the checks its construction
-guarantees (_built): relabel keeps the array, and _mix returns what _normalized
-has just scaled to unit norm.  States bridged from
-continuous families (coherent, squeezed, cat) come from one exact amplitude
-recurrence, truncated at the cutoff (a travelling pair's from its two-mode
-form); any constructor or map that would push more than TRUNCATION_TOL of
+guarantees (_built).  States bridged from continuous families (coherent,
+squeezed, cat) come from one exact amplitude recurrence, truncated at the
+cutoff; any constructor or map that would push more than TRUNCATION_TOL of
 probability past the cutoff fails loudly instead of silently corrupting moments.
 """
 from __future__ import annotations
@@ -322,11 +317,10 @@ def _one_mode(c0: complex, b: complex, t: complex, dim: int) -> np.ndarray:
             f"state with |alpha| = {alpha:.6g} on one mode is past double range: its "
             f"vacuum amplitude {abs(c0):.3g} underflows below {sys.float_info.min:.3g}"
         )
-    amps = np.zeros(dim, dtype=complex)
-    amps[0] = c0
-    for n in range(1, dim):  # at n = 1 the c_{n-2} term has weight sqrt(0)
-        amps[n] = (b * amps[n - 1] - t * math.sqrt(n - 1) * amps[n - 2]) / math.sqrt(n)
-    return amps
+    amps = [0j, complex(c0)]  # a leading c_{-1} = 0, which weight sqrt(0) meets at n = 1
+    for n in range(1, dim):  # Python complex; x (1 / sqrt n) rounds as numpy's x / sqrt n
+        amps.append((b * amps[n] - t * math.sqrt(n - 1) * amps[n - 1]) * (1.0 / math.sqrt(n)))
+    return np.array(amps[1:dim + 1], dtype=complex)
 
 
 def displaced_squeezed_amplitudes(beta: complex, xi: float, phi: float, dim: int) -> np.ndarray:
@@ -665,39 +659,6 @@ def absorber_environment(standing: PureState, absorber: AbsorberSpec) -> Environ
     )
 
 
-def absorber_outputs(standing: PureState, absorber: AbsorberSpec,
-                     counts: Iterable[int]) -> list[ConditionalOutput]:
-    """conditional_outputs(travelling_basis(cpa_channel(standing, absorber)), counts)
-    for a one-rail standing state Psi[n_a, n_o], a the absorbed mode, without
-    the joint.  m absorbed photons leave the pure light Psi[k+m, s] W[m, k],
-    W[m, k] = b[k+m, k] (b = loss_amplitudes: the Kraus form that
-    absorber_environment uses).  With P, Q[n] = sum_s (1, s) |Psi[n, s]|^2 and
-    X[n] = sum_s conj(Psi[n+1, s-1]) Psi[n, s] sqrt(s), a count costs O(dim):
-    p_m = sum_k W^2 P[k+m], (<n_a> + <n_o>) p_m = sum_k W^2 (k P + Q)[k+m] and
-    <a_a^dag a_o> p_m = sum_k W[m, k] W[m, k+1] sqrt(k+1) X[k+m].  The mix back
-    gives <n_K>, <n_-K> = (<n_a> + <n_o>) / 2 +- Re<a_a^dag a_o>."""
-    tau, dim, levels = absorber.tau_c, standing.dim, np.arange(standing.dim + 0.0)
-    psi = standing.aligned_amplitudes((S, C) if absorber.swap_roles else (C, S))
-    b = loss_amplitudes(tau, math.sqrt(max(0.0, 1.0 - tau * tau)), dim)
-    n = np.add.outer(np.arange(dim), np.arange(dim))  # [m, k]: the level k + m
-    w = np.where(n < dim, b[np.minimum(n, dim - 1), np.arange(dim)], 0.0)
-    weight, padded = np.abs(psi) ** 2, np.zeros((3, 2 * dim))  # P, Q, Re X past the top: 0
-    padded[0, :dim], padded[1, :dim] = weight.sum(axis=1), weight @ levels
-    padded[2, :dim - 1] = (psi[1:, :-1].conj() * psi[:-1, 1:]).real @ np.sqrt(levels[1:])
-    p, q, x = padded[:, n]
-    probs, totals = np.sum(w * w * p, axis=1), np.sum(w * w * (levels * p + q), axis=1)
-    reals = np.sum(w[:, 1:] * w[:, :-1] * np.sqrt(levels[1:]) * x[:, :-1], axis=1)
-    outputs = []
-    for m in counts:
-        prob = float(probs[m]) if 0 <= m < dim else 0.0
-        if prob < CONDITIONING_FLOOR:
-            raise FockError(f"conditioning on zero-probability absorbed count {m}")
-        half, real = float(totals[m]) / 2.0, float(reals[m])
-        outputs.append(ConditionalOutput(m, prob, 1.0, {
-            K: (half + real) / prob, MINUS_K: (half - real) / prob}))
-    return outputs
-
-
 def standing_basis(state: PureState) -> PureState:
     """Travelling modes -> standing basis: the first stage of full_pipeline."""
     return change_basis(state, STANDING_OF, bs_transform, relabel)
@@ -772,7 +733,7 @@ def conditional_outputs(joint: PureState, counts: Iterable[int]) -> list[Conditi
     m, those and the column weights give p_m and <n> p_m for every count at once.
     The purity is that of the purification A[:, columns of total m] / sqrt(p_m):
     one column on one rail, so pure; several on two, so possibly mixed.  Runs
-    read it for the Bell kinds only (one rail: absorber_outputs)."""
+    read it for the Bell kinds only (one rail: dv.one_rail_distribution)."""
     light, mat = _split(joint.amplitudes, joint.modes, [m for m in joint.modes if not m.is_env])
     dim, count = joint.dim, len(light)
     env_totals = np.indices((dim,) * (len(joint.modes) - count)).sum(axis=0).ravel()
@@ -802,21 +763,13 @@ def conditional_outputs(joint: PureState, counts: Iterable[int]) -> list[Conditi
 # moments
 
 
-def _apply_lowering(arr: np.ndarray, axis: int) -> np.ndarray:
-    """Annihilation operator along one tensor axis."""
-    moved = np.moveaxis(arr, axis, 0)
-    out = np.zeros_like(moved)
-    n = np.arange(1, moved.shape[0])
-    out[:-1] = moved[1:] * np.sqrt(n).reshape((-1,) + (1,) * (moved.ndim - 1))
-    return np.moveaxis(out, 0, axis)
-
-
 def mode_moments(state: PureState | DensityOperator, mode: ModeLabel) -> tuple[complex, float]:
     """Mean amplitude <a> and mean photon number <a^dag a> of one mode of a
     pure or reduced state."""
-    if isinstance(state, PureState):
-        lowered = _apply_lowering(state.amplitudes, state.axis(mode))
-        return complex(np.vdot(state.amplitudes, lowered)), float(np.vdot(lowered, lowered).real)
+    if isinstance(state, PureState):  # level n + 1 lowered onto level n, sliced
+        moved = np.moveaxis(state.amplitudes, state.axis(mode), 0)
+        lowered = moved[1:] * np.sqrt(np.arange(1.0, state.dim)).reshape((-1,) + (1,) * (moved.ndim - 1))
+        return complex(np.vdot(moved[:-1], lowered)), float(np.vdot(lowered, lowered).real)
     rows = state.partial_trace([mode]).factor
     reduced = rows @ rows.conj().T  # the single-mode d x d block
     n = np.arange(reduced.shape[0])
@@ -827,9 +780,20 @@ def mode_moments(state: PureState | DensityOperator, mode: ModeLabel) -> tuple[c
 def absorption_coefficients(standing: PureState) -> tuple[float | None, float | None]:
     """Intensity and coherence absorption coefficients of the travelling pair
     whose standing state (C, S) this is: absorber.absorbed_share of <n_C> and
-    <n_S>, and of |<a_C>|^2 and |<a_S>|^2 (None where a total vanishes)."""
-    amps = standing.amplitudes
-    lowered = [_apply_lowering(amps, standing.axis(m)) for m in (C, S)]
-    intensities = [float(np.vdot(x, x).real) for x in lowered]
-    coherences = [abs(complex(np.vdot(amps, x))) ** 2 for x in lowered]
-    return absorbed_share(*intensities), absorbed_share(*coherences)
+    <n_S>, and of |<a_C>|^2 and |<a_S>|^2 (None where a total vanishes).  Each
+    moment is a product of shifted slices of one float view F of the amplitudes
+    (re, im interleaved along S): level masses sum F^2 along the other mode, and
+    <a> = sum_n sqrt(n + 1) conj(psi[n]) psi[n + 1] pairs level n with n + 1, with
+    no lowered copy."""
+    f = np.ascontiguousarray(standing.aligned_amplitudes((C, S))).view(np.float64)
+    root = np.sqrt(np.arange(1.0, standing.dim))
+    levels = root * root
+    intensities = [levels @ np.einsum("ij,ij->i", f, f)[1:],
+                   levels @ np.einsum("ij,ij->j", f, f).reshape(-1, 2).sum(axis=1)[1:]]
+    pairs = [  # (re, im) of conj(psi[n]) psi[n + 1] summed over the other mode: C rows, S columns
+        (np.einsum("ij,ij->i", f[:-1], f[1:]), np.einsum("ij,ij->i", f[:-1, 0::2], f[1:, 1::2])
+         - np.einsum("ij,ij->i", f[:-1, 1::2], f[1:, 0::2])),
+        (np.einsum("ij,ij->j", f[:, :-2], f[:, 2:]).reshape(-1, 2).sum(axis=1),
+         np.einsum("ij,ij->j", f[:, 0:-2:2], f[:, 3::2]) - np.einsum("ij,ij->j", f[:, 1:-2:2], f[:, 2::2]))]
+    coherences = [abs(complex(root @ re, root @ im)) ** 2 for re, im in pairs]
+    return absorbed_share(*map(float, intensities)), absorbed_share(*coherences)

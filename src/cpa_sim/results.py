@@ -17,11 +17,12 @@ level pairs and values as arrays.  When every value lies in TABLE_RANGE, where
 that rule always keeps the f"{v:.12g}" text, the table is written by one
 '"%d,%d": %.12g' format call over the arrays; any other table (a value that
 rounds to 1, a subnormal, zero, NaN) is written entry by entry through _number.
+A one-rail run's conditional outputs (OutputTable) are written the same way.
 """
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from json.encoder import encode_basestring_ascii as _string
@@ -53,6 +54,12 @@ def _number(value: float) -> str:
 TABLE_RANGE = (1e-99, 0.9999999999995)
 
 
+def _tokens_in_range(values: np.ndarray) -> bool:
+    """Whether values is nonempty and f"{v:.12g}" writes each as _number does."""
+    size = np.abs(values)
+    return bool(size.size) and bool(np.all((size >= TABLE_RANGE[0]) & (size < TABLE_RANGE[1])))
+
+
 class LevelTable(Mapping):
     """Read-only map "na,nb" -> value over (n, 2) integer `levels` and their
     (n,) float `weights`, written by _text without a key or token per entry."""
@@ -79,13 +86,40 @@ class LevelTable(Mapping):
         """The entries' JSON lines joined by `inner`, or None when the table is
         empty or a value lies outside TABLE_RANGE (the caller then writes it
         entry by entry)."""
-        size = np.abs(self.weights)
-        if not size.size or not np.all((size >= TABLE_RANGE[0]) & (size < TABLE_RANGE[1])):
+        if not _tokens_in_range(self.weights):
             return None
         flat = [0] * (3 * len(self))
         flat[0::3], flat[1::3] = self.levels.T.tolist()
         flat[2::3] = self.weights.tolist()
         return ("," + inner).join(['"%d,%d": %.12g'] * len(self)) % tuple(flat)
+
+
+class OutputTable(Sequence):
+    """A one-rail run's conditional_outputs records over arrays: each count e in
+    `absorbed`, its `probability`, and pure light with `left` = (n - e) / 2
+    photons in each of K and MINUS_K.  _text writes them in one format call when
+    every probability lies in TABLE_RANGE (a half-integer below 1e11 is "%.1f")."""
+
+    def __init__(self, absorbed: np.ndarray, probability: np.ndarray, left: np.ndarray) -> None:
+        self.absorbed, self.probability, self.left = absorbed, probability, left
+
+    def __getitem__(self, i: int) -> dict:
+        half = float(self.left[i])
+        return {"absorbed": int(self.absorbed[i]), "probability": float(self.probability[i]),
+                "purity": 1.0, "mean_output_photons": {"K": half, "MINUS_K": half}}
+
+    def __len__(self) -> int:
+        return len(self.absorbed)
+
+    def text(self, inner: str) -> str | None:
+        """The records' JSON text joined by `inner`, or None (write them entry by entry)."""
+        if not _tokens_in_range(self.probability):
+            return None
+        two, four = inner + "  ", inner + "    "
+        record = (f'{{{two}"absorbed": %d,{two}"probability": %.12g,{two}"purity": 1.0,{two}'
+                  f'"mean_output_photons": {{{four}"K": %.1f,{four}"MINUS_K": %.1f{two}}}{inner}}}')
+        flat = np.column_stack((self.absorbed, self.probability, self.left, self.left))
+        return ("," + inner).join([record] * len(self)) % tuple(flat.ravel().tolist())
 
 
 def _text(obj: Any, newline: str) -> str:
@@ -107,12 +141,14 @@ def _text(obj: Any, newline: str) -> str:
     inner = newline + "  "  # floats, most of the leaves, are tokenized in place
     if isinstance(obj, LevelTable) and (lines := obj.text(inner)) is not None:
         return f"{{{inner}{lines}{newline}}}"
+    if isinstance(obj, OutputTable) and (lines := obj.text(inner)) is not None:
+        return f"[{inner}{lines}{newline}]"
     if isinstance(obj, (dict, LevelTable)):
         ends, items = "{}", [
             f"{_string(str(key))}: {_number(v) if type(v) is float else _text(v, inner)}"
             for key, v in obj.items()
         ]
-    elif isinstance(obj, (list, tuple)):
+    elif isinstance(obj, (list, tuple, OutputTable)):
         ends, items = "[]", [_number(v) if type(v) is float else _text(v, inner) for v in obj]
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
@@ -129,7 +165,7 @@ def _nonfinite_path(obj: Any, path: str = "$") -> str | None:
         obj = [obj.real, obj.imag]
     if isinstance(obj, (dict, LevelTable)):
         pairs = [(f"{path}.{key}", value) for key, value in obj.items()]
-    elif isinstance(obj, (list, tuple)):
+    elif isinstance(obj, (list, tuple, OutputTable)):
         pairs = [(f"{path}[{i}]", value) for i, value in enumerate(obj)]
     else:
         return None
@@ -157,7 +193,7 @@ class ScenarioResult:
     absorbed_distribution: dict[int, float] | None = None
     mean_intensity_absorption: float | None = None
     coherence_absorption: float | None = None
-    conditional_outputs: list[dict] = field(default_factory=list)
+    conditional_outputs: list[dict] | OutputTable = field(default_factory=list)
     separability: dict = field(default_factory=dict)
     extras: dict = field(default_factory=dict)
     diagnostics: dict = field(default_factory=dict)

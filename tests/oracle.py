@@ -11,11 +11,15 @@ substitutions on the creation operators:
 
 Ket amplitudes follow from (a^dag)^n |0> = sqrt(n!) |n>.
 
-The engine's own joint route, fock.conditional_outputs of fock.full_pipeline
-(the standing state mixed with its environment and back to K, MINUS_K), is
-what the Bell kinds run.  It is the reference for the one-rail readout that
-NOON and SINGLE_PHOTON runs use, fock.absorber_outputs, which never builds
-that joint (tests/test_dv.py and tests/test_fock.py hold the two together).
+NOON and SINGLE_PHOTON runs are read in closed form, in O(n)
+(dv.one_rail_distribution), and have three references here, all in
+tests/test_dv.py: the engine's own joint route, fock.conditional_outputs of
+fock.full_pipeline (what the Bell kinds run), for n <= 28; the dense one-rail
+route that the closed form replaced (dense_one_rail_run: standing_state, the
+loss map and eigen-solve of fock.absorber_environment, and absorber_outputs),
+for n <= 405; and exact_one_rail_distribution, rational arithmetic on the
+engine's double inputs, up to n = 10^5.  tests/test_fock.py holds
+absorber_outputs to the joint route for random one-rail states.
 """
 from __future__ import annotations
 
@@ -472,7 +476,7 @@ def superposition_of_coherent_pair(alpha: complex, cutoff: int):
 def _rounded(obj):
     """The payload json.dumps is given: floats at 12 significant digits, None as
     "undefined", numpy scalars as Python ones, mapping keys as str(key)."""
-    from collections.abc import Mapping
+    from collections.abc import Mapping, Sequence
 
     import numpy as np
 
@@ -488,7 +492,7 @@ def _rounded(obj):
         return [float(f"{obj.real:.12g}"), float(f"{obj.imag:.12g}")]
     if isinstance(obj, Mapping):  # a dict, or a results.LevelTable read entry by entry
         return {str(k): _rounded(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, Sequence) and not isinstance(obj, str):  # results.OutputTable too
         return [_rounded(v) for v in obj]
     return obj
 
@@ -663,3 +667,140 @@ def two_mix_epr_readouts(alpha_g: complex, alpha_h: complex, xi: float, absorber
         numbers.update({f"{mode}.mean_x1": mean_x1, f"{mode}.mean_x2": mean_x2,
                         f"{mode}.var_x1": block[0, 0], f"{mode}.var_x2": block[1, 1]})
     return numbers
+
+
+def exact_one_rail_distribution(n: int, tau_c: float, cos_delta: float, swap_roles: bool,
+                                bits: int = 256) -> list[float]:
+    """dv.one_rail_distribution from its double inputs taken exactly as
+    fractions.Fraction: q = (1 - tau_c^2) / 2 = a / 2^K, b = 2^K - a, r = q / (1
+    - q) = a / b and c = cos_delta, p(e) = C(n, e) q^e (1 - q)^(n-e) (1 + sigma_e
+    c r^(n-e)), sigma_e = (-1)^(n+e), or (-1)^e under swap_roles.  No float
+    arithmetic: each factor is an integer mantissa and a binary exponent, (1 -
+    q)^n by squaring and every next entry by the exact ratio (n - e) a / ((e +
+    1) b), each product cut to `bits` bits, so an entry is within about n
+    2^-bits of the exact rational; it is rounded to a double once at the end."""
+    from fractions import Fraction
+
+    q = (1 - Fraction(tau_c) ** 2) / 2
+    a, scale = q.numerator, q.denominator  # a power of two
+    if a == 0:
+        return [1.0] + [0.0] * n
+
+    def cut(m: int, x: int) -> tuple[int, int]:
+        shift = m.bit_length() - bits
+        return (m >> shift, x + shift) if shift > 0 else (m, x)
+
+    def ratio(m: int, x: int, num: int, den: int) -> tuple[int, int]:
+        return cut((m * num << bits) // den, x - bits)
+
+    b, c = scale - a, Fraction(cos_delta)
+    power, base, k = (1, 0), (b, 0), n  # b^n
+    while k:
+        if k & 1:
+            power = cut(power[0] * base[0], power[1] + base[1])
+        base, k = cut(base[0] * base[0], 2 * base[1]), k >> 1
+    binomial = [(power[0], power[1] - n * (scale.bit_length() - 1))]
+    decay = [(1, 0)]  # r^k
+    for e in range(n):
+        binomial.append(ratio(*binomial[-1], (n - e) * a, (e + 1) * b))
+        decay.append(ratio(*decay[-1], a, b))
+    out = []
+    for e, (m, x) in enumerate(binomial):
+        (rm, rx), sign = decay[n - e], -1 if (e if swap_roles else n + e) % 2 else 1
+        if rm.bit_length() + rx > -2 * bits:  # else r^k is below the rounding
+            factor = 1 + sign * c * Fraction(rm) * Fraction(2) ** rx
+            m, x = ratio(m, x, factor.numerator, factor.denominator)
+        out.append(math.ldexp(float(m), x))
+    return out
+
+
+# (i^m, sign) by m mod 4: cos((pi m + delta)/2) = sign * (cos, sin)[m mod 2] of delta/2
+_QUARTER_TURNS = ((1 + 0j, 1.0), (1j, -1.0), (-1 + 0j, -1.0), (-1j, 1.0))
+
+
+def noon_standing_decomposition(n: int, delta_theta: float) -> list[tuple[int, complex]]:
+    """Standing-basis expansion coefficients of a NOON input.
+
+    Entry (m, c_m) multiplies the ket with n-m photons in the cosine mode and
+    m in the sine mode: c_m = i^m cos((pi m + delta)/2) sqrt(binom(n, m) / 2^(n-1)),
+    bs_transform's output times e^{-i delta/2}.  Both periodic factors are read
+    off m mod 4 and the binomial ratio is one correctly rounded division, so
+    every entry is exact to a few ulp at any n.
+    """
+    if n < 1:
+        raise ValueError("n >= 1 required")
+    trig = (math.cos(delta_theta / 2.0), math.sin(delta_theta / 2.0))
+    out: list[tuple[int, complex]] = []
+    for m in range(n + 1):
+        phase, sign = _QUARTER_TURNS[m % 4]
+        magnitude = sign * trig[m % 2] * math.sqrt(math.comb(n, m) / 2 ** (n - 1))
+        out.append((m, phase * magnitude))
+    return out
+
+
+def standing_state(scenario, cutoff: int):
+    """fock.standing_basis(dv.build_input(scenario, cutoff)) in closed form, to
+    rounding and up to BELL_PSI_MINUS's sign: a Bell kind's image (dv._BELL) on
+    (C, S), as Bell runs build it, else noon_standing_decomposition times the
+    mix's phase e^{i delta/2}."""
+    import cmath
+
+    from cpa_sim import dv, fock
+    from cpa_sim.modes import C, S
+
+    if scenario.kind in dv.BELL_KINDS:
+        return dv._bell_state(dv._BELL[scenario.kind][2], cutoff, C, S)
+    n, phase = scenario.total_photons, cmath.exp(0.5j * scenario.delta_theta)
+    terms = noon_standing_decomposition(n, scenario.delta_theta)
+    return fock.superposition([(c * phase, {C: n - m, S: m}) for m, c in terms], (C, S), cutoff)
+
+
+def absorber_outputs(standing, absorber, counts):
+    """fock.conditional_outputs(travelling_basis(cpa_channel(standing, absorber)), counts)
+    for a one-rail standing state Psi[n_a, n_o], a the absorbed mode, without
+    the joint: the dense one-rail route.  m absorbed photons leave the pure
+    light Psi[k+m, s] W[m, k], W[m, k] = b[k+m, k] (b = fock.loss_amplitudes:
+    the Kraus form that absorber_environment uses).  With P, Q[n] = sum_s (1, s)
+    |Psi[n, s]|^2 and X[n] = sum_s conj(Psi[n+1, s-1]) Psi[n, s] sqrt(s), a count
+    costs O(dim): p_m = sum_k W^2 P[k+m], (<n_a> + <n_o>) p_m = sum_k W^2 (k P +
+    Q)[k+m] and <a_a^dag a_o> p_m = sum_k W[m, k] W[m, k+1] sqrt(k+1) X[k+m].
+    The mix back gives <n_K>, <n_-K> = (<n_a> + <n_o>) / 2 +- Re<a_a^dag a_o>."""
+    import numpy as np
+
+    from cpa_sim import fock
+    from cpa_sim.modes import C, K, MINUS_K, S
+
+    tau, dim, levels = absorber.tau_c, standing.dim, np.arange(standing.dim + 0.0)
+    psi = standing.aligned_amplitudes((S, C) if absorber.swap_roles else (C, S))
+    b = fock.loss_amplitudes(tau, math.sqrt(max(0.0, 1.0 - tau * tau)), dim)
+    n = np.add.outer(np.arange(dim), np.arange(dim))  # [m, k]: the level k + m
+    w = np.where(n < dim, b[np.minimum(n, dim - 1), np.arange(dim)], 0.0)
+    weight, padded = np.abs(psi) ** 2, np.zeros((3, 2 * dim))  # P, Q, Re X past the top: 0
+    padded[0, :dim], padded[1, :dim] = weight.sum(axis=1), weight @ levels
+    padded[2, :dim - 1] = (psi[1:, :-1].conj() * psi[:-1, 1:]).real @ np.sqrt(levels[1:])
+    p, q, x = padded[:, n]
+    probs, totals = np.sum(w * w * p, axis=1), np.sum(w * w * (levels * p + q), axis=1)
+    reals = np.sum(w[:, 1:] * w[:, :-1] * np.sqrt(levels[1:]) * x[:, :-1], axis=1)
+    outputs = []
+    for m in counts:
+        prob = float(probs[m]) if 0 <= m < dim else 0.0
+        if prob < fock.CONDITIONING_FLOOR:
+            raise fock.FockError(f"conditioning on zero-probability absorbed count {m}")
+        half, real = float(totals[m]) / 2.0, float(reals[m])
+        outputs.append(fock.ConditionalOutput(m, prob, 1.0, {
+            K: (half + real) / prob, MINUS_K: (half - real) / prob}))
+    return outputs
+
+
+def dense_one_rail_run(scenario, absorber, report_threshold: float = 1e-9):
+    """(environment readout, conditional outputs) of a NOON or single-photon run
+    by the dense one-rail route: the (n+1)^2 standing state (standing_state),
+    fock.absorber_environment's loss map and eigen-solve, and absorber_outputs
+    for each count above report_threshold and fock.CONDITIONING_FLOOR."""
+    from cpa_sim import fock
+
+    standing = standing_state(scenario, scenario.total_photons)
+    environment = fock.absorber_environment(standing, absorber)
+    floor = max(report_threshold, fock.CONDITIONING_FLOOR)
+    counts = [m for m, p in sorted(environment.distribution.items()) if p > floor]
+    return environment, absorber_outputs(standing, absorber, counts)

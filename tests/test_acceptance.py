@@ -115,7 +115,7 @@ def test_06_noon_decomposition_matches_engine():
             target = fock.superposition(
                 [
                     (c, {K: n - m, MINUS_K: m})
-                    for m, c in dv.noon_standing_decomposition(n, delta)
+                    for m, c in oracle.noon_standing_decomposition(n, delta)
                 ],
                 (K, MINUS_K),
                 n,

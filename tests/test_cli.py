@@ -595,7 +595,7 @@ def test_run_rejects_booleans_in_complex_amplitudes(tmp_path, capsys, alpha, fie
         ({"kind": "CAT_CAT", "alpha": 1.0}, {"cutoff": 10**12}, "1000000000000"),
         ({"kind": "COHERENT_SQUEEZED", "alpha": 1e5, "xi": 0.5}, {}, "1.00011e+10"),
         ({"kind": "COHERENT_CAT", "alpha": 1e308}, {}, "inf"),
-        ({"kind": "NOON", "n": 10**6}, {"cutoff": 10**6}, "1000000"),
+        ({"kind": "NOON", "n": 10**10}, {"cutoff": 10**10}, "10000000000"),
         ({"kind": "EPR", "xi": 0.3}, {"cutoff": 10**12}, "1000000000000"),
     ],
 )

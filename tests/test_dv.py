@@ -59,7 +59,7 @@ def test_noon_requires_positive_n():
 
 
 def test_noon_decomposition_three_photon_magnitudes():
-    coeffs = dict(dv.noon_standing_decomposition(3, 0.0))
+    coeffs = dict(oracle.noon_standing_decomposition(3, 0.0))
     assert abs(coeffs[0]) == pytest.approx(0.5, abs=1e-14)
     assert abs(coeffs[1]) == pytest.approx(0.0, abs=1e-14)
     assert abs(coeffs[2]) == pytest.approx(math.sqrt(3) / 2, abs=1e-14)
@@ -67,7 +67,7 @@ def test_noon_decomposition_three_photon_magnitudes():
 
 
 def test_noon_decomposition_four_photon_magnitudes():
-    coeffs = dict(dv.noon_standing_decomposition(4, 0.0))
+    coeffs = dict(oracle.noon_standing_decomposition(4, 0.0))
     assert abs(coeffs[0]) == pytest.approx(1 / (2 * math.sqrt(2)), abs=1e-14)
     assert abs(coeffs[2]) == pytest.approx(math.sqrt(6) / (2 * math.sqrt(2)), abs=1e-14)
     assert abs(coeffs[4]) == pytest.approx(1 / (2 * math.sqrt(2)), abs=1e-14)
@@ -76,7 +76,7 @@ def test_noon_decomposition_four_photon_magnitudes():
 def test_noon_two_photon_decomposition_is_plus_pair():
     # both-photons-together input is a beamsplitter eigenstate, so the
     # standing expansion keeps the plus sign on both components
-    coeffs = dict(dv.noon_standing_decomposition(2, 0.0))
+    coeffs = dict(oracle.noon_standing_decomposition(2, 0.0))
     assert coeffs[0] == pytest.approx(INV, abs=1e-14)
     assert coeffs[2] == pytest.approx(-INV * (1j ** 2), abs=1e-14)  # i^2 * (-1/sqrt2)
     state = dv.build_input(dv.DvScenario(dv.DvKind.NOON, 2, 0.0), 2)
@@ -94,7 +94,7 @@ def test_noon_decomposition_matches_engine(n, step):
     delta = 2.0 * math.pi * step / 16.0
     state = dv.build_input(dv.DvScenario(dv.DvKind.NOON, n, delta), n)
     standing = fock.bs_transform(state, K, MINUS_K)
-    coeffs = dv.noon_standing_decomposition(n, delta)
+    coeffs = oracle.noon_standing_decomposition(n, delta)
     target = fock.superposition(
         [(c, {K: n - m, MINUS_K: m}) for m, c in coeffs], (K, MINUS_K), n
     )
@@ -104,7 +104,7 @@ def test_noon_decomposition_matches_engine(n, step):
 @given(n=st.integers(1, 10), delta=st.floats(-10.0, 10.0))
 @settings(max_examples=60, deadline=None)
 def test_noon_decomposition_normalized(n, delta):
-    total = sum(abs(c) ** 2 for _, c in dv.noon_standing_decomposition(n, delta))
+    total = sum(abs(c) ** 2 for _, c in oracle.noon_standing_decomposition(n, delta))
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
@@ -134,13 +134,14 @@ def _aligned(closed: np.ndarray, reference: np.ndarray) -> np.ndarray:
 @example(kind=dv.DvKind.NOON, n=300, delta=0.4)
 @example(kind=dv.DvKind.NOON, n=120, delta=2.1)
 def test_standing_closed_forms_match_the_exact_expansion(kind, n, delta):
-    """dv.standing_state is within 5e-16 of the input's exact integer expansion
-    (tests/oracle.py) and within 1e-15 of fock.standing_basis, each after
-    aligning the global phase: NOON n <= 300, the single photon, and all four
-    Bell kinds, whose standing state is the mapped Bell state on (C, S)."""
+    """oracle.standing_state (dv.standing_state for the Bell kinds) is within
+    5e-16 of the input's exact integer expansion (tests/oracle.py) and within
+    1e-15 of fock.standing_basis, each after aligning the global phase: NOON
+    n <= 300, the single photon, and all four Bell kinds, whose standing state
+    is the mapped Bell state on (C, S)."""
     scenario = dv.DvScenario(kind, n if kind is dv.DvKind.NOON else 1, delta)
     state = dv.build_input(scenario, scenario.total_photons)
-    closed = dv.standing_state(scenario, scenario.total_photons)
+    closed = oracle.standing_state(scenario, scenario.total_photons)
     mixed = fock.standing_basis(state)
     assert closed.modes == mixed.modes
     exact = oracle.exact_standing_amplitudes(state)
@@ -252,6 +253,24 @@ def test_environment_entropy_reported():
 # one-rail runs read their outputs from the standing state
 
 
+def _one_rail(n: int, delta: float) -> dv.DvScenario:
+    """NOON n, or the single photon at n = 0."""
+    return (dv.DvScenario(dv.DvKind.NOON, n, delta) if n
+            else dv.DvScenario(dv.DvKind.SINGLE_PHOTON, delta_theta=delta))
+
+
+def _outputs_agree(got, expected, tol: float) -> None:
+    """Run records `got` against fock.ConditionalOutput `expected`, within tol."""
+    assert [o["absorbed"] for o in got] == [o.absorbed for o in expected]
+    for new, old in zip(got, expected):
+        assert abs(new["probability"] - old.probability) < tol
+        assert new["purity"] == 1.0 and abs(old.purity - 1.0) < tol
+        assert list(new["mean_output_photons"]) == [str(K), str(MINUS_K)] == list(
+            map(str, old.mean_photons))
+        for mode, number in old.mean_photons.items():
+            assert abs(new["mean_output_photons"][str(mode)] - number) < tol
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.one_of(st.just(0), st.integers(1, 28)),  # 0: SINGLE_PHOTON, else NOON n
@@ -260,44 +279,85 @@ def test_environment_entropy_reported():
     st.floats(0.05, 0.95),
 )
 def test_one_rail_outputs_match_the_joint_route(n, delta, choice, tau_c):
-    """fock.absorber_outputs on the standing state gives, within 1e-13, what
-    fock.conditional_outputs reads from full_pipeline's joint."""
-    scenario = (dv.DvScenario(dv.DvKind.NOON, n, delta) if n
-                else dv.DvScenario(dv.DvKind.SINGLE_PHOTON, delta_theta=delta))
-    absorber = _absorber(choice, tau_c)
-    state = dv.build_input(scenario, scenario.total_photons)
-    standing = fock.standing_basis(state)
-    distribution = fock.absorber_environment(standing, absorber).distribution
-    counts = [m for m, p in distribution.items() if p > 1e-9]  # the run's default report
-    expected = fock.conditional_outputs(fock.full_pipeline(state, absorber), counts)
-    got = fock.absorber_outputs(standing, absorber, counts)
-    assert [o.absorbed for o in got] == counts
-    for new, old in zip(got, expected):
-        assert abs(new.probability - old.probability) < 1e-13
-        assert new.purity == 1.0 and abs(old.purity - 1.0) < 1e-13
-        assert list(new.mean_photons) == list(old.mean_photons) == [K, MINUS_K]
-        for mode, number in old.mean_photons.items():
-            assert abs(new.mean_photons[mode] - number) < 1e-13
+    """dv.run_scenario's closed form gives, within 1e-13, the distribution of
+    full_pipeline's joint and what fock.conditional_outputs reads from it for
+    every reported count."""
+    scenario, absorber = _one_rail(n, delta), _absorber(choice, tau_c)
+    result = dv.run_scenario(scenario, absorber)
+    joint = fock.full_pipeline(dv.build_input(scenario, scenario.total_photons), absorber)
+    for m, p in oracle.absorbed_photon_distribution(joint).items():
+        assert abs(result.absorbed_distribution[m] - p) < 1e-13
+    counts = [o["absorbed"] for o in result.conditional_outputs]
+    _outputs_agree(result.conditional_outputs, fock.conditional_outputs(joint, counts), 1e-13)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(st.just(0), st.integers(1, 405)),
+    st.floats(-10.0, 10.0),
+    st.sampled_from(["canonical", "tau_c", "swap", "tau_c+swap"]),
+    st.floats(0.0, 1.0),
+)
+@example(405, 0.7, "tau_c", 0.46)
+@example(60, math.pi, "canonical", 0.5)
+def test_one_rail_run_matches_the_dense_route(n, delta, choice, tau_c):
+    """The closed form against the dense one-rail route it replaced
+    (oracle.dense_one_rail_run: the (n+1)^2 standing state, the loss map and an
+    eigen-solve): distribution and outputs within 1e-13, entropy within 1e-12."""
+    scenario, absorber = _one_rail(n, delta), _absorber(choice, tau_c)
+    result = dv.run_scenario(scenario, absorber, max(n, 1))
+    environment, outputs = oracle.dense_one_rail_run(scenario, absorber)
+    assert list(result.absorbed_distribution) == list(environment.distribution)
+    for m, p in environment.distribution.items():
+        assert abs(result.absorbed_distribution[m] - p) < 1e-13
+    entropy = result.separability["env_entanglement_entropy"]
+    assert abs(entropy - environment.entropy) < 1e-12
+    _outputs_agree(result.conditional_outputs, outputs, 1e-13)
+
+
+@pytest.mark.parametrize("n, tau_c, delta, swap", [
+    (1, 0.46, 0.7, False), (1, 0.0, math.pi, True), (3, 0.55, 0.25 * math.pi, True),
+    (3, 0.999, 0.0, False), (60, 0.3, 2.0, True), (60, 0.9, 1e-3, False),
+    (405, 0.46, 0.7, False), (405, 0.05, math.pi, True),
+    (10**5, 0.46, 0.4, False), (10**5, 0.9, 3.0, True),
+])
+def test_one_rail_distribution_matches_the_exact_oracle(n, tau_c, delta, swap):
+    """Every entry of the closed-form distribution that the exact rational
+    oracle puts at or above 1e-290 is within 1e-12 of it, relative; every other
+    is below 1e-289."""
+    absorber = AbsorberSpec((tau_c - 1.0) / 2.0, swap)
+    got = dv.one_rail_distribution(_one_rail(n, delta), absorber)
+    exact = np.array(oracle.exact_one_rail_distribution(n, absorber.tau_c, math.cos(delta), swap))
+    kept = exact >= 1e-290
+    assert np.all(np.abs(got[kept] - exact[kept]) <= 1e-12 * exact[kept])
+    assert np.all(got[~kept] < 1e-289)
 
 
 def _calls(scenario: dv.DvScenario) -> dict[str, int]:
-    """How often a run at tau_c = 0.4 calls each map that builds or mixes the joint."""
-    names = ("cpa_channel", "full_pipeline", "bs_transform", "_mix", "standing_basis")
+    """How often a run at tau_c = 0.4 calls each map that builds or mixes the
+    joint, builds a state, or reads the environment densely."""
+    names = ("cpa_channel", "full_pipeline", "bs_transform", "_mix", "standing_basis",
+             "_built", "absorber_environment", "loss_amplitudes")
     with contextlib.ExitStack() as stack:
         spies = [stack.enter_context(mock.patch.object(fock, name, wraps=getattr(fock, name)))
                  for name in names]
+        spies.append(stack.enter_context(mock.patch.object(
+            fock.PureState, "__post_init__", autospec=True,
+            side_effect=fock.PureState.__post_init__)))
+        spies.append(stack.enter_context(mock.patch.object(
+            np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh)))
         dv.run_scenario(scenario, AbsorberSpec(-0.3))
-    return {name: spy.call_count for name, spy in zip(names, spies)}
+    return {name: spy.call_count for name, spy in zip(names + ("PureState", "eigvalsh"), spies)}
 
 
 @pytest.mark.parametrize("scenario", [
     dv.DvScenario(dv.DvKind.NOON, 5, 0.3), dv.DvScenario(dv.DvKind.SINGLE_PHOTON),
 ], ids=["NOON", "SINGLE_PHOTON"])
 def test_one_rail_run_builds_no_joint(scenario):
-    """The standing state is built in closed form and feeds both readouts: no
-    beamsplitter, no absorber mix, no pipeline, no mix back."""
-    assert _calls(scenario) == {"cpa_channel": 0, "full_pipeline": 0, "bs_transform": 0,
-                                "_mix": 0, "standing_basis": 0}
+    """A one-rail run is its closed form: it builds no state, standing or
+    joint, and calls no beamsplitter, absorber mix, pipeline, dense environment
+    readout, loss table or eigen-solve."""
+    assert set(_calls(scenario).values()) == {0}
 
 
 def test_bell_run_reads_its_joint():
@@ -305,7 +365,7 @@ def test_bell_run_reads_its_joint():
     only basis change: absorber_environment reads the closed form."""
     calls = _calls(dv.DvScenario(dv.DvKind.BELL_PSI_PLUS))
     assert calls["full_pipeline"] == 1 and calls["cpa_channel"] == 1
-    assert calls["standing_basis"] == 1
+    assert calls["standing_basis"] == 1 and calls["absorber_environment"] == 1
 
 
 def _noon_run_peak_kib(tmp_path, n: int) -> tuple[int, int]:
@@ -341,9 +401,19 @@ def test_large_noon_run_peaks_below_100_mib(tmp_path):
 
 
 def test_largest_noon_run_peaks_below_100_mib(tmp_path):
-    """NOON n = 405, the most the memory budget admits, stays below 100 MiB too:
-    its standing state is built in closed form, with no cache of balanced
-    blocks (which held 179 MB of the 225 MiB it peaked at)."""
+    """NOON n = 405, once the most the memory budget admitted (it was charged
+    for a three-mode joint that no one-rail run builds), stays below 100 MiB
+    too: the closed form allocates O(n)."""
     outputs, peak_kib = _noon_run_peak_kib(tmp_path, 405)
     assert outputs > 50
     assert peak_kib < 100 * 1024
+
+
+def test_noon_at_a_hundred_thousand_photons_peaks_below_100_mib(tmp_path):
+    """NOON n = 10^5 at tau_c = 0.46 exits 0 in a fresh interpreter with a peak
+    RSS below 100 MiB (64 MiB measured, 2.3 MB of JSON, 1,679 counts), well inside its
+    charge of ONE_RAIL_LEVEL_STATES * 16 bytes per level (34 MB)."""
+    outputs, peak_kib = _noon_run_peak_kib(tmp_path, 10**5)
+    assert outputs > 1000
+    assert peak_kib < 100 * 1024
+    assert fock.budget_bytes(10**5, 1, dv.ONE_RAIL_LEVEL_STATES) < 40e6

@@ -179,3 +179,23 @@ def test_coherent_squeezed_run_tokenizes_no_table_entry(tmp_path, capsys, monkey
     assert out["numerics"]["cutoff"] == 123
     assert len(out["extras"]["standing_joint_distribution"]) == 1698
     assert len(calls) < 300, len(calls)
+
+
+@given(st.lists(st.tuples(st.integers(0, 10**6), _IN_RANGE | _TABLE_VALUES.filter(lambda v: v >= 0)),
+                max_size=30)
+       | st.lists(st.tuples(st.integers(0, 10**6), _IN_RANGE.filter(lambda v: v > 0)), max_size=30),
+       st.integers(0, 2 * 10**6))
+@example([], 5)
+@example([(0, 1.0)], 1)
+@example([(3, 0.25), (4, 1e-99)], 4)
+@settings(max_examples=200, deadline=None)
+def test_output_table_is_written_as_its_records(records, n):
+    """A one-rail OutputTable is written in one format call where every
+    probability lies in TABLE_RANGE, record by record otherwise: either way
+    json.dumps of the rounded records, with (n - e) / 2 photons per mode."""
+    absorbed = np.array([e for e, _ in records], dtype=np.int64)
+    table = results.OutputTable(absorbed, np.array([p for _, p in records], dtype=float),
+                                (n - absorbed) / 2.0)
+    payload = {"conditional_outputs": table, "separability": {}}
+    assert results.clean(payload) == oracle.json_reference(payload)
+    assert [record["absorbed"] for record in table] == absorbed.tolist()
