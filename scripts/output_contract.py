@@ -2,7 +2,7 @@
 """Record the output contract of `cpa` in-process, or compare two records.
 
     PYTHONPATH=src python scripts/output_contract.py [--grid N...] [--out FILE]
-        [--workload NAME]... [--seed N]... PATH...
+        [--workload NAME]... [--seed N]... [--hashed] PATH...
     python scripts/output_contract.py --compare A B
 
 The first form calls `cpa_sim.cli.main` on `run FILE` for every scenario file
@@ -16,9 +16,9 @@ adds the `run` files the benchmark generates for it, in op order:
 names `<NAME-seedN>`, so no benchmark run is needed first and two records of
 the same inputs compare equal.  It writes one JSON line per command: argv,
 exit code, the sha256 of stdout, the text of the CSV a preset writes, stderr,
-and for `run` the stdout itself.  Whichever `cpa_sim` is
-importable is recorded, so pointing PYTHONPATH at another checkout's `src`
-records that one.
+and for `run` the stdout itself; `--hashed` keeps only the sha256 of each
+stdout and CSV (`csv_sha256`).  Whichever `cpa_sim` is importable is recorded,
+so pointing PYTHONPATH at another checkout's `src` records that one.
 
 `--compare A B` prints the argv of every command whose lines differ, or that
 only one record has, and exits 1 when there is any.  Under each argv it names
@@ -28,13 +28,24 @@ value of the `run` JSON whose token differs, by its path
 `<absent>` where a key exists on one side), and every CSV cell that differs
 as `row R, COLUMN: OLD -> NEW`, R counting data rows from 1 (`row R: <absent>
 -> LINE` where a row exists on one side, `header: OLD -> NEW` where the
-header lines differ).  A record written before the CSV text was kept holds
-only its sha256 (`csv_sha256`); a CSV compares with such a line by its sha256,
-and a moved one is named by that `csv_sha256` alone.
+header lines differ).  A hashed line, or one of a record written before the
+CSV text was kept, holds only the sha256 of a stream; the other side compares
+with it by sha256, and a moved stream is named by its `stdout_sha256` or
+`csv_sha256` alone.
 
 Good inputs are `tests/golden`, `tests/hostile` (whose exit codes and stderr
 the record pins) and the benchmark's workloads, e.g.
 `--workload fock_large --workload scenario_mix --seed 1 tests/golden tests/hostile`.
+
+`tests/output_contract.jsonl` is the hashed record of that corpus at
+`--grid 9`; tests/test_output_contract.py records the corpus again and names
+each command that moved.  A change that moves outputs on purpose records it
+again, with one BLAS thread, as the benchmark runs:
+
+    OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 PYTHONPATH=src \\
+        python scripts/output_contract.py --hashed --grid 9 --workload fock_large \\
+        --workload scenario_mix --seed 1 --out tests/output_contract.jsonl \\
+        tests/golden tests/hostile
 """
 from __future__ import annotations
 
@@ -131,11 +142,13 @@ def record(argvs: list[list[str]]) -> list[dict]:
 
 
 def _hashed(line: dict | None) -> dict | None:
-    """A line with its CSV text, if any, replaced by the text's `csv_sha256`, the
-    form records written before the text was kept hold."""
-    if line is None or "csv" not in line:
+    """A line with its stdout text dropped (its `stdout_sha256` stays) and its
+    CSV text, if any, replaced by the text's `csv_sha256`: the form of a
+    `--hashed` record, and of records written before the CSV text was kept."""
+    if line is None:
         return line
-    return {**{k: v for k, v in line.items() if k != "csv"}, "csv_sha256": _sha256(line["csv"])}
+    hashed = {k: v for k, v in line.items() if k not in ("stdout", "csv")}
+    return hashed if "csv" not in line else {**hashed, "csv_sha256": _sha256(line["csv"])}
 
 
 def differing(a: list[dict], b: list[dict]) -> list[list[str]]:
@@ -181,7 +194,8 @@ def _cells(old: str, new: str) -> list[tuple[str, str, str]]:
 def moved(a: dict | None, b: dict | None) -> list[tuple[str, str, str]]:
     """(path, old, new) of what differs between two lines of one command: exit,
     stderr, each cell of a preset's CSV and each value of a `run`'s JSON stdout;
-    `stdout` itself when the texts differ in nothing else."""
+    `stdout` itself when the texts differ in nothing else, and `stdout_sha256`
+    when a side holds no text."""
     a, b = a or {}, b or {}
     out = [(key, json.dumps(a.get(key)) if key in a else ABSENT,
             json.dumps(b.get(key)) if key in b else ABSENT)
@@ -192,6 +206,9 @@ def moved(a: dict | None, b: dict | None) -> list[tuple[str, str, str]]:
         out += [("csv_sha256", *(json.dumps(_hashed(line)["csv_sha256"])
                                  if "csv" in line or "csv_sha256" in line else ABSENT
                                  for line in (a, b)))]
+    if a and b and not ("stdout" in a and "stdout" in b):  # a side holds the sha256 alone
+        old, new = a["stdout_sha256"], b["stdout_sha256"]
+        return out + ([] if old == new else [("stdout_sha256", json.dumps(old), json.dumps(new))])
     if a.get("stdout") == b.get("stdout"):
         return out
     text = [("stdout", "<text>", "<text>")]
@@ -202,6 +219,19 @@ def moved(a: dict | None, b: dict | None) -> list[tuple[str, str, str]]:
     paths = list(old) + [p for p in new if p not in old]
     values = [(p, old.get(p, ABSENT), new.get(p, ABSENT)) for p in paths if old.get(p) != new.get(p)]
     return out + (values or text)
+
+
+def report(a: list[dict], b: list[dict]) -> list[str]:
+    """The argv of each command that differs between two records, each followed
+    by one `  PATH: OLD -> NEW` line per moved value (moved)."""
+    by_argv = [{json.dumps(line["argv"]): line for line in lines} for lines in (a, b)]
+    out = []
+    for argv in differing(a, b):
+        key = json.dumps(argv)
+        out.append(" ".join(argv))
+        out += [f"  {path}: {old} -> {new}"
+                for path, old, new in moved(by_argv[0].get(key), by_argv[1].get(key))]
+    return out
 
 
 def _read(path: str) -> list[dict]:
@@ -219,23 +249,21 @@ def main() -> int:
                         help="add the run files the benchmark generates for this workload")
     parser.add_argument("--seed", action="append", type=int, default=[],
                         help="workload seed (repeatable; default 1)")
+    parser.add_argument("--hashed", action="store_true",
+                        help="keep each stdout and CSV as its sha256 alone")
     parser.add_argument("--compare", nargs=2, metavar=("A", "B"))
     args = parser.parse_args()
 
     if args.compare:
         records = [_read(path) for path in args.compare]
-        by_argv = [{json.dumps(line["argv"]): line for line in lines} for lines in records]
+        for line in report(*records):
+            print(line)
         diff = differing(*records)
-        for argv in diff:
-            print(" ".join(argv))
-            key = json.dumps(argv)
-            for path, old, new in moved(by_argv[0].get(key), by_argv[1].get(key)):
-                print(f"  {path}: {old} -> {new}")
         print(f"{len(diff)} command(s) differ", file=sys.stderr)
         return 1 if diff else 0
     workloads = [(name, seed) for name in args.workload for seed in args.seed or [1]]
-    argvs = commands(args.paths, args.grid, workloads)
-    text = "".join(json.dumps(line) + "\n" for line in record(argvs))
+    lines = record(commands(args.paths, args.grid, workloads))
+    text = "".join(json.dumps(_hashed(line) if args.hashed else line) + "\n" for line in lines)
     if args.out is None:
         sys.stdout.write(text)
     else:

@@ -1,5 +1,6 @@
 """scripts/output_contract.py: records of the same code compare equal, and a
-changed or missing line is reported."""
+changed or missing line is reported; the checked-in record of the corpus
+holds."""
 import importlib.util
 import json
 import os
@@ -8,8 +9,11 @@ import sys
 
 from test_golden import GOLDEN_DIR
 
-SCRIPT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "scripts",
-                      "output_contract.py")
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+SCRIPT = os.path.join(ROOT, "scripts", "output_contract.py")
+RECORD = os.path.join(ROOT, "tests", "output_contract.jsonl")
+CORPUS = ["--grid", "9", "--workload", "fock_large", "--workload", "scenario_mix", "--seed", "1",
+          "tests/golden", "tests/hostile"]
 _spec = importlib.util.spec_from_file_location("output_contract", SCRIPT)
 contract = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(contract)
@@ -38,6 +42,12 @@ def test_two_records_compare_equal_and_a_doctored_line_is_reported(tmp_path):
     doctored[3]["stdout_sha256"] = "0" * 64
     assert _compare(tmp_path, first, doctored) == (1, " ".join(argvs[3]) + "\n")
     assert contract.differing(first, second[:-1]) == [argvs[-1]]
+    # a hashed line keeps each stream's sha256 alone and compares with a full one by it
+    hashed = [contract._hashed(line) for line in second]
+    assert {len(line) for line in hashed} == {4, 5} and contract.differing(first, hashed) == []
+    hashed[3]["stdout_sha256"] = "0" * 64
+    assert contract.report(first, hashed) == [
+        " ".join(argvs[3]), f'  stdout_sha256: "{first[3]["stdout_sha256"]}" -> "{"0" * 64}"']
 
 
 def test_workload_commands_stand_in_for_the_generated_inputs():
@@ -108,3 +118,28 @@ def test_presets_are_recorded_at_each_grid_given():
     assert [(argv[2], argv[4]) for argv in presets] == [
         (p, g) for g in ("9", "11", "101") for p in ("fig6", "fig8", "fig9a", "fig9b")]
     assert contract.commands([], grid=101) == contract.commands([], grid=[101])
+
+
+def record_corpus(out: str) -> None:
+    """Record CORPUS, hashed, to `out`: in a fresh interpreter with one BLAS
+    thread, as the benchmark runs, so that no thread count moves a last bit."""
+    env = {key: value for key, value in os.environ.items() if key != "CPA_THREADS"}
+    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [os.path.join(ROOT, "src"),
+                                                        env.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, SCRIPT, "--hashed", "--out", out, *CORPUS],
+                   cwd=ROOT, env=env, check=True)
+
+
+def test_outputs_match_the_checked_in_record(tmp_path):
+    """Every command of the corpus (the golden and hostile files, both run
+    workloads' files at seed 1, table1 and the presets at grid 9) keeps its exit
+    code, stderr and the sha256 of its stdout and CSV in tests/output_contract.jsonl.
+    A change that moves outputs on purpose records the corpus again (the
+    command is in scripts/output_contract.py), and the record's diff names each
+    moved command."""
+    record_corpus(str(tmp_path / "now.jsonl"))
+    expected, got = contract._read(RECORD), contract._read(str(tmp_path / "now.jsonl"))
+    assert len(expected) == 430
+    moved = contract.report(expected, got)
+    assert not moved, "commands moved against tests/output_contract.jsonl:\n" + "\n".join(moved)
