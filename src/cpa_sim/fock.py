@@ -12,12 +12,12 @@ state at all (dv.one_rail_distribution; tests/oracle.py holds the dense route
 it replaced).  Only the Bell kinds run the pipeline of two-mode mixes
 (absorber.py's stages) and read every count from one pass over |joint|^2
 (conditional_outputs); full_pipeline, bs_transform, cpa_channel and
-hadamard_block stay because the benchmark names them.  _mix acts per
-total-photon sector, each a strided row slice of one float view that its real
-sector matrix multiplies (one BLAS call); a vacuum partner's sector is one
-column of a loss_amplitudes table, any other comes from the one before by a
-stable recurrence (_next_block) that matches the exact integer expansion to
-~5e-15 up to total 246.  Reduced states are held as purifications, rho = A A^H.
+hadamard_block stay because the benchmark names them.  _mix is one plain loop
+over total-photon sectors, sized for those two-photon joints: a vacuum
+partner's sector block is one column of a loss_amplitudes table, any other
+comes from the one before by a stable recurrence (_next_block) that matches
+the exact integer expansion to ~5e-15 up to total 246.  Reduced states are
+held as purifications, rho = A A^H.
 States are immutable and every map is a pure function.  Outside data is
 checked in full by PureState(...); a map skips only the checks its construction
 guarantees (_built).  States bridged from continuous families (coherent,
@@ -161,17 +161,10 @@ class DensityOperator:
         return DensityOperator(keep, self.cutoff, factor)
 
 
-def _column_gram(a: np.ndarray) -> np.ndarray:
-    """A^H A from F^T F, F the float view of A: numpy runs that as one BLAS
-    syrk, half the work of a complex `a.conj().T @ a`, and exactly Hermitian."""
-    f = np.ascontiguousarray(a).view(np.float64)  # columns re_0, im_0, re_1, ...
-    p = f.T @ f
-    return (p[0::2, 0::2] + p[1::2, 1::2]) + 1j * (p[0::2, 1::2] - p[1::2, 0::2])
-
-
 def _smaller_gram(a: np.ndarray) -> np.ndarray:
     """The smaller of conj(A A^H) and A^H A; both share A A^H's nonzero spectrum."""
-    return _column_gram(a.T if a.shape[0] <= a.shape[1] else a)
+    a = a.T if a.shape[0] <= a.shape[1] else a
+    return a.conj().T @ a
 
 
 def _gram_entropy(gram: np.ndarray, triangle: str = "L") -> float:
@@ -446,8 +439,8 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 def hadamard_block(total: int) -> np.ndarray:
     """Sector `total` of the balanced mix (c = s = 1/sqrt(2)), by the _next_block
-    chain from sector 0, which _mix walks itself; kept, uncached, for the
-    benchmark and tests that name it.
+    chain from sector 0, which _mix walks itself for a partner not in vacuum;
+    kept, uncached, for the benchmark and tests that name it.
 
     Entry [p, m] is the amplitude of |p, total-p> in the image of
     |m, total-m> under a_1 -> (a_1 + a_2)/sqrt(2), a_2 -> (a_1 - a_2)/sqrt(2).
@@ -467,63 +460,39 @@ def _top_levels(amps: np.ndarray, ia: int, ib: int) -> list[int]:
     return [int(found[-1]) if found.size else 0 for found in levels]
 
 
-def _sector_rows(total: int, lo: int, hi: int, cols: int) -> slice:
-    """Rows of a C-ordered (a, b) plane flattened to (rows * cols, rest) that hold
-    |m, total - m> for m = lo..hi: row m cols + total - m, a stride of cols - 1."""
-    return slice(total + lo * (cols - 1), total + hi * (cols - 1) + 1, max(cols - 1, 1))
-
-
 def _mix(state: PureState, a: ModeLabel, b: ModeLabel, c: float, s: float) -> PureState:
     """Two-mode mix a^dag -> c a^dag + s b^dag, b^dag -> s a^dag - c b^dag
-    (c^2 + s^2 = 1, an involution), the convention of gaussian._mix.  A mode b
-    not in the state is attached in vacuum as the last mode.
-
-    Sector T of total photon number reads the input columns n_a = max(0,
-    T - top_b) .. min(T, top_a), top_* being each mode's highest occupied
-    level; these stay closed under the recurrence, and a vacuum partner costs
-    one column per sector.  The amplitudes are laid out once with a and b as
-    the leading axes (no copy when they already lead, or when b is the attached
-    vacuum and a leads), so every sector is a strided row slice (_sector_rows)
-    of one float view; its real block multiplies that slice straight into the
-    output's slice, and one transpose puts the output back in mode order.  One
-    bincount weighs every sector; none past the top weighted one is visited.
-    With a vacuum partner (top_b = 0, as in the absorber) sector T is the one
-    column b[T] of a single loss_amplitudes table, exactly the unit vector at
-    c = 0; otherwise each sector's block comes from the one before by
-    _next_block, a chain rebuilt per call.  Sectors above the cutoff keep their
-    representable rows; losing more than TRUNCATION_TOL raises CutoffError.
-    """
+    (c^2 + s^2 = 1, an involution), the convention of gaussian._mix; a mode b
+    not in the state is attached in vacuum as the last mode.  One loop over
+    total-photon sectors within each mode's top occupied level (_top_levels),
+    skipping those below SECTOR_MASS_FLOOR and dropping rows above the cutoff;
+    a vacuum partner's block is a loss_amplitudes column (exact at c = 0), any
+    other comes from the one before (_next_block)."""
     if a == b:
         raise ModeError("a two-mode mix needs two distinct modes")
     modes, amps = state.modes, state.amplitudes
     if b not in modes:  # a one-level view: b in vacuum, no copy
         modes, amps = modes + (b,), amps[..., None]
     ia, ib = state.axis(a), modes.index(b)
-    cutoff, dim = state.cutoff, state.cutoff + 1
+    cutoff = state.cutoff
     top_a, top_b = _top_levels(amps, ia, ib)
-    source = np.ascontiguousarray(np.moveaxis(amps, (ia, ib), (0, 1)))
-    cols = source.shape[1]
-    flat = source.reshape(len(source) * cols, -1).view(np.float64)  # re, im per rest entry
-    # every sector's weight; the row-sized temporaries are freed before `image` exists
-    masses = np.bincount(np.add.outer(np.arange(len(source)), np.arange(cols)).ravel(),
-                         weights=np.einsum("ij,ij->i", flat, flat))
-    masses = masses[:np.flatnonzero(masses >= SECTOR_MASS_FLOOR)[-1] + 1]
-    image = np.zeros((dim, dim) + source.shape[2:], dtype=complex)
-    flat_out = image.reshape(dim * dim, -1).view(np.float64)
+    out = np.zeros((cutoff + 1,) * len(modes), dtype=complex)
+    source, image = (np.moveaxis(x, (ia, ib), (0, 1)) for x in (amps, out))
     loss = loss_amplitudes(c, s, top_a + 1) if top_b == 0 else None
     block, first = np.ones((1, 1)), 0  # columns first.. of the current sector
-    for total, mass in enumerate(masses.tolist()):
+    for total in range(top_a + top_b + 1):
         lo_m, hi_m = max(0, total - top_b), min(total, top_a)
-        if total and loss is None:
-            block, first = _next_block(block, first, c, s, lo_m, hi_m), lo_m
-        if mass < SECTOR_MASS_FLOOR:
-            continue
         if loss is not None:
             block = loss[total, :total + 1, None]
-        lo, hi = max(0, total - cutoff), min(total, cutoff)
-        np.matmul(block[lo:hi + 1], flat[_sector_rows(total, lo_m, hi_m, cols)],
-                  out=flat_out[_sector_rows(total, lo, hi, dim)])
-    out = image if (ia, ib) == (0, 1) else np.moveaxis(image, (0, 1), (ia, ib)).copy()
+        elif total:
+            block, first = _next_block(block, first, c, s, lo_m, hi_m), lo_m
+        ms = np.arange(lo_m, hi_m + 1)
+        sector = source[ms, total - ms]
+        if float(np.vdot(sector, sector).real) < SECTOR_MASS_FLOOR:
+            continue
+        ps = np.arange(max(0, total - cutoff), min(total, cutoff) + 1)
+        rows = block[ps[0]:ps[-1] + 1] @ sector.reshape(len(ms), -1).view(np.float64)
+        image[ps, total - ps] = rows.view(complex).reshape((len(ps),) + sector.shape[1:])
     return _built(modes, cutoff, _normalized(out))
 
 

@@ -17,8 +17,8 @@ single state uses (same operation order, no fused multiply-add), so each element
 equals the single-state call on it bit for bit: libm is called per element
 through C-level maps (_per_element, _abs2); a quantity that depends only on some
 parameters is computed over their own broadcast shape (the squeezed covariance
-over xi and phi, not alpha); and a matrix shared by the batch is applied as one
-BLAS product (_mix), which a test pins against single states.
+over xi and phi, not alpha); and _mix applies its matrix state by state, in
+numpy's stacked matmul (runs mix single states; the sweeps mix none).
 Outside data is checked in full by GaussianState(...); a map skips only the
 checks its construction guarantees (_built): relabel keeps the arrays, tensor
 copies validated blocks onto a block diagonal, and the vacuum is zero mean and
@@ -275,11 +275,7 @@ def _mix(state: GaussianState, a: ModeLabel, b: ModeLabel, c: float, s: float) -
         matrix[ia + q, ia + q], matrix[ia + q, ib + q] = c, s
         matrix[ib + q, ia + q], matrix[ib + q, ib + q] = s, -c
     mean = (matrix @ mean[..., None])[..., 0]  # per state: V @ M^T would round differently
-    # one gemm M [C_1 ... C_N], then one of those products stacked by rows times M^T
-    size = len(matrix)
-    left = matrix @ cov.reshape(-1, size, size).transpose(1, 0, 2).reshape(size, -1)
-    left = left.reshape(size, -1, size).transpose(1, 0, 2).reshape(-1, size)
-    cov = (left @ matrix.T).reshape(cov.shape)
+    cov = matrix @ cov @ matrix.T  # per state; numpy stacks a batch
     return GaussianState(modes, mean, (cov + np.swapaxes(cov, -1, -2)) / 2.0)
 
 
@@ -327,11 +323,6 @@ def _noise_intensity(state: GaussianState, mode: ModeLabel) -> float | np.ndarra
     trace first, near 2, would cost it up to ~1e-16 absolute."""
     block = state.mode_block(mode)
     return ((block[..., 0, 0] - 1.0) + (block[..., 1, 1] - 1.0)) / 4.0
-
-
-def mode_intensity(state: GaussianState, mode: ModeLabel) -> float | np.ndarray:
-    """<a^dag a> = |<a>|^2 + (trace of mode covariance - 2) / 4."""
-    return _abs2(mean_amplitude(state, mode)) + _noise_intensity(state, mode)
 
 
 def duan_inseparability(state: GaussianState, a: ModeLabel, b: ModeLabel) -> float | np.ndarray:

@@ -198,9 +198,8 @@ def sector_loop_mix(state, a, b, c: float, s: float):
     """fock._mix as one loop over total-photon sectors: per sector a fancy-index
     gather of its columns, a vdot for the mass floor, a complex matmul with the
     real block and a fancy-index scatter.  The same windows, floor and row
-    clipping as the engine, without its strided layout; every block comes from
-    one _next_block chain, where the engine reads a vacuum partner's from
-    loss_amplitudes."""
+    clipping as the engine; every block comes from one _next_block chain, where
+    the engine reads a vacuum partner's from loss_amplitudes."""
     import numpy as np
 
     from cpa_sim import fock
@@ -590,6 +589,14 @@ def cross_correlation(state, a, b):
              + 1j * (cross[..., 0, 1] - cross[..., 1, 0]) / 4.0)
     return noise + (gaussian.mean_amplitude(state, a).conjugate()
                     * gaussian.mean_amplitude(state, b))
+
+
+def mode_intensity(state, mode):
+    """<a^dag a> = |<a>|^2 + (trace of mode covariance - 2) / 4 of one mode of a
+    Gaussian state (or batch), from the engine's mean and noise readers."""
+    from cpa_sim import gaussian
+
+    return gaussian._abs2(gaussian.mean_amplitude(state, mode)) + gaussian._noise_intensity(state, mode)
 
 
 def travelling_coefficients(state):

@@ -267,7 +267,7 @@ def test_12_engine_cross_validation():
                 abs(stats.var_x2 - gauss.mode_block(mode)[1, 1]),
                 abs(
                     fock.mode_moments(bridge, mode)[1]
-                    - gaussian.mode_intensity(gauss, mode)
+                    - oracle.mode_intensity(gauss, mode)
                 ),
             )
         fock_coeffs = fock.absorption_coefficients(fock.standing_basis(bridge))

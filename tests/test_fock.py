@@ -1,5 +1,8 @@
 """Fock engine: beamsplitter, absorber channel, reductions, moments."""
+import contextlib
+import io
 import itertools
+import json
 import math
 import os
 import subprocess
@@ -11,11 +14,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracle
-from cpa_sim import dv, fock, gaussian, nongaussian
+from cpa_sim import cli, dv, fock, gaussian, nongaussian
 from cpa_sim.absorber import CANONICAL, AbsorberSpec
 from cpa_sim.fock import CutoffError, FockError
 from cpa_sim.modes import C, ENV_C, K, MINUS_K, S, ModeError
 from test_gaussian import recording
+from test_golden import GOLDEN_DIR
 
 INV = 1.0 / math.sqrt(2.0)
 
@@ -285,7 +289,7 @@ def test_mix_convention_matches_gaussian_engine(theta, alpha, beta, xi, phi, tau
         for mode in fock_out.modes:
             mean, number = fock.mode_moments(fock_out, mode)
             assert abs(mean - gaussian.mean_amplitude(gauss_out, mode)) < 1e-9
-            assert abs(number - gaussian.mode_intensity(gauss_out, mode)) < 1e-9
+            assert abs(number - oracle.mode_intensity(gauss_out, mode)) < 1e-9
     assert outputs[1][0].modes == (K, MINUS_K, ENV_C)
 
 
@@ -343,19 +347,6 @@ def test_mix_matches_the_sector_loop(seed, rails, theta, attach, overflow):
         return
     assert mixed.modes == expected.modes
     assert np.max(np.abs(mixed.amplitudes - expected.amplitudes)) <= 1e-14
-
-
-def test_sector_rows_visit_the_plane_once_in_total_order():
-    """Concatenated over totals, the sector rows of every rows x cols plane are a
-    permutation of its flat indices whose totals never decrease."""
-    for rows, cols in [(1, 1), (1, 5), (5, 1), (3, 3), (4, 7), (7, 4), (9, 9)]:
-        order = []
-        for total in range(rows + cols - 1):
-            lo, hi = max(0, total - cols + 1), min(total, rows - 1)
-            order.extend(range(rows * cols)[fock._sector_rows(total, lo, hi, cols)])
-        assert sorted(order) == list(range(rows * cols)), (rows, cols)
-        a, b = np.divmod(np.array(order), cols)
-        assert np.all(np.diff(a + b) >= 0) and np.all(np.diff(a)[np.diff(a + b) == 0] > 0)
 
 
 def test_mix_drops_sectors_below_the_mass_floor():
@@ -1115,7 +1106,7 @@ def test_bridged_environment_matches_the_gaussian_engine(kind, alphas, xis, phi,
     # each coefficient is a share N / D: rounding in N and D moves it by ~1e-16 / D,
     # and either side may call it undefined within rounding of D = 1e-12
     means = [gaussian.mean_amplitude(reference, m) for m in (K, MINUS_K)]
-    totals = (sum(gaussian.mode_intensity(reference, m) for m in (K, MINUS_K)),
+    totals = (sum(oracle.mode_intensity(reference, m) for m in (K, MINUS_K)),
               sum(abs(a) ** 2 for a in means))
     wanted = gaussian.absorption_coefficients(gaussian.standing_basis(reference))
     got = (result.mean_intensity_absorption, result.coherence_absorption)
@@ -1398,3 +1389,27 @@ def test_maps_build_states_that_pass_the_checks_they_skip(seed, rails, tau, swap
     assert [len(outputs["_mix"]), len(outputs["relabel"])] == [3 * rails, 2]
     for built in outputs["_mix"] + outputs["relabel"]:
         fock.PureState(built.modes, built.cutoff, built.amplitudes.copy())
+
+
+def test_only_bell_and_gaussian_runs_mix(tmp_path):
+    """The traffic the two mixes serve: over every golden input and each sweep
+    preset at grid 3, only Bell runs call fock._mix and only GAUSSIAN runs call
+    gaussian._mix, always on one state (batch shape ())."""
+    def mixes(argv):
+        with recording(fock, "_mix") as on_fock, recording(gaussian, "_mix") as on_gaussian:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(argv) == 0
+        return on_fock["_mix"], on_gaussian["_mix"]
+
+    for name in sorted(os.listdir(GOLDEN_DIR)):
+        if name.endswith(".in.json"):
+            path = os.path.join(GOLDEN_DIR, name)
+            with open(path, encoding="utf-8") as handle:
+                spec = json.load(handle)
+            on_fock, on_gaussian = mixes(["run", path])
+            assert bool(on_fock) == spec["scenario"]["kind"].startswith("BELL_"), name
+            assert bool(on_gaussian) == (spec["engine"] == "GAUSSIAN"), name
+            assert all(state.mean.shape[:-1] == () for state in on_gaussian), name
+    for preset in ("fig6", "fig8", "fig9a", "fig9b"):
+        out = str(tmp_path / f"{preset}.csv")
+        assert mixes(["sweep", "--preset", preset, "--grid", "3", "--out", out]) == ([], [])

@@ -558,7 +558,7 @@ def test_fock_bridge_agrees_with_gaussian_engine(alpha, xi, phi):
     assert stats.var_x2 == pytest.approx(gauss.cov[1, 1], abs=1e-6)
     assert stats.cov_x1x2 == pytest.approx(gauss.cov[0, 1], abs=1e-6)
     assert fock.mode_moments(bridge, K)[1] == pytest.approx(
-        gaussian.mode_intensity(gauss, K), abs=1e-6
+        oracle.mode_intensity(gauss, K), abs=1e-6
     )
 
 
@@ -653,10 +653,10 @@ def test_batch_with_one_unphysical_covariance_raises():
 @pytest.mark.parametrize("size", [1, 37, 324, 1000])
 @pytest.mark.parametrize("preset", ["fig9", "fig8", "fig6"])
 def test_batched_calls_match_single_states_at_preset_shapes(preset, size):
-    """Batches the size of the presets' and larger, where _mix's covariance
-    products are one BLAS call over the whole stack, in the presets' parameter
-    shapes: scalar xi and phi with array alpha (fig9), array xi (fig8) and array
-    phi (fig6).  Every element equals the single-state call bit for bit, and so
+    """Batches the size of the presets' and larger, whose covariance products
+    _mix forms state by state in numpy's stacked matmul, in the presets'
+    parameter shapes: scalar xi and phi with array alpha (fig9), array xi (fig8)
+    and array phi (fig6).  Every element equals the single-state call bit for bit, and so
     do the coefficients of the standing states the presets read (the product of
     the preceding modes for fig8 and fig9, the standing_basis image for fig6)."""
     rng = np.random.default_rng(size)
