@@ -176,8 +176,11 @@ def run_scenario(
     output in O(n) from one_rail_distribution, charged ONE_RAIL_LEVEL_STATES
     states per level: the environment is diagonal, so its entropy is Shannon's,
     and count e leaves pure light with <n_K> = <n_-K> = (n - e)/2, since c_m is
-    i^m times a real number and so Re<a_C^dag a_S> = 0.  A Bell run, charged for
-    its joint, reads absorber_environment and conditional_outputs of the joint.
+    i^m times a real number and so Re<a_C^dag a_S> = 0.  Its mean absorbed
+    fraction is p(1) at n = 1 and s^2 / 2 for n >= 2, where the cos delta term
+    sums to cos delta q^n sum_e +-e C(n, e) (-1)^e = 0.  A Bell run, charged for
+    its joint, reads absorber_environment and conditional_outputs of the joint
+    and sums its mean from the distribution.
     Counts above report_threshold and fock.CONDITIONING_FLOOR are reported."""
     n = scenario.total_photons
     if cutoff < n:
@@ -188,6 +191,7 @@ def run_scenario(
         standing = _bell_state(_BELL[scenario.kind][2], working_cutoff, C, S)  # the closed form
         environment = fock.absorber_environment(standing, absorber)
         counts = [m for m, prob in sorted(environment.distribution.items()) if prob > floor]
+        mean = sum(m * p for m, p in environment.distribution.items()) / n
         outputs = [{"absorbed": o.absorbed, "probability": o.probability, "purity": o.purity,
                     "mean_output_photons": {str(mode): v for mode, v in o.mean_photons.items()}}
                    for o in fock.conditional_outputs(fock.full_pipeline(
@@ -201,9 +205,10 @@ def run_scenario(
             max(0.0, float(-np.sum(weighted * np.log2(weighted)))), float(probs[n]))
         counts = np.flatnonzero(probs > floor)
         outputs = OutputTable(counts, probs[counts], (n - counts) / 2.0)
+        top, bottom = absorber.tau_c.as_integer_ratio()  # n >= 2: s^2 / 2 exactly, rounded once
+        mean = float(probs[1]) if n == 1 else (bottom * bottom - top * top) / (2 * bottom * bottom)
     result = fock_result(
         {"kind": scenario.kind.value, "n": scenario.n, "delta_theta": scenario.delta_theta},
-        absorber, {"cutoff": cutoff, "working_cutoff": working_cutoff}, environment, (None, None))
-    result.mean_intensity_absorption = sum(m * p for m, p in result.absorbed_distribution.items()) / n
+        absorber, {"cutoff": cutoff, "working_cutoff": working_cutoff}, environment, (mean, None))
     result.conditional_outputs = outputs
     return result

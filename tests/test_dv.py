@@ -324,13 +324,17 @@ def test_one_rail_run_matches_the_dense_route(n, delta, choice, tau_c):
 def test_one_rail_distribution_matches_the_exact_oracle(n, tau_c, delta, swap):
     """Every entry of the closed-form distribution that the exact rational
     oracle puts at or above 1e-290 is within 1e-12 of it, relative; every other
-    is below 1e-289."""
+    is below 1e-289.  The run's mean absorbed fraction, p(1) at n = 1 and s^2 / 2
+    in closed form above, is the oracle's mean within 1e-12 and 1e-15."""
     absorber = AbsorberSpec((tau_c - 1.0) / 2.0, swap)
     got = dv.one_rail_distribution(_one_rail(n, delta), absorber)
     exact = np.array(oracle.exact_one_rail_distribution(n, absorber.tau_c, math.cos(delta), swap))
     kept = exact >= 1e-290
     assert np.all(np.abs(got[kept] - exact[kept]) <= 1e-12 * exact[kept])
     assert np.all(got[~kept] < 1e-289)
+    mean = dv.run_scenario(_one_rail(n, delta), absorber, n).mean_intensity_absorption
+    assert mean == pytest.approx(math.fsum(e * p for e, p in enumerate(exact.tolist())) / n,
+                                 rel=1e-15 if n > 1 else 1e-12)
 
 
 def _calls(scenario: dv.DvScenario) -> dict[str, int]:
