@@ -477,7 +477,8 @@ def _mix(state: PureState, a: ModeLabel, b: ModeLabel, c: float, s: float) -> Pu
     cutoff = state.cutoff
     top_a, top_b = _top_levels(amps, ia, ib)
     out = np.zeros((cutoff + 1,) * len(modes), dtype=complex)
-    source, image = (np.moveaxis(x, (ia, ib), (0, 1)) for x in (amps, out))
+    axes = (ia, ib) + tuple(i for i in range(len(modes)) if i not in (ia, ib))
+    source, image = amps.transpose(axes), out.transpose(axes)  # views with a, b leading
     loss = loss_amplitudes(c, s, top_a + 1) if top_b == 0 else None
     block, first = np.ones((1, 1)), 0  # columns first.. of the current sector
     for total in range(top_a + top_b + 1):
