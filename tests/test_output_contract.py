@@ -120,26 +120,20 @@ def test_presets_are_recorded_at_each_grid_given():
     assert contract.commands([], grid=101) == contract.commands([], grid=[101])
 
 
-def record_corpus(out: str) -> None:
-    """Record CORPUS, hashed, to `out`: in a fresh interpreter with one BLAS
-    thread, as the benchmark runs, so that no thread count moves a last bit."""
-    env = {key: value for key, value in os.environ.items() if key != "CPA_THREADS"}
-    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(filter(None, [os.path.join(ROOT, "src"),
-                                                        env.get("PYTHONPATH")])))
-    subprocess.run([sys.executable, SCRIPT, "--hashed", "--out", out, *CORPUS],
-                   cwd=ROOT, env=env, check=True)
-
-
 def test_outputs_match_the_checked_in_record(tmp_path):
     """Every command of the corpus (the golden and hostile files, both run
     workloads' files at seed 1, table1 and the presets at grid 9) keeps its exit
     code, stderr and the sha256 of its stdout and CSV in tests/output_contract.jsonl.
-    A change that moves outputs on purpose records the corpus again (the
-    command is in scripts/output_contract.py), and the record's diff names each
-    moved command."""
-    record_corpus(str(tmp_path / "now.jsonl"))
-    expected, got = contract._read(RECORD), contract._read(str(tmp_path / "now.jsonl"))
+    The corpus is recorded in a fresh interpreter with one BLAS thread, as the
+    benchmark runs, so that no thread count moves a last bit.  A change that
+    moves outputs on purpose records it again (the command is in
+    scripts/output_contract.py), and the record's diff names each moved command."""
+    now = str(tmp_path / "now.jsonl")
+    path = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", PYTHONPATH=path)
+    subprocess.run([sys.executable, SCRIPT, "--hashed", "--out", now, *CORPUS],
+                   cwd=ROOT, env=env, check=True)
+    expected, got = contract._read(RECORD), contract._read(now)
     assert len(expected) == 430
     moved = contract.report(expected, got)
     assert not moved, "commands moved against tests/output_contract.jsonl:\n" + "\n".join(moved)
