@@ -23,7 +23,7 @@ from . import fock
 from .absorber import CANONICAL, AbsorberSpec
 from .fock import CutoffError, PureState
 from .modes import C, K, MINUS_K, S, ModeLabel
-from .results import OutputTable, ScenarioResult, fock_result
+from .results import LevelTable, OutputTable, ScenarioResult, fock_result
 
 RAIL_A, RAIL_B = "A", "B"
 
@@ -190,7 +190,7 @@ def run_scenario(
         working_cutoff = fock.budget_cutoff(n, 6)  # pair + env per rail
         standing = _bell_state(_BELL[scenario.kind][2], working_cutoff, C, S)  # the closed form
         environment = fock.absorber_environment(standing, absorber)
-        counts = [m for m, prob in sorted(environment.distribution.items()) if prob > floor]
+        counts = [m for m, prob in environment.distribution.items() if prob > floor]
         mean = sum(m * p for m, p in environment.distribution.items()) / n
         outputs = [{"absorbed": o.absorbed, "probability": o.probability, "purity": o.purity,
                     "mean_output_photons": {str(mode): v for mode, v in o.mean_photons.items()}}
@@ -201,8 +201,7 @@ def run_scenario(
         probs = one_rail_distribution(scenario, absorber)
         weighted = probs[probs > 0.0]
         environment = fock.EnvironmentReadout(
-            dict(enumerate(probs.tolist())),
-            max(0.0, float(-np.sum(weighted * np.log2(weighted)))), float(probs[n]))
+            LevelTable(probs), max(0.0, float(-np.sum(weighted * np.log2(weighted)))), float(probs[n]))
         counts = np.flatnonzero(probs > floor)
         outputs = OutputTable(counts, probs[counts], (n - counts) / 2.0)
         top, bottom = absorber.tau_c.as_integer_ratio()  # n >= 2: s^2 / 2 exactly, rounded once

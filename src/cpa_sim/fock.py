@@ -37,6 +37,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from . import results
 from .absorber import AbsorberSpec, absorb, absorbed_share, change_basis
 from .modes import (C, K, MINUS_K, S, STANDING_KINDS, STANDING_OF, TRAVELLING_OF, ModeError,
                     ModeLabel, basis_rails, check_mode_consistency)
@@ -571,8 +572,9 @@ def _loss_map(x: np.ndarray, tau: float) -> np.ndarray:
 
 
 class EnvironmentReadout(NamedTuple):
-    """Absorbed-photon distribution, light-environment entropy (bits), P(no photon leaves)."""
-    distribution: dict[int, float]
+    """Absorbed-photon distribution (a results.LevelTable: m -> P(m), m = 0 up to
+    the most the box holds), light-environment entropy (bits), P(no photon leaves)."""
+    distribution: results.LevelTable
     entropy: float
     p_all_absorbed: float
 
@@ -624,7 +626,7 @@ def absorber_environment(standing: PureState, absorber: AbsorberSpec) -> Environ
         raise FockError(f"environment density matrix trace {float(np.trace(rho).real)!r} != 1")
     weights = np.bincount(totals, weights=np.diagonal(rho).real, minlength=count * (dim - 1) + 1)
     return EnvironmentReadout(
-        {m: float(w) for m, w in enumerate(weights)},
+        results.LevelTable(weights),
         _gram_entropy(rho, "U" if tau else "L"), float(np.sum(no_loss)),
     )
 
@@ -654,12 +656,11 @@ def full_pipeline(state: PureState, absorber: AbsorberSpec) -> PureState:
 # measurements and reductions
 
 
-def total_occupation_distribution(state: PureState, modes: Sequence[ModeLabel]) -> dict[int, float]:
+def total_occupation_distribution(state: PureState, modes: Sequence[ModeLabel]) -> results.LevelTable:
     """Distribution of the summed occupation of the given modes."""
     marginal = joint_occupation_distribution(state, *modes)
     grid = np.indices(marginal.shape).sum(axis=0)
-    weights = np.bincount(grid.ravel(), weights=marginal.ravel())
-    return {m: float(w) for m, w in enumerate(weights)}
+    return results.LevelTable(np.bincount(grid.ravel(), weights=marginal.ravel()))
 
 
 def joint_occupation_distribution(state: PureState, *modes: ModeLabel) -> np.ndarray:

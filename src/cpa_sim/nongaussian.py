@@ -184,7 +184,7 @@ def run_asymmetric(
     standing_dist = fock.joint_occupation_distribution(standing, C, S)
     reported = standing_dist > 1e-12
     result.extras = {
-        "standing_joint_distribution": LevelTable(np.argwhere(reported), standing_dist[reported]),
+        "standing_joint_distribution": LevelTable(standing_dist[reported], np.argwhere(reported)),
         "standing_cross_sector_mass": float(standing_dist[1:, 1:].sum()),
         "p_all_absorbed": environment.p_all_absorbed,
         "p_all_transmitted": environment.distribution[0],

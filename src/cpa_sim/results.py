@@ -6,22 +6,23 @@ rounded to 12 significant digits on serialization so identical inputs give
 byte-identical output.
 
 `clean` writes that JSON in one pass, laid out as json.dumps(indent=2) would.
-A float's token is repr(round_sig(v)).  At most 12 significant digits
-round-trip through a normal double, so where f"{v:.12g}" has a fraction and no
-exponent, or a two-digit negative exponent, it already is that token; any other
-text (integral, e+12 and up, subnormal, signed zero) is re-read and printed by
-repr.  NaN and infinities have no JSON token: FockError names their path.
+A float's token is repr(round_sig(v)).  12 significant digits round-trip
+through a normal double, so where f"{v:.12g}" has a fraction and no exponent,
+or a negative exponent and v is normal, it already is that token: that is every
+normal v with |v| < 0.9999999999995.  Any other text (integral, e+12 and up,
+subnormal, signed zero) is re-read and printed by repr.  NaN and infinities
+have no JSON token: FockError names their path.
 
-A LevelTable (the standing joint distribution, thousands of entries) holds its
-level pairs and values as arrays.  When every value lies in TABLE_RANGE, where
-that rule always keeps the f"{v:.12g}" text, the table is written by one
-'"%d,%d": %.12g' format call over the arrays; any other table (a value that
-rounds to 1, a subnormal, zero, NaN) is written entry by entry through _number.
-A one-rail run's conditional outputs (OutputTable) are written the same way.
+A LevelTable (an absorbed-photon distribution, or the standing joint
+distribution) holds its levels and values as arrays from the engine that
+computes them, and an OutputTable (a one-rail run's conditional outputs) its
+records' columns.  Each is written by one format call over its arrays: %.12g
+for every value in the normal range above, _number's token for the few others.
 """
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -42,63 +43,67 @@ def round_sig(value: float) -> float:
 def _number(value: float) -> str:
     """JSON token of round_sig(value); FockError when it is not finite."""
     text = f"{value:.12g}"
-    if text[-4:-2] == "e-" or ("e" not in text and "." in text):
+    if ("e" not in text and "." in text) or ("e-" in text and abs(value) >= sys.float_info.min):
         return text
     if not math.isfinite(value):
         raise fock.FockError("non-finite value")
     return repr(float(text))
 
 
-# |v| where f"{v:.12g}" is _number's token: 1e-99 prints as "1e-99" (a two-digit
-# negative exponent) and anything below 0.9999999999995 rounds to "0.", not "1"
-TABLE_RANGE = (1e-99, 0.9999999999995)
-
-
-def _tokens_in_range(values: np.ndarray) -> bool:
-    """Whether values is nonempty and f"{v:.12g}" writes each as _number does."""
-    size = np.abs(values)
-    return bool(size.size) and bool(np.all((size >= TABLE_RANGE[0]) & (size < TABLE_RANGE[1])))
+def _rows(record: str, inner: str, columns: Sequence[np.ndarray], at: int) -> str:
+    """`record` % each row of `columns`, joined by "," + `inner`, in one format
+    call.  Column `at` fills a %.12g field, _number's token for a normal value of
+    size below 0.9999999999995; any other (zero, subnormal, near or above 1,
+    non-finite) fills a %s field with its _number token."""
+    size = np.abs(columns[at])
+    odd = ~((size >= sys.float_info.min) & (size < 0.9999999999995))
+    flat = np.array([column.tolist() for column in columns], dtype=object).T
+    if odd.any():  # one token per distinct bit pattern: most are 0.0
+        bits, inverse = np.unique(columns[at][odd].view(np.int64), return_inverse=True)
+        flat[odd, at] = np.array([_number(v) for v in bits.view(np.float64).tolist()], dtype=object)[inverse]
+    records = np.array([record, record.replace("%.12g", "%s")], dtype=object)[odd.view(np.int8)]
+    return ("," + inner).join(records.tolist()) % tuple(flat.ravel().tolist())
 
 
 class LevelTable(Mapping):
-    """Read-only map "na,nb" -> value over (n, 2) integer `levels` and their
-    (n,) float `weights`, written by _text without a key or token per entry."""
+    """Read-only map over (n,) float `weights`, written by _text without a key
+    or token per entry: m -> weights[m] when `levels` is None (an absorbed-photon
+    distribution), else "na,nb" -> the weight of that row of the (n, 2) integer
+    `levels` (the standing joint distribution)."""
 
-    def __init__(self, levels: np.ndarray, weights: np.ndarray) -> None:
-        self.levels, self.weights = levels, weights
-        levels.setflags(write=False)
+    def __init__(self, weights: np.ndarray, levels: np.ndarray | None = None) -> None:
+        self.weights, self.levels = weights, levels
         weights.setflags(write=False)
 
     @cached_property
     def _entries(self) -> dict[str, float]:
         return {f"{na},{nb}": w for (na, nb), w in zip(self.levels.tolist(), self.weights.tolist())}
 
-    def __getitem__(self, key: str) -> float:
-        return self._entries[key]
+    def __getitem__(self, key: int | str) -> float:
+        if self.levels is not None:
+            return self._entries[key]
+        if not (isinstance(key, int) and 0 <= key < len(self)):
+            raise KeyError(key)
+        return float(self.weights[key])
 
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._entries)
+    def __iter__(self) -> Iterator[int | str]:
+        return iter(range(len(self)) if self.levels is None else self._entries)
 
     def __len__(self) -> int:
         return len(self.weights)
 
-    def text(self, inner: str) -> str | None:
-        """The entries' JSON lines joined by `inner`, or None when the table is
-        empty or a value lies outside TABLE_RANGE (the caller then writes it
-        entry by entry)."""
-        if not _tokens_in_range(self.weights):
-            return None
-        flat = [0] * (3 * len(self))
-        flat[0::3], flat[1::3] = self.levels.T.tolist()
-        flat[2::3] = self.weights.tolist()
-        return ("," + inner).join(['"%d,%d": %.12g'] * len(self)) % tuple(flat)
+    def text(self, inner: str) -> str:
+        """The entries' JSON lines joined by `inner`."""
+        if self.levels is None:
+            return _rows('"%d": %.12g', inner, (np.arange(len(self)), self.weights), 1)
+        return _rows('"%d,%d": %.12g', inner, (*self.levels.T, self.weights), 2)
 
 
 class OutputTable(Sequence):
     """A one-rail run's conditional_outputs records over arrays: each count e in
     `absorbed`, its `probability`, and pure light with `left` = (n - e) / 2
-    photons in each of K and MINUS_K.  _text writes them in one format call when
-    every probability lies in TABLE_RANGE (a half-integer below 1e11 is "%.1f")."""
+    photons in each of K and MINUS_K, written by _text in one format call (a
+    half-integer below 1e11 is "%.1f")."""
 
     def __init__(self, absorbed: np.ndarray, probability: np.ndarray, left: np.ndarray) -> None:
         self.absorbed, self.probability, self.left = absorbed, probability, left
@@ -111,15 +116,12 @@ class OutputTable(Sequence):
     def __len__(self) -> int:
         return len(self.absorbed)
 
-    def text(self, inner: str) -> str | None:
-        """The records' JSON text joined by `inner`, or None (write them entry by entry)."""
-        if not _tokens_in_range(self.probability):
-            return None
+    def text(self, inner: str) -> str:
+        """The records' JSON text joined by `inner`."""
         two, four = inner + "  ", inner + "    "
         record = (f'{{{two}"absorbed": %d,{two}"probability": %.12g,{two}"purity": 1.0,{two}'
                   f'"mean_output_photons": {{{four}"K": %.1f,{four}"MINUS_K": %.1f{two}}}{inner}}}')
-        flat = np.column_stack((self.absorbed, self.probability, self.left, self.left))
-        return ("," + inner).join([record] * len(self)) % tuple(flat.ravel().tolist())
+        return _rows(record, inner, (self.absorbed, self.probability, self.left, self.left), 1)
 
 
 def _text(obj: Any, newline: str) -> str:
@@ -139,16 +141,15 @@ def _text(obj: Any, newline: str) -> str:
     if isinstance(obj, complex):
         obj = [obj.real, obj.imag]
     inner = newline + "  "  # floats, most of the leaves, are tokenized in place
-    if isinstance(obj, LevelTable) and (lines := obj.text(inner)) is not None:
-        return f"{{{inner}{lines}{newline}}}"
-    if isinstance(obj, OutputTable) and (lines := obj.text(inner)) is not None:
-        return f"[{inner}{lines}{newline}]"
-    if isinstance(obj, (dict, LevelTable)):
+    if isinstance(obj, (LevelTable, OutputTable)):
+        ends = "{}" if isinstance(obj, LevelTable) else "[]"
+        return f"{ends[0]}{inner}{obj.text(inner)}{newline}{ends[1]}" if len(obj) else ends
+    if isinstance(obj, dict):
         ends, items = "{}", [
             f"{_string(str(key))}: {_number(v) if type(v) is float else _text(v, inner)}"
             for key, v in obj.items()
         ]
-    elif isinstance(obj, (list, tuple, OutputTable)):
+    elif isinstance(obj, (list, tuple)):
         ends, items = "[]", [_number(v) if type(v) is float else _text(v, inner) for v in obj]
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
@@ -190,7 +191,7 @@ class ScenarioResult:
     scenario: dict
     absorber: dict
     numerics: dict
-    absorbed_distribution: dict[int, float] | None = None
+    absorbed_distribution: LevelTable | None = None
     mean_intensity_absorption: float | None = None
     coherence_absorption: float | None = None
     conditional_outputs: list[dict] | OutputTable = field(default_factory=list)
@@ -202,9 +203,8 @@ class ScenarioResult:
         """The unrounded payload that `clean` writes as `cpa run` JSON."""
         out: dict[str, Any] = {"engine": self.engine, "scenario": self.scenario,
                                "absorber": self.absorber, "numerics": self.numerics}
-        dist = self.absorbed_distribution
-        if dist is not None:
-            out["absorbed_distribution"] = {str(m): p for m, p in sorted(dist.items())}
+        if self.absorbed_distribution is not None:
+            out["absorbed_distribution"] = self.absorbed_distribution
         out["mean_intensity_absorption"] = self.mean_intensity_absorption
         out["coherence_absorption"] = self.coherence_absorption
         if self.conditional_outputs:

@@ -128,7 +128,7 @@ def test_non_finite_result_exits_2_without_output(value, tmp_path, capsys, monke
 def _level_table(entries):
     """A LevelTable of (na, nb, value) entries, as run_asymmetric builds one."""
     levels = np.array([entry[:2] for entry in entries], dtype=np.int64).reshape(-1, 2)
-    return results.LevelTable(levels, np.array([entry[2] for entry in entries], dtype=float))
+    return results.LevelTable(np.array([entry[2] for entry in entries], dtype=float), levels)
 
 
 # the edges of results.TABLE_RANGE, and values on either side of them
