@@ -21,7 +21,10 @@ stdout and CSV (`csv_sha256`).  Whichever `cpa_sim` is importable is recorded,
 so pointing PYTHONPATH at another checkout's `src` records that one.
 
 `--compare A B` prints the argv of every command whose lines differ, or that
-only one record has, and exits 1 when there is any.  Under each argv it names
+only one record has, and exits 1 when there is any.  It first prints one
+`exit OLD -> NEW: N command(s)` line per move of exit code, with how many
+commands make it (`<absent>` for a command one record lacks), then the
+commands one by one.  Under each argv it names
 what moved, one `  PATH: OLD -> NEW` line each: `exit`, `stderr`, and every
 value of the `run` JSON whose token differs, by its path
 (`separability.env_entanglement_entropy`, `conditional_outputs[1].purity`;
@@ -50,6 +53,7 @@ again, with one BLAS thread, as the benchmark runs:
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import hashlib
 import importlib.util
@@ -221,6 +225,16 @@ def moved(a: dict | None, b: dict | None) -> list[tuple[str, str, str]]:
     return out + (values or text)
 
 
+def exit_moves(a: list[dict], b: list[dict]) -> list[str]:
+    """One `exit OLD -> NEW: N command(s)` line per move of exit code between two
+    records, in the order the moved commands first appear."""
+    exits = [{json.dumps(line["argv"]): line["exit"] for line in lines} for lines in (a, b)]
+    moves = collections.Counter(tuple(side.get(json.dumps(argv), ABSENT) for side in exits)
+                                for argv in differing(a, b))
+    return [f"exit {old} -> {new}: {count} command(s)" for (old, new), count in moves.items()
+            if old != new]
+
+
 def report(a: list[dict], b: list[dict]) -> list[str]:
     """The argv of each command that differs between two records, each followed
     by one `  PATH: OLD -> NEW` line per moved value (moved)."""
@@ -256,7 +270,7 @@ def main() -> int:
 
     if args.compare:
         records = [_read(path) for path in args.compare]
-        for line in report(*records):
+        for line in exit_moves(*records) + report(*records):
             print(line)
         diff = differing(*records)
         print(f"{len(diff)} command(s) differ", file=sys.stderr)

@@ -6,7 +6,8 @@ identically on both rails.  All states here carry a finite photon number, so
 runs are exact: the working cutoff is the total photon number.  A one-rail run
 (NOON, SINGLE_PHOTON) is read in closed form in O(n) and builds no state
 (one_rail_distribution; tests/oracle.py keeps the dense route it replaced as
-its reference).  A Bell run's standing state is another Bell state (_BELL); it
+its reference); its distribution and outputs stay arrays up to the JSON text
+(results.LevelTable, results.OutputTable).  A Bell run's standing state is another Bell state (_BELL); it
 reads its conditional outputs from the light x environment joint of
 fock.full_pipeline, which stays because the benchmark's call-chain test spans
 it and bs_transform.
@@ -46,9 +47,9 @@ _BELL = {
     DvKind.BELL_PHI_MINUS: (-1.0, False, DvKind.BELL_PSI_PLUS),
 }
 BELL_KINDS = set(_BELL)
-# a one-rail run's peak per photon level in 16-byte states: at NOON n = 10^5 its arrays,
-# distribution dict and JSON text peaked at 310 B traced and 333 B of RSS per level
-ONE_RAIL_LEVEL_STATES = 21.0
+# a one-rail run's peak per photon level in 16-byte states: NOON runs at n = 10^5 to
+# 1.6 10^6 (arrays, format call and JSON text) peaked at 144 B traced and 175 B of RSS per level
+ONE_RAIL_LEVEL_STATES = 12.0
 
 
 @dataclass(frozen=True)

@@ -57,6 +57,10 @@ class CutoffError(FockError):
     """Cutoff too small to hold the state to within TRUNCATION_TOL."""
 
 
+class NormLostError(CutoffError):
+    """A state lost more than TRUNCATION_TOL of its norm to the cutoff (_normalized)."""
+
+
 @dataclass(frozen=True)
 class PureState:
     """Normalized pure state over labeled modes with a shared occupation cutoff."""
@@ -206,7 +210,7 @@ def _normalized(amps: np.ndarray, lossy_ok: bool = False) -> np.ndarray:
         raise FockError("zero-amplitude state")
     norm = math.sqrt(norm2)
     if not lossy_ok and abs(norm - 1.0) > TRUNCATION_TOL:
-        raise CutoffError(f"norm lost to cutoff: 1 - |psi| = {1 - norm:.3e}")
+        raise NormLostError(f"norm lost to cutoff: 1 - |psi| = {1 - norm:.3e}")
     scaled = amps.view(np.float64)
     scaled *= 1.0 / norm
     return amps

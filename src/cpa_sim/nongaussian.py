@@ -77,21 +77,30 @@ def run_pair(
     numerics: dict,
     factors: tuple[SqueezedSpec, SqueezedSpec],
     even: tuple[bool, bool] = (False, False),
+    automatic: bool = False,
 ) -> tuple[ScenarioResult, PureState, fock.EnvironmentReadout]:
     """The result of `factors` (each the even cat of its alpha where `even` says
     so) built at numerics["cutoff"], with the standing state and environment
     readout it was read from.  Each factor is built alone for its tail check.
     EPR's g and h sit on (C, S), since the mix that makes them EPR light is the
-    pipeline's first stage; the rest sit on (K, MINUS_K) (fock.balanced_pair)."""
+    pipeline's first stage; the rest sit on (K, MINUS_K) (fock.balanced_pair).
+    An `automatic` cutoff whose standing state fails only balanced_pair's norm
+    check is raised one level, within the memory budget, and the run rebuilt."""
     cutoff, on_standing = numerics["cutoff"], scenario["kind"] == "EPR"
     built = [
         build_cat(spec.alpha, cutoff, mode) if cat
         else fock.squeezed_coherent_state(spec.alpha, spec.xi, spec.phi, cutoff, mode)
         for spec, cat, mode in zip(factors, even, (C, S) if on_standing else (K, MINUS_K))
     ]
-    standing = fock.tensor(*built) if on_standing else fock.balanced_pair([  # a cat's two halves
-        [(_cat_weight(spec.alpha), a, 0.0, 0.0) for a in (spec.alpha, -spec.alpha)] if cat
-        else [(1.0, spec.alpha, spec.xi, spec.phi)] for spec, cat in zip(factors, even)], cutoff)
+    try:
+        standing = fock.tensor(*built) if on_standing else fock.balanced_pair([  # a cat's two halves
+            [(_cat_weight(spec.alpha), a, 0.0, 0.0) for a in (spec.alpha, -spec.alpha)] if cat
+            else [(1.0, spec.alpha, spec.xi, spec.phi)] for spec, cat in zip(factors, even)], cutoff)
+    except fock.NormLostError:
+        if not automatic:
+            raise
+        numerics = {**numerics, "cutoff": settle_cutoff(None, 0, cutoff + 1)}
+        return run_pair(scenario, absorber, numerics, factors, even)
     environment = fock.absorber_environment(standing, absorber)
     coefficients = fock.absorption_coefficients(standing)
     result = fock_result(scenario, absorber, numerics, environment, coefficients)
@@ -127,14 +136,13 @@ def run_cat_cat(
     Reports the all-absorbed / all-transmitted probabilities, the
     zero-absorption conditional output, and the light-absorber entanglement.
     """
-    needed = cat_cutoff(alpha)
+    needed, cat = cat_cutoff(alpha), SqueezedSpec(alpha)
     # +2 keeps the even-cat parity doubling of the photon-number tail
     # inside the truncation budget of the basis change
-    cutoff = settle_cutoff(cutoff, needed, needed + 2)
-    cat = SqueezedSpec(alpha)
-    result, standing, environment = run_pair(
-        {"kind": "CAT_CAT", "alpha": alpha}, absorber, {"cutoff": cutoff}, (cat, cat), (True, True)
-    )
+    numerics = {"cutoff": settle_cutoff(cutoff, needed, needed + 2)}
+    result, standing, environment = run_pair({"kind": "CAT_CAT", "alpha": alpha}, absorber,
+                                             numerics, (cat, cat), (True, True), cutoff is None)
+    cutoff = result.numerics["cutoff"]
     p_zero = environment.distribution[0]
     # no photon absorbed: level n keeps b[n, n] = tau_c^n, and the (C, S) state is
     # pure (one rail).  The mix sends |alpha>|-alpha> + |-alpha>|alpha> to vacuum
@@ -177,10 +185,9 @@ def run_asymmetric(
         needed = poisson_tail_cutoff(intensity) + squeezed_vacuum_cutoff(partner)
         scenario = {"kind": "COHERENT_SQUEEZED", "alpha": alpha, "xi": partner}
         other, even = SqueezedSpec(0.0, partner), (False, False)
-    cutoff = settle_cutoff(cutoff, needed, needed)
+    numerics = {"cutoff": settle_cutoff(cutoff, needed, needed)}
     result, standing, environment = run_pair(
-        scenario, absorber, {"cutoff": cutoff}, (SqueezedSpec(alpha), other), even
-    )
+        scenario, absorber, numerics, (SqueezedSpec(alpha), other), even, cutoff is None)
     standing_dist = fock.joint_occupation_distribution(standing, C, S)
     reported = standing_dist > 1e-12
     result.extras = {

@@ -322,6 +322,6 @@ def run_bridged_fock(
 ) -> ScenarioResult:
     """Run a continuous-variable input bridged onto the truncated Fock engine: two
     squeezed coherent `factors` at `cutoff`, or fock.DEFAULT_CUTOFF when none is given."""
-    cutoff = nongaussian.settle_cutoff(cutoff, 0, fock.DEFAULT_CUTOFF)
-    numerics = {"cutoff": cutoff, "truncation_tolerance": fock.TRUNCATION_TOL}
-    return nongaussian.run_pair(scenario_echo, absorber, numerics, factors)[0]
+    numerics = {"cutoff": nongaussian.settle_cutoff(cutoff, 0, fock.DEFAULT_CUTOFF),
+                "truncation_tolerance": fock.TRUNCATION_TOL}
+    return nongaussian.run_pair(scenario_echo, absorber, numerics, factors, automatic=cutoff is None)[0]

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
-from cpa_sim import fock, nongaussian as ng, scenario_io
+from cpa_sim import cli, fock, nongaussian as ng, scenario_io
 from cpa_sim.absorber import CANONICAL, AbsorberSpec
 from cpa_sim.fock import CutoffError
 from cpa_sim.gaussian import SqueezedSpec
@@ -116,6 +117,31 @@ def test_cat_cat_all_absorbed_tends_to_half():
 def test_cat_cat_rejects_small_cutoff():
     with pytest.raises(CutoffError):
         ng.run_cat_cat(2.0, CANONICAL, cutoff=10)
+
+
+@given(
+    st.floats(0.2, 3.0),
+    st.floats(0.0, 2.0 * math.pi),
+    st.sampled_from([CANONICAL, AbsorberSpec(reflection=-0.27),
+                     AbsorberSpec(reflection=-0.1, swap_roles=True)]),
+)
+@example(0.25, 0.0, CANONICAL)
+@example(0.4, 1.0, AbsorberSpec(reflection=-0.27))
+@example(0.55, 2.0, AbsorberSpec(reflection=-0.1, swap_roles=True))
+@example(0.7, 0.0, CANONICAL)
+@example(0.96, 0.0, CANONICAL)
+@settings(max_examples=60, deadline=None)
+def test_cat_cat_runs_at_its_automatic_cutoff(magnitude, phase, absorber):
+    """No CAT_CAT run without a cutoff raises CutoffError: where the standing
+    state loses more than TRUNCATION_TOL at the automatic cutoff, the run is
+    rebuilt one level higher.  An explicit cutoff keeps its norm check."""
+    alpha = magnitude * cmath.exp(1j * phase)
+    automatic = ng.cat_cutoff(alpha) + 2
+    cutoff = ng.run_cat_cat(alpha, absorber).numerics["cutoff"]
+    assert cutoff in (automatic, automatic + 1)
+    if cutoff > automatic:
+        with pytest.raises(CutoffError, match="norm lost to cutoff"):
+            ng.run_cat_cat(alpha, absorber, automatic)
 
 
 @pytest.mark.parametrize("magnitude", [3.0, 2.75])
@@ -263,6 +289,25 @@ def test_large_squeezed_pair_run_peaks_below_100_mib(tmp_path):
     cutoff, peak_kib = map(int, run.stdout.split())
     assert cutoff == 397
     assert peak_kib < 100 * 1024
+
+
+def test_largest_pair_run_peaks_below_its_memory_charge(tmp_path, capsys):
+    """The same run, serialization included: cli.main writes 11,950 table
+    entries and peaks under tracemalloc below the PAIR_PEAK_STATES dense 398^2
+    states that settle_cutoff charges it (4.01 states measured)."""
+    path = tmp_path / "xi.json"
+    path.write_text(json.dumps({"schema": 1, "engine": "FOCK", "scenario": {
+        "kind": "COHERENT_SQUEEZED", "alpha": 1.0, "xi": 1.7}}))
+    tracemalloc.start()
+    try:
+        assert cli.main(["run", str(path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = json.loads(capsys.readouterr().out)
+    assert out["numerics"]["cutoff"] == 397
+    assert len(out["extras"]["standing_joint_distribution"]) == 11950
+    assert peak < fock.budget_bytes(397, 2, ng.PAIR_PEAK_STATES), peak / fock.budget_bytes(397, 2)
 
 
 def test_coherent_squeezed_absorbs_half():

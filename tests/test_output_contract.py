@@ -66,7 +66,8 @@ def test_workload_commands_stand_in_for_the_generated_inputs():
 
 
 def test_compare_names_each_moved_value(tmp_path):
-    """Under each differing command, --compare prints what moved: exit and
+    """--compare first counts the commands of each move of exit code.  Under
+    each differing command it then prints what moved: exit and
     stderr, every value of a run's JSON by its path with the old and the new
     token (a key on one side only shows as <absent>), and every cell of a
     preset's CSV by its data row and column (a row on one side only, or with
@@ -94,6 +95,7 @@ def test_compare_names_each_moved_value(tmp_path):
     new = [line("a.json", after), line("b.json", None, 2, "boom\n"), line("c.json", before),
            preset(csv_after), preset(csv_before, "fig8"), preset(csv_after, "fig9b")]
     assert _compare(tmp_path, old, new) == (1, "\n".join([
+        "exit 0 -> 2: 1 command(s)",
         "run a.json",
         "  absorbed_distribution.1: 0.5 -> 0.500000000001",
         "  conditional_outputs[0].purity: 1.0 -> 0.9",

@@ -7,6 +7,7 @@ bytes in one pass, and refuse NaN and infinities instead of printing them.
 import json
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -25,13 +26,25 @@ from test_golden import CASES, GOLDEN_DIR
 @example(1e15)
 @example(1e16)
 @example(5e-324)
-@example(2.2250738585072014e-308)
+@example(4.99994433591e-320)
+@example(sys.float_info.min)
+@example(math.nextafter(sys.float_info.min, 0.0))
+@example(math.nextafter(sys.float_info.min, 1.0))
+@example(-sys.float_info.min)
+@example(1e-100)
+@example(1.5e-200)
 @example(1e-5)
 @example(9.999999999995e-5)
+@example(0.0)
 @example(-0.0)
+@example(math.nextafter(0.9999999999995, 0.0))
+@example(0.9999999999995)
+@example(math.nextafter(0.9999999999995, 1.0))
 @example(1.0)
 @settings(max_examples=2000, deadline=None)
 def test_float_token_is_the_rounded_repr(value):
+    """The token is repr of the value rounded to 12 digits: f"{v:.12g}" itself
+    for every normal |v| < 0.9999999999995, three-digit exponents included."""
     if math.isfinite(value):
         assert results._number(value) == json.dumps(results.round_sig(value))
     else:
@@ -125,44 +138,66 @@ def test_non_finite_result_exits_2_without_output(value, tmp_path, capsys, monke
     assert not out.exists()
 
 
-def _level_table(entries):
-    """A LevelTable of (na, nb, value) entries, as run_asymmetric builds one."""
+def _level_table(entries, one_level=False):
+    """A LevelTable of (na, nb, value) entries, as run_asymmetric builds one, or
+    of their values alone (keys 0, 1, ...), as an absorbed distribution is."""
     levels = np.array([entry[:2] for entry in entries], dtype=np.int64).reshape(-1, 2)
-    return results.LevelTable(np.array([entry[2] for entry in entries], dtype=float), levels)
+    values = np.array([entry[2] for entry in entries], dtype=float)
+    return results.LevelTable(values) if one_level else results.LevelTable(values, levels)
 
 
-# the edges of results.TABLE_RANGE, and values on either side of them
-_EDGES = [1e-99, 9.9999999999995e-100, 9.99999999999995e-05, 0.99999999999949,
-          0.9999999999995, 1.0, 5e-324, -0.0, 0.0, 1e12, 3.7e15, -0.25]
-_IN_RANGE = st.floats(1e-99, 0.9999999999995, exclude_max=True) | st.floats(
-    -0.9999999999995, -1e-99, exclude_min=True)
+# the edges of the range %.12g writes as _number does (normal, below
+# 0.9999999999995 in size), and values on either side of them
+_EDGES = [sys.float_info.min, math.nextafter(sys.float_info.min, 0.0), 1e-99, 1e-100,
+          9.9999999999995e-100, 9.99999999999995e-05, 0.99999999999949, 0.9999999999995, 1.0,
+          5e-324, -0.0, 0.0, 1e12, 3.7e15, -0.25]
+_IN_RANGE = st.floats(sys.float_info.min, 0.9999999999995, exclude_max=True) | st.floats(
+    -0.9999999999995, -sys.float_info.min, exclude_min=True)
 _TABLE_VALUES = st.sampled_from(_EDGES) | st.floats(allow_nan=False, allow_infinity=False)
 _LEVEL_PAIRS = st.tuples(st.integers(0, 10**6), st.integers(0, 10**6))
 
 
+@st.composite
+def _large_entries(draw):
+    """A few thousand entries of random normal values below 1 in size, with
+    some of _EDGES or any float mixed in at drawn places."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = draw(st.integers(1000, 4000))
+    values = rng.choice([-1.0, 1.0], size) * np.exp(rng.uniform(-708.0, 0.0, size))
+    for i, value in draw(st.lists(st.tuples(st.integers(0, size - 1), _TABLE_VALUES), max_size=60)):
+        values[i] = value
+    return [((i, nb), v) for i, nb, v in zip(range(size), rng.integers(0, 10**6, size).tolist(),
+                                             values.tolist())]
+
+
 @given(st.lists(st.tuples(_LEVEL_PAIRS, _IN_RANGE | _TABLE_VALUES), max_size=40,
                 unique_by=lambda entry: entry[0])
-       | st.lists(st.tuples(_LEVEL_PAIRS, _IN_RANGE), max_size=40, unique_by=lambda entry: entry[0]))
-@example([])
-@example([((0, 0), 1.0)])
-@example([((0, 0), 0.9999999999995), ((0, 1), 1e-99)])
-@example([((n, 2 * n), v) for n, v in enumerate(_EDGES)])
+       | st.lists(st.tuples(_LEVEL_PAIRS, _IN_RANGE), max_size=40, unique_by=lambda entry: entry[0])
+       | _large_entries(), st.booleans())
+@example([], False)
+@example([], True)
+@example([((0, 0), 1.0)], True)
+@example([((0, 0), 0.9999999999995), ((0, 1), 1e-99)], False)
+@example([((n, 2 * n), v) for n, v in enumerate(_EDGES)], False)
+@example([((n, 2 * n), v) for n, v in enumerate(_EDGES)], True)
 @settings(max_examples=300, deadline=None)
-def test_level_table_is_written_as_its_entries(entries):
-    """One format call over the arrays where every value lies in TABLE_RANGE, the
-    per-entry path otherwise: either way json.dumps of the rounded entries."""
-    table = _level_table([(na, nb, value) for (na, nb), value in entries])
+def test_level_table_is_written_as_its_entries(entries, one_level):
+    """One format call over the arrays, with _number's token in place of each
+    value %.12g would not write as it: json.dumps of the rounded entries, keyed
+    "na,nb", or 0, 1, ... in a one-level table."""
+    table = _level_table([(na, nb, value) for (na, nb), value in entries], one_level)
     payload = {"extras": {"standing_joint_distribution": table, "after": [0.5]}}
     assert results.clean(payload) == oracle.json_reference(payload)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_level_table_names_its_non_finite_entry(value):
-    table = _level_table([(0, 0, 0.5), (3, 17, value), (12, 1, 0.25)])
-    with pytest.raises(
-        FockError, match=r"non-finite value at extras\.standing_joint_distribution\.3,17$"
-    ):
-        results.clean({"extras": {"standing_joint_distribution": table}})
+    entries = [(0, 0, 0.5), (3, 17, value), (12, 1, 0.25)]
+    for table, key in ((_level_table(entries), "3,17"), (_level_table(entries, True), "1")):
+        with pytest.raises(
+            FockError, match=rf"non-finite value at extras\.standing_joint_distribution\.{key}$"
+        ):
+            results.clean({"extras": {"standing_joint_distribution": table}})
 
 
 def test_coherent_squeezed_run_tokenizes_no_table_entry(tmp_path, capsys, monkeypatch):
@@ -190,9 +225,9 @@ def test_coherent_squeezed_run_tokenizes_no_table_entry(tmp_path, capsys, monkey
 @example([(3, 0.25), (4, 1e-99)], 4)
 @settings(max_examples=200, deadline=None)
 def test_output_table_is_written_as_its_records(records, n):
-    """A one-rail OutputTable is written in one format call where every
-    probability lies in TABLE_RANGE, record by record otherwise: either way
-    json.dumps of the rounded records, with (n - e) / 2 photons per mode."""
+    """A one-rail OutputTable is written in one format call, with _number's
+    token in place of each probability %.12g would not write as it: json.dumps
+    of the rounded records, with (n - e) / 2 photons per mode."""
     absorbed = np.array([e for e, _ in records], dtype=np.int64)
     table = results.OutputTable(absorbed, np.array([p for _, p in records], dtype=float),
                                 (n - absorbed) / 2.0)
