@@ -7,10 +7,10 @@ runs are exact: the working cutoff is the total photon number.  A one-rail run
 (NOON, SINGLE_PHOTON) is read in closed form in O(n) and builds no state
 (one_rail_distribution; tests/oracle.py keeps the dense route it replaced as
 its reference); its distribution and outputs stay arrays up to the JSON text
-(results.LevelTable, results.OutputTable).  A Bell run's standing state is another Bell state (_BELL); it
-reads its conditional outputs from the light x environment joint of
-fock.full_pipeline, which stays because the benchmark's call-chain test spans
-it and bs_transform.
+(results.LevelTable, results.OutputTable).  A Bell run's standing state is
+another Bell state (_BELL); it reads its conditional outputs from the light x
+environment joint of fock.full_pipeline, which stays because the benchmark's
+call-chain test spans it and bs_transform.
 """
 from __future__ import annotations
 

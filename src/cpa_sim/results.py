@@ -51,25 +51,25 @@ def _number(value: float) -> str:
 
 
 def _rows(record: str, inner: str, columns: Sequence[np.ndarray], at: int) -> str:
-    """`record` % each row of `columns`, joined by "," + `inner`, in one format
-    call.  Column `at` fills a %.12g field, _number's token for a normal value of
-    size below 0.9999999999995; any other (zero, subnormal, near or above 1,
-    non-finite) fills a %s field with its _number token."""
-    size = np.abs(columns[at])
-    odd = ~((size >= sys.float_info.min) & (size < 0.9999999999995))
-    flat = np.array([column.tolist() for column in columns], dtype=object).T
-    if odd.any():  # one token per distinct bit pattern: most are 0.0
-        bits, inverse = np.unique(columns[at][odd].view(np.int64), return_inverse=True)
-        flat[odd, at] = np.array([_number(v) for v in bits.view(np.float64).tolist()], dtype=object)[inverse]
-    records = np.array([record, record.replace("%.12g", "%s")], dtype=object)[odd.view(np.int8)]
-    return ("," + inner).join(records.tolist()) % tuple(flat.ravel().tolist())
+    """`record` % each row of `columns`, joined by "," + `inner`, in one format call.  Column
+    `at` fills %.12g, _number's token for a normal value of size below 0.9999999999995, or
+    %s with the _number token of any other (zero, subnormal, near or above 1, non-finite)."""
+    size, width = np.abs(columns[at]), len(columns)
+    odd = np.flatnonzero(~((size >= sys.float_info.min) & (size < 0.9999999999995)))
+    flat, records = [None] * (width * len(size)), [record] * len(size)
+    for i, column in enumerate(columns):
+        flat[i::width] = column.tolist()
+    other, tokens = record.replace("%.12g", "%s"), {}  # by bit pattern: most odd values are 0.0
+    for i, bits in zip(odd.tolist(), columns[at][odd].view(np.int64).tolist()):
+        tokens[bits] = tokens.get(bits) or _number(flat[width * i + at])
+        flat[width * i + at], records[i] = tokens[bits], other
+    return ("," + inner).join(records) % tuple(flat)
 
 
 class LevelTable(Mapping):
-    """Read-only map over (n,) float `weights`, written by _text without a key
-    or token per entry: m -> weights[m] when `levels` is None (an absorbed-photon
-    distribution), else "na,nb" -> the weight of that row of the (n, 2) integer
-    `levels` (the standing joint distribution)."""
+    """Read-only map over (n,) float `weights`, written by _text in one format call: m ->
+    weights[m] when `levels` is None (an absorbed-photon distribution), else "na,nb" -> the
+    weight of that row of the (n, 2) integer `levels` (the standing joint distribution)."""
 
     def __init__(self, weights: np.ndarray, levels: np.ndarray | None = None) -> None:
         self.weights, self.levels = weights, levels
