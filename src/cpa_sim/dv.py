@@ -48,7 +48,7 @@ _BELL = {
 }
 BELL_KINDS = set(_BELL)
 # a one-rail run's peak per photon level in 16-byte states: NOON runs at n = 10^5 to
-# 1.6 10^6 (arrays, format call and JSON text) peaked at 144 B traced and 175 B of RSS per level
+# 1.6 10^6 (arrays, format call and JSON text) peaked at 165 B traced and 176 B of RSS per level
 ONE_RAIL_LEVEL_STATES = 12.0
 
 

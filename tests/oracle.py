@@ -391,9 +391,9 @@ def quadrature_stats(state, mode) -> QuadratureStats:
                            2.0 * mean_sq.imag - m1 * m2)
 
 
-def absorbed_photon_distribution(joint) -> dict[int, float]:
+def absorbed_photon_distribution(joint):
     """Probability of m photons in total in the environment modes of a joint
-    fock.PureState."""
+    fock.PureState, as a results.LevelTable m -> P(m)."""
     from cpa_sim import fock
     from cpa_sim.modes import ModeError
 

@@ -415,7 +415,7 @@ def test_largest_noon_run_peaks_below_100_mib(tmp_path):
 
 def test_noon_at_a_hundred_thousand_photons_peaks_below_100_mib(tmp_path):
     """NOON n = 10^5 at tau_c = 0.46 exits 0 in a fresh interpreter with a peak
-    RSS below 100 MiB (51 MiB measured, 2.3 MB of JSON, 1,679 counts), well inside its
+    RSS below 100 MiB (48 MiB measured, 2.3 MB of JSON, 1,679 counts), well inside its
     charge of ONE_RAIL_LEVEL_STATES * 16 bytes per level (19 MB)."""
     outputs, peak_kib = _noon_run_peak_kib(tmp_path, 10**5)
     assert outputs > 1000
