@@ -7,10 +7,10 @@ runs are exact: the working cutoff is the total photon number.  A one-rail run
 (NOON, SINGLE_PHOTON) is read in closed form in O(n) and builds no state
 (one_rail_distribution; tests/oracle.py keeps the dense route it replaced as
 its reference); its distribution and outputs stay arrays up to the JSON text
-(results.LevelTable, results.OutputTable).  A Bell run's standing state is
-another Bell state (_BELL); it reads its conditional outputs from the light x
-environment joint of fock.full_pipeline, which stays because the benchmark's
-call-chain test spans it and bs_transform.
+(the LevelTable of results.fock_result, results.OutputTable).  A Bell run's
+standing state is another Bell state (_BELL); it reads its conditional outputs
+from the light x environment joint of fock.full_pipeline, which stays because
+the benchmark's call-chain test spans it and bs_transform.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from . import fock
 from .absorber import CANONICAL, AbsorberSpec
 from .fock import CutoffError, PureState
 from .modes import C, K, MINUS_K, S, ModeLabel
-from .results import LevelTable, OutputTable, ScenarioResult, fock_result
+from .results import OutputTable, ScenarioResult, fock_result
 
 RAIL_A, RAIL_B = "A", "B"
 
@@ -191,8 +191,8 @@ def run_scenario(
         working_cutoff = fock.budget_cutoff(n, 6)  # pair + env per rail
         standing = _bell_state(_BELL[scenario.kind][2], working_cutoff, C, S)  # the closed form
         environment = fock.absorber_environment(standing, absorber)
-        counts = [m for m, prob in environment.distribution.items() if prob > floor]
-        mean = sum(m * p for m, p in environment.distribution.items()) / n
+        counts = np.flatnonzero(environment.distribution > floor).tolist()
+        mean = sum(m * p for m, p in enumerate(environment.distribution.tolist())) / n
         outputs = [{"absorbed": o.absorbed, "probability": o.probability, "purity": o.purity,
                     "mean_output_photons": {str(mode): v for mode, v in o.mean_photons.items()}}
                    for o in fock.conditional_outputs(fock.full_pipeline(
@@ -202,7 +202,7 @@ def run_scenario(
         probs = one_rail_distribution(scenario, absorber)
         weighted = probs[probs > 0.0]
         environment = fock.EnvironmentReadout(
-            LevelTable(probs), max(0.0, float(-np.sum(weighted * np.log2(weighted)))), float(probs[n]))
+            probs, max(0.0, float(-np.sum(weighted * np.log2(weighted)))), float(probs[n]))
         counts = np.flatnonzero(probs > floor)
         outputs = OutputTable(counts, probs[counts], (n - counts) / 2.0)
         top, bottom = absorber.tau_c.as_integer_ratio()  # n >= 2: s^2 / 2 exactly, rounded once

@@ -37,7 +37,6 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from . import results
 from .absorber import AbsorberSpec, absorb, absorbed_share, change_basis
 from .modes import (C, K, MINUS_K, S, STANDING_KINDS, STANDING_OF, TRAVELLING_OF, ModeError,
                     ModeLabel, basis_rails, check_mode_consistency)
@@ -576,9 +575,8 @@ def _loss_map(x: np.ndarray, tau: float) -> np.ndarray:
 
 
 class EnvironmentReadout(NamedTuple):
-    """Absorbed-photon distribution (a results.LevelTable: m -> P(m), m = 0 up to
-    the most the box holds), light-environment entropy (bits), P(no photon leaves)."""
-    distribution: results.LevelTable
+    """Absorbed-photon distribution, light-environment entropy (bits), P(no photon leaves)."""
+    distribution: np.ndarray  # P(m) at index m, up to the most the box holds
     entropy: float
     p_all_absorbed: float
 
@@ -630,7 +628,7 @@ def absorber_environment(standing: PureState, absorber: AbsorberSpec) -> Environ
         raise FockError(f"environment density matrix trace {float(np.trace(rho).real)!r} != 1")
     weights = np.bincount(totals, weights=np.diagonal(rho).real, minlength=count * (dim - 1) + 1)
     return EnvironmentReadout(
-        results.LevelTable(weights),
+        weights,
         _gram_entropy(rho, "U" if tau else "L"), float(np.sum(no_loss)),
     )
 
@@ -660,11 +658,11 @@ def full_pipeline(state: PureState, absorber: AbsorberSpec) -> PureState:
 # measurements and reductions
 
 
-def total_occupation_distribution(state: PureState, modes: Sequence[ModeLabel]) -> results.LevelTable:
-    """Distribution of the summed occupation of the given modes."""
+def total_occupation_distribution(state: PureState, modes: Sequence[ModeLabel]) -> np.ndarray:
+    """Distribution of the summed occupation of the given modes, indexed by that sum."""
     marginal = joint_occupation_distribution(state, *modes)
     grid = np.indices(marginal.shape).sum(axis=0)
-    return results.LevelTable(np.bincount(grid.ravel(), weights=marginal.ravel()))
+    return np.bincount(grid.ravel(), weights=marginal.ravel())
 
 
 def joint_occupation_distribution(state: PureState, *modes: ModeLabel) -> np.ndarray:

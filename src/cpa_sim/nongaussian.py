@@ -143,7 +143,7 @@ def run_cat_cat(
     result, standing, environment = run_pair({"kind": "CAT_CAT", "alpha": alpha}, absorber,
                                              numerics, (cat, cat), (True, True), cutoff is None)
     cutoff = result.numerics["cutoff"]
-    p_zero = environment.distribution[0]
+    p_zero = float(environment.distribution[0])
     # no photon absorbed: level n keeps b[n, n] = tau_c^n, and the (C, S) state is
     # pure (one rail).  The mix sends |alpha>|-alpha> + |-alpha>|alpha> to vacuum
     # on C times the even cat of sqrt(2) alpha on S, so only C = 0 meets it.
@@ -187,13 +187,13 @@ def run_asymmetric(
         other, even = SqueezedSpec(0.0, partner), (False, False)
     numerics = {"cutoff": settle_cutoff(cutoff, needed, needed)}
     result, standing, environment = run_pair(
-        scenario, absorber, numerics, (SqueezedSpec(alpha), other), even, cutoff is None)
+        scenario, absorber, numerics, (SqueezedSpec(alpha), other), even)
     standing_dist = fock.joint_occupation_distribution(standing, C, S)
     reported = standing_dist > 1e-12
     result.extras = {
         "standing_joint_distribution": LevelTable(standing_dist[reported], np.argwhere(reported)),
         "standing_cross_sector_mass": float(standing_dist[1:, 1:].sum()),
         "p_all_absorbed": environment.p_all_absorbed,
-        "p_all_transmitted": environment.distribution[0],
+        "p_all_transmitted": float(environment.distribution[0]),
     }
     return result

@@ -13,11 +13,10 @@ normal v with |v| < 0.9999999999995.  Any other text (integral, e+12 and up,
 subnormal, signed zero) is re-read and printed by repr.  NaN and infinities
 have no JSON token: FockError names their path.
 
-A LevelTable (an absorbed-photon distribution, or the standing joint
-distribution) holds its levels and values as arrays from the engine that
-computes them, and an OutputTable (a one-rail run's conditional outputs) its
-records' columns.  Each is written by one format call over its arrays: %.12g
-for every value in the normal range above, _number's token for the few others.
+A LevelTable (an absorbed-photon distribution, wrapped by fock_result, or the
+standing joint distribution) and an OutputTable (a one-rail run's conditional
+outputs) hold the arrays their engine computed.  Each is written by one format
+call: %.12g for each value in the normal range above, _number's token otherwise.
 """
 from __future__ import annotations
 
@@ -74,6 +73,8 @@ class LevelTable(Mapping):
     def __init__(self, weights: np.ndarray, levels: np.ndarray | None = None) -> None:
         self.weights, self.levels = weights, levels
         weights.setflags(write=False)
+        if levels is not None:
+            levels.setflags(write=False)
 
     @cached_property
     def _entries(self) -> dict[str, float]:
@@ -230,7 +231,7 @@ def fock_result(
         scenario=scenario,
         absorber=absorber.echo(),
         numerics=numerics,
-        absorbed_distribution=environment.distribution,
+        absorbed_distribution=LevelTable(environment.distribution),
         mean_intensity_absorption=coefficients[0],
         coherence_absorption=coefficients[1],
         separability={"env_entanglement_entropy": environment.entropy},

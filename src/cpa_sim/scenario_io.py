@@ -324,4 +324,4 @@ def run_bridged_fock(
     squeezed coherent `factors` at `cutoff`, or fock.DEFAULT_CUTOFF when none is given."""
     numerics = {"cutoff": nongaussian.settle_cutoff(cutoff, 0, fock.DEFAULT_CUTOFF),
                 "truncation_tolerance": fock.TRUNCATION_TOL}
-    return nongaussian.run_pair(scenario_echo, absorber, numerics, factors, automatic=cutoff is None)[0]
+    return nongaussian.run_pair(scenario_echo, absorber, numerics, factors)[0]

@@ -391,16 +391,16 @@ def quadrature_stats(state, mode) -> QuadratureStats:
                            2.0 * mean_sq.imag - m1 * m2)
 
 
-def absorbed_photon_distribution(joint):
+def absorbed_photon_distribution(joint) -> dict[int, float]:
     """Probability of m photons in total in the environment modes of a joint
-    fock.PureState, as a results.LevelTable m -> P(m)."""
+    fock.PureState."""
     from cpa_sim import fock
     from cpa_sim.modes import ModeError
 
     env = [m for m in joint.modes if m.is_env]
     if not env:
         raise ModeError("state has no environment mode")
-    return fock.total_occupation_distribution(joint, env)
+    return dict(enumerate(fock.total_occupation_distribution(joint, env).tolist()))
 
 
 def bell_standing_state(kind, cutoff: int = 2):
@@ -809,5 +809,5 @@ def dense_one_rail_run(scenario, absorber, report_threshold: float = 1e-9):
     standing = standing_state(scenario, scenario.total_photons)
     environment = fock.absorber_environment(standing, absorber)
     floor = max(report_threshold, fock.CONDITIONING_FLOOR)
-    counts = [m for m, p in sorted(environment.distribution.items()) if p > floor]
+    counts = [m for m, p in enumerate(environment.distribution.tolist()) if p > floor]
     return environment, absorber_outputs(standing, absorber, counts)

@@ -5,7 +5,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -14,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
-from cpa_sim import cli, fock, nongaussian as ng, scenario_io
+from cpa_sim import fock, nongaussian as ng, scenario_io
 from cpa_sim.absorber import CANONICAL, AbsorberSpec
 from cpa_sim.fock import CutoffError
 from cpa_sim.gaussian import SqueezedSpec
@@ -63,7 +62,7 @@ def test_cat_cat_parity_conservation():
     cat_mk = ng.build_cat(alpha, ng.cat_cutoff(alpha) + 2, MINUS_K)
     joint = fock.full_pipeline(fock.tensor(cat_k, cat_mk), CANONICAL)
     totals = fock.total_occupation_distribution(joint, joint.modes)
-    odd_mass = sum(p for n, p in totals.items() if n % 2 == 1)
+    odd_mass = totals[1::2].sum()
     assert odd_mass < 1e-12
 
 
@@ -268,46 +267,35 @@ def test_cat_cat_entropy_at_the_automatic_cutoff_is_converged():
 def test_large_squeezed_pair_run_peaks_below_100_mib(tmp_path):
     """COHERENT_SQUEEZED alpha = 1, xi = 1.7 runs at its automatic cutoff 397 in a
     fresh interpreter with a peak RSS (VmHWM) below 100 MiB; mixing truncated
-    factors through the balanced-block cache took 226 MiB."""
+    factors through the balanced-block cache took 226 MiB.  Serialization of its
+    11,950 table entries included, it peaks under tracemalloc below the
+    PAIR_PEAK_STATES dense 398^2 states that settle_cutoff charges it (4.01-4.08
+    states measured)."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(fock.__file__)))
     path = tmp_path / "xi.json"
     path.write_text(json.dumps({"schema": 1, "engine": "FOCK", "scenario": {
         "kind": "COHERENT_SQUEEZED", "alpha": 1.0, "xi": 1.7}}))
     code = (
-        "import contextlib, io, json, sys\n"
+        "import contextlib, io, json, sys, tracemalloc\n"
         "from cpa_sim import cli\n"
         "out = io.StringIO()\n"
+        "tracemalloc.start()\n"
         "with contextlib.redirect_stdout(out):\n"
         "    assert cli.main(['run', sys.argv[1]]) == 0\n"
+        "traced = tracemalloc.get_traced_memory()[1]\n"
         "with open('/proc/self/status') as status:\n"
         "    lines = [line for line in status if line.startswith('VmHWM:')]\n"
-        "print(json.loads(out.getvalue())['numerics']['cutoff'], lines[0].split()[1])\n"
+        "run = json.loads(out.getvalue())\n"
+        "print(run['numerics']['cutoff'], len(run['extras']['standing_joint_distribution']),\n"
+        "      lines[0].split()[1], traced)\n"
     )
     env = dict(os.environ, PYTHONPATH=src)
     run = subprocess.run([sys.executable, "-c", code, str(path)], env=env, timeout=120,
                          capture_output=True, text=True, check=True)
-    cutoff, peak_kib = map(int, run.stdout.split())
-    assert cutoff == 397
+    cutoff, entries, peak_kib, traced = map(int, run.stdout.split())
+    assert (cutoff, entries) == (397, 11950)
     assert peak_kib < 100 * 1024
-
-
-def test_largest_pair_run_peaks_below_its_memory_charge(tmp_path, capsys):
-    """The same run, serialization included: cli.main writes 11,950 table
-    entries and peaks under tracemalloc below the PAIR_PEAK_STATES dense 398^2
-    states that settle_cutoff charges it (4.01-4.08 states measured)."""
-    path = tmp_path / "xi.json"
-    path.write_text(json.dumps({"schema": 1, "engine": "FOCK", "scenario": {
-        "kind": "COHERENT_SQUEEZED", "alpha": 1.0, "xi": 1.7}}))
-    tracemalloc.start()
-    try:
-        assert cli.main(["run", str(path)]) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    out = json.loads(capsys.readouterr().out)
-    assert out["numerics"]["cutoff"] == 397
-    assert len(out["extras"]["standing_joint_distribution"]) == 11950
-    assert peak < fock.budget_bytes(397, 2, ng.PAIR_PEAK_STATES), peak / fock.budget_bytes(397, 2)
+    assert traced < fock.budget_bytes(397, 2, ng.PAIR_PEAK_STATES), traced / fock.budget_bytes(397, 2)
 
 
 def test_coherent_squeezed_absorbs_half():
