@@ -34,7 +34,9 @@ as `row R, COLUMN: OLD -> NEW`, R counting data rows from 1 (`row R: <absent>
 header lines differ).  A hashed line, or one of a record written before the
 CSV text was kept, holds only the sha256 of a stream; the other side compares
 with it by sha256, and a moved stream is named by its `stdout_sha256` or
-`csv_sha256` alone.
+`csv_sha256` alone.  It ends with one `PATH: N value(s), largest move X` line
+per path of the `run` JSON that moved in any command: how many values moved
+there and the largest absolute move (`-` where no moved pair is two numbers).
 
 Good inputs are `tests/golden`, `tests/hostile` (whose exit codes and stderr
 the record pins) and the benchmark's workloads, e.g.
@@ -215,14 +217,24 @@ def moved(a: dict | None, b: dict | None) -> list[tuple[str, str, str]]:
         return out + ([] if old == new else [("stdout_sha256", json.dumps(old), json.dumps(new))])
     if a.get("stdout") == b.get("stdout"):
         return out
-    text = [("stdout", "<text>", "<text>")]
+    return out + (_values(a, b) or [("stdout", "<text>", "<text>")])
+
+
+def _values(a: dict, b: dict) -> list[tuple[str, str, str]]:
+    """(path, old, new) of each value whose token differs between the `run`
+    JSON stdouts of two lines; none when a side holds no JSON."""
     try:
         old, new = (_leaves(json.loads(line.get("stdout", "{}"))) for line in (a, b))
     except json.JSONDecodeError:
-        return out + text
+        return []
     paths = list(old) + [p for p in new if p not in old]
-    values = [(p, old.get(p, ABSENT), new.get(p, ABSENT)) for p in paths if old.get(p) != new.get(p)]
-    return out + (values or text)
+    return [(p, old.get(p, ABSENT), new.get(p, ABSENT)) for p in paths if old.get(p) != new.get(p)]
+
+
+def _as_float(token: str) -> float | None:
+    """The number a JSON token holds; None for a string, bool, null or <absent>."""
+    value = None if token == ABSENT else json.loads(token)
+    return float(value) if isinstance(value, (int, float)) and not isinstance(value, bool) else None
 
 
 def exit_moves(a: list[dict], b: list[dict]) -> list[str]:
@@ -248,6 +260,27 @@ def report(a: list[dict], b: list[dict]) -> list[str]:
     return out
 
 
+def value_moves(a: list[dict], b: list[dict]) -> list[str]:
+    """One `PATH: N value(s), largest move X` line per path of a `run`'s JSON
+    whose value moved in any command, in the order the paths first appear: N
+    counts the moved values, X is the largest |new - old| over those that are
+    numbers on both sides (`-` when none is)."""
+    by_argv = [{json.dumps(line["argv"]): line for line in lines} for lines in (a, b)]
+    moves: dict[str, list[float | None]] = {}
+    for key in map(json.dumps, differing(a, b)):
+        old, new = (side.get(key) or {} for side in by_argv)
+        if "stdout" in old and "stdout" in new:
+            for path, *tokens in _values(old, new):
+                x, y = map(_as_float, tokens)
+                moves.setdefault(path, []).append(None if None in (x, y) else abs(y - x))
+    out = []
+    for path, sizes in moves.items():
+        numeric = [size for size in sizes if size is not None]
+        largest = f"{max(numeric):.3g}" if numeric else "-"
+        out.append(f"{path}: {len(sizes)} value(s), largest move {largest}")
+    return out
+
+
 def _read(path: str) -> list[dict]:
     with open(path, encoding="utf-8") as handle:
         return [json.loads(line) for line in handle if line.strip()]
@@ -270,7 +303,7 @@ def main() -> int:
 
     if args.compare:
         records = [_read(path) for path in args.compare]
-        for line in exit_moves(*records) + report(*records):
+        for line in exit_moves(*records) + report(*records) + value_moves(*records):
             print(line)
         diff = differing(*records)
         print(f"{len(diff)} command(s) differ", file=sys.stderr)

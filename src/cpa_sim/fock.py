@@ -173,8 +173,8 @@ def _smaller_gram(a: np.ndarray) -> np.ndarray:
 
 def _gram_entropy(gram: np.ndarray, triangle: str = "L") -> float:
     """Von Neumann entropy (bits) of the rho whose nonzero spectrum is that of
-    gram / tr gram, less rounding-level eigenvalues; eigvalsh reads only the
-    given triangle ("L" or "U") of gram."""
+    gram / tr gram (gram may be a leading block of rho), less rounding-level
+    eigenvalues; eigvalsh reads only the given triangle ("L" or "U") of gram."""
     lam = np.clip(np.linalg.eigvalsh(gram, UPLO=triangle) / np.trace(gram).real, 0.0, None)
     lam = lam[lam > 1e-16]
     return max(0.0, float(-np.sum(lam * np.log2(lam))))
@@ -315,8 +315,9 @@ def _one_mode(c0: complex, b: complex, t: complex, dim: int) -> np.ndarray:
             f"vacuum amplitude {abs(c0):.3g} underflows below {sys.float_info.min:.3g}"
         )
     amps = [0j, complex(c0)]  # a leading c_{-1} = 0, which weight sqrt(0) meets at n = 1
+    root = np.sqrt(np.arange(dim)).tolist()  # correctly rounded, as math.sqrt
     for n in range(1, dim):  # Python complex; x (1 / sqrt n) rounds as numpy's x / sqrt n
-        amps.append((b * amps[n] - t * math.sqrt(n - 1) * amps[n - 1]) * (1.0 / math.sqrt(n)))
+        amps.append((b * amps[n] - t * root[n - 1] * amps[n - 1]) * (1.0 / root[n]))
     return np.array(amps[1:dim + 1], dtype=complex)
 
 
@@ -390,11 +391,11 @@ def balanced_pair(factors: Sequence[Sequence[tuple]], cutoff: int) -> PureState:
         b_c, b_s, t_cc, t_cs = (b1 + b2) * _INV_SQRT2, (b1 - b2) * _INV_SQRT2, (t1 + t2) / 2, (t1 - t2) / 2
         psi = np.zeros((dim, dim), dtype=complex)  # finite: row m - 1 = -1 has weight 0 at m = 0
         psi[0] = _one_mode(w1 * w2 * c1 * c2, b_s, t_cc, dim)
-        coupling = t_cs * np.sqrt(np.arange(1.0, dim))
+        coupling, product = t_cs * np.sqrt(np.arange(1.0, dim)), np.empty(dim, dtype=complex)
         for m in range(dim - 1):
             row = np.multiply(psi[m], b_c, out=psi[m + 1])
-            row[1:] -= coupling * psi[m, :-1]
-            row -= psi[m - 1] * (t_cc * math.sqrt(m))
+            row[1:] -= np.multiply(coupling, psi[m, :-1], out=product[1:])
+            row -= np.multiply(psi[m - 1], t_cc * math.sqrt(m), out=product)
             row /= math.sqrt(m + 1)
         amps = amps + psi
     return _built((C, S), cutoff, _normalized(amps))
@@ -595,7 +596,9 @@ def absorber_environment(standing: PureState, absorber: AbsorberSpec) -> Environ
     highest that carries weight; levels below SECTOR_MASS_FLOOR are empty, as in
     the channel's mixes.  No photon leaves with probability sum_n |Psi[n, 0]|^2
     s^(2 sum_r n_r).  At tau_c = 0 the map is the identity, so rho = R over all
-    levels and that sum is sum_n |Psi[n, 0]|^2.
+    levels and that sum is sum_n |Psi[n, 0]|^2.  The entropy is that of rho's leading
+    block [0, L) on every rail, L the fewest levels above which each rail holds below
+    eps = 2^-52: by interlacing, dropped weight d moves it ~d log2(1/d), below eigvalsh's noise.
     """
     tau, dim, rails = absorber.tau_c, standing.dim, basis_rails(standing.modes, STANDING_KINDS)
     if any(m.is_env for m in standing.modes):
@@ -607,7 +610,8 @@ def absorber_environment(standing: PureState, absorber: AbsorberSpec) -> Environ
     levels = 0
     for r in range(count):
         level = mass.sum(axis=tuple(i for i in range(count) if i != r)) >= SECTOR_MASS_FLOOR
-        psi = psi * level[grid[r]].reshape(-1, 1)
+        if not level.all():
+            psi = psi * level[grid[r]].reshape(-1, 1)
         levels = max(levels, int(np.flatnonzero(level)[-1]) + 1)
     if tau:  # the map works on the weighted levels only
         psi = psi.reshape((dim,) * count + (-1,))[(slice(levels),) * count]
@@ -626,11 +630,13 @@ def absorber_environment(standing: PureState, absorber: AbsorberSpec) -> Environ
         rho = rho.reshape(levels ** count, -1)
     if not abs(float(np.trace(rho).real) - 1.0) <= 1e-9:
         raise FockError(f"environment density matrix trace {float(np.trace(rho).real)!r} != 1")
-    weights = np.bincount(totals, weights=np.diagonal(rho).real, minlength=count * (dim - 1) + 1)
-    return EnvironmentReadout(
-        weights,
-        _gram_entropy(rho, "U" if tau else "L"), float(np.sum(no_loss)),
-    )
+    diagonal = np.diagonal(rho).real
+    weights = np.bincount(totals, weights=diagonal, minlength=count * (dim - 1) + 1)
+    tails = [np.cumsum(np.bincount(g.ravel(), diagonal, len(g))[::-1]) for g in grid]  # top down
+    keep = len(tails[0]) - min(np.count_nonzero(tail < np.finfo(float).eps) for tail in tails)
+    block = rho.reshape(grid.shape[1:] * 2)[(slice(keep),) * (2 * count)].reshape(keep ** count, -1)
+    entropy = _gram_entropy(block, "U" if tau else "L")
+    return EnvironmentReadout(weights, entropy, float(np.sum(no_loss)))
 
 
 def standing_basis(state: PureState) -> PureState:

@@ -81,16 +81,20 @@ def run_pair(
 ) -> tuple[ScenarioResult, PureState, fock.EnvironmentReadout]:
     """The result of `factors` (each the even cat of its alpha where `even` says
     so) built at numerics["cutoff"], with the standing state and environment
-    readout it was read from.  Each factor is built alone for its tail check.
-    EPR's g and h sit on (C, S), since the mix that makes them EPR light is the
-    pipeline's first stage; the rest sit on (K, MINUS_K) (fock.balanced_pair).
+    readout it was read from.  Each factor is built alone for its tail check, a
+    repeated one once off EPR.  EPR's g and h sit on (C, S), since the mix that
+    makes them EPR light is the pipeline's first stage; the rest sit on (K,
+    MINUS_K) (fock.balanced_pair).
     An `automatic` cutoff whose standing state fails only balanced_pair's norm
     check is raised one level, within the memory budget, and the run rebuilt."""
     cutoff, on_standing = numerics["cutoff"], scenario["kind"] == "EPR"
+    checks = list(zip(factors, even, (C, S) if on_standing else (K, MINUS_K)))
+    if not on_standing and checks[0][:2] == checks[1][:2]:
+        checks.pop()  # identical factors pass or fail one tail check alike
     built = [
         build_cat(spec.alpha, cutoff, mode) if cat
         else fock.squeezed_coherent_state(spec.alpha, spec.xi, spec.phi, cutoff, mode)
-        for spec, cat, mode in zip(factors, even, (C, S) if on_standing else (K, MINUS_K))
+        for spec, cat, mode in checks
     ]
     try:
         standing = fock.tensor(*built) if on_standing else fock.balanced_pair([  # a cat's two halves

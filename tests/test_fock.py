@@ -1,4 +1,5 @@
 """Fock engine: beamsplitter, absorber channel, reductions, moments."""
+import cmath
 import contextlib
 import io
 import itertools
@@ -1052,6 +1053,89 @@ def test_loss_map_matches_the_loop_over_the_level_range(levels, tau):
     assert np.all(mapped[~upper] == 0.0)
 
 
+def _tapered_rail_state(seed, rails, cutoff, decay):
+    """random_rail_state with each amplitude scaled by decay^(total photons),
+    so that at a small decay the top levels of the box hold below 2^-52 of the
+    weight and at decay 1 the weight fills it."""
+    state = random_rail_state(seed, rails, cutoff)
+    amps = state.amplitudes * decay ** np.indices(state.amplitudes.shape).sum(axis=0)
+    return fock.PureState(state.modes, cutoff, amps / np.linalg.norm(amps))
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    box=st.one_of(st.tuples(st.just(1), st.integers(3, 30)), st.tuples(st.just(2), st.integers(3, 4))),
+    decay=st.floats(-3.0, 0.0).map(lambda x: 10.0 ** x),
+    tau=st.floats(0.0, 1.0),
+    swap=st.booleans(),
+)
+@example(seed=4, box=(1, 30), decay=1e-3, tau=0.0, swap=False)
+@example(seed=5, box=(2, 4), decay=0.01, tau=0.0, swap=True)
+@example(seed=6, box=(2, 4), decay=0.02, tau=0.7, swap=False)
+@example(seed=7, box=(1, 20), decay=0.05, tau=0.3, swap=True)
+def test_entropy_on_the_leading_block_matches_the_full_spectrum(seed, box, decay, tau, swap):
+    """absorber_environment solves only the leading block of rho that holds all
+    but 2^-52 of each rail's weight; its entropy is within 1e-13 of the dense
+    entropy of the whole rho (oracle.loop_environment), at tau_c = 0 and not,
+    on (rails, cutoff) `box` of one rail and of two, either role.  Two rails stop
+    at cutoff 4: from cutoff 5 up the reference's own eigenvalue floor (1e-16)
+    leaves the full solve up to 2.9e-13 away, and the block up to 1.6e-13."""
+    absorber = AbsorberSpec(reflection=(tau - 1.0) / 2.0, swap_roles=swap)
+    standing = fock.standing_basis(_tapered_rail_state(seed, *box, decay))
+    _, _, entropy, _ = _loop_reference(standing, absorber)
+    assert abs(fock.absorber_environment(standing, absorber).entropy - entropy) < 1e-13
+
+
+def _solved_sizes(monkeypatch):
+    """The orders of the matrices np.linalg.eigvalsh is handed from now on."""
+    sizes, solve = [], np.linalg.eigvalsh
+
+    def spy(a, UPLO="L"):
+        sizes.append(len(a))
+        return solve(a, UPLO=UPLO)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    return sizes
+
+
+def test_entropy_solves_the_levels_that_hold_the_weight(monkeypatch):
+    """The cutoff-123 COHERENT_SQUEEZED alpha = 2, xi = 1 run holds all but
+    2^-52 of its environment's weight in 93 of its 124 levels, and its one
+    eigen-solve is that block, not the box."""
+    sizes = _solved_sizes(monkeypatch)
+    assert nongaussian.run_asymmetric(2.0, 1.0).numerics["cutoff"] == 123
+    assert len(sizes) == 1 and sizes[0] <= 96
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.6])
+def test_entropy_of_a_state_filling_the_box_solves_the_whole_box(monkeypatch, tau):
+    """A standing state whose weight reaches the top level of a rail keeps its
+    full block: every level of one rail, every pair of levels of two, also
+    when the other rail is in vacuum (the block follows the longer rail)."""
+    absorber = AbsorberSpec(reflection=(tau - 1.0) / 2.0)
+    sizes = _solved_sizes(monkeypatch)
+    fock.absorber_environment(_random_standing(40), absorber)
+    fock.absorber_environment(fock.standing_basis(random_rail_state(8, 2)), absorber)
+    vacuum = fock.vacuum_state([C.with_rail("B"), S.with_rail("B")], 3)
+    fock.absorber_environment(fock.tensor(_random_standing(4), vacuum), absorber)
+    assert sizes == [40, 16, 16]
+
+
+def test_entropy_block_drops_the_levels_whose_summed_tail_is_below_eps(monkeypatch):
+    """Twenty top levels of 3e-17 each, every one below eps = 2.2e-16: the
+    block drops the seven whose weight summed from the top stays below eps
+    (2.1e-16) and keeps the rest, since eight already hold 2.4e-16."""
+    weights = np.concatenate((np.linspace(1.0, 0.1, 20), np.full(20, 3e-17)))
+    amps = np.zeros((40, 40), dtype=complex)
+    amps[:20, 0] = np.sqrt(weights[:20] / weights[:20].sum() * (1.0 - 20 * 3e-17))
+    amps[20:, 0] = math.sqrt(3e-17)
+    sizes = _solved_sizes(monkeypatch)
+    fock.absorber_environment(fock.PureState((C, S), 39, amps), CANONICAL)
+    assert sizes == [33]
+
+
 def _gaussian_environment(v: np.ndarray, mu: np.ndarray) -> tuple[float, float, float]:
     """P(no photon), mean photon number and entropy (bits) of a single-mode
     Gaussian state with covariance v and mean mu (vacuum: v = I)."""
@@ -1114,6 +1198,31 @@ def test_bridged_environment_matches_the_gaussian_engine(kind, alphas, xis, phi,
             assert abs(value - want) < 1e-11 / min(total, 1.0)
         elif total < 1e-14:
             assert value is None and want is None
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    mag=st.floats(0.0, 2.0),
+    phase=angles,
+    xi=st.floats(0.05, 1.0),
+    tau=st.floats(0.0, 1.0),
+    swap=st.booleans(),
+)
+@example(mag=2.0, phase=0.0, xi=1.0, tau=0.0, swap=False)  # the cutoff-123 run
+@example(mag=2.0, phase=1.0, xi=1.0, tau=0.94, swap=True)
+def test_coherent_squeezed_entropy_matches_the_gaussian_closed_form(mag, phase, xi, tau, swap):
+    """A COHERENT_SQUEEZED run at its automatic cutoff gives the entropy of its
+    Gaussian environment, g(nu) with nu = sqrt(det(s^2 V_a + tau_c^2 I)), V_a =
+    (I + V_sq) / 2 the absorbed standing mode's covariance (the mean of the
+    coherent mode's I and the squeezed vacuum's diag(e^-2xi, e^2xi)), within
+    2e-13.  The closed form shares no code with the Fock engine."""
+    absorber = AbsorberSpec(reflection=(tau - 1.0) / 2.0, swap_roles=swap)
+    result = nongaussian.run_asymmetric(cmath.rect(mag, phase), xi, absorber)
+    tau_c = absorber.tau_c
+    v_a = (np.eye(2) + np.diag([math.exp(-2.0 * xi), math.exp(2.0 * xi)])) / 2.0
+    v = (1.0 - tau_c * tau_c) * v_a + tau_c * tau_c * np.eye(2)
+    entropy = _gaussian_environment(v, np.zeros(2))[2]
+    assert abs(result.separability["env_entanglement_entropy"] - entropy) < 2e-13
 
 
 def test_absorber_environment_needs_a_fresh_environment():

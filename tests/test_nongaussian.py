@@ -217,6 +217,19 @@ def test_pair_run_leaves_the_balanced_block_cache_alone(monkeypatch):
     assert ng.run_asymmetric(2.0, 1.0).numerics["cutoff"] == 123
 
 
+def test_identical_factors_are_built_once_for_their_tail_check():
+    """A pair of one spec and kind is built once for its tail check: CAT_CAT's
+    cat, or a SQUEEZED_PAIR of equal states.  EPR's g and h are the standing
+    state's factors, so both are built even when they are equal."""
+    with mock.patch.object(ng, "build_cat", wraps=ng.build_cat) as cats:
+        assert ng.run_cat_cat(1.0).numerics["cutoff"] == 16  # no retry
+    spec, squeezed = SqueezedSpec(0.3, 0.2, 0.5), fock.squeezed_coherent_state
+    with mock.patch.object(fock, "squeezed_coherent_state", wraps=squeezed) as built:
+        ng.run_pair({"kind": "SQUEEZED_PAIR"}, CANONICAL, {"cutoff": 20}, (spec, spec))
+        ng.run_pair({"kind": "EPR"}, CANONICAL, {"cutoff": 20}, (spec, spec))
+    assert cats.call_count == 1 and built.call_count == 1 + 2
+
+
 def _mixed_reference(factors, even, cutoff):
     """The standing amplitudes by the mix of truncated factors: both factors at
     2 cutoff + 1 levels, mixed by standing_basis, which keeps every total up to
@@ -269,7 +282,7 @@ def test_large_squeezed_pair_run_peaks_below_100_mib(tmp_path):
     fresh interpreter with a peak RSS (VmHWM) below 100 MiB; mixing truncated
     factors through the balanced-block cache took 226 MiB.  Serialization of its
     11,950 table entries included, it peaks under tracemalloc below the
-    PAIR_PEAK_STATES dense 398^2 states that settle_cutoff charges it (4.01-4.08
+    PAIR_PEAK_STATES dense 398^2 states that settle_cutoff charges it (3.09
     states measured)."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(fock.__file__)))
     path = tmp_path / "xi.json"

@@ -72,7 +72,9 @@ def test_compare_names_each_moved_value(tmp_path):
     token (a key on one side only shows as <absent>), and every cell of a
     preset's CSV by its data row and column (a row on one side only, or with
     another number of cells, as the whole row).  A line of an older record,
-    which holds a CSV's sha256 alone, compares with the CSV text by that sha256."""
+    which holds a CSV's sha256 alone, compares with the CSV text by that sha256.
+    It ends with one line per moved JSON path over all commands: the count of
+    moved values and the largest absolute move among the numeric ones."""
     def line(name, payload, code=0, stderr=""):
         stdout = json.dumps(payload, indent=2) if payload is not None else ""
         return {"argv": ["run", name], "exit": code, "stdout_sha256": contract._sha256(stdout),
@@ -89,11 +91,13 @@ def test_compare_names_each_moved_value(tmp_path):
 
     csv_before = "theta_k,alpha_mag,coherence_absorption\n0,0,undefined\n0,1,1\n3.14,1,0\n"
     csv_after = csv_before.replace("3.14,1,0", "3.14,1,1.2e-16") + "0,2\n"
+    further = {**before, "absorbed_distribution": {"0": 0.5, "1": 0.4999999}}
     old = [line("a.json", before), line("b.json", before), line("c.json", before),
            preset(csv_before), preset(csv_before, "fig8", hashed=True),
-           preset(csv_before, "fig9b", hashed=True)]
+           preset(csv_before, "fig9b", hashed=True), line("d.json", before)]
     new = [line("a.json", after), line("b.json", None, 2, "boom\n"), line("c.json", before),
-           preset(csv_after), preset(csv_before, "fig8"), preset(csv_after, "fig9b")]
+           preset(csv_after), preset(csv_before, "fig8"), preset(csv_after, "fig9b"),
+           line("d.json", further)]
     assert _compare(tmp_path, old, new) == (1, "\n".join([
         "exit 0 -> 2: 1 command(s)",
         "run a.json",
@@ -109,6 +113,11 @@ def test_compare_names_each_moved_value(tmp_path):
         "  row 4: <absent> -> 0,2",
         "sweep --preset fig9b",
         f'  csv_sha256: "{contract._sha256(csv_before)}" -> "{contract._sha256(csv_after)}"',
+        "run d.json",
+        "  absorbed_distribution.1: 0.5 -> 0.4999999",
+        "absorbed_distribution.1: 2 value(s), largest move 1e-07",
+        "conditional_outputs[0].purity: 1 value(s), largest move 0.1",
+        "extras.x: 1 value(s), largest move -",
     ]) + "\n")
 
 
