@@ -8,7 +8,10 @@
 The first form calls `cpa_sim.cli.main` on `run FILE` for every scenario file
 given, then on `table1`, `table1 --json` and the four sweep presets at each
 `--grid` value (default 101; `--grid 9 11 18 101` covers the benchmark's grids
-and the figures'), each line's argv naming its grid.  A directory stands for
+and the figures'), each line's argv naming its grid, then on `sweep --custom
+FILE` for each sweep file in `tests/sweeps` (named relative to the repository
+root, where the record is made), and last on USAGE_ERRORS, argv lists that the
+parser refuses (exit 1, usage on stderr).  A directory stands for
 its `*.json` files, sorted, other than expected outputs named `*.out.json`.
 Each `--workload` (fock_large or scenario_mix) at each `--seed` (default 1)
 adds the `run` files the benchmark generates for it, in op order:
@@ -21,7 +24,8 @@ stdout and CSV (`csv_sha256`).  Whichever `cpa_sim` is importable is recorded,
 so pointing PYTHONPATH at another checkout's `src` records that one.
 
 `--compare A B` prints the argv of every command whose lines differ, or that
-only one record has, and exits 1 when there is any.  It first prints one
+only one record has (`<no arguments>` for the empty argv), and exits 1 when
+there is any.  It first prints one
 `exit OLD -> NEW: N command(s)` line per move of exit code, with how many
 commands make it (`<absent>` for a command one record lacks), then the
 commands one by one.  Under each argv it names
@@ -61,16 +65,22 @@ import hashlib
 import importlib.util
 import io
 import json
+import os
 import pathlib
 import re
 import sys
 import tempfile
 from typing import Sequence
+from unittest import mock
 
 CSV = "<csv>"  # stands for the preset's output path, which differs per run
 WORKLOAD = re.compile(r"<(\w+)-seed(\d+)>/")  # stands for a workload's input directory
 WORKLOADS = ("fock_large", "scenario_mix")  # gauss_sweep runs only the presets
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+SWEEPS = "tests/sweeps"  # checked-in `sweep --custom` files, relative to ROOT
+# no command, `run` without a file, `sweep` with neither --preset nor --custom,
+# and a --grid that is not an integer
+USAGE_ERRORS = ([], ["run"], ["sweep"], ["sweep", "--preset", "fig6", "--grid", "nine"])
 
 
 def _generate(workload: str, seed: int, work: str) -> list[str]:
@@ -88,9 +98,9 @@ def _generate(workload: str, seed: int, work: str) -> list[str]:
 
 def commands(paths: list[str], grid: int | Sequence[int],
              workloads: list[tuple[str, int]] = ()) -> list[list[str]]:
-    """argv of every command in the contract, the presets at each grid; CSV
-    marks a preset's --out and `<NAME-seedN>/` the directory a workload's
-    inputs are written to."""
+    """argv of every command in the contract, the presets at each grid, the
+    custom sweeps and the usage errors; CSV marks a sweep's --out and
+    `<NAME-seedN>/` the directory a workload's inputs are written to."""
     files: list[str] = []
     for path in map(pathlib.Path, paths):
         if path.is_dir():
@@ -104,7 +114,10 @@ def commands(paths: list[str], grid: int | Sequence[int],
     presets = [["sweep", "--preset", p, "--grid", str(g), "--out", CSV]
                for g in ([grid] if isinstance(grid, int) else grid)
                for p in ("fig6", "fig8", "fig9a", "fig9b")]
-    return [["run", f] for f in files] + [["table1"], ["table1", "--json"]] + presets
+    custom = [["sweep", "--custom", f"{SWEEPS}/{f.name}", "--out", CSV]
+              for f in sorted((ROOT / SWEEPS).glob("*.json"))]
+    return ([["run", f] for f in files] + [["table1"], ["table1", "--json"]] + presets + custom
+            + [list(argv) for argv in USAGE_ERRORS])
 
 
 def _sha256(data: str) -> str:
@@ -128,12 +141,17 @@ def record(argvs: list[list[str]]) -> list[dict]:
         def resolve(arg: str) -> str:
             if arg == CSV:
                 return str(csv_path)
+            if arg.startswith(SWEEPS + "/"):
+                return str(ROOT / arg)
             match = WORKLOAD.match(arg)
             return str(work[match.group(0)] / "inputs" / arg[match.end():]) if match else arg
 
         for argv in argvs:
             out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            # argparse wraps a usage message at the terminal's width: pinned, so
+            # that a usage error's stderr reads the same in every terminal
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                    mock.patch.dict(os.environ, COLUMNS="80"):
                 code = cli.main([resolve(a) for a in argv])
             line = {"argv": argv, "exit": code, "stdout_sha256": _sha256(out.getvalue())}
             if CSV in argv:
@@ -141,7 +159,7 @@ def record(argvs: list[list[str]]) -> list[dict]:
                 line["csv"] = text
                 csv_path.unlink(missing_ok=True)
             line["stderr"] = err.getvalue()
-            if argv[0] == "run":
+            if argv[:1] == ["run"]:
                 line["stdout"] = out.getvalue()
             lines.append(line)
     return lines
@@ -254,7 +272,7 @@ def report(a: list[dict], b: list[dict]) -> list[str]:
     out = []
     for argv in differing(a, b):
         key = json.dumps(argv)
-        out.append(" ".join(argv))
+        out.append(" ".join(argv) or "<no arguments>")
         out += [f"  {path}: {old} -> {new}"
                 for path, old, new in moved(by_argv[0].get(key), by_argv[1].get(key))]
     return out

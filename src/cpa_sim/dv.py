@@ -7,10 +7,10 @@ runs are exact: the working cutoff is the total photon number.  A one-rail run
 (NOON, SINGLE_PHOTON) is read in closed form in O(n) and builds no state
 (one_rail_distribution; tests/oracle.py keeps the dense route it replaced as
 its reference); its distribution and outputs stay arrays up to the JSON text
-(the LevelTable of results.fock_result, results.OutputTable).  A Bell run's
-standing state is another Bell state (_BELL); it reads its conditional outputs
-from the light x environment joint of fock.full_pipeline, which stays because
-the benchmark's call-chain test spans it and bs_transform.
+(the LevelTable of results.fock_result, results.OutputTable).  A Bell run
+reads every output from the one light x environment joint it builds,
+fock.full_pipeline of its input (fock.joint_readouts); full_pipeline stays
+because the benchmark's call-chain test spans it and bs_transform.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ import numpy as np
 from . import fock
 from .absorber import CANONICAL, AbsorberSpec
 from .fock import CutoffError, PureState
-from .modes import C, K, MINUS_K, S, ModeLabel
+from .modes import K, MINUS_K
 from .results import OutputTable, ScenarioResult, fock_result
 
 RAIL_A, RAIL_B = "A", "B"
@@ -38,13 +38,13 @@ class DvKind(Enum):
     NOON = "NOON"
 
 
-# Bell kind -> (sign, crossed, the kind the balanced mix on each rail takes it to);
-# a crossed pair holds one rail's K with the other's MINUS_K, an uncrossed one like with like
+# Bell kind -> (sign, crossed); a crossed pair holds one rail's K with the
+# other's MINUS_K, an uncrossed one like with like
 _BELL = {
-    DvKind.BELL_PSI_PLUS: (1.0, True, DvKind.BELL_PHI_MINUS),
-    DvKind.BELL_PSI_MINUS: (-1.0, True, DvKind.BELL_PSI_MINUS),
-    DvKind.BELL_PHI_PLUS: (1.0, False, DvKind.BELL_PHI_PLUS),
-    DvKind.BELL_PHI_MINUS: (-1.0, False, DvKind.BELL_PSI_PLUS),
+    DvKind.BELL_PSI_PLUS: (1.0, True),
+    DvKind.BELL_PSI_MINUS: (-1.0, True),
+    DvKind.BELL_PHI_PLUS: (1.0, False),
+    DvKind.BELL_PHI_MINUS: (-1.0, False),
 }
 BELL_KINDS = set(_BELL)
 # a one-rail run's peak per photon level in 16-byte states: NOON runs at n = 10^5 to
@@ -73,11 +73,10 @@ class DvScenario:
         return self.n
 
 
-def _bell_state(kind: DvKind, cutoff: int, plus: ModeLabel = K,
-                minus: ModeLabel = MINUS_K) -> PureState:
-    """The Bell state `kind` over (plus_A, plus_B, minus_A, minus_B)."""
-    sign, crossed, _ = _BELL[kind]
-    p_a, p_b, m_a, m_b = (mode.with_rail(rail) for mode in (plus, minus) for rail in (RAIL_A, RAIL_B))
+def _bell_state(kind: DvKind, cutoff: int) -> PureState:
+    """The Bell state `kind` over (K_A, K_B, MINUS_K_A, MINUS_K_B)."""
+    sign, crossed = _BELL[kind]
+    p_a, p_b, m_a, m_b = (mode.with_rail(rail) for mode in (K, MINUS_K) for rail in (RAIL_A, RAIL_B))
     pairs = ({p_a: 1, m_b: 1}, {p_b: 1, m_a: 1}) if crossed else ({p_a: 1, p_b: 1}, {m_a: 1, m_b: 1})
     amp = 1.0 / math.sqrt(2.0)
     return fock.superposition(zip((amp, sign * amp), pairs), (p_a, p_b, m_a, m_b), cutoff)
@@ -177,11 +176,11 @@ def run_scenario(
     output in O(n) from one_rail_distribution, charged ONE_RAIL_LEVEL_STATES
     states per level: the environment is diagonal, so its entropy is Shannon's,
     and count e leaves pure light with <n_K> = <n_-K> = (n - e)/2, since c_m is
-    i^m times a real number and so Re<a_C^dag a_S> = 0.  Its mean absorbed
-    fraction is p(1) at n = 1 and s^2 / 2 for n >= 2, where the cos delta term
-    sums to cos delta q^n sum_e +-e C(n, e) (-1)^e = 0.  A Bell run, charged for
-    its joint, reads absorber_environment and conditional_outputs of the joint
-    and sums its mean from the distribution.
+    i^m times a real number and so Re<a_C^dag a_S> = 0.  A Bell run, charged for
+    its joint, reads every output from fock.joint_readouts of that joint.  The
+    mean absorbed fraction of every run is p(1) at n = 1 and s^2 / 2 for n >= 2:
+    one rail's cos delta term sums to cos delta q^n sum_e +-e C(n, e) (-1)^e = 0,
+    and every standing Bell state holds one photon on average in the absorbed mode.
     Counts above report_threshold and fock.CONDITIONING_FLOOR are reported."""
     n = scenario.total_photons
     if cutoff < n:
@@ -189,14 +188,11 @@ def run_scenario(
     floor = max(report_threshold, fock.CONDITIONING_FLOOR)  # reported above both
     if scenario.kind in BELL_KINDS:
         working_cutoff = fock.budget_cutoff(n, 6)  # pair + env per rail
-        standing = _bell_state(_BELL[scenario.kind][2], working_cutoff, C, S)  # the closed form
-        environment = fock.absorber_environment(standing, absorber)
-        counts = np.flatnonzero(environment.distribution > floor).tolist()
-        mean = sum(m * p for m, p in enumerate(environment.distribution.tolist())) / n
+        environment, outputs = fock.joint_readouts(fock.full_pipeline(
+            build_input(scenario, working_cutoff), absorber), floor)
         outputs = [{"absorbed": o.absorbed, "probability": o.probability, "purity": o.purity,
                     "mean_output_photons": {str(mode): v for mode, v in o.mean_photons.items()}}
-                   for o in fock.conditional_outputs(fock.full_pipeline(
-                       build_input(scenario, working_cutoff), absorber), counts)]
+                   for o in outputs]
     else:
         working_cutoff = fock.budget_cutoff(n, 1, ONE_RAIL_LEVEL_STATES)
         probs = one_rail_distribution(scenario, absorber)
@@ -205,8 +201,9 @@ def run_scenario(
             probs, max(0.0, float(-np.sum(weighted * np.log2(weighted)))), float(probs[n]))
         counts = np.flatnonzero(probs > floor)
         outputs = OutputTable(counts, probs[counts], (n - counts) / 2.0)
-        top, bottom = absorber.tau_c.as_integer_ratio()  # n >= 2: s^2 / 2 exactly, rounded once
-        mean = float(probs[1]) if n == 1 else (bottom * bottom - top * top) / (2 * bottom * bottom)
+    top, bottom = absorber.tau_c.as_integer_ratio()  # n >= 2: s^2 / 2 exactly, rounded once
+    mean = (float(environment.distribution[1]) if n == 1
+            else (bottom * bottom - top * top) / (2 * bottom * bottom))
     result = fock_result(
         {"kind": scenario.kind.value, "n": scenario.n, "delta_theta": scenario.delta_theta},
         absorber, {"cutoff": cutoff, "working_cutoff": working_cutoff}, environment, (mean, None))

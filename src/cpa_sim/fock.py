@@ -1,23 +1,23 @@
 """Truncated multi-mode Fock-space engine.
 
 States are dense complex tensors indexed by per-mode occupation number with a
-common cutoff.  A pair run builds its standing state in closed form
+common cutoff.  A pair run builds its one-rail standing state in closed form
 (balanced_pair) and reads its environment there, through the pure-loss
-channel's complementary map in closed form: real Toeplitz matmuls per rail on
-the diagonal-major layout of the absorbed modes' reduced state
+channel's complementary map in closed form: real Toeplitz matmuls on the
+diagonal-major layout of the absorbed mode's reduced state
 (absorber_environment), with no light x environment joint; its absorption
 coefficients are the standing state's shares (absorption_coefficients, by
 absorber.absorbed_share as on the Gaussian engine).  A one-rail DV run builds no
 state at all (dv.one_rail_distribution; tests/oracle.py holds the dense route
 it replaced).  Only the Bell kinds run the pipeline of two-mode mixes
-(absorber.py's stages) and read every count from one pass over |joint|^2
-(conditional_outputs); full_pipeline, bs_transform, cpa_channel and
-hadamard_block stay because the benchmark names them.  _mix is one plain loop
-over total-photon sectors, sized for those two-photon joints: a vacuum
-partner's sector block is one column of a loss_amplitudes table, any other
-comes from the one before by a stable recurrence (_next_block) that matches
-the exact integer expansion to ~5e-15 up to total 246.  Reduced states are
-held as purifications, rho = A A^H.
+(absorber.py's stages) and read every output, environment readouts and each
+count's light, from one pass over their joint (joint_readouts); full_pipeline,
+bs_transform, cpa_channel and hadamard_block stay because the benchmark names
+them.  _mix is one plain loop over total-photon sectors, sized for those
+two-photon joints: a vacuum partner's sector block is one column of a
+loss_amplitudes table, any other comes from the one before by a stable
+recurrence (_next_block) that matches the exact integer expansion to ~5e-15 up
+to total 246.  Reduced states are held as purifications, rho = A A^H.
 States are immutable and every map is a pure function.  Outside data is
 checked in full by PureState(...); a map skips only the checks its construction
 guarantees (_built).  States bridged from continuous families (coherent,
@@ -532,10 +532,9 @@ def loss_amplitudes(c: float, s: float, dim: int) -> np.ndarray:
 
 
 def _loss_map(x: np.ndarray, tau: float) -> np.ndarray:
-    """The pure-loss channel's complementary map on axes 0 (ket) and 1 (bra) of
-    x, a (levels, levels, ...) block whose further axes are batch columns:
-    y[e, e'] = sum_p b[p+e, p] b[p+e', p] x[p+e, p+e'], with b[n, p] =
-    sqrt(C(n, p)) tau^p s^(n-p) (loss_amplitudes(tau, s) in closed form).
+    """The pure-loss channel's complementary map on a (levels, levels) block x,
+    ket rows and bra columns: y[e, e'] = sum_p b[p+e, p] b[p+e', p] x[p+e, p+e'],
+    with b[n, p] = sqrt(C(n, p)) tau^p s^(n-p) (loss_amplitudes(tau, s) in closed form).
 
     With g_n = sqrt(n!) / lam^n, K_p = (lam tau)^(2p) / p! and h_e = (lam s)^e /
     sqrt(e!), y[e, e'] = h_e h_e' sum_p K_p g_(p+e) g_(p+e') x[p+e, p+e'], so every
@@ -547,31 +546,29 @@ def _loss_map(x: np.ndarray, tau: float) -> np.ndarray:
     factor that underflows belongs to a negligible term.  Only the ket <= bra
     triangle is mapped; the rest of y is zero.
     """
-    levels, batch = len(x), x.shape[2:]
+    levels = len(x)
     lam, s = math.sqrt(levels / math.e), math.sqrt(max(0.0, 1.0 - tau * tau))
     k = np.arange(1.0, levels)
     g, kern, h = (np.concatenate(([1.0], np.cumprod(factor)))
                   for factor in (np.sqrt(k) / lam, (lam * tau) ** 2 / k, lam * s / np.sqrt(k)))
-    strided, columns = np.lib.stride_tricks.as_strided, (1,) * len(batch)
+    strided = np.lib.stride_tricks.as_strided
     padded = np.concatenate((np.zeros(levels - 1), kern))[levels - 1:]  # zeros before K_0
     kernel = h[:, None] * strided(padded, (levels, levels), (-padded.itemsize, padded.itemsize))
     kernel *= g
     # x g's upper triangle, zero below and in a spare last row: the skewed view
     # stays inside the buffer and past a diagonal's end reads only those zeros
-    buf = np.zeros((levels + 1, levels) + batch, dtype=complex)
-    upper = np.tri(levels, dtype=bool).T.reshape((levels, levels) + columns)
-    np.multiply(x, g.reshape((1, levels) + columns), out=buf[:levels], where=upper)
-    skew = strided(buf, (levels, levels * math.prod(batch)),
-                   (buf.strides[0] + buf.strides[1], buf.itemsize)).view(np.float64)
+    buf = np.zeros((levels + 1, levels), dtype=complex)
+    np.multiply(x, g, out=buf[:levels], where=np.tri(levels, dtype=bool).T)
+    skew = strided(buf, (levels, levels), (buf.strides[0] + buf.itemsize, buf.itemsize)).view(np.float64)
     # R = T S, zero again past each diagonal's end.  Diagonals d >= half are
     # nonzero in rows n < levels - half only, so they take a quarter-size product
     # (and the products' temporaries stay within half the buffer).
     half = (levels + 1) // 2
-    split, top = half * (skew.shape[1] // levels), levels - half
+    split, top = 2 * half, levels - half
     skew[:, :split] = kernel @ skew[:, :split]
     skew[:top, split:] = kernel[:top, :top] @ skew[:top, split:]
     out = buf[:levels]
-    out *= h.reshape((1, levels) + columns)
+    out *= h
     return out
 
 
@@ -583,60 +580,45 @@ class EnvironmentReadout(NamedTuple):
 
 
 def absorber_environment(standing: PureState, absorber: AbsorberSpec) -> EnvironmentReadout:
-    """The environment readouts of cpa_channel(standing, absorber), without its joint.
+    """The environment readouts of cpa_channel(standing, absorber), without its
+    joint, for a standing state on one rail (ModeError otherwise).
 
-    The environment starts in vacuum and meets only the absorbed modes, so its
+    The environment starts in vacuum and meets only the absorbed mode, so its
     state is the complementary output of a pure-loss channel (Kraus form: Ivan,
-    Sabapathy & Simon, PRA 84, 042311 (2011)) on their reduced state R = Psi Psi^H,
-    Psi the (absorbed x rest) amplitudes.  _loss_map applies it in closed form,
-    rail by rail, the other rails' (ket, bra) axes being batch columns.  Rail 0
-    goes last and only its ket <= bra half is mapped, which holds rho's upper
-    triangle, the half the eigenvalue step reads; each earlier rail's other half
-    is its Hermitian mirror.  The map and R keep each rail's levels up to the
-    highest that carries weight; levels below SECTOR_MASS_FLOOR are empty, as in
-    the channel's mixes.  No photon leaves with probability sum_n |Psi[n, 0]|^2
-    s^(2 sum_r n_r).  At tau_c = 0 the map is the identity, so rho = R over all
-    levels and that sum is sum_n |Psi[n, 0]|^2.  The entropy is that of rho's leading
-    block [0, L) on every rail, L the fewest levels above which each rail holds below
+    Sabapathy & Simon, PRA 84, 042311 (2011)) on its reduced state R = Psi Psi^H,
+    Psi the (absorbed x rest) amplitudes.  _loss_map applies it in closed form to
+    rho's ket <= bra half, the triangle the eigenvalue step reads.  The map and R
+    keep the levels up to the highest that carries weight; levels below
+    SECTOR_MASS_FLOOR are empty, as in the channel's mixes, and their rows and
+    columns of R are scaled by 0 in place.  No photon leaves with probability
+    sum_n |Psi[n, 0]|^2 s^(2n).  At tau_c = 0 the map is the identity, so rho = R
+    over all levels and that sum is sum_n |Psi[n, 0]|^2.  The entropy is that of
+    rho's leading block [0, L), L the fewest levels above which rho holds below
     eps = 2^-52: by interlacing, dropped weight d moves it ~d log2(1/d), below eigvalsh's noise.
     """
     tau, dim, rails = absorber.tau_c, standing.dim, basis_rails(standing.modes, STANDING_KINDS)
-    if any(m.is_env for m in standing.modes):
-        raise ModeError(f"environment already attached in {standing.modes}")
-    psi = _split(standing.amplitudes, standing.modes, [
-        ModeLabel(absorber.absorbed_kind, rail) for rail in rails])[1]
-    grid, count = np.indices((dim,) * len(rails)), len(rails)  # absorbed levels of psi's rows
-    mass = np.sum(np.abs(psi) ** 2, axis=1).reshape(grid.shape[1:])
-    levels = 0
-    for r in range(count):
-        level = mass.sum(axis=tuple(i for i in range(count) if i != r)) >= SECTOR_MASS_FLOOR
-        if not level.all():
-            psi = psi * level[grid[r]].reshape(-1, 1)
-        levels = max(levels, int(np.flatnonzero(level)[-1]) + 1)
+    if len(rails) != 1 or any(m.is_env for m in standing.modes):
+        raise ModeError(f"modes {standing.modes} are not one rail's standing pair with no environment")
+    psi = _split(standing.amplitudes, standing.modes, [ModeLabel(absorber.absorbed_kind, rails[0])])[1]
+    level = np.sum(np.abs(psi) ** 2, axis=1) >= SECTOR_MASS_FLOOR
+    levels = int(np.flatnonzero(level)[-1]) + 1
     if tau:  # the map works on the weighted levels only
-        psi = psi.reshape((dim,) * count + (-1,))[(slice(levels),) * count]
-        grid, psi = np.indices(psi.shape[:-1]), psi.reshape(levels ** count, -1)
-    totals, no_loss, rho = grid.sum(axis=0).ravel(), np.abs(psi[:, 0]) ** 2, psi @ psi.conj().T
+        psi, level = psi[:levels], level[:levels]
+    totals, no_loss, rho = np.arange(len(psi)), np.abs(psi[:, 0]) ** 2, psi @ psi.conj().T
+    if not level.all():  # times 0, not assigned: a NaN row stays NaN
+        no_loss *= level
+        pairs = rho.view(np.float64).reshape(len(rho), len(rho), 2)  # (re, im) of each entry
+        pairs *= (level[:, None] & level)[..., None]  # the rows and columns of empty levels
     if tau:
         no_loss *= max(0.0, 1.0 - tau * tau) ** totals  # b[n, 0]^2 = s^(2n)
-        rho = rho.reshape((levels,) * (2 * count))
-        for r in reversed(range(count)):  # rail r: ket axis r, bra axis count + r
-            rho = np.moveaxis(_loss_map(np.moveaxis(rho, (r, count + r), (0, 1)), tau),
-                              (0, 1), (r, count + r))
-            if r:
-                flat = rho.reshape(levels ** count, -1)
-                mirror = np.greater.outer(grid[r].ravel(), grid[r].ravel())  # rail r's ket > bra
-                rho = np.where(mirror, flat.conj().T, flat).reshape(rho.shape)
-        rho = rho.reshape(levels ** count, -1)
+        rho = _loss_map(rho, tau)
     if not abs(float(np.trace(rho).real) - 1.0) <= 1e-9:
         raise FockError(f"environment density matrix trace {float(np.trace(rho).real)!r} != 1")
     diagonal = np.diagonal(rho).real
-    weights = np.bincount(totals, weights=diagonal, minlength=count * (dim - 1) + 1)
-    tails = [np.cumsum(np.bincount(g.ravel(), diagonal, len(g))[::-1]) for g in grid]  # top down
-    keep = len(tails[0]) - min(np.count_nonzero(tail < np.finfo(float).eps) for tail in tails)
-    block = rho.reshape(grid.shape[1:] * 2)[(slice(keep),) * (2 * count)].reshape(keep ** count, -1)
-    entropy = _gram_entropy(block, "U" if tau else "L")
-    return EnvironmentReadout(weights, entropy, float(np.sum(no_loss)))
+    tail = np.cumsum(diagonal[::-1])  # top down
+    keep = len(tail) - np.count_nonzero(tail < np.finfo(float).eps)
+    entropy = _gram_entropy(rho[:keep, :keep], "U" if tau else "L")
+    return EnvironmentReadout(np.bincount(totals, diagonal, dim), entropy, float(np.sum(no_loss)))
 
 
 def standing_basis(state: PureState) -> PureState:
@@ -704,13 +686,14 @@ class ConditionalOutput(NamedTuple):
     mean_photons: dict[ModeLabel, float]  # <a^dag a> per light mode
 
 
-def conditional_outputs(joint: PureState, counts: Iterable[int]) -> list[ConditionalOutput]:
-    """conditional_output's probability and purity, and mode_moments' <n>, for
-    each absorbed count, from one pass over the joint.  A is the (light x
-    environment) amplitudes and P = |A|^2.  One occupation-weighted reduction of
-    P per light mode gives each column's <n> weight; binned by environment total
-    m, those and the column weights give p_m and <n> p_m for every count at once.
-    The purity is that of the purification A[:, columns of total m] / sqrt(p_m):
+def joint_readouts(joint: PureState, floor: float) -> tuple[EnvironmentReadout, list[ConditionalOutput]]:
+    """The environment readouts of the joint and, for each absorbed count m whose
+    p_m is above `floor`, conditional_output's probability and purity and
+    mode_moments' <n>, from one pass over the (light x environment) amplitudes A
+    and P = |A|^2.  P's column weights binned by environment total m are p_m, its
+    light-vacuum row holds P(all absorbed), and A's smaller Gram the entropy.
+    One occupation-weighted reduction of P per light mode, binned the same way,
+    gives <n> p_m.  The purity is that of A[:, columns of total m] / sqrt(p_m):
     one column on one rail, so pure; several on two, so possibly mixed.  Runs
     read it for the Bell kinds only (one rail: dv.one_rail_distribution)."""
     light, mat = _split(joint.amplitudes, joint.modes, [m for m in joint.modes if not m.is_env])
@@ -718,6 +701,7 @@ def conditional_outputs(joint: PureState, counts: Iterable[int]) -> list[Conditi
     env_totals = np.indices((dim,) * (len(joint.modes) - count)).sum(axis=0).ravel()
     weight = mat.real ** 2  # P, within one real copy of the joint
     weight += mat.imag ** 2
+    p_all_absorbed = float(np.sum(weight[0]))
     weight = weight.reshape((dim,) * count + (-1,))
     levels = np.arange(dim + 0.0)
     numbers = []
@@ -726,16 +710,14 @@ def conditional_outputs(joint: PureState, counts: Iterable[int]) -> list[Conditi
         numbers.append(np.bincount(env_totals, weights=levels @ marginal))
     probs = np.bincount(env_totals, weights=marginal.sum(axis=0))  # any marginal sums to P's columns
     outputs = []
-    for m in counts:
-        prob = float(probs[m]) if 0 <= m < len(probs) else 0.0
-        if prob < CONDITIONING_FLOOR:
-            raise FockError(f"conditioning on zero-probability absorbed count {m}")
+    for m in np.flatnonzero(probs > floor).tolist():
+        prob = float(probs[m])
         gram = _smaller_gram(mat[:, env_totals == m] / math.sqrt(prob))
         outputs.append(ConditionalOutput(
             m, prob, float(np.vdot(gram, gram).real),
             {mode: float(number[m]) / prob for mode, number in zip(light, numbers)},
         ))
-    return outputs
+    return EnvironmentReadout(probs, _gram_entropy(_smaller_gram(mat)), p_all_absorbed), outputs
 
 
 # ---------------------------------------------------------------------------

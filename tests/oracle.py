@@ -13,7 +13,7 @@ Ket amplitudes follow from (a^dag)^n |0> = sqrt(n!) |n>.
 
 NOON and SINGLE_PHOTON runs are read in closed form, in O(n)
 (dv.one_rail_distribution), and have three references here, all in
-tests/test_dv.py: the engine's own joint route, fock.conditional_outputs of
+tests/test_dv.py: the engine's own joint route, fock.joint_readouts of
 fock.full_pipeline (what the Bell kinds run), for n <= 28; the dense one-rail
 route that the closed form replaced (dense_one_rail_run: standing_state, the
 loss map and eigen-solve of fock.absorber_environment, and absorber_outputs),
@@ -745,27 +745,35 @@ def noon_standing_decomposition(n: int, delta_theta: float) -> list[tuple[int, c
     return out
 
 
+# Bell kind -> the Bell kind the balanced mix on each rail takes it to
+BELL_STANDING = {"BELL_PSI_PLUS": "BELL_PHI_MINUS", "BELL_PSI_MINUS": "BELL_PSI_MINUS",
+                 "BELL_PHI_PLUS": "BELL_PHI_PLUS", "BELL_PHI_MINUS": "BELL_PSI_PLUS"}
+
+
 def standing_state(scenario, cutoff: int):
     """fock.standing_basis(dv.build_input(scenario, cutoff)) in closed form, to
-    rounding and up to BELL_PSI_MINUS's sign: a Bell kind's image (dv._BELL) on
-    (C, S), as Bell runs build it, else noon_standing_decomposition times the
-    mix's phase e^{i delta/2}."""
+    rounding and up to BELL_PSI_MINUS's sign: a Bell kind's image
+    (BELL_STANDING) relabelled onto (C, S) on each rail, else
+    noon_standing_decomposition times the mix's phase e^{i delta/2}."""
     import cmath
 
     from cpa_sim import dv, fock
-    from cpa_sim.modes import C, S
+    from cpa_sim.modes import C, K, MINUS_K, S
 
     if scenario.kind in dv.BELL_KINDS:
-        return dv._bell_state(dv._BELL[scenario.kind][2], cutoff, C, S)
+        image = dv._bell_state(dv.DvKind[BELL_STANDING[scenario.kind.value]], cutoff)
+        return fock.relabel(image, {travelling.with_rail(rail): standing.with_rail(rail)
+                                    for travelling, standing in ((K, C), (MINUS_K, S))
+                                    for rail in (dv.RAIL_A, dv.RAIL_B)})
     n, phase = scenario.total_photons, cmath.exp(0.5j * scenario.delta_theta)
     terms = noon_standing_decomposition(n, scenario.delta_theta)
     return fock.superposition([(c * phase, {C: n - m, S: m}) for m, c in terms], (C, S), cutoff)
 
 
 def absorber_outputs(standing, absorber, counts):
-    """fock.conditional_outputs(travelling_basis(cpa_channel(standing, absorber)), counts)
-    for a one-rail standing state Psi[n_a, n_o], a the absorbed mode, without
-    the joint: the dense one-rail route.  m absorbed photons leave the pure
+    """The outputs at `counts` of fock.joint_readouts(travelling_basis(
+    cpa_channel(standing, absorber)), floor) for a one-rail standing state
+    Psi[n_a, n_o], a the absorbed mode, without the joint: the dense one-rail route.  m absorbed photons leave the pure
     light Psi[k+m, s] W[m, k], W[m, k] = b[k+m, k] (b = fock.loss_amplitudes:
     the Kraus form that absorber_environment uses).  With P, Q[n] = sum_s (1, s)
     |Psi[n, s]|^2 and X[n] = sum_s conj(Psi[n+1, s-1]) Psi[n, s] sqrt(s), a count

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -134,7 +135,7 @@ def _aligned(closed: np.ndarray, reference: np.ndarray) -> np.ndarray:
 @example(kind=dv.DvKind.NOON, n=300, delta=0.4)
 @example(kind=dv.DvKind.NOON, n=120, delta=2.1)
 def test_standing_closed_forms_match_the_exact_expansion(kind, n, delta):
-    """oracle.standing_state (dv.standing_state for the Bell kinds) is within
+    """oracle.standing_state (the mapped Bell state for the Bell kinds) is within
     5e-16 of the input's exact integer expansion (tests/oracle.py) and within
     1e-15 of fock.standing_basis, each after aligning the global phase: NOON
     n <= 300, the single photon, and all four Bell kinds, whose standing state
@@ -280,15 +281,14 @@ def _outputs_agree(got, expected, tol: float) -> None:
 )
 def test_one_rail_outputs_match_the_joint_route(n, delta, choice, tau_c):
     """dv.run_scenario's closed form gives, within 1e-13, the distribution of
-    full_pipeline's joint and what fock.conditional_outputs reads from it for
-    every reported count."""
+    full_pipeline's joint and what fock.joint_readouts reads from it for every
+    count above the run's floor."""
     scenario, absorber = _one_rail(n, delta), _absorber(choice, tau_c)
     result = dv.run_scenario(scenario, absorber)
     joint = fock.full_pipeline(dv.build_input(scenario, scenario.total_photons), absorber)
     for m, p in oracle.absorbed_photon_distribution(joint).items():
         assert abs(result.absorbed_distribution[m] - p) < 1e-13
-    counts = [o["absorbed"] for o in result.conditional_outputs]
-    _outputs_agree(result.conditional_outputs, fock.conditional_outputs(joint, counts), 1e-13)
+    _outputs_agree(result.conditional_outputs, fock.joint_readouts(joint, 1e-9)[1], 1e-13)
 
 
 @settings(max_examples=40, deadline=None)
@@ -366,10 +366,55 @@ def test_one_rail_run_builds_no_joint(scenario):
 
 def test_bell_run_reads_its_joint():
     """A Bell run builds its joint once, and the standing state inside it is its
-    only basis change: absorber_environment reads the closed form."""
+    only basis change; every output is read from that joint, with one
+    eigen-solve and no dense environment readout."""
     calls = _calls(dv.DvScenario(dv.DvKind.BELL_PSI_PLUS))
     assert calls["full_pipeline"] == 1 and calls["cpa_channel"] == 1
-    assert calls["standing_basis"] == 1 and calls["absorber_environment"] == 1
+    assert calls["standing_basis"] == 1 and calls["absorber_environment"] == 0
+    assert calls["eigvalsh"] == 1
+
+
+def _closed_loss_amplitudes(tau: float, dim: int) -> np.ndarray:
+    """b[n, p] = sqrt(C(n, p)) tau^p s^(n - p), p <= n < dim, s^2 = 1 - tau^2."""
+    s = math.sqrt(1.0 - tau * tau)
+    return np.array([[math.sqrt(math.comb(n, p)) * tau ** p * s ** (n - p) if p <= n else 0.0
+                      for p in range(dim)] for n in range(dim)])
+
+
+@pytest.mark.parametrize("choice", ["canonical", "tau_c", "swap", "tau_c+swap"])
+@pytest.mark.parametrize("kind", sorted(dv.BELL_KINDS, key=lambda kind: kind.value))
+@settings(max_examples=10, deadline=None)
+@given(tau_c=st.floats(0.05, 0.95))
+def test_bell_run_matches_the_loop_on_its_standing_state(kind, choice, tau_c):
+    """A Bell run's distribution and entropy, read from its joint, are within
+    1e-13 of a route that shares none of its mixes, channel or readout: the
+    mapped Bell state on (C, S) (oracle.standing_state) through the per-level
+    loss loop and a dense eigen-solve (oracle.loop_environment), with the loss
+    amplitudes in closed form."""
+    scenario, absorber = dv.DvScenario(kind), _absorber(choice, tau_c)
+    result = dv.run_scenario(scenario, absorber)
+    standing = oracle.standing_state(scenario, 2)
+    absorbed = [m for m in standing.modes if m.kind is absorber.absorbed_kind]
+    b = _closed_loss_amplitudes(absorber.tau_c, standing.dim)
+    _, distribution, entropy, _ = oracle.loop_environment(standing.amplitudes, standing.modes, absorbed, b)
+    assert list(result.absorbed_distribution) == list(distribution) == [0, 1, 2, 3, 4]
+    for m, p in distribution.items():
+        assert abs(result.absorbed_distribution[m] - p) < 1e-13
+    assert abs(result.separability["env_entanglement_entropy"] - entropy) < 1e-13
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(sorted(dv.BELL_KINDS, key=lambda kind: kind.value)),
+       tau_c=st.floats(0.0, 1.0), swap=st.booleans())
+@example(kind=dv.DvKind.BELL_PSI_PLUS, tau_c=0.350621, swap=False)
+@example(kind=dv.DvKind.BELL_PSI_MINUS, tau_c=0.343689, swap=True)
+def test_bell_mean_absorption_is_half_the_absorbed_share(kind, tau_c, swap):
+    """Every standing Bell state holds one photon on average in the absorbed
+    mode, either role, so a Bell run's mean absorbed fraction is s^2 / 2: the
+    exact (1 - tau_c^2) / 2 of the double tau_c, rounded once."""
+    absorber = AbsorberSpec((tau_c - 1.0) / 2.0, swap)
+    mean = dv.run_scenario(dv.DvScenario(kind), absorber).mean_intensity_absorption
+    assert mean == float((1 - Fraction(absorber.tau_c) ** 2) / 2)
 
 
 def _noon_run_peak_kib(tmp_path, n: int, trace: bool = False) -> tuple[int, int, int]:

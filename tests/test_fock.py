@@ -777,11 +777,14 @@ def _absorber(choice: str, tau_c: float) -> AbsorberSpec:
 
 
 def _check_conditional_outputs(joint):
-    """conditional_outputs, one pass over the joint, against conditional_output
-    + DensityOperator.purity + mode_moments for every reported count."""
+    """joint_readouts, one pass over the joint, against conditional_output +
+    DensityOperator.purity + mode_moments for every count above its floor, and
+    its environment readouts against oracle.joint_environment."""
     distribution = oracle.absorbed_photon_distribution(joint)
     counts = [m for m, p in distribution.items() if p > 1e-9]
-    outputs = fock.conditional_outputs(joint, counts)
+    readout, outputs = fock.joint_readouts(joint, 1e-9)
+    env = [m for m in joint.modes if m.is_env]
+    _environment_matches(readout, oracle.joint_environment(joint.amplitudes, joint.modes, env))
     assert [output.absorbed for output in outputs] == counts
     for output in outputs:
         rho = fock.conditional_output(joint, output.absorbed)
@@ -829,7 +832,7 @@ def test_two_rail_conditional_output_can_be_mixed():
     the two rails' environments in an even mixture, so the light has purity 1/2."""
     state = dv.build_input(dv.DvScenario(dv.DvKind.BELL_PSI_PLUS), 2)
     joint = fock.full_pipeline(state, _absorber("tau_c+swap", 0.3))
-    (output,) = fock.conditional_outputs(joint, [1])
+    output = {o.absorbed: o for o in fock.joint_readouts(joint, 1e-9)[1]}[1]
     assert output.purity == pytest.approx(0.5, abs=1e-13)
 
 
@@ -841,13 +844,13 @@ def test_two_rail_conditional_output_can_be_mixed():
 )
 def test_absorber_outputs_match_the_joint_after_the_mix_back(seed, choice, tau_c):
     """absorber_outputs reads from a one-rail standing state what
-    conditional_outputs reads from its joint on K, MINUS_K, for random inputs
+    joint_readouts reads from its joint on K, MINUS_K, for random inputs
     whose light modes differ (Re<a_C^dag a_S> != 0, unlike any DV input)."""
     absorber = _absorber(choice, tau_c)
     standing = fock.standing_basis(random_rail_state(seed, 1, cutoff=6))
     joint = fock.travelling_basis(fock.cpa_channel(standing, absorber))
     counts = [m for m, p in oracle.absorbed_photon_distribution(joint).items() if p > 1e-9]
-    expected = fock.conditional_outputs(joint, counts)
+    expected = fock.joint_readouts(joint, 1e-9)[1]
     got = oracle.absorber_outputs(standing, absorber, counts)
     assert [o.absorbed for o in got] == counts
     for new, old in zip(got, expected):
@@ -866,13 +869,16 @@ def test_absorber_outputs_zero_probability_raises():
             oracle.absorber_outputs(standing, CANONICAL, [absorbed])
 
 
-def test_conditional_outputs_zero_probability_raises():
-    state = fock.basis_state({K: 1, MINUS_K: 1}, 2)
-    joint = fock.full_pipeline(state, CANONICAL)
-    assert [o.absorbed for o in fock.conditional_outputs(joint, [0, 2])] == [0, 2]
-    for absorbed in (1, 3, 99):
-        with pytest.raises(FockError, match="zero-probability absorbed count"):
-            fock.conditional_outputs(joint, [0, absorbed])
+def test_joint_readouts_report_the_counts_above_the_floor():
+    """|1, 1> at a canonical absorber: two photons or none are absorbed, never
+    one, so count 1 is not reported; a floor above 1/2 reports no count, and
+    the distribution keeps every total the environment can hold."""
+    joint = fock.full_pipeline(fock.basis_state({K: 1, MINUS_K: 1}, 2), CANONICAL)
+    readout, outputs = fock.joint_readouts(joint, fock.CONDITIONING_FLOOR)
+    assert [o.absorbed for o in outputs] == [0, 2]
+    assert [o.probability for o in outputs] == pytest.approx([0.5, 0.5], abs=1e-15)
+    assert len(readout.distribution) == 3 and readout.distribution[1] < 1e-30
+    assert fock.joint_readouts(joint, 0.6)[1] == []
 
 
 def _environment_matches(readout, reference, tol=1e-12):
@@ -897,10 +903,11 @@ def _environment_matches(readout, reference, tol=1e-12):
 @example("bell", 7, -0.5, True)
 @example("bell", 7, 0.0, False)
 def test_environment_reduction_matches_dense_reference(kind, seed, reflection, swap):
-    """absorber_environment of the standing state gives the absorbed
-    distribution, light-environment entropy and P(all absorbed) of explicit
-    dense rho of full_pipeline's joint, on one rail (one environment mode) and
-    two (Bell inputs, two environment modes)."""
+    """The environment readouts give the absorbed distribution,
+    light-environment entropy and P(all absorbed) of explicit dense rho of
+    full_pipeline's joint: absorber_environment of the standing state on one
+    rail (one environment mode), joint_readouts of the joint itself for Bell
+    inputs on two (two environment modes)."""
     rng = np.random.default_rng(seed)
     if kind == "bell":
         bell = rng.choice([k for k in dv.DvKind if k in dv.BELL_KINDS])
@@ -921,7 +928,8 @@ def test_environment_reduction_matches_dense_reference(kind, seed, reflection, s
     rho_env = oracle.dense_reduced(joint.amplitudes, joint.modes, env)
     totals = np.indices((joint.dim,) * len(env)).sum(axis=0).ravel()
     expected = np.bincount(totals, weights=np.diagonal(rho_env).real)
-    readout = fock.absorber_environment(fock.standing_basis(state), absorber)
+    readout = (fock.joint_readouts(joint, 1e-9)[0] if kind == "bell"
+               else fock.absorber_environment(fock.standing_basis(state), absorber))
     assert len(readout.distribution) == len(expected) == len(env) * joint.cutoff + 1
     assert np.max(np.abs(readout.distribution - expected)) < 1e-12
     absorbed = oracle.absorbed_photon_distribution(joint)
@@ -935,24 +943,21 @@ def test_environment_reduction_matches_dense_reference(kind, seed, reflection, s
 @settings(max_examples=25, deadline=None)
 @given(
     st.integers(0, 2**32 - 1),
-    st.integers(1, 2),
     st.floats(-0.5, 0.0),
     st.booleans(),
 )
-@example(3, 1, -0.5, False)  # tau_c = 0 (no loss amplitudes) on one and two rails, both roles
-@example(3, 1, -0.5, True)
-@example(3, 2, -0.5, False)
-@example(3, 2, -0.5, True)
-@example(3, 1, 0.0, True)
-@example(3, 2, 0.0, False)
-def test_environment_readouts_need_no_output_basis_change(seed, rails, reflection, swap):
+@example(3, -0.5, False)  # tau_c = 0 (no loss amplitudes), both roles
+@example(3, -0.5, True)
+@example(3, 0.0, True)
+@example(4, 0.0, False)
+def test_environment_readouts_need_no_output_basis_change(seed, reflection, swap):
     """The output basis change acts on light modes alone and maps light vacuum
     to itself, and the environment meets only the absorbed modes:
     absorber_environment of the standing state matches the joint readouts of
     both cpa_channel's standing joint and full_pipeline's; the oracle's Gram
     from occupied rows matches the full one."""
     absorber = AbsorberSpec(reflection=reflection, swap_roles=swap)
-    state = random_rail_state(seed, rails)
+    state = random_rail_state(seed, 1)
     standing = fock.standing_basis(state)
     channel = fock.cpa_channel(standing, absorber)
     joint = fock.full_pipeline(state, absorber)
@@ -968,8 +973,8 @@ def test_environment_readouts_need_no_output_basis_change(seed, rails, reflectio
         channel.amplitudes, [channel.axis(m) for m in light + env]
     ).reshape(channel.dim ** len(light), -1)
     assert np.max(np.abs(mat.conj().T @ mat - gram)) < 1e-14
-    if reflection == -0.5:  # each absorbed mode is left in vacuum
-        assert np.any(mat, axis=1).sum() <= channel.dim ** (len(light) - rails)
+    if reflection == -0.5:  # the absorbed mode is left in vacuum
+        assert np.any(mat, axis=1).sum() <= channel.dim ** (len(light) - 1)
 
 
 def test_loss_amplitudes_at_full_absorption_are_the_unit_column():
@@ -1004,22 +1009,21 @@ def _loop_reference(standing, absorber):
 @settings(max_examples=30, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    rails=st.integers(1, 2),
     tau=st.floats(1e-3, 1.0),
     swap=st.booleans(),
     pad=st.integers(0, 2),
 )
-@example(seed=1, rails=2, tau=0.5, swap=False, pad=2)
-@example(seed=2, rails=2, tau=1.0, swap=True, pad=0)
-@example(seed=3, rails=1, tau=0.999, swap=True, pad=1)
-def test_absorber_environment_matches_the_joint_and_the_loop(seed, rails, tau, swap, pad):
+@example(seed=1, tau=0.5, swap=False, pad=2)
+@example(seed=2, tau=1.0, swap=True, pad=0)
+@example(seed=3, tau=0.999, swap=True, pad=1)
+def test_absorber_environment_matches_the_joint_and_the_loop(seed, tau, swap, pad):
     """At tau_c != 0 the closed-form map gives the distribution, entropy and
     P(all absorbed) of cpa_channel's joint (oracle.joint_environment) and of
-    the per-level loop (oracle.loop_environment) within 1e-12, on one and two
-    rails, either role; `pad` empty levels above the state exercise the map's
-    truncation to the weighted levels with the distribution's keys kept."""
+    the per-level loop (oracle.loop_environment) within 1e-12, either role;
+    `pad` empty levels above the state exercise the map's truncation to the
+    weighted levels with the distribution's keys kept."""
     absorber = AbsorberSpec(reflection=(tau - 1.0) / 2.0, swap_roles=swap)
-    state = random_rail_state(seed, rails)
+    state = random_rail_state(seed, 1)
     if pad:
         amps = np.zeros((state.dim + pad,) * len(state.modes), dtype=complex)
         amps[(slice(state.dim),) * len(state.modes)] = state.amplitudes
@@ -1028,7 +1032,7 @@ def test_absorber_environment_matches_the_joint_and_the_loop(seed, rails, tau, s
     readout = fock.absorber_environment(standing, absorber)
     joint = fock.cpa_channel(standing, absorber)
     env = [m for m in joint.modes if m.is_env]
-    assert len(readout.distribution) == rails * standing.cutoff + 1
+    assert len(readout.distribution) == standing.cutoff + 1
     _environment_matches(readout, oracle.joint_environment(joint.amplitudes, joint.modes, env))
     _environment_matches(readout, _loop_reference(standing, absorber))
 
@@ -1066,24 +1070,21 @@ def _tapered_rail_state(seed, rails, cutoff, decay):
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    box=st.one_of(st.tuples(st.just(1), st.integers(3, 30)), st.tuples(st.just(2), st.integers(3, 4))),
+    cutoff=st.integers(3, 30),
     decay=st.floats(-3.0, 0.0).map(lambda x: 10.0 ** x),
     tau=st.floats(0.0, 1.0),
     swap=st.booleans(),
 )
-@example(seed=4, box=(1, 30), decay=1e-3, tau=0.0, swap=False)
-@example(seed=5, box=(2, 4), decay=0.01, tau=0.0, swap=True)
-@example(seed=6, box=(2, 4), decay=0.02, tau=0.7, swap=False)
-@example(seed=7, box=(1, 20), decay=0.05, tau=0.3, swap=True)
-def test_entropy_on_the_leading_block_matches_the_full_spectrum(seed, box, decay, tau, swap):
+@example(seed=4, cutoff=30, decay=1e-3, tau=0.0, swap=False)
+@example(seed=5, cutoff=4, decay=0.01, tau=0.0, swap=True)
+@example(seed=6, cutoff=4, decay=0.02, tau=0.7, swap=False)
+@example(seed=7, cutoff=20, decay=0.05, tau=0.3, swap=True)
+def test_entropy_on_the_leading_block_matches_the_full_spectrum(seed, cutoff, decay, tau, swap):
     """absorber_environment solves only the leading block of rho that holds all
-    but 2^-52 of each rail's weight; its entropy is within 1e-13 of the dense
-    entropy of the whole rho (oracle.loop_environment), at tau_c = 0 and not,
-    on (rails, cutoff) `box` of one rail and of two, either role.  Two rails stop
-    at cutoff 4: from cutoff 5 up the reference's own eigenvalue floor (1e-16)
-    leaves the full solve up to 2.9e-13 away, and the block up to 1.6e-13."""
+    but 2^-52 of its weight; its entropy is within 1e-13 of the dense entropy of
+    the whole rho (oracle.loop_environment), at tau_c = 0 and not, either role."""
     absorber = AbsorberSpec(reflection=(tau - 1.0) / 2.0, swap_roles=swap)
-    standing = fock.standing_basis(_tapered_rail_state(seed, *box, decay))
+    standing = fock.standing_basis(_tapered_rail_state(seed, 1, cutoff, decay))
     _, _, entropy, _ = _loop_reference(standing, absorber)
     assert abs(fock.absorber_environment(standing, absorber).entropy - entropy) < 1e-13
 
@@ -1111,16 +1112,17 @@ def test_entropy_solves_the_levels_that_hold_the_weight(monkeypatch):
 
 @pytest.mark.parametrize("tau", [0.0, 0.6])
 def test_entropy_of_a_state_filling_the_box_solves_the_whole_box(monkeypatch, tau):
-    """A standing state whose weight reaches the top level of a rail keeps its
-    full block: every level of one rail, every pair of levels of two, also
-    when the other rail is in vacuum (the block follows the longer rail)."""
+    """A standing state whose weight reaches the top level keeps its full
+    block: every level of the absorbed mode, also when the other mode is in
+    vacuum and when the travelling state fills its box."""
     absorber = AbsorberSpec(reflection=(tau - 1.0) / 2.0)
     sizes = _solved_sizes(monkeypatch)
     fock.absorber_environment(_random_standing(40), absorber)
-    fock.absorber_environment(fock.standing_basis(random_rail_state(8, 2)), absorber)
-    vacuum = fock.vacuum_state([C.with_rail("B"), S.with_rail("B")], 3)
-    fock.absorber_environment(fock.tensor(_random_standing(4), vacuum), absorber)
-    assert sizes == [40, 16, 16]
+    fock.absorber_environment(fock.standing_basis(random_rail_state(8, 1)), absorber)
+    column = _random_standing(16).amplitudes[:, 0]  # every level of C
+    absorbed = fock.PureState((C,), 15, column / np.linalg.norm(column))
+    fock.absorber_environment(fock.tensor(absorbed, fock.vacuum_state([S], 15)), absorber)
+    assert sizes == [40, 4, 16]
 
 
 def test_entropy_block_drops_the_levels_whose_summed_tail_is_below_eps(monkeypatch):
@@ -1231,6 +1233,14 @@ def test_absorber_environment_needs_a_fresh_environment():
         fock.absorber_environment(state, CANONICAL)
     with pytest.raises(ModeError):
         fock.absorber_environment(fock.basis_state({K: 1, MINUS_K: 0}, 2), CANONICAL)
+
+
+def test_absorber_environment_reads_one_rail():
+    """A standing state on two rails, such as a Bell pair's, is refused with its
+    modes named: the Bell runs read their environment from their joint."""
+    standing = fock.standing_basis(random_rail_state(8, 2))
+    with pytest.raises(ModeError, match=r"modes \(C, S, C\[B\], S\[B\]\) are not one rail"):
+        fock.absorber_environment(standing, CANONICAL)
 
 
 def test_travelling_basis_undoes_standing_basis():

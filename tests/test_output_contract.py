@@ -31,11 +31,14 @@ def _compare(tmp_path, a, b) -> tuple[int, str]:
 
 def test_two_records_compare_equal_and_a_doctored_line_is_reported(tmp_path):
     argvs = contract.commands([GOLDEN_DIR], grid=3)
-    assert len(argvs) == 18 + 2 + 4  # golden runs, table1 twice, four presets
-    assert all(not argv[-1].endswith(".out.json") for argv in argvs)
+    # golden runs, table1 twice, four presets, two custom sweeps, four usage errors
+    assert len(argvs) == 18 + 2 + 4 + 2 + 4
+    assert not any(arg.endswith(".out.json") for argv in argvs for arg in argv)
     first, second = contract.record(argvs), contract.record(argvs)
-    assert all(line["exit"] == 0 and line["stderr"] == "" for line in first)
-    assert {len(line) for line in first} == {4, 5}  # runs add stdout, presets the CSV
+    assert all(line["exit"] == 0 and line["stderr"] == "" for line in first[:-4])
+    assert all(line["exit"] == 1 and line["stderr"].startswith("usage: cpa") for line in first[-4:])
+    assert [line["argv"] for line in first[-4:]] == [list(argv) for argv in contract.USAGE_ERRORS]
+    assert {len(line) for line in first} == {4, 5}  # runs add stdout, sweeps the CSV
     assert _compare(tmp_path, first, second) == (0, "")
 
     doctored = [dict(line) for line in second]
@@ -56,7 +59,7 @@ def test_workload_commands_stand_in_for_the_generated_inputs():
     writes the inputs again and runs them."""
     argvs = contract.commands([], grid=101, workloads=[("scenario_mix", 3)])
     runs, fixed = argvs[:300], argvs[300:]
-    assert len(fixed) == 6 and fixed[:2] == [["table1"], ["table1", "--json"]]
+    assert len(fixed) == 12 and fixed[:2] == [["table1"], ["table1", "--json"]]
     assert all(argv[0] == "run" and argv[1].startswith("<scenario_mix-seed3>/") for argv in runs)
     assert len({argv[1] for argv in runs}) == 300
     assert argvs == contract.commands([], grid=101, workloads=[("scenario_mix", 3)])
@@ -125,7 +128,7 @@ def test_presets_are_recorded_at_each_grid_given():
     """--grid takes several values: the four presets run at each, and each
     preset command's argv names its grid."""
     argvs = contract.commands([], grid=[9, 11, 101])
-    presets = [argv for argv in argvs if argv[0] == "sweep"]
+    presets = [argv for argv in argvs if argv[1:2] == ["--preset"] and contract.CSV in argv]
     assert [(argv[2], argv[4]) for argv in presets] == [
         (p, g) for g in ("9", "11", "101") for p in ("fig6", "fig8", "fig9a", "fig9b")]
     assert contract.commands([], grid=101) == contract.commands([], grid=[101])
@@ -133,7 +136,8 @@ def test_presets_are_recorded_at_each_grid_given():
 
 def test_outputs_match_the_checked_in_record(tmp_path):
     """Every command of the corpus (the golden and hostile files, both run
-    workloads' files at seed 1, table1 and the presets at grid 9) keeps its exit
+    workloads' files at seed 1, table1, the presets at grid 9, the custom sweeps
+    of tests/sweeps and the usage errors) keeps its exit
     code, stderr and the sha256 of its stdout and CSV in tests/output_contract.jsonl.
     The corpus is recorded in a fresh interpreter with one BLAS thread, as the
     benchmark runs, so that no thread count moves a last bit.  A change that
@@ -145,6 +149,6 @@ def test_outputs_match_the_checked_in_record(tmp_path):
     subprocess.run([sys.executable, SCRIPT, "--hashed", "--out", now, *CORPUS],
                    cwd=ROOT, env=env, check=True)
     expected, got = contract._read(RECORD), contract._read(now)
-    assert len(expected) == 430
+    assert len(expected) == 436
     moved = contract.report(expected, got)
     assert not moved, "commands moved against tests/output_contract.jsonl:\n" + "\n".join(moved)
